@@ -174,6 +174,21 @@ OperatingPoint Provisioner::best_effort(double lambda) const {
 }
 
 OperatingPoint Provisioner::scan_range(double lambda, unsigned lo, unsigned hi) const {
+  // Early exit (M/M/1 only, where s_min(m) is non-increasing in m): once
+  // the rounded speed sits on the ladder floor it stays there for every
+  // larger m, and at a fixed speed each extra server adds exactly
+  // `slope` watts — p_idle − p_off gated (the dynamic term m·u is
+  // constant), plus the dynamic power ungated.  If that slope dwarfs the
+  // rounding error of any computed cost (at most a few ulps of M·p_max),
+  // every larger m costs strictly more than the best so far and can never
+  // win better_than, so the rest of the scan is skipped — the result is
+  // the full scan's, bit for bit.
+  const double floor_speed = config_.ladder.min_speed();
+  const double slope =
+      power_model_.expected_power(floor_speed, 0.0) - power_model_.off_power();
+  const bool can_exit =
+      config_.perf_model == PerfModel::kMm1PerServer &&
+      slope > 1e-9 * static_cast<double>(config_.max_servers) * power_model_.p_max();
   OperatingPoint best;
   bool have_best = false;
   for (unsigned m = lo; m <= hi; ++m) {
@@ -185,6 +200,7 @@ OperatingPoint Provisioner::scan_range(double lambda, unsigned lo, unsigned hi) 
       best = pt;
       have_best = true;
     }
+    if (can_exit && pt.speed == floor_speed) break;
   }
   if (!have_best) return best_effort(lambda);
   return best;

@@ -12,7 +12,9 @@
 // leaving a one-dimensional problem over m whose continuous relaxation is
 // convex.  Three solvers are provided and cross-checked by property tests:
 //
-//   * solve()            — exact linear scan over m (the reference),
+//   * solve()            — exact linear scan over m (the reference; it
+//                          stops early once every larger m provably costs
+//                          more, see scan_range),
 //   * solve_fast()       — ternary search on the relaxation + local exact
 //                          refinement (O(log M) evaluations),
 //   * solve_continuous() — the continuous relaxation itself (analysis).

@@ -46,6 +46,7 @@
 #include "stats/log_histogram.h"
 #include "stats/rng.h"
 #include "util/assert.h"
+#include "util/index_bitset.h"
 
 namespace gc {
 namespace {
@@ -109,10 +110,23 @@ struct PerServerStats {
   std::uint64_t record_count = 0;
 };
 
+// One logged speed command (see Shard::speed_log).
+struct SpeedCommand {
+  double time = 0.0;
+  double speed = 1.0;
+};
+
 // One shard: a contiguous global-server-index range with its own event
-// queue, servers, RNG streams, serving-set index and accumulators.  All
+// queue, servers, RNG streams, serving/live sets and accumulators.  All
 // methods run either on the shard's worker (between barriers) or on the
 // orchestrator thread (at barriers) — never both concurrently.
+//
+// Dark servers (OFF or FAILED) are not touched by speed commands: each
+// command is appended to `speed_log`, and a dark server replays the
+// entries it has not seen through the same Server::set_speed calls the
+// eager fan-out would have made, before its next transition and before
+// every energy flush.  Invariant: a dark server's meter equals what
+// replaying every logged command would give (DESIGN.md §11.2).
 struct Shard {
   // -- static configuration ------------------------------------------------
   std::uint32_t first = 0;  // global index range [first, last)
@@ -138,8 +152,9 @@ struct Shard {
   std::vector<char> background_armed;  // one background failure chain/server
 
   // O(1) fleet accounting (the sharded analogue of Cluster's
-  // apply_transition bookkeeping).
-  std::vector<std::uint32_t> serving_index;  // serving servers, ascending
+  // apply_transition bookkeeping).  Both sets hold shard-local indices.
+  IndexBitset serving;  // ON and not draining
+  IndexBitset live;     // not OFF/FAILED: the servers speed commands touch
   unsigned booting = 0;
   unsigned powered = 0;
   unsigned failed = 0;
@@ -149,6 +164,11 @@ struct Shard {
   // refreshed at a barrier only when the serving set changed).
   bool serving_dirty = true;
   std::vector<std::uint32_t> frozen;
+
+  // Speed commands applied so far, and per server how many of them its
+  // meter has seen (meaningful only while the server is dark).
+  std::vector<SpeedCommand> speed_log;
+  std::vector<std::uint32_t> speed_seen;
 
   // Commanded control state, broadcast by the orchestrator at barriers.
   unsigned target = 0;
@@ -166,6 +186,7 @@ struct Shard {
   // -- shard integer totals (merge exactly in any order) --------------------
   std::array<std::uint64_t, kNumEventTypes> events{};
   std::uint64_t admitted = 0;
+  std::uint64_t completed = 0;  // whole run (the post-warmup count is per server)
   std::uint64_t shed = 0;
   std::uint64_t dropped = 0;
   std::uint64_t lost = 0;
@@ -189,7 +210,7 @@ struct Shard {
     return servers[gi - first];
   }
   [[nodiscard]] unsigned serving_count() const noexcept {
-    return static_cast<unsigned>(serving_index.size());
+    return static_cast<unsigned>(serving.size());
   }
   [[nodiscard]] unsigned committed_count() const noexcept {
     return serving_count() + booting;
@@ -211,25 +232,33 @@ struct Shard {
     ps.anchor = now;
   }
 
-  void serving_insert(std::uint32_t gi) {
-    serving_index.insert(
-        std::lower_bound(serving_index.begin(), serving_index.end(), gi), gi);
-    serving_dirty = true;
+  // Brings dark server li's speed and meter up to date with the log.  A
+  // dark server has no job in service, so no departure moves.
+  void catch_up_speed(std::uint32_t li) {
+    Server& s = servers[li];
+    for (std::size_t i = speed_seen[li]; i < speed_log.size(); ++i) {
+      [[maybe_unused]] const auto eta =
+          s.set_speed(speed_log[i].time, speed_log[i].speed);
+      GC_DCHECK(!eta, "sharded: dark server had a job in service");
+    }
+    speed_seen[li] = static_cast<std::uint32_t>(speed_log.size());
   }
-  void serving_erase(std::uint32_t gi) {
-    const auto it =
-        std::lower_bound(serving_index.begin(), serving_index.end(), gi);
-    GC_DCHECK(it != serving_index.end() && *it == gi,
-              "sharded: serving index out of sync");
-    serving_index.erase(it);
-    serving_dirty = true;
+
+  // Every energy flush goes through here, so a dark meter catches up first.
+  void flush_energy(double now, std::uint32_t li) {
+    if (!live.contains(li)) catch_up_speed(li);
+    servers[li].flush_energy(now);
   }
 
   // Runs a power-state mutation keeping the O(1) counters and the serving
-  // index in sync (the shard-side mirror of Cluster::apply_transition).
+  // and live sets in sync (the shard-side mirror of
+  // Cluster::apply_transition).
   template <typename Fn>
   void transition(double now, std::uint32_t gi, Fn&& mutate) {
-    Server& s = server(gi);
+    const std::uint32_t li = gi - first;
+    Server& s = servers[li];
+    const bool was_live = live.contains(li);
+    if (!was_live) catch_up_speed(li);
     sync_stats(now, gi);
     const PowerState before = s.state();
     const bool was_serving = s.serving();
@@ -248,7 +277,17 @@ struct Shard {
     }
     const bool is_serving = s.serving();
     if (was_serving != is_serving) {
-      is_serving ? serving_insert(gi) : serving_erase(gi);
+      is_serving ? serving.insert(li) : serving.erase(li);
+      serving_dirty = true;
+    }
+    const bool is_live = after != PowerState::kOff && after != PowerState::kFailed;
+    if (was_live != is_live) {
+      if (is_live) {
+        live.insert(li);
+      } else {
+        live.erase(li);
+        speed_seen[li] = static_cast<std::uint32_t>(speed_log.size());
+      }
     }
   }
 
@@ -380,37 +419,44 @@ struct Shard {
     queue.schedule(now + sample_ttr(gi - first), EventType::kServerRepair, gi);
   }
 
-  // Reconciles towards the committed prefix [0, new_target): ascending scan
-  // of the shard's range (deterministic order), booting OFF servers below
-  // the target, reviving draining ones, draining serving ones at or above.
+  // Reconciles towards the committed prefix [0, new_target) in ascending
+  // global-index order (deterministic): boots OFF servers below the
+  // target and revives draining ones, then drains the serving ones at or
+  // above it.  Cost O(target + drained), not O(shard size).
   void reconcile(double now, unsigned new_target) {
     target = new_target;
-    for (std::uint32_t gi = first; gi < last; ++gi) {
+    const std::uint32_t split = std::clamp<std::uint32_t>(target, first, last);
+    for (std::uint32_t gi = first; gi < split; ++gi) {
       Server& s = server(gi);
-      if (gi < target) {
-        if (s.state() == PowerState::kOff) {
-          boot_server(now, gi);
-        } else if (s.state() == PowerState::kOn && s.draining()) {
-          transition(now, gi, [&](Server& sv) { sv.set_draining(now, false); });
-        }
-        // BOOTING / SHUTTING_DOWN / FAILED catch up from their completion
-        // events; an ON serving server is already where it should be.
-      } else if (s.serving()) {
-        start_drain(now, gi);
+      if (s.state() == PowerState::kOff) {
+        boot_server(now, gi);
+      } else if (s.state() == PowerState::kOn && s.draining()) {
+        transition(now, gi, [&](Server& sv) { sv.set_draining(now, false); });
       }
+      // BOOTING / SHUTTING_DOWN / FAILED catch up from their completion
+      // events; an ON serving server is already where it should be.
     }
+    serving.for_each_from(split - first, [&](std::size_t li) {
+      start_drain(now, first + static_cast<std::uint32_t>(li));
+    });
   }
 
+  // Applies a speed command to the live servers in ascending order and
+  // logs it for the dark ones.  Every server already runs at the
+  // commanded speed (dark ones once caught up), so repeating it is a no-op.
   void set_speed_all(double now, double speed) {
+    if (speed == commanded_speed) return;
     commanded_speed = speed;
-    for (std::uint32_t gi = first; gi < last; ++gi) {
-      Server& s = server(gi);
+    speed_log.push_back(SpeedCommand{now, speed});
+    live.for_each([&](std::size_t li) {
+      Server& s = servers[li];
       const auto eta = s.set_speed(now, speed);
       if (eta) {
         queue.cancel(s.pending_departure);
-        s.pending_departure = queue.schedule(*eta, EventType::kDeparture, gi);
+        s.pending_departure = queue.schedule(
+            *eta, EventType::kDeparture, first + static_cast<std::uint32_t>(li));
       }
-    }
+    });
   }
 
   void on_arrival(double now, std::size_t index, std::size_t window_m,
@@ -457,6 +503,7 @@ struct Shard {
             ? queue.schedule(*completion.next_eta, EventType::kDeparture, gi)
             : kInvalidEventId;
     --jobs;
+    ++completed;
     const double response = now - completion.finished.arrival_time;
     if (measuring) {
       PerServerStats& ps = stats[gi - first];
@@ -538,8 +585,8 @@ struct Shard {
     for (std::uint32_t gi = first; gi < last; ++gi) {
       sync_stats(now, gi);
       const std::uint32_t li = gi - first;
-      Server& s = servers[li];
-      s.flush_energy(now);
+      flush_energy(now, li);
+      const Server& s = servers[li];
       warm_energy[li] =
           EnergyBreakdown{s.meter().joules_busy(), s.meter().joules_idle(),
                           s.meter().joules_transition(), s.meter().joules_off()};
@@ -555,7 +602,7 @@ struct Shard {
   void finalize(double now) {
     for (std::uint32_t gi = first; gi < last; ++gi) {
       sync_stats(now, gi);
-      server(gi).flush_energy(now);
+      flush_energy(now, gi - first);
     }
   }
 };
@@ -663,6 +710,9 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       s.size_rng.reserve(count);
       s.stats.resize(count);
       s.warm_energy.resize(count);
+      s.serving.assign(count);
+      s.live.assign(count);
+      s.speed_seen.assign(count, 0);
       s.server_boots.assign(count, 0);
       s.server_shutdowns.assign(count, 0);
       for (std::uint32_t gi = s.first; gi < s.last; ++gi) {
@@ -671,7 +721,8 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
                                initially_on, 0.0);
         s.size_rng.emplace_back(workload_seed, gi);
         if (initially_on) {
-          s.serving_index.push_back(gi);
+          s.serving.insert(gi - s.first);
+          s.live.insert(gi - s.first);
           ++s.powered;
         }
       }
@@ -807,7 +858,11 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     for (unsigned k = 0; k < num_shards; ++k) {
       Shard& s = *shards[k];
       if (s.serving_dirty) {
-        s.frozen = s.serving_index;
+        s.frozen.clear();
+        s.frozen.reserve(s.serving.size());
+        s.serving.for_each([&](std::size_t li) {
+          s.frozen.push_back(s.first + static_cast<std::uint32_t>(li));
+        });
         s.serving_dirty = false;
       }
       window_rank0[k] = rank;
@@ -1539,7 +1594,11 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   }
   registry.counter("sim.jobs.admitted").inc(admitted_total());
   registry.counter("sim.jobs.shed").inc(shed_total());
-  registry.counter("sim.jobs.completed").inc(completed);
+  {
+    std::uint64_t completed_whole = 0;
+    for (const auto& s : shards) completed_whole += s->completed;
+    registry.counter("sim.jobs.completed").inc(completed_whole);
+  }
   registry.counter("sim.jobs.dropped").inc(dropped_total());
   registry.counter("sim.jobs.redispatched").inc(0);
   registry.counter("sim.jobs.lost").inc(lost_whole);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "queueing/mm1.h"
@@ -407,6 +408,145 @@ TEST(Provisioner, RejectsInvalidQueries) {
   EXPECT_DEATH((void)solver.min_speed(-1.0, 1), "negative");
   EXPECT_DEATH((void)solver.evaluate(1.0, 1, 0.0), "speed");
   EXPECT_DEATH((void)solver.solve(std::nan("")), "bad lambda");
+}
+
+// -- the scan's early exit is exact ------------------------------------------
+//
+// scan_range stops once the rounded speed reaches the ladder floor (M/M/1
+// only).  These references are the full scans without that exit; solve()
+// and solve_capped() must match them field for field, exactly.
+
+OperatingPoint reference_scan(const Provisioner& solver, double lambda, unsigned lo,
+                              unsigned hi) {
+  const ClusterConfig& config = solver.config();
+  OperatingPoint best;
+  bool have_best = false;
+  for (unsigned m = lo; m <= hi; ++m) {
+    const auto s = solver.min_speed(lambda, m);
+    if (!s) continue;
+    const OperatingPoint pt = solver.evaluate(lambda, m, config.ladder.round_up(*s));
+    if (!pt.feasible) continue;
+    if (!have_best || pt.better_than(best)) {
+      best = pt;
+      have_best = true;
+    }
+  }
+  if (!have_best) {
+    best = solver.evaluate(lambda, config.max_servers, 1.0);
+    best.feasible = false;
+  }
+  return best;
+}
+
+OperatingPoint reference_solve(const Provisioner& solver, double lambda) {
+  const auto m_min = solver.min_feasible_servers(lambda);
+  if (!m_min) {
+    OperatingPoint pt = solver.evaluate(lambda, solver.config().max_servers, 1.0);
+    pt.feasible = false;
+    return pt;
+  }
+  return reference_scan(solver, lambda, *m_min, solver.config().max_servers);
+}
+
+OperatingPoint reference_solve_capped(const Provisioner& solver, double lambda,
+                                      unsigned m_cap) {
+  const auto m_min = solver.min_feasible_servers(lambda);
+  OperatingPoint pt;
+  if (m_min && *m_min <= m_cap) pt = reference_scan(solver, lambda, *m_min, m_cap);
+  if (!m_min || *m_min > m_cap || !pt.feasible || pt.servers > m_cap) {
+    pt = solver.evaluate(lambda, m_cap, 1.0);
+    pt.feasible = false;
+  }
+  return pt;
+}
+
+void expect_identical(const OperatingPoint& got, const OperatingPoint& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.servers, want.servers) << where;
+  EXPECT_EQ(got.speed, want.speed) << where;
+  EXPECT_EQ(got.power_watts, want.power_watts) << where;
+  EXPECT_EQ(got.response_time_s, want.response_time_s) << where;
+  EXPECT_EQ(got.utilization, want.utilization) << where;
+  EXPECT_EQ(got.feasible, want.feasible) << where;
+}
+
+ClusterConfig random_config(Rng& rng, unsigned max_servers) {
+  ClusterConfig config;
+  config.max_servers = max_servers;
+  config.mu_max = 5.0 + 45.0 * rng.uniform01();
+  config.t_ref_s = 1.5 / config.mu_max + 0.5 * rng.uniform01();
+  config.power.alpha = 1.0 + 3.0 * rng.uniform01();
+  config.power.utilization_gated = rng.uniform01() < 0.5;
+  if (rng.uniform01() < 0.25) config.power.p_off_watts = config.power.p_idle_watts;
+  if (rng.uniform01() < 0.4) {
+    config.ladder = FrequencyLadder::continuous(0.05 + 0.3 * rng.uniform01());
+  }
+  return config;
+}
+
+void check_against_reference(const ClusterConfig& config, Rng& rng, int loads) {
+  const Provisioner solver(config);
+  const double max_rate = config.max_feasible_arrival_rate();
+  for (int i = 0; i < loads; ++i) {
+    // Mostly light loads (where the floor is reached early and the exit
+    // matters), plus zero and just-infeasible ones.
+    const double u = rng.uniform01();
+    const double lambda = i == 0   ? 0.0
+                          : i == 1 ? max_rate * 1.02
+                                   : max_rate * 1.05 * u * u * u;
+    const unsigned cap =
+        1 + static_cast<unsigned>(rng.uniform_below(config.max_servers));
+    const std::string where =
+        "M=" + std::to_string(config.max_servers) + " lambda=" + std::to_string(lambda) +
+        " gated=" + std::to_string(config.power.utilization_gated) +
+        " continuous=" + std::to_string(config.ladder.is_continuous()) +
+        " p_off=" + std::to_string(config.power.p_off_watts);
+    expect_identical(solver.solve(lambda), reference_solve(solver, lambda), where);
+    expect_identical(solver.solve_capped(lambda, cap),
+                     reference_solve_capped(solver, lambda, cap),
+                     where + " cap=" + std::to_string(cap));
+  }
+}
+
+class ScanExitPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ScanExitPropertyTest, SolveMatchesFullScanExactly) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 7000);
+  for (int trial = 0; trial < 12; ++trial) {
+    const unsigned m = 1 + static_cast<unsigned>(rng.uniform_below(600));
+    check_against_reference(random_config(rng, m), rng, 10);
+  }
+  for (const unsigned m : {4096u, 32768u, 131072u}) {
+    check_against_reference(random_config(rng, m), rng, 4);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScanExitPropertyTest, ::testing::Range(0, 6));
+
+// The corner cases the exit condition guards, each pinned explicitly.
+TEST(ScanExit, EdgeConfigurationsMatchFullScanExactly) {
+  Rng rng(99);
+  for (const bool gated : {false, true}) {
+    for (const bool continuous : {false, true}) {
+      ClusterConfig config;
+      config.max_servers = 131072;
+      config.power.utilization_gated = gated;
+      if (continuous) config.ladder = FrequencyLadder::continuous(0.2);
+      check_against_reference(config, rng, 4);
+      // p_idle == p_off: gated, an extra server is free, so the exit must
+      // not fire; ungated it still costs the dynamic power.
+      config.power.p_off_watts = config.power.p_idle_watts;
+      check_against_reference(config, rng, 4);
+    }
+  }
+  // Erlang-C model: no monotone closed form, the exit never fires.
+  for (const bool gated : {false, true}) {
+    ClusterConfig config = small_config();
+    config.max_servers = 48;
+    config.perf_model = PerfModel::kMmcCluster;
+    config.power.utilization_gated = gated;
+    check_against_reference(config, rng, 6);
+  }
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "obs/timeseries.h"
 #include "sim/sharded.h"
 #include "sim/simulation.h"
+#include "workload/rate_profile.h"
 #include "workload/trace.h"
 #include "workload/workload.h"
 
@@ -257,6 +258,101 @@ TEST(ShardedDeterminism, DiurnalGoldenIsPinnedAtK4) {
   EXPECT_EQ(checksum(spec.run(4, nullptr, nullptr)), kShardedDiurnalGolden);
 }
 
+// -- mass consolidation ------------------------------------------------------
+//
+// An all-on 8192-server fleet consolidated by combined DCP onto the few
+// servers the load needs: one reconcile drains thousands of servers, most
+// of the fleet stays dark through every later speed command, and scripted
+// crashes hold FAILED servers out of the speed fan-out across several
+// short ticks (one lands on a server mid-shutdown, so it goes FAILED ->
+// OFF dark).  The lossy, latent channel makes commands land between
+// ticks.  The checksum was pinned on the engine that swept every server on
+// every command, so this proves the same behaviour, not only K-invariance.
+constexpr std::uint64_t kMassConsolidationGolden = 1682278609018400776ULL;
+
+SimResult run_mass_consolidation(unsigned num_shards, DecisionAuditLog* audit) {
+  ClusterConfig config = bench_cluster_config();
+  config.max_servers = 8192;
+  PolicyOptions popts;
+  popts.dcp = bench_dcp_params();
+  popts.staleness.horizon_s = 60.0;
+  // A 200 s day opening at its trough: DCP consolidates to ~70 servers,
+  // then grows the pool back towards ~190 at the peak.
+  const SinusoidalRate profile(800.0, 480.0, 200.0, 50.0);
+  const Trace trace = Trace::from_profile(profile, 200.0, 31);
+  const Distribution job_size = Distribution::exponential(config.mu_max);
+  const Provisioner solver(config);
+  const auto controller = make_policy(PolicyKind::kCombinedDcp, &solver, popts);
+  ClusterOptions cluster;
+  cluster.num_servers = config.max_servers;
+  cluster.power = config.power;
+  cluster.transition = config.transition;
+  cluster.initial_active = config.max_servers;
+  cluster.dispatch_seed = 777;
+  SimulationOptions sim;
+  sim.t_ref_s = config.t_ref_s;
+  // Warm up past the consolidation and the first speed changes, so the
+  // warmup energy flush meets dark servers that lag the speed log.
+  sim.warmup_s = 60.0;
+  sim.record_interval_s = 20.0;
+  sim.audit = audit;
+  sim.faults.script = {{12.0, 3, 40.0},     // FAILED over ~8 short ticks
+                       {12.0, 40, 40.0},
+                       {26.0, 6000, 30.0},  // mid-shutdown: FAILED, then OFF dark
+                       {31.0, 17, 65.0},    // spans the pool's regrowth
+                       {90.0, 5, std::numeric_limits<double>::infinity()},
+                       {140.0, 10, 50.0},   // spans the speed ramp-down
+                       {145.0, 11, 40.0}};
+  sim.faults.boot_hang_prob = 0.05;
+  sim.faults.mttr_s = 30.0;
+  sim.faults.seed = 5;
+  sim.channel.enabled = true;
+  sim.channel.telemetry = {0.05, 0.05, 0.2};
+  sim.channel.command = {0.1, 0.1, 0.3};
+  sim.channel.ack = {0.05, 0.05, 0.2};
+  sim.actuator.enabled = true;
+  sim.actuator.ack_timeout_s = 2.0;
+  ShardedOptions sharded;
+  sharded.num_shards = num_shards;
+  return run_sharded_simulation(trace, job_size, 53, cluster, *controller, sim,
+                                sharded);
+}
+
+// Counters minus the shard-layout ones (shard count, queue reallocations),
+// which legitimately depend on K.
+CountersSnapshot layout_free(const CountersSnapshot& c) {
+  CountersSnapshot out;
+  for (const auto& [name, value] : c.counters) {
+    if (name != "sharded.num_shards" && name != "sharded.queue_reallocations") {
+      out.add_counter(name, value);
+    }
+  }
+  for (const auto& [name, value] : c.gauges) out.add_gauge(name, value);
+  return out;
+}
+
+TEST(ShardedDeterminism, MassConsolidationMatchesPinnedGoldenAtEveryK) {
+  DecisionAuditLog base_audit;
+  const SimResult base = run_mass_consolidation(1, &base_audit);
+  // The run exercised what it claims to: a mass drain, crashes, repairs
+  // and commands lost or retried on the channel.
+  EXPECT_GT(base.counters.counter_or("cluster.shutdowns", 0), 7000u);
+  EXPECT_GT(base.counters.counter_or("cluster.failures", 0), 3u);
+  EXPECT_GT(base.counters.counter_or("cluster.repairs", 0), 2u);
+  EXPECT_GT(base.commands_dropped + base.command_retries, 0u);
+  EXPECT_EQ(checksum(base), kMassConsolidationGolden);
+  for (const unsigned k : kShardCounts) {
+    if (k == 1) continue;
+    DecisionAuditLog audit;
+    const SimResult other = run_mass_consolidation(k, &audit);
+    EXPECT_EQ(checksum(other), kMassConsolidationGolden) << "K=" << k;
+    EXPECT_EQ(layout_free(base.counters), layout_free(other.counters))
+        << "counters diverged at K=" << k;
+    EXPECT_EQ(base_audit.to_jsonl(), audit.to_jsonl())
+        << "audit diverged at K=" << k;
+  }
+}
+
 // -- model sanity ------------------------------------------------------------
 
 // K above the fleet size clamps instead of creating empty shards.
@@ -298,6 +394,49 @@ TEST(ShardedDeterminism, ArrivalAccountingCloses) {
                 r.counters.counter_or("sim.jobs.shed", 0),
             trace.size());
   EXPECT_EQ(r.counters.counter_or("sim.events.arrival", 0), trace.size());
+}
+
+// Job conservation over the whole run, with a warmup: every arrival is
+// completed, shed, dropped or lost (nothing is in the system at the end).
+// The registry counters are whole-run in both engines even though
+// SimResult::completed_jobs counts only post-warmup completions.
+std::uint64_t conservation_gap(const CountersSnapshot& c) {
+  const std::uint64_t accounted =
+      c.counter_or("sim.jobs.completed", 0) + c.counter_or("sim.jobs.shed", 0) +
+      c.counter_or("sim.jobs.dropped", 0) + c.counter_or("sim.jobs.lost", 0);
+  return c.counter_or("sim.events.arrival", 0) - accounted;
+}
+
+TEST(ShardedDeterminism, JobsAreConservedWithWarmupInBothEngines) {
+  const ShardedRun spec = make_degraded_run();
+  ASSERT_GT(spec.popts.dcp.long_period_s, 0.0);  // run() warms up one long period
+  const Trace trace = Trace::from_profile(*spec.scenario.profile,
+                                          spec.scenario.horizon_s,
+                                          spec.workload_seed);
+  for (const unsigned k : {1u, 3u}) {
+    const SimResult r = spec.run(k, nullptr, nullptr);
+    EXPECT_EQ(r.counters.counter_or("sim.events.arrival", 0), trace.size());
+    EXPECT_EQ(conservation_gap(r.counters), 0u) << "sharded K=" << k;
+    EXPECT_LT(r.completed_jobs, r.counters.counter_or("sim.jobs.completed", 0))
+        << "the warmup's completions are outside SimResult";
+  }
+
+  Workload workload = spec.scenario.make_workload(spec.config, spec.workload_seed);
+  const Provisioner solver(spec.config);
+  const auto controller = make_policy(PolicyKind::kCombinedDcp, &solver, spec.popts);
+  ClusterOptions cluster;
+  cluster.num_servers = spec.config.max_servers;
+  cluster.power = spec.config.power;
+  cluster.transition = spec.config.transition;
+  cluster.initial_active = spec.config.max_servers;
+  cluster.dispatch_seed = 4242;
+  SimulationOptions sim = spec.extra;
+  sim.t_ref_s = spec.config.t_ref_s;
+  sim.warmup_s = spec.popts.dcp.long_period_s;
+  const SimResult seq = run_simulation(workload, cluster, *controller, sim);
+  EXPECT_GT(seq.counters.counter_or("sim.events.arrival", 0), 0u);
+  EXPECT_EQ(conservation_gap(seq.counters), 0u) << "sequential";
+  EXPECT_LT(seq.completed_jobs, seq.counters.counter_or("sim.jobs.completed", 0));
 }
 
 // -- sequential engine stays untouched ---------------------------------------
