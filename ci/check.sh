@@ -9,9 +9,10 @@
 # one-sided, so a faster machine never fails it).
 # The sanitize mode also runs the ThreadSanitizer lane over the sharded
 # simulation core (see tsan_lane; `ci/check.sh tsan` runs just that lane).
-# The lint mode runs the cheap static checks (clang-format via
-# ci/format.sh --check, clang-tidy when installed, plus a
-# tracing-compiled-out configure) without running the suite.
+# The lint mode runs the cheap static checks (no build tree or
+# CMakeCache.txt tracked by git, clang-format via ci/format.sh --check,
+# clang-tidy when installed, plus a tracing-compiled-out configure)
+# without running the suite.
 # The soak mode records a multi-day fig8 trace, replays it through
 # tools/gcreplay at 1000x — including a kill at the midpoint tick and a
 # checkpoint+WAL restore — and gates zero command-stream drift via
@@ -273,6 +274,14 @@ lint() {
   if [ -z "${tidy}" ]; then
     echo "==> [lint] SKIPPED: clang-tidy (not installed; the CI lint job enforces it)"
   fi
+  # Build trees are generated, machine-specific artifacts (CMakeCache.txt
+  # embeds absolute paths); one committed by accident bloats every clone.
+  echo "==> [lint] no committed build trees"
+  local committed
+  committed="$(git ls-files | grep -E '^build[^/]*/|(^|/)CMakeCache\.txt$' || true)"
+  [ -z "${committed}" ] \
+    || { printf 'lint: build artifacts are tracked by git:\n%s\n' \
+           "$(echo "${committed}" | head -5)" >&2; exit 1; }
   echo "==> [lint] clang-format"
   ci/format.sh --check
   # The zero-overhead claim only holds if the tracing-compiled-out build
@@ -356,8 +365,10 @@ soak_lane() {
   "${dir}/tools/gcinspect" "${f15}" --check \
       'cp.lifecycle.ack_latency:p99<=60,cp.lifecycle.retransmit_rate<=5,cp.drop.total>=1,cp.lifecycle.issued>=1000'
   echo "==> [soak] lifecycle view reconstructs the timeline"
-  "${dir}/tools/gcinspect" "${f15}" --lifecycle \
-    | grep -q 'command lifecycles' \
+  # Captured to a file first: `gcinspect | grep -q` under pipefail fails
+  # with SIGPIPE once grep exits early on a large table.
+  "${dir}/tools/gcinspect" "${f15}" --lifecycle > "${f15}.lifecycle.txt"
+  grep -q 'command lifecycles' "${f15}.lifecycle.txt" \
     || { echo "soak: gcinspect --lifecycle produced no table" >&2; exit 1; }
   metrics_manifest_check "${f15}.counters.json"
 }

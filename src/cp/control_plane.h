@@ -8,10 +8,11 @@
 // transport-agnostic — it never schedules events, opens sockets or touches
 // a Cluster.  Three drivers feed it today:
 //
-//   * sim/simulation.cpp — the in-process simulator; ships telemetry and
+//   * sim/control_loop.h — the in-process simulator's one control loop,
+//     shared by the sequential and the sharded engine; ships telemetry and
 //     transmits the returned command frames over sim/control_channel.
-//     Bit-identical to the pre-extraction loop (the pinned determinism
-//     goldens hold).
+//     Bit-identical to the pre-extraction loops (every pinned determinism
+//     golden, sequential and sharded, holds).
 //   * cp/replay.h — tools/gcreplay's engine; streams a recorded audit log
 //     back through a fresh facade and asserts the command stream matches.
 //   * cp/wire.h — a length-prefixed frame protocol over a byte stream
@@ -115,8 +116,9 @@ class ControlPlane {
 
   // Driver-reported fleet-side application of (kind, gen) — feeds the
   // lifecycle tracker's decision→apply / end-to-end latency histograms.
-  // Only drivers that can observe the fleet call this (the sim adapter
-  // does; replay and wire drivers cannot see the far side).
+  // Only callers that can observe the fleet report this (the simulator's
+  // control loop does; the replay and wire front ends cannot see the far
+  // side).
   void on_command_applied(double now, CommandKind kind, std::uint64_t gen);
 
   // Causal lifecycle tracker (cp/lifecycle.h): per-command state machine,

@@ -1,7 +1,7 @@
 // Control-plane wire messages (DESIGN.md §12.1).
 //
 // The control plane is transport-agnostic: every driver — the in-process
-// simulator adapter (sim/simulation.cpp), the artifact replayer
+// simulator's control loop (sim/control_loop.h), the artifact replayer
 // (cp/replay.h, tools/gcreplay) and the socket feed (cp/wire.h) — speaks
 // exactly two POD message types:
 //

@@ -28,19 +28,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "control/actuator.h"
-#include "cp/lifecycle.h"
-#include "obs/audit.h"
 #include "obs/counters.h"
-#include "obs/timeseries.h"
 #include "power/power_model.h"
 #include "sim/admission.h"
-#include "sim/control_channel.h"
+#include "sim/control_loop.h"
 #include "sim/server.h"
 #include "stats/accumulators.h"
 #include "stats/log_histogram.h"
@@ -58,14 +55,11 @@ constexpr std::size_t kNumEventTypes =
 // -- RNG stream derivation (DESIGN.md §11.4) --------------------------------
 // Every stochastic draw belongs to a stream addressed by (base seed, global
 // server index), so the sequence any one server consumes is independent of
-// how the fleet is sharded.  The control-plane seeds reuse the sequential
-// engine's salts; the admission salt is sharded-only (the sequential engine
-// sheds from one global stream, which is inherently order-dependent).
-constexpr std::uint64_t kControlSeedSalt = 0x5ca1ab1ec0ffeeULL;  // = run_simulation
-constexpr std::uint64_t kFaultSeedSalt = 0xfa7a17f00dULL;        // = run_simulation
-constexpr std::uint64_t kAdmitSeedSalt = 0xad317755ULL;          // sharded-only
-constexpr std::uint64_t kActuatorRngStream = 14;                 // = run_simulation
-constexpr std::uint64_t kAdmissionRngStream = 7;                 // = run_simulation
+// how the fleet is sharded.  The control-plane and fault seeds are the
+// shared ones (sim/control_loop.h); the admission salt is sharded-only (the
+// sequential engine sheds from one global stream, which is inherently
+// order-dependent).
+constexpr std::uint64_t kAdmitSeedSalt = 0xad317755ULL;
 
 // Index of the first arrival in block b*m + [rank0, rank0 + width) at or
 // after `i`, where m is the frozen global serving count and [rank0,
@@ -607,19 +601,180 @@ struct Shard {
   }
 };
 
-struct TelemetrySnapshot {
-  double sample_time = 0.0;
-  double rate = 0.0;
-  unsigned serving = 0;
-  unsigned committed = 0;
-  unsigned powered = 0;
-  unsigned available = 0;
-  std::uint64_t jobs = 0;
-};
+// The control loop's view of the sharded fleet, read and driven on the
+// orchestrator thread at barriers.  Integer totals are O(K) sums (they
+// commute); every floating-point fold runs over per-server partials in
+// ascending global-index order, so each reading is K-invariant.
+class ShardedFleet final : public FleetView {
+ public:
+  ShardedFleet(std::vector<std::unique_ptr<Shard>>& shards, unsigned num_servers,
+               ThreadPool& pool, const WearModel& wear, double initial_speed)
+      : shards_(shards),
+        num_servers_(num_servers),
+        pool_(pool),
+        wear_(wear),
+        commanded_speed_(initial_speed) {}
 
-struct AckMessage {
-  CommandKind kind = CommandKind::kTarget;
-  std::uint64_t gen = 0;
+  // Arrivals that landed in a window with an empty global serving set,
+  // dropped at the orchestrator (no per-server stream exists to charge).
+  std::uint64_t orphaned_arrivals = 0;
+  // Time-weighted commanded speed (changes only through set_speed).
+  TimeWeightedAccumulator speed_avg{0.0};
+
+  void parallel(const std::function<void(std::size_t)>& body) {
+    if (shards_.size() == 1) {
+      body(0);
+    } else {
+      pool_.parallel_for_index(shards_.size(), body);
+    }
+  }
+
+  template <typename Fn>
+  [[nodiscard]] std::uint64_t total(Fn&& per_shard) const {
+    std::uint64_t n = 0;
+    for (const auto& s : shards_) n += per_shard(*s);
+    return n;
+  }
+
+  unsigned num_servers() const override { return num_servers_; }
+  unsigned serving_count() const override {
+    return static_cast<unsigned>(total([](const Shard& s) { return s.serving_count(); }));
+  }
+  unsigned committed_count() const override {
+    return static_cast<unsigned>(
+        total([](const Shard& s) { return s.committed_count(); }));
+  }
+  unsigned powered_count() const override {
+    return static_cast<unsigned>(total([](const Shard& s) { return s.powered; }));
+  }
+  unsigned available_count() const override {
+    return static_cast<unsigned>(
+        total([](const Shard& s) { return s.available_count(); }));
+  }
+  std::uint64_t jobs_in_system() const override {
+    return total([](const Shard& s) { return s.jobs; });
+  }
+  double speed() const override { return commanded_speed_; }
+  double power_w() const override {
+    // Shards are contiguous ascending ranges: this is the canonical fold.
+    double watts = 0.0;
+    for (const auto& s : shards_) {
+      for (const Server& server : s->servers) watts += server.instantaneous_power();
+    }
+    return watts;
+  }
+
+  void set_target(double now, unsigned target) override {
+    const unsigned clamped = std::clamp(target, 1u, num_servers_);
+    parallel([&](std::size_t k) { shards_[k]->reconcile(now, clamped); });
+  }
+  void set_speed(double now, double speed) override {
+    speed_avg.advance(now, commanded_speed_);
+    commanded_speed_ = speed;
+    parallel([&](std::size_t k) { shards_[k]->set_speed_all(now, speed); });
+  }
+
+  std::uint64_t admitted() const override {
+    return total([](const Shard& s) { return s.admitted; }) + orphaned_arrivals;
+  }
+  std::uint64_t shed() const override {
+    return total([](const Shard& s) { return s.shed; });
+  }
+  [[nodiscard]] std::uint64_t dropped() const {
+    return total([](const Shard& s) { return s.dropped; }) + orphaned_arrivals;
+  }
+
+  // Folds and resets the per-tick response window across shards.  The
+  // mean is folded from per-server sums in ascending global-index order.
+  PeriodWindowStats take_period_window() override {
+    PeriodWindowStats w;
+    std::uint64_t violations = 0;
+    window_hist_.clear();
+    touched_.clear();
+    for (const auto& s : shards_) {
+      w.completed += s->window_completed;
+      violations += s->window_violations;
+      window_hist_.merge(s->window_hist);
+      touched_.insert(touched_.end(), s->window_touched.begin(),
+                      s->window_touched.end());
+      s->window_hist.clear();
+      s->window_completed = 0;
+      s->window_violations = 0;
+      s->window_touched.clear();
+    }
+    double sum = 0.0;
+    for_each_touched([&](PerServerStats& ps) {
+      sum += ps.window_sum;
+      ps.window_sum = 0.0;
+      ps.window_count = 0;
+    });
+    if (w.completed > 0) {
+      const auto completed = static_cast<double>(w.completed);
+      w.mean_s = sum / completed;
+      w.p95_s = window_hist_.quantile(0.95);
+      w.p99_s = window_hist_.quantile(0.99);
+      w.violation_fraction = static_cast<double>(violations) / completed;
+    }
+    return w;
+  }
+
+  double take_record_mean_response() override {
+    touched_.clear();
+    for (const auto& s : shards_) {
+      touched_.insert(touched_.end(), s->record_touched.begin(),
+                      s->record_touched.end());
+      s->record_touched.clear();
+    }
+    double sum = 0.0;
+    std::uint64_t count = 0;
+    for_each_touched([&](PerServerStats& ps) {
+      sum += ps.record_sum;
+      count += ps.record_count;
+      ps.record_sum = 0.0;
+      ps.record_count = 0;
+    });
+    return count > 0 ? sum / static_cast<double>(count) : 0.0;
+  }
+
+  std::uint64_t boots() const override {
+    return total([](const Shard& s) { return s.boots; });
+  }
+  std::uint64_t shutdowns() const override {
+    return total([](const Shard& s) { return s.shutdowns; });
+  }
+  double wear_fraction() const override {
+    if (!wear_.enabled()) return 0.0;
+    double wear_sum = 0.0;
+    for (const auto& s : shards_) {
+      for (std::uint32_t li = 0; li < s->size(); ++li) {
+        wear_sum += wear_.wear_fraction(s->server_boots[li], s->server_shutdowns[li]);
+      }
+    }
+    return wear_sum / static_cast<double>(num_servers_);
+  }
+
+ private:
+  // Visits the per-server stats of the servers in touched_ in ascending
+  // global-index order (the canonical fold order).  Shards are contiguous
+  // ascending ranges, so one cursor walks them alongside the sorted list.
+  template <typename Fn>
+  void for_each_touched(Fn&& visit) {
+    std::sort(touched_.begin(), touched_.end());
+    std::size_t k = 0;
+    for (const std::uint32_t gi : touched_) {
+      while (gi >= shards_[k]->last) ++k;
+      Shard& s = *shards_[k];
+      visit(s.stats[gi - s.first]);
+    }
+  }
+
+  std::vector<std::unique_ptr<Shard>>& shards_;
+  const unsigned num_servers_;
+  ThreadPool& pool_;
+  const WearModel& wear_;
+  double commanded_speed_;
+  std::vector<std::uint32_t> touched_;  // scratch for the window folds
+  LogHistogram window_hist_;
 };
 
 }  // namespace
@@ -634,13 +789,9 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   GC_CHECK(cluster.num_servers > 0, "sharded: cluster must have servers");
   GC_CHECK(cluster.groups.empty(),
            "sharded: heterogeneous server groups are sequential-only");
-  GC_CHECK(!options.controller_faults.enabled(),
-           "sharded: controller outages are sequential-only");
   GC_CHECK(sharded.num_shards >= 1, "sharded: num_shards must be >= 1");
   if (options.faults.enabled()) options.faults.validate();
   options.admission.validate();
-  options.channel.validate();
-  options.actuator.validate();
 
   const unsigned num_servers = cluster.num_servers;
   const unsigned num_shards = std::min(sharded.num_shards, num_servers);
@@ -657,27 +808,13 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   GC_CHECK(t_short > 0.0 && t_long > 0.0,
            "sharded: controller periods must be positive");
 
-  const std::uint64_t control_seed = cluster.dispatch_seed ^ kControlSeedSalt;
-  const std::uint64_t fault_seed = options.faults.seed != 0
-                                       ? options.faults.seed
-                                       : cluster.dispatch_seed ^ kFaultSeedSalt;
-  ControlChannel channel(options.channel, control_seed);
-  CommandActuator actuator(options.actuator,
-                           Rng(control_seed, kActuatorRngStream));
-  // Causal lifecycle tracker (cp/lifecycle.h).  Every transition it records
-  // happens on the orchestrator thread between barriers, so its histograms
-  // and counters are deterministic and K-invariant — the shard-determinism
-  // suite's counters equality across K covers them.
-  LifecycleTracker lifecycle;
-  lifecycle.set_expect_acks(actuator.enabled());
-  lifecycle.set_expect_applies(true);
+  const std::uint64_t faults_seed = fault_seed(options.faults, cluster.dispatch_seed);
   // The orchestrator instance only computes the admit probability; the
   // per-arrival draws happen shard-side from per-server streams.
   AdmissionController admission(options.admission, options.t_ref_s,
                                 Rng(cluster.dispatch_seed, kAdmissionRngStream));
 
   const unsigned initial_active = std::min(cluster.initial_active, num_servers);
-
   // -- shard construction ---------------------------------------------------
   // Contiguous ranges: the first (num_servers % K) shards get one extra.
   const unsigned shard_base = num_servers / num_shards;
@@ -739,7 +876,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
                                : 3.0 * cluster.transition.boot_delay_s;
         s.fault_rng.reserve(count);
         for (std::uint32_t gi = s.first; gi < s.last; ++gi) {
-          s.fault_rng.emplace_back(fault_seed, gi);
+          s.fault_rng.emplace_back(faults_seed, gi);
         }
         s.scripted_times.resize(count);
         s.scripted_repair.resize(count);
@@ -782,72 +919,19 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     }
   }
 
-  auto parallel_shards = [&](const std::function<void(std::size_t)>& body) {
-    if (num_shards == 1) {
-      body(0);
-    } else {
-      pool.parallel_for_index(num_shards, body);
-    }
-  };
-
-  // Maps a global server index to its owning shard (contiguous ranges).
-  auto shard_of = [&](std::uint32_t gi) -> Shard& {
-    const std::uint32_t boundary = shard_extra * (shard_base + 1);
-    const std::uint32_t k = gi < boundary
-                                ? gi / (shard_base + 1)
-                                : shard_extra + (gi - boundary) / shard_base;
-    return *shards[k];
-  };
-
-  // -- fleet totals (O(K) integer sums; K-invariant) ------------------------
-  auto serving_total = [&] {
-    unsigned n = 0;
-    for (const auto& s : shards) n += s->serving_count();
-    return n;
-  };
-  auto committed_total = [&] {
-    unsigned n = 0;
-    for (const auto& s : shards) n += s->committed_count();
-    return n;
-  };
-  auto powered_total = [&] {
-    unsigned n = 0;
-    for (const auto& s : shards) n += s->powered;
-    return n;
-  };
-  auto available_total = [&] {
-    unsigned n = 0;
-    for (const auto& s : shards) n += s->available_count();
-    return n;
-  };
-  auto jobs_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->jobs;
-    return n;
-  };
-  auto fold_power = [&] {
-    // Canonical order: shards are contiguous ascending ranges, so this is
-    // the global-server-index fold.
-    double watts = 0.0;
-    for (const auto& s : shards) {
-      for (const Server& server : s->servers) watts += server.instantaneous_power();
-    }
-    return watts;
-  };
+  const WearModel wear(options.reliability);
+  ShardedFleet fleet(shards, num_servers, pool, wear, cluster.initial_speed);
 
   // -- orchestrator state ---------------------------------------------------
+  // The orchestrator queue holds the ticks, record/warmup marks, and the
+  // control loop's delayed deliveries and outage edges.
   EventQueue orchestrator;
   std::array<std::uint64_t, kNumEventTypes> orchestrator_events{};
-  SlotStore<TelemetrySnapshot> telemetry_store;
-  SlotStore<Command> command_store;
-  SlotStore<AckMessage> ack_store;
+  ControlLoop loop(controller, options, cluster.dispatch_seed, fleet, admission,
+                   orchestrator);
 
   double now = 0.0;
   std::size_t cursor = 0;  // arrivals consumed (times strictly < now)
-  // Arrivals landing in a window with an empty global serving set are
-  // dropped at the orchestrator (no per-server stream exists to charge).
-  std::uint64_t orphaned_arrivals = 0;
-
   std::size_t window_m = 0;
   std::vector<std::size_t> window_rank0(num_shards, 0);
 
@@ -874,7 +958,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
         std::lower_bound(arrivals.begin() + static_cast<std::ptrdiff_t>(lo),
                          arrivals.end(), barrier) -
         arrivals.begin());
-    if (window_m == 0) orphaned_arrivals += hi - lo;
+    if (window_m == 0) fleet.orphaned_arrivals += hi - lo;
     const std::size_t arrivals_hi = window_m == 0 ? lo : hi;
     if (ShardProfile* prof = sharded.profile; prof != nullptr) {
       // Self-profiled path: per-shard busy time is read inside the worker
@@ -883,7 +967,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       // readings never feed the simulation or SimResult.
       using clock = std::chrono::steady_clock;
       const auto wall0 = clock::now();
-      parallel_shards([&](std::size_t k) {
+      fleet.parallel([&](std::size_t k) {
         const auto t0 = clock::now();
         shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m,
                               window_rank0[k]);
@@ -894,7 +978,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
           std::chrono::duration<double>(clock::now() - wall0).count();
       ++prof->barriers;
     } else {
-      parallel_shards([&](std::size_t k) {
+      fleet.parallel([&](std::size_t k) {
         shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m,
                               window_rank0[k]);
       });
@@ -903,475 +987,16 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     now = barrier;
   };
 
-  // Telemetry acceptance: newest-sample-wins, reordered samples discarded.
-  // Seeded from the t = 0 ground truth so a dropped first sample still
-  // leaves the controller something coherent to look at.
-  TelemetrySnapshot latest;
-  latest.serving = serving_total();
-  latest.committed = committed_total();
-  latest.powered = powered_total();
-  latest.available = available_total();
-  std::uint64_t telemetry_stale = 0;
-  auto accept_telemetry = [&](const TelemetrySnapshot& snap) {
-    if (snap.sample_time >= latest.sample_time) {
-      latest = snap;
-    } else {
-      ++telemetry_stale;
-    }
-  };
-
-  // Command application: generation-deduped, fanned out to all shards.
-  std::array<std::uint64_t, kNumCommandKinds> last_applied_gen{};
-  unsigned commanded_target = initial_active;
-  double commanded_speed = cluster.initial_speed;
-  std::uint64_t command_duplicates = 0;
-  TimeWeightedAccumulator speed_avg(0.0);
-
-  // Every ack delivery funnels through here so the lifecycle tracker sees
-  // the arrival before the actuator clears the lane.
-  auto deliver_ack = [&](double t, CommandKind kind, std::uint64_t gen) {
-    lifecycle.on_acked(t, kind, gen);
-    actuator.on_ack(t, kind, gen);
-  };
-
-  auto send_ack = [&](double t, const Command& cmd) {
-    if (!actuator.enabled()) return;
-    if (!options.channel.enabled) {
-      deliver_ack(t, cmd.kind, cmd.gen);
-      return;
-    }
-    (void)lifecycle.next_frame_id(FrameClass::kAck);
-    const auto delay = channel.ack_delay();
-    if (!delay) {
-      // Dropped; channel counters account for the loss, the attribution
-      // matrix charges it to the lossy link.
-      lifecycle.on_frame_dropped(FrameClass::kAck, DropCause::kChannel);
-      return;
-    }
-    if (*delay == 0.0) {
-      deliver_ack(t, cmd.kind, cmd.gen);
-    } else {
-      orchestrator.schedule(t + *delay, EventType::kAckDeliver,
-                            ack_store.put(AckMessage{cmd.kind, cmd.gen}));
-    }
-  };
-
-  auto apply_command = [&](double t, const Command& cmd) {
-    const auto lane = static_cast<std::size_t>(cmd.kind);
-    if (cmd.gen <= last_applied_gen[lane]) {
-      // Reordered or retransmitted: dedup, but re-ack (the original ack may
-      // have been the casualty).
-      ++command_duplicates;
-      send_ack(t, cmd);
-      return;
-    }
-    last_applied_gen[lane] = cmd.gen;
-    if (cmd.kind == CommandKind::kTarget) {
-      const unsigned target =
-          std::clamp(static_cast<unsigned>(cmd.value), 1u, num_servers);
-      commanded_target = target;
-      parallel_shards([&](std::size_t k) { shards[k]->reconcile(t, target); });
-    } else {
-      speed_avg.advance(t, commanded_speed);
-      commanded_speed = cmd.value;
-      parallel_shards(
-          [&](std::size_t k) { shards[k]->set_speed_all(t, cmd.value); });
-    }
-    lifecycle.on_applied(t, cmd.kind, cmd.gen);
-    send_ack(t, cmd);
-  };
-
-  auto ship_command = [&](double t, const Command& cmd) {
-    if (!options.channel.enabled) {
-      apply_command(t, cmd);
-      return;
-    }
-    const auto delay = channel.command_delay();
-    if (!delay) {  // dropped
-      lifecycle.on_command_frame_dropped(t, cmd, DropCause::kChannel);
-      return;
-    }
-    if (*delay == 0.0) {
-      apply_command(t, cmd);
-    } else {
-      orchestrator.schedule(t + *delay, EventType::kCommandDeliver,
-                            command_store.put(cmd));
-    }
-  };
-
-  // -- observability state --------------------------------------------------
-  std::vector<TimelinePoint> timeline;
   bool measuring = options.warmup_s <= 0.0;
   double measure_start = 0.0;
-  double local_rate = 0.0;
   double last_short_time = 0.0;
   std::size_t last_short_cursor = 0;
-  double last_record_time = 0.0;
   std::size_t last_record_cursor = 0;
-  std::uint64_t ticks_total = 0;
-  std::uint64_t infeasible_total = 0;
-  double reliab_avail_sum = 0.0;
-  double reliab_spares_sum = 0.0;
-  std::uint64_t reliab_plan_ticks = 0;
-  double ts_target_sticky = static_cast<double>(initial_active);
-  double ts_spares_sticky = 0.0;
-  double ts_avail_sticky = 0.0;
-  double ts_energy = 0.0;
-  double ts_last_power = 0.0;
-  double ts_last_time = 0.0;
-  bool ts_have_sample = false;
   struct WarmSnapshot {
     std::uint64_t admitted = 0, shed = 0, dropped = 0, lost = 0;
     std::uint64_t failures = 0, repairs = 0, boot_timeouts = 0;
     std::uint64_t boots = 0, shutdowns = 0;
-    std::uint64_t ticks = 0, infeasible = 0;
   } warm;
-  struct TsPrev {
-    std::uint64_t admitted = 0, shed = 0;
-    std::uint64_t telemetry_dropped = 0, commands_dropped = 0, acks_dropped = 0;
-    std::uint64_t retries = 0, duplicates = 0;
-    std::uint64_t boots = 0, shutdowns = 0;
-  } ts_prev;
-
-  auto admitted_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->admitted;
-    return n + orphaned_arrivals;
-  };
-  auto shed_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->shed;
-    return n;
-  };
-  auto dropped_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->dropped;
-    return n + orphaned_arrivals;
-  };
-  auto boots_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->boots;
-    return n;
-  };
-  auto shutdowns_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->shutdowns;
-    return n;
-  };
-
-  const WearModel wear(options.reliability);
-
-  std::vector<std::uint32_t> touched_scratch;
-  LogHistogram window_hist_merged;
-
-  // Fold + reset the per-tick response window across shards.  The mean is
-  // folded from per-server sums in ascending global-index order.
-  struct WindowStats {
-    std::uint64_t completed = 0;
-    std::uint64_t violations = 0;
-    double mean = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-  };
-  auto take_window = [&]() -> WindowStats {
-    WindowStats w;
-    window_hist_merged.clear();
-    touched_scratch.clear();
-    for (const auto& s : shards) {
-      w.completed += s->window_completed;
-      w.violations += s->window_violations;
-      window_hist_merged.merge(s->window_hist);
-      touched_scratch.insert(touched_scratch.end(), s->window_touched.begin(),
-                             s->window_touched.end());
-      s->window_hist.clear();
-      s->window_completed = 0;
-      s->window_violations = 0;
-      s->window_touched.clear();
-    }
-    std::sort(touched_scratch.begin(), touched_scratch.end());
-    double sum = 0.0;
-    for (const std::uint32_t gi : touched_scratch) {
-      Shard& s = shard_of(gi);
-      PerServerStats& ps = s.stats[gi - s.first];
-      sum += ps.window_sum;
-      ps.window_sum = 0.0;
-      ps.window_count = 0;
-    }
-    if (w.completed > 0) {
-      w.mean = sum / static_cast<double>(w.completed);
-      w.p95 = window_hist_merged.quantile(0.95);
-      w.p99 = window_hist_merged.quantile(0.99);
-    }
-    return w;
-  };
-
-  auto take_record_window = [&]() -> double {
-    touched_scratch.clear();
-    for (const auto& s : shards) {
-      touched_scratch.insert(touched_scratch.end(), s->record_touched.begin(),
-                             s->record_touched.end());
-      s->record_touched.clear();
-    }
-    std::sort(touched_scratch.begin(), touched_scratch.end());
-    double sum = 0.0;
-    std::uint64_t count = 0;
-    for (const std::uint32_t gi : touched_scratch) {
-      Shard& s = shard_of(gi);
-      PerServerStats& ps = s.stats[gi - s.first];
-      sum += ps.record_sum;
-      count += ps.record_count;
-      ps.record_sum = 0.0;
-      ps.record_count = 0;
-    }
-    return count > 0 ? sum / static_cast<double>(count) : 0.0;
-  };
-
-  // -- control tick ---------------------------------------------------------
-  std::vector<Command> retransmit_buffer;
-  auto handle_tick = [&](double t, bool long_tick) {
-    // The rate is measured at the fleet (ground truth) and *shipped* to
-    // the controller.  Long ticks sample the partial short window without
-    // resetting it (same as the sequential loop).
-    const double elapsed = t - last_short_time;
-    local_rate = elapsed > 0.0
-                     ? static_cast<double>(cursor - last_short_cursor) / elapsed
-                     : 0.0;
-    if (!long_tick) {
-      last_short_time = t;
-      last_short_cursor = cursor;
-    }
-    TelemetrySnapshot snap;
-    snap.sample_time = t;
-    snap.rate = local_rate;
-    snap.serving = serving_total();
-    snap.committed = committed_total();
-    snap.powered = powered_total();
-    snap.available = available_total();
-    snap.jobs = jobs_total();
-    if (!options.channel.enabled) {
-      latest = snap;
-    } else {
-      (void)lifecycle.next_frame_id(FrameClass::kTelemetry);
-      if (const auto delay = channel.telemetry_delay()) {
-        if (*delay == 0.0) {
-          accept_telemetry(snap);
-        } else {
-          orchestrator.schedule(t + *delay, EventType::kTelemetryDeliver,
-                                telemetry_store.put(snap));
-        }
-      } else {
-        lifecycle.on_frame_dropped(FrameClass::kTelemetry, DropCause::kChannel);
-      }
-    }
-
-    ControlContext ctx;
-    ctx.now = t;
-    ctx.measured_rate = latest.rate;
-    ctx.serving = latest.serving;
-    ctx.committed = latest.committed;
-    ctx.powered = latest.powered;
-    ctx.available = latest.available;
-    ctx.jobs_in_system = latest.jobs;
-    ctx.obs_age_s = t - latest.sample_time;
-    ctx.safe_mode = false;
-    if (actuator.enabled()) {
-      if (const auto v = actuator.acked_value(CommandKind::kTarget)) {
-        ctx.acked_target = static_cast<unsigned>(*v);
-      }
-      if (const auto v = actuator.acked_value(CommandKind::kSpeed)) {
-        ctx.acked_speed = *v;
-      }
-    }
-
-    const ControlAction action =
-        long_tick ? controller.on_long_tick(ctx) : controller.on_short_tick(ctx);
-    if (action.active_target) {
-      ts_target_sticky = static_cast<double>(*action.active_target);
-      const Command cmd =
-          actuator.issue(t, CommandKind::kTarget,
-                         static_cast<double>(*action.active_target), 0);
-      lifecycle.on_issued(t, cmd, ctx.obs_age_s);
-      ship_command(t, cmd);
-    }
-    if (action.speed) {
-      const Command cmd = actuator.issue(t, CommandKind::kSpeed, *action.speed, 0);
-      lifecycle.on_issued(t, cmd, ctx.obs_age_s);
-      ship_command(t, cmd);
-    }
-    if (actuator.enabled()) {
-      retransmit_buffer.clear();
-      actuator.poll(t, retransmit_buffer);
-      for (const Command& cmd : retransmit_buffer) {
-        lifecycle.on_retransmit(t, cmd);
-        ship_command(t, cmd);
-      }
-      // A lane with nothing outstanding whose newest tracked command never
-      // got an ack just reconciled (retry budget exhausted).
-      for (int k = 0; k < kNumCommandKinds; ++k) {
-        const auto kind = static_cast<CommandKind>(k);
-        if (!actuator.outstanding(kind)) lifecycle.on_lane_reconciled(t, kind);
-      }
-    }
-    ++ticks_total;
-    if (action.infeasible) ++infeasible_total;
-    if (action.explain.solved_spares >= 0) {
-      ts_spares_sticky = action.explain.solved_spares;
-      ts_avail_sticky = action.explain.availability_est;
-      if (long_tick) {
-        // Fresh reliability plan (short ticks only re-report it).
-        ++reliab_plan_ticks;
-        reliab_spares_sum += action.explain.solved_spares;
-        reliab_avail_sum += action.explain.availability_est;
-      }
-    }
-    if (admission.enabled()) {
-      // Admission is fleet-local (data plane): it protects the SLA from
-      // the true local rate and the post-command fleet state.
-      admission.update(local_rate, serving_total(), commanded_speed);
-      const double p = admission.admit_probability();
-      for (const auto& s : shards) s->p_admit = p;
-    }
-    const double p_admit = admission.enabled() ? admission.admit_probability() : 1.0;
-
-    if (options.timeseries != nullptr) {
-      TimeSeriesSample sample;
-      sample.time = t;
-      sample.long_tick = long_tick;
-      sample.measured = measuring;
-      sample.observed_rate = ctx.measured_rate;
-      sample.local_rate = local_rate;
-      sample.predicted_rate = action.explain.predicted_rate;
-      sample.planning_rate = action.explain.planning_rate;
-      sample.target_m = ts_target_sticky;
-      sample.serving = serving_total();
-      sample.committed = committed_total();
-      sample.powered = powered_total();
-      sample.available = available_total();
-      sample.speed = commanded_speed;
-      sample.power_w = fold_power();
-      if (ts_have_sample) ts_energy += ts_last_power * (t - ts_last_time);
-      ts_last_power = sample.power_w;
-      ts_last_time = t;
-      ts_have_sample = true;
-      sample.energy_j = ts_energy;
-      sample.queue_depth = jobs_total();
-      const WindowStats window = take_window();
-      sample.window_completed = window.completed;
-      sample.window_mean_response_s = window.mean;
-      sample.window_p95_response_s = window.p95;
-      sample.window_p99_response_s = window.p99;
-      sample.window_violation_fraction =
-          window.completed > 0
-              ? static_cast<double>(window.violations) /
-                    static_cast<double>(window.completed)
-              : 0.0;
-      sample.window_violated =
-          window.completed > 0 && window.mean > options.t_ref_s;
-      const std::uint64_t admitted_now = admitted_total();
-      const std::uint64_t shed_now = shed_total();
-      sample.d_admitted = admitted_now - ts_prev.admitted;
-      sample.d_shed = shed_now - ts_prev.shed;
-      ts_prev.admitted = admitted_now;
-      ts_prev.shed = shed_now;
-      sample.admit_probability = p_admit;
-      sample.obs_age_s = ctx.obs_age_s;
-      sample.safe_mode = false;
-      sample.infeasible = action.infeasible;
-      const std::uint64_t tele_drop = channel.telemetry_counters().dropped;
-      const std::uint64_t cmd_drop = channel.command_counters().dropped;
-      const std::uint64_t ack_drop = channel.ack_counters().dropped;
-      sample.d_telemetry_dropped = tele_drop - ts_prev.telemetry_dropped;
-      sample.d_commands_dropped = cmd_drop - ts_prev.commands_dropped;
-      sample.d_acks_dropped = ack_drop - ts_prev.acks_dropped;
-      sample.d_command_retries = actuator.retries() - ts_prev.retries;
-      sample.d_command_duplicates = command_duplicates - ts_prev.duplicates;
-      ts_prev.telemetry_dropped = tele_drop;
-      ts_prev.commands_dropped = cmd_drop;
-      ts_prev.acks_dropped = ack_drop;
-      ts_prev.retries = actuator.retries();
-      ts_prev.duplicates = command_duplicates;
-      sample.d_ticks_missed = 0;
-      const std::uint64_t boots_now = boots_total();
-      const std::uint64_t shutdowns_now = shutdowns_total();
-      sample.d_boots = boots_now - ts_prev.boots;
-      sample.d_shutdowns = shutdowns_now - ts_prev.shutdowns;
-      ts_prev.boots = boots_now;
-      ts_prev.shutdowns = shutdowns_now;
-      sample.solved_spares = ts_spares_sticky;
-      sample.availability_est = ts_avail_sticky;
-      if (wear.enabled()) {
-        double wear_sum = 0.0;
-        for (const auto& s : shards) {
-          for (std::uint32_t li = 0; li < s->size(); ++li) {
-            wear_sum += wear.wear_fraction(s->server_boots[li],
-                                           s->server_shutdowns[li]);
-          }
-        }
-        sample.wear_fraction = wear_sum / static_cast<double>(num_servers);
-      }
-      options.timeseries->append(sample);
-    }
-
-    if (options.audit != nullptr) {
-      AuditRecord record;
-      record.time_s = t;
-      record.long_tick = long_tick;
-      record.observed_rate = ctx.measured_rate;
-      record.serving = ctx.serving;
-      record.committed = ctx.committed;
-      record.powered = ctx.powered;
-      record.available = ctx.available;
-      record.jobs_in_system = ctx.jobs_in_system;
-      record.predicted_rate = action.explain.predicted_rate;
-      record.planning_rate = action.explain.planning_rate;
-      record.safety_margin = action.explain.safety_margin;
-      record.planned_servers = action.explain.planned_servers;
-      record.detected_available = action.explain.detected_available;
-      record.target_set = action.active_target.has_value();
-      if (action.active_target) {
-        record.target_servers = *action.active_target;
-        record.delta_servers = static_cast<int>(*action.active_target) -
-                               static_cast<int>(ctx.committed);
-      }
-      record.speed_set = action.speed.has_value();
-      if (action.speed) record.speed = *action.speed;
-      record.infeasible = action.infeasible;
-      record.admit_probability = p_admit;
-      record.obs_age_s = ctx.obs_age_s;
-      record.safe_mode = false;
-      record.solved_spares = action.explain.solved_spares;
-      record.availability_est = action.explain.availability_est;
-      record.binding_constraint = action.explain.binding_constraint;
-      options.audit->append(record);
-    }
-
-    orchestrator.schedule(t + (long_tick ? t_long : t_short),
-                          long_tick ? EventType::kLongTick : EventType::kShortTick,
-                          0);
-  };
-
-  auto handle_record = [&](double t) {
-    TimelinePoint point;
-    point.time = t;
-    const double elapsed = t - last_record_time;
-    point.arrival_rate =
-        elapsed > 0.0
-            ? static_cast<double>(cursor - last_record_cursor) / elapsed
-            : 0.0;
-    last_record_time = t;
-    last_record_cursor = cursor;
-    point.serving = serving_total();
-    point.powered = powered_total();
-    point.available = available_total();
-    point.speed = commanded_speed;
-    point.power_watts = fold_power();
-    point.jobs_in_system = static_cast<double>(jobs_total());
-    point.window_mean_response_s = take_record_window();
-    point.admit_probability =
-        admission.enabled() ? admission.admit_probability() : 1.0;
-    timeline.push_back(point);
-    orchestrator.schedule(t + options.record_interval_s, EventType::kRecord, 0);
-  };
 
   // -- initial schedule -----------------------------------------------------
   // Long before short at t = 0: at coincident ticks the long (VOVF)
@@ -1402,43 +1027,59 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     bool done = false;
     switch (event->type) {
       case EventType::kShortTick:
-      case EventType::kLongTick:
-        handle_tick(t, event->type == EventType::kLongTick);
-        done = cursor == arrivals.size() && jobs_total() == 0;
+      case EventType::kLongTick: {
+        // The fleet measures the arrival rate over the short window; a long
+        // tick samples the partial window without resetting it.
+        const bool long_tick = event->type == EventType::kLongTick;
+        const double elapsed = t - last_short_time;
+        const double local_rate =
+            elapsed > 0.0 ? static_cast<double>(cursor - last_short_cursor) / elapsed
+                          : 0.0;
+        if (!long_tick) {
+          last_short_time = t;
+          last_short_cursor = cursor;
+        }
+        loop.on_tick(t, long_tick, local_rate);
+        if (admission.enabled()) {
+          // Broadcast the tick's admit probability to the shard-side draws.
+          const double p = admission.admit_probability();
+          for (const auto& s : shards) s->p_admit = p;
+        }
+        orchestrator.schedule(t + (long_tick ? t_long : t_short), event->type, 0);
+        done = cursor == arrivals.size() && fleet.jobs_in_system() == 0;
         break;
-      case EventType::kRecord: handle_record(t); break;
+      }
+      case EventType::kRecord:
+        loop.record_timeline(t, cursor - last_record_cursor);
+        last_record_cursor = cursor;
+        orchestrator.schedule(t + options.record_interval_s, EventType::kRecord, 0);
+        break;
       case EventType::kWarmupEnd: {
-        parallel_shards([&](std::size_t k) { shards[k]->begin_measuring(t); });
+        fleet.parallel([&](std::size_t k) { shards[k]->begin_measuring(t); });
+        loop.begin_measuring(t);
         measuring = true;
         measure_start = t;
-        warm.admitted = admitted_total();
-        warm.shed = shed_total();
-        warm.dropped = dropped_total();
-        warm.boots = boots_total();
-        warm.shutdowns = shutdowns_total();
+        warm.admitted = fleet.admitted();
+        warm.shed = fleet.shed();
+        warm.dropped = fleet.dropped();
+        warm.boots = fleet.boots();
+        warm.shutdowns = fleet.shutdowns();
         for (const auto& s : shards) {
           warm.lost += s->lost;
           warm.failures += s->failures;
           warm.repairs += s->repairs;
           warm.boot_timeouts += s->boot_timeouts;
         }
-        warm.ticks = ticks_total;
-        warm.infeasible = infeasible_total;
-        speed_avg.advance(t, commanded_speed);
-        speed_avg = TimeWeightedAccumulator(t);
+        fleet.speed_avg = TimeWeightedAccumulator(t);
         break;
       }
       case EventType::kTelemetryDeliver:
-        accept_telemetry(telemetry_store.take(event->subject));
-        break;
       case EventType::kCommandDeliver:
-        apply_command(t, command_store.take(event->subject));
+      case EventType::kAckDeliver:
+      case EventType::kControllerFail:
+      case EventType::kControllerRecover:
+        loop.on_event(*event);
         break;
-      case EventType::kAckDeliver: {
-        const AckMessage ack = ack_store.take(event->subject);
-        deliver_ack(t, ack.kind, ack.gen);
-        break;
-      }
       default: GC_CHECK(false, "sharded: unexpected orchestrator event type");
     }
     if (done) {
@@ -1447,9 +1088,8 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     }
   }
 
-  parallel_shards([&](std::size_t k) { shards[k]->finalize(end_time); });
-  lifecycle.finalize_all(end_time);
-  speed_avg.advance(end_time, commanded_speed);
+  fleet.parallel([&](std::size_t k) { shards[k]->finalize(end_time); });
+  fleet.speed_avg.advance(end_time, fleet.speed());
   if (!measuring) measure_start = end_time;
   const double sim_time = end_time - measure_start;
 
@@ -1493,17 +1133,16 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     }
   }
 
+  const std::uint64_t lost_whole = fleet.total([](const Shard& s) { return s.lost; });
+  const std::uint64_t failures_whole =
+      fleet.total([](const Shard& s) { return s.failures; });
+  const std::uint64_t repairs_whole =
+      fleet.total([](const Shard& s) { return s.repairs; });
+  const std::uint64_t boot_timeouts_whole =
+      fleet.total([](const Shard& s) { return s.boot_timeouts; });
   result.completed_jobs = completed;
-  result.dropped_jobs = dropped_total() - warm.dropped;
-  result.shed_jobs = shed_total() - warm.shed;
-  std::uint64_t lost_whole = 0, failures_whole = 0, repairs_whole = 0,
-                boot_timeouts_whole = 0;
-  for (const auto& s : shards) {
-    lost_whole += s->lost;
-    failures_whole += s->failures;
-    repairs_whole += s->repairs;
-    boot_timeouts_whole += s->boot_timeouts;
-  }
+  result.dropped_jobs = fleet.dropped() - warm.dropped;
+  result.shed_jobs = fleet.shed() - warm.shed;
   result.failures = failures_whole - warm.failures;
   result.repairs = repairs_whole - warm.repairs;
   result.boot_timeouts = boot_timeouts_whole - warm.boot_timeouts;
@@ -1519,159 +1158,58 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       completed > 0 ? static_cast<double>(violations) /
                           static_cast<double>(completed)
                     : 0.0;
-  {
-    std::uint64_t windows = 0, violated = 0;
-    for (const TimelinePoint& p : timeline) {
-      if (p.time <= measure_start) continue;
-      ++windows;
-      if (p.window_mean_response_s > options.t_ref_s) ++violated;
-    }
-    result.window_violation_ratio =
-        windows > 0
-            ? static_cast<double>(violated) / static_cast<double>(windows)
-            : 0.0;
-  }
   result.energy = energy;
   result.mean_power_w = sim_time > 0.0 ? energy.total_j() / sim_time : 0.0;
-  result.boots = boots_total() - warm.boots;
-  result.shutdowns = shutdowns_total() - warm.shutdowns;
+  result.boots = fleet.boots() - warm.boots;
+  result.shutdowns = fleet.shutdowns() - warm.shutdowns;
   result.mean_serving = sim_time > 0.0 ? serving_integral / sim_time : 0.0;
-  result.mean_speed = speed_avg.time_average();
+  result.mean_speed = fleet.speed_avg.time_average();
   result.mean_jobs_in_system = sim_time > 0.0 ? jobs_integral / sim_time : 0.0;
   result.mean_available = sim_time > 0.0 ? available_integral / sim_time : 0.0;
   result.unavailability =
       sim_time > 0.0
           ? 1.0 - result.mean_available / static_cast<double>(num_servers)
           : 0.0;
-  {
-    const std::uint64_t shed_delta = result.shed_jobs;
-    const std::uint64_t offered = (admitted_total() - warm.admitted) + shed_delta;
-    result.shed_ratio =
-        offered > 0
-            ? static_cast<double>(shed_delta) / static_cast<double>(offered)
-            : 0.0;
-  }
-  result.infeasible_ticks = infeasible_total - warm.infeasible;
-  const std::uint64_t measured_ticks = ticks_total - warm.ticks;
-  result.infeasible_ratio =
-      measured_ticks > 0 ? static_cast<double>(result.infeasible_ticks) /
-                               static_cast<double>(measured_ticks)
-                         : 0.0;
-  result.telemetry_dropped = channel.telemetry_counters().dropped;
-  result.commands_dropped = channel.command_counters().dropped;
-  result.acks_dropped = channel.ack_counters().dropped;
-  result.command_retries = actuator.retries();
-  result.command_duplicates = command_duplicates;
-  result.commands_exhausted = actuator.exhausted();
+  const std::uint64_t offered = (fleet.admitted() - warm.admitted) + result.shed_jobs;
+  result.shed_ratio =
+      offered > 0 ? static_cast<double>(result.shed_jobs) / static_cast<double>(offered)
+                  : 0.0;
   result.wear_fraction_mean =
       num_servers > 0 ? wear_sum / static_cast<double>(num_servers) : 0.0;
-  if (reliab_plan_ticks > 0) {
-    result.availability_estimate =
-        reliab_avail_sum / static_cast<double>(reliab_plan_ticks);
-    result.mean_solved_spares =
-        reliab_spares_sum / static_cast<double>(reliab_plan_ticks);
-  }
   result.response_hist = std::move(response_hist);
-  result.lifecycle_ack_hist = lifecycle.ack_latency();
-  result.lifecycle_apply_hist = lifecycle.apply_latency();
-  result.lifecycle_e2e_hist = lifecycle.e2e_latency();
-  result.lifecycle_obs_age_hist = lifecycle.obs_age();
-  result.command_lifecycles = lifecycle.records();
-  result.timeline = std::move(timeline);
 
-  // -- counters registry (names mirror run_simulation) ----------------------
+  // -- counters registry (the control plane's part comes from the loop) ----
   MetricRegistry registry;
   for (std::size_t type = 0; type < kNumEventTypes; ++type) {
     std::uint64_t count = orchestrator_events[type];
     for (const auto& s : shards) count += s->events[type];
     if (type == static_cast<std::size_t>(EventType::kArrival)) {
-      count += orphaned_arrivals;
+      count += fleet.orphaned_arrivals;
     }
     registry
         .counter(std::string("sim.events.") +
                  to_string(static_cast<EventType>(type)))
         .inc(count);
   }
-  registry.counter("sim.jobs.admitted").inc(admitted_total());
-  registry.counter("sim.jobs.shed").inc(shed_total());
-  {
-    std::uint64_t completed_whole = 0;
-    for (const auto& s : shards) completed_whole += s->completed;
-    registry.counter("sim.jobs.completed").inc(completed_whole);
-  }
-  registry.counter("sim.jobs.dropped").inc(dropped_total());
+  registry.counter("sim.jobs.admitted").inc(fleet.admitted());
+  registry.counter("sim.jobs.shed").inc(fleet.shed());
+  registry.counter("sim.jobs.completed")
+      .inc(fleet.total([](const Shard& s) { return s.completed; }));
+  registry.counter("sim.jobs.dropped").inc(fleet.dropped());
   registry.counter("sim.jobs.redispatched").inc(0);
   registry.counter("sim.jobs.lost").inc(lost_whole);
-  registry.counter("cluster.boots").inc(boots_total());
-  registry.counter("cluster.shutdowns").inc(shutdowns_total());
+  registry.counter("cluster.boots").inc(fleet.boots());
+  registry.counter("cluster.shutdowns").inc(fleet.shutdowns());
   registry.counter("cluster.failures").inc(failures_whole);
   registry.counter("cluster.repairs").inc(repairs_whole);
   registry.counter("cluster.boot_timeouts").inc(boot_timeouts_whole);
-  registry.counter("control.ticks").inc(ticks_total);
-  registry.counter("control.infeasible_ticks").inc(infeasible_total);
   registry.gauge("sim.time_s").set(end_time);
   registry.counter("sharded.num_shards").inc(num_shards);
-  {
-    std::uint64_t shard_events = 0, reallocations = 0;
-    for (const auto& s : shards) {
-      shard_events += s->queue.scheduled_total();
-      reallocations += s->queue.reallocations();
-    }
-    registry.counter("sharded.shard_events_scheduled").inc(shard_events);
-    registry.counter("sharded.queue_reallocations").inc(reallocations);
-  }
-  if (options.channel.enabled) {
-    registry.counter("chan.telemetry.sent").inc(channel.telemetry_counters().sent);
-    registry.counter("chan.telemetry.dropped").inc(result.telemetry_dropped);
-    registry.counter("chan.telemetry.stale_discarded").inc(telemetry_stale);
-    registry.counter("chan.command.sent").inc(channel.command_counters().sent);
-    registry.counter("chan.command.dropped").inc(result.commands_dropped);
-    registry.counter("chan.ack.sent").inc(channel.ack_counters().sent);
-    registry.counter("chan.ack.dropped").inc(result.acks_dropped);
-  }
-  if (options.actuator.enabled) {
-    registry.counter("act.retries").inc(actuator.retries());
-    registry.counter("act.acked").inc(actuator.acked());
-    registry.counter("act.stale_acks").inc(actuator.stale_acks());
-    registry.counter("act.exhausted").inc(actuator.exhausted());
-    registry.counter("act.duplicates").inc(command_duplicates);
-    registry.counter("act.rejected_era").inc(0);
-  }
-  if (options.audit != nullptr) {
-    registry.counter("obs.audit.records").inc(options.audit->size());
-  }
-  if (options.timeseries != nullptr) {
-    registry.counter("obs.timeseries.periods").inc(options.timeseries->periods());
-    registry.counter("obs.timeseries.rows").inc(options.timeseries->size());
-  }
-  registry.counter("fleet.boot_count").inc(boots_total());
-  registry.counter("fleet.shutdown_count").inc(shutdowns_total());
-  if (options.reliability.enabled() || reliab_plan_ticks > 0) {
-    registry.gauge("fleet.wear_fraction_mean").set(result.wear_fraction_mean);
-    registry.gauge("fleet.wear_fraction_max").set(result.wear_fraction_max);
-    registry.gauge("fleet.availability_observed").set(1.0 - result.unavailability);
-    if (reliab_plan_ticks > 0) {
-      registry.gauge("reliability.availability_estimate")
-          .set(result.availability_estimate);
-      registry.gauge("reliability.solved_spares_mean")
-          .set(result.mean_solved_spares);
-    }
-  }
-  result.counters = registry.snapshot();
-  // Lifecycle tracker counters (cp.lifecycle.*, cp.drop.*): every
-  // transition was recorded on the orchestrator thread between barriers,
-  // so these are identical across K — the shard-determinism suite's
-  // counters equality holds with them merged in.
-  {
-    CountersSnapshot lc;
-    lifecycle.counters_into(lc);
-    for (const auto& [name, value] : lc.counters) {
-      result.counters.add_counter(name, value);
-    }
-    for (const auto& [name, value] : lc.gauges) {
-      result.counters.add_gauge(name, value);
-    }
-  }
+  registry.counter("sharded.shard_events_scheduled")
+      .inc(fleet.total([](const Shard& s) { return s.queue.scheduled_total(); }));
+  registry.counter("sharded.queue_reallocations")
+      .inc(fleet.total([](const Shard& s) { return s.queue.reallocations(); }));
+  loop.finish(end_time, registry, result);
   return result;
 }
 

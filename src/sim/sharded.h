@@ -8,8 +8,10 @@
 // cross-shard interaction (provisioning commands, telemetry aggregation,
 // admission updates) happens between control-period barriers — so each
 // shard advances independently to the next barrier and the orchestrator
-// thread runs the control plane (controller, channel, actuator, admission)
-// between windows.
+// thread runs the control plane between windows.  That control plane is
+// the same shared control loop the sequential engine uses (sim/control_loop.h:
+// facade, channel, actuator, outages, audit and time series); this engine
+// contributes only its event loop and a FleetView over the shards.
 //
 // Determinism contract: the output is a pure function of the inputs and
 // *independent of K* — every RNG stream is derived per global server index,
@@ -27,8 +29,7 @@
 // therefore uses trace-based round-robin dispatch over the frozen serving
 // set, per-server fault streams, and histogram-derived tail quantiles.
 // Anything unsupported in this model is rejected loudly (GC_CHECK), never
-// silently approximated: heterogeneous groups and controller outages are
-// sequential-only for now.
+// silently approximated: heterogeneous groups are sequential-only for now.
 #pragma once
 
 #include <cstdint>

@@ -2,34 +2,70 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <optional>
 #include <string>
 
-#include "cp/control_plane.h"
+#include "sim/control_loop.h"
 #include "stats/accumulators.h"
 #include "util/assert.h"
 
 namespace gc {
 namespace {
 
-// Applies a control action at `now`.  Order matters: grow capacity before
-// raising speed so freshly revived servers adopt the new speed too.
-void apply_action(Cluster& cluster, double now, const ControlAction& action) {
-  if (action.active_target) cluster.set_active_target(now, *action.active_target);
-  if (action.speed) cluster.set_all_speeds(now, *action.speed);
-}
-
 constexpr std::size_t kNumEventTypes =
     static_cast<std::size_t>(EventType::kControllerRecover) + 1;
 
-struct AckMsg {
-  CommandKind kind = CommandKind::kTarget;
-  std::uint64_t gen = 0;
-};
+// The control loop's view of a sequential Cluster.
+class ClusterFleet final : public FleetView {
+ public:
+  ClusterFleet(Cluster& cluster, MetricsCollector& metrics,
+               const AdmissionController& admission, const std::uint64_t& admitted,
+               const WearModel& wear)
+      : cluster_(cluster),
+        metrics_(metrics),
+        admission_(admission),
+        admitted_(admitted),
+        wear_(wear) {}
 
-// kControllerFail subject for the random (non-scripted) outage process.
-constexpr std::uint32_t kRandomOutage = ~0u;
+  unsigned num_servers() const override { return cluster_.num_servers(); }
+  unsigned serving_count() const override { return cluster_.serving_count(); }
+  unsigned committed_count() const override { return cluster_.committed_count(); }
+  unsigned powered_count() const override { return cluster_.powered_count(); }
+  unsigned available_count() const override { return cluster_.available_count(); }
+  std::uint64_t jobs_in_system() const override { return cluster_.jobs_in_system(); }
+  double speed() const override { return cluster_.current_speed(); }
+  double power_w() const override { return cluster_.instantaneous_power(); }
+  void set_target(double now, unsigned target) override {
+    cluster_.set_active_target(now, target);
+  }
+  void set_speed(double now, double speed) override {
+    cluster_.set_all_speeds(now, speed);
+  }
+  std::uint64_t admitted() const override { return admitted_; }
+  std::uint64_t shed() const override { return admission_.shed(); }
+  PeriodWindowStats take_period_window() override {
+    return metrics_.take_period_window();
+  }
+  double take_record_mean_response() override {
+    return metrics_.take_window_mean_response();
+  }
+  std::uint64_t boots() const override { return cluster_.boots_started(); }
+  std::uint64_t shutdowns() const override { return cluster_.shutdowns_started(); }
+  // Fleet mean from whole-run totals (uniform budget; the per-server /
+  // per-class split is folded into SimResult at the end).
+  double wear_fraction() const override {
+    const unsigned n = cluster_.num_servers();
+    if (n == 0) return 0.0;
+    return wear_.wear_fraction(boots(), shutdowns()) / static_cast<double>(n);
+  }
+
+ private:
+  Cluster& cluster_;
+  MetricsCollector& metrics_;
+  const AdmissionController& admission_;
+  const std::uint64_t& admitted_;
+  const WearModel& wear_;
+};
 
 }  // namespace
 
@@ -62,15 +98,11 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   cluster.set_trace(trace);
 
   // Fault injection: armed before the first event so background failure
-  // clocks start at t = 0.  Seed 0 derives from the dispatch seed, keeping
-  // replications (which re-seed the spec) on independent fault histories.
+  // clocks start at t = 0.
   std::optional<FaultInjector> injector;
   if (options.faults.enabled()) {
-    const std::uint64_t fault_seed =
-        options.faults.seed != 0
-            ? options.faults.seed
-            : cluster_options.dispatch_seed ^ 0xfa7a17f00dULL;
-    injector.emplace(options.faults, cluster.num_servers(), fault_seed);
+    injector.emplace(options.faults, cluster.num_servers(),
+                     fault_seed(options.faults, cluster_options.dispatch_seed));
     cluster.set_fault_injector(&*injector);
     injector->arm(queue);
   }
@@ -79,81 +111,24 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   // triggered the run is event-for-event identical to admission disabled.
   AdmissionController admission(
       options.admission, options.t_ref_s,
-      Rng(cluster_options.dispatch_seed, /*stream=*/7));
+      Rng(cluster_options.dispatch_seed, kAdmissionRngStream));
 
-  // Control-plane degradation (DESIGN.md §8): the management network, the
-  // ack/retry actuator and the controller fail-stop process.  Everything
-  // here follows the draw-only-when-needed discipline, so leaving all
-  // three at defaults (or enabling them with zero loss/latency and no
-  // outages) is bit-identical to the legacy synchronous path.
-  const std::uint64_t control_seed =
-      cluster_options.dispatch_seed ^ 0x5ca1ab1ec0ffeeULL;
-  ControlChannel channel(options.channel, control_seed);
-  const bool chan_on = options.channel.enabled;
-  // The controller box itself — policy, observation store, estimator,
-  // ack/retry actuator — is the transport-agnostic ControlPlane facade
-  // (cp/control_plane.h); this loop is only driver (a) of three.  The
-  // facade's actuator takes over the sim's historical RNG stream 14, so
-  // jitter draws are bit-identical to the pre-extraction loop.
-  ControlPlaneOptions cp_options;
-  cp_options.actuator = options.actuator;
-  // The facade lives in an optional so the crash-recovery modes (DESIGN.md
-  // §13.4) can tear it down and rebuild it mid-run; emplace() reuses the
-  // same storage, so the reference everything below captures stays valid
-  // across a rebuild (C++20 transparent replacement — ControlPlane has no
-  // const or reference members).
-  std::optional<ControlPlane> cp_box;
-  cp_box.emplace(controller, cp_options, Rng(control_seed, /*stream=*/14));
-  ControlPlane& cp = *cp_box;
-  // Commands take the generation-stamped path whenever the channel or the
-  // ack/retry protocol is on; otherwise they apply in place.
-  const bool cmd_path = chan_on || options.actuator.enabled;
-  // Lifecycle tracker wiring (cp/lifecycle.h): this driver can see the
-  // fleet, so it reports command applies back, and it lends the facade the
-  // run's trace sink for per-command async spans.  Re-applied after every
-  // facade rebuild — a crashed controller's in-memory observability dies
-  // with it (the restart itself shows up as lifecycle late_events).
-  const auto configure_lifecycle = [&]() {
-    cp.lifecycle().set_trace(trace);
-    cp.lifecycle().set_expect_applies(true);
-  };
-  configure_lifecycle();
+  // Reliability readout (core/reliability.h; observational only): the wear
+  // model charges the cluster's transition counters against the configured
+  // cycles-to-failure budget.
+  options.reliability.validate();
+  const WearModel wear(options.reliability);
 
-  const ControllerFaultOptions& cf = options.controller_faults;
-  cf.validate();
-  Rng outage_rng(cf.seed != 0 ? cf.seed : control_seed, /*stream=*/15);
-  if (cf.enabled()) {
-    for (std::size_t i = 0; i < cf.script.size(); ++i) {
-      queue.schedule(cf.script[i].start_s, EventType::kControllerFail,
-                     static_cast<std::uint32_t>(i));
-    }
-    if (cf.mtbf_s > 0.0) {
-      const double ttf = -cf.mtbf_s * std::log(outage_rng.uniform01_open_left());
-      queue.schedule(ttf, EventType::kControllerFail, kRandomOutage);
-    }
-  }
-  // Outages may overlap (scripted windows + the random process), so the
-  // controller is down while the depth is positive.
-  unsigned controller_down_depth = 0;
-  unsigned missed_short_ticks = 0;  // consecutive; the watchdog's counter
-  bool in_safe_mode = false;
-  double safe_mode_entered_at = 0.0;
-  // Controller incarnation: the facade stamps cp.era() into every command
-  // and bumps it on recovery.  Safe mode rejects commands stamped by a
-  // dead incarnation (they were planned against a world the outage
-  // invalidated).
-  std::uint32_t safe_min_era = 0;
+  // Jobs past admission control (routed or dropped); offered = admitted + shed.
+  std::uint64_t admitted_total = 0;
 
-  // In-flight channel payloads (the event subject is the store slot).
-  SlotStore<TelemetryFrame> telemetry_in_flight;
-  SlotStore<Command> commands_in_flight;
-  SlotStore<AckMsg> acks_in_flight;
-  // Fleet-side dedup: a delivered command applies only when its generation
-  // beats the last applied one per kind.
-  std::uint64_t last_applied_gen[kNumCommandKinds] = {0, 0};
-  std::uint64_t cmd_duplicates = 0;
-  std::uint64_t cmd_rejected_era = 0;
-  std::uint64_t ticks_missed_count = 0;
+  // The control plane — facade, management channel, actuation, outages and
+  // the per-tick observability — is the shared control loop (sim/control_loop.h);
+  // this loop only forwards ticks and control-plane events to it.
+  ClusterFleet fleet(cluster, metrics, admission, admitted_total, wear);
+  if (options.timeseries != nullptr) metrics.enable_period_window();
+  ControlLoop loop(controller, options, cluster_options.dispatch_seed, fleet,
+                   admission, queue);
 
   // Pending arrival: exactly one kArrival event is outstanding at a time.
   std::optional<JobArrival> pending = workload.next();
@@ -172,17 +147,8 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   // Rate measurement between short ticks.
   std::uint64_t arrivals_in_window = 0;
   double last_short_tick = 0.0;
-  double last_long_tick = 0.0;  // control-period trace spans only
   // Rate measurement between record points.
   std::uint64_t arrivals_in_record = 0;
-  double last_record = 0.0;
-  // Jobs past admission control (routed or dropped); offered = admitted + shed.
-  std::uint64_t admitted_total = 0;
-  // Control ticks and how many of them reported infeasibility.
-  std::uint64_t ticks_total = 0;
-  std::uint64_t infeasible_ticks = 0;
-  std::uint64_t warmup_ticks = 0;
-  std::uint64_t warmup_infeasible = 0;
 
   // Time-weighted serving count / speed / queue length / availability.
   TimeWeightedAccumulator serving_avg(0.0);
@@ -208,403 +174,11 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   MeanVarAccumulator response_post;  // post-warmup responses
   P2Quantile p95_post(0.95), p99_post(0.99);
   RatioAccumulator violations_post;
-  RatioAccumulator window_violations;
   LogHistogram response_hist_post;  // post-warmup mergeable distribution
-
-  // Time-series recorder (null = off).  Strictly observational like the
-  // trace/audit sinks: it reads fleet state on the control grid and never
-  // touches the queue, the RNG streams or the energy meters.  Cumulative
-  // energy is a recorder-side left-rule integral of instantaneous power
-  // sampled at ticks (flushing the per-server meters mid-run would split
-  // their integration intervals and perturb the bit-exact goldens).
-  TimeSeriesRecorder* const ts = options.timeseries;
-  if (ts != nullptr) metrics.enable_period_window();
-  double ts_energy_j = 0.0;
-  double ts_last_power_w = 0.0;
-  double ts_last_power_t = 0.0;
-  double ts_target_m = static_cast<double>(cluster.committed_count());
-  struct TsPrevCounters {
-    std::uint64_t telemetry_dropped = 0;
-    std::uint64_t commands_dropped = 0;
-    std::uint64_t acks_dropped = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t ticks_missed = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t boots = 0;
-    std::uint64_t shutdowns = 0;
-  } ts_prev;
-
-  // Reliability readout (core/reliability.h; observational only).  The
-  // wear model charges the cluster's transition counters against the
-  // configured cycles-to-failure budget; the controller-reported plan
-  // scalars (solved spares / closed-form availability / binding
-  // constraint) hold their last value between long ticks so every
-  // time-series row and audit record carries the standing plan.
-  options.reliability.validate();
-  const WearModel wear(options.reliability);
-  double ts_solved_spares = 0.0;
-  double ts_availability_est = 0.0;
-  double reliab_avail_sum = 0.0;
-  double reliab_spares_sum = 0.0;
-  std::uint64_t reliab_plan_ticks = 0;
-  // Fleet-mean wear fraction from whole-run totals (uniform budget; the
-  // per-server/per-class split is finalized into SimResult at the end).
-  auto fleet_wear_mean = [&]() -> double {
-    const unsigned n = cluster.num_servers();
-    if (n == 0) return 0.0;
-    return wear.wear_fraction(cluster.boots_started(),
-                              cluster.shutdowns_started()) /
-           static_cast<double>(n);
-  };
 
   SimResult result;
   double now = 0.0;
   bool workload_done = !pending.has_value();
-
-  auto record_timeline = [&](double t) {
-    TimelinePoint point;
-    point.time = t;
-    const double dt = t - last_record;
-    point.arrival_rate = dt > 0.0 ? static_cast<double>(arrivals_in_record) / dt : 0.0;
-    arrivals_in_record = 0;
-    last_record = t;
-    point.serving = cluster.serving_count();
-    point.powered = cluster.powered_count();
-    point.available = cluster.available_count();
-    point.speed = cluster.current_speed();
-    point.power_watts = cluster.instantaneous_power();
-    point.jobs_in_system = static_cast<double>(cluster.jobs_in_system());
-    point.window_mean_response_s = metrics.take_window_mean_response();
-    point.admit_probability = admission.admit_probability();
-    result.timeline.push_back(point);
-  };
-
-  // One audit record + trace span per control tick.  `period_start` is the
-  // previous tick of the same kind, so the span tiles the timeline.
-  auto observe_control = [&](bool long_tick, const ControlContext& ctx,
-                             const ControlAction& action, double period_start) {
-    if (options.audit != nullptr) {
-      AuditRecord rec;
-      rec.time_s = ctx.now;
-      rec.long_tick = long_tick;
-      rec.observed_rate = ctx.measured_rate;
-      rec.serving = ctx.serving;
-      rec.committed = ctx.committed;
-      rec.powered = ctx.powered;
-      rec.available = ctx.available;
-      rec.jobs_in_system = ctx.jobs_in_system;
-      rec.predicted_rate = action.explain.predicted_rate;
-      rec.planning_rate = action.explain.planning_rate;
-      rec.safety_margin = action.explain.safety_margin;
-      rec.planned_servers = action.explain.planned_servers;
-      rec.detected_available = action.explain.detected_available;
-      rec.target_set = action.active_target.has_value();
-      if (action.active_target) {
-        rec.target_servers = *action.active_target;
-        rec.delta_servers = static_cast<int>(*action.active_target) -
-                            static_cast<int>(ctx.committed);
-      }
-      rec.speed_set = action.speed.has_value();
-      if (action.speed) rec.speed = *action.speed;
-      rec.infeasible = action.infeasible;
-      rec.admit_probability = admission.admit_probability();
-      rec.obs_age_s = ctx.obs_age_s;
-      rec.safe_mode = ctx.safe_mode;
-      rec.solved_spares = action.explain.solved_spares;
-      rec.availability_est = action.explain.availability_est;
-      rec.binding_constraint = action.explain.binding_constraint;
-      options.audit->append(rec);
-    }
-    if (trace != nullptr) {
-      const std::uint32_t tid = long_tick ? 2u : 1u;
-      trace_complete(trace, period_start, ctx.now - period_start, "control",
-                     long_tick ? "long-period" : "short-period", tid);
-      TraceRecord solver;
-      solver.ts_s = ctx.now;
-      solver.cat = "solver";
-      solver.name = long_tick ? "plan-servers" : "plan-speed";
-      solver.phase = TracePhase::kInstant;
-      solver.tid = tid;
-      solver.nargs = 2;
-      solver.arg_name[0] = "planning_rate";
-      solver.arg_value[0] = action.explain.planning_rate;
-      if (long_tick) {
-        solver.arg_name[1] = "planned_servers";
-        solver.arg_value[1] = static_cast<double>(action.explain.planned_servers);
-      } else {
-        solver.arg_name[1] = "speed";
-        solver.arg_value[1] = action.speed ? *action.speed : 0.0;
-      }
-      trace_emit(trace, solver);
-      if (action.infeasible) trace_instant(trace, ctx.now, "control", "infeasible", tid);
-      // Counter series sampled on the control grid (post-action state).
-      trace_counter(trace, ctx.now, "rate", "jobs_per_s", ctx.measured_rate);
-      trace_counter(trace, ctx.now, "serving", "servers",
-                    static_cast<double>(cluster.serving_count()));
-      trace_counter(trace, ctx.now, "jobs_in_system", "jobs",
-                    static_cast<double>(cluster.jobs_in_system()));
-      trace_counter(trace, ctx.now, "speed", "s", cluster.current_speed());
-      if (admission.enabled()) {
-        trace_counter(trace, ctx.now, "admit_probability", "p",
-                      admission.admit_probability());
-      }
-    }
-  };
-
-  // The controller's fleet view lives in the facade.  Seeded from the
-  // t = 0 ground truth so a dropped first sample still leaves the
-  // controller something coherent to look at.
-  {
-    TelemetryFrame boot_view;
-    boot_view.serving = cluster.serving_count();
-    boot_view.committed = cluster.committed_count();
-    boot_view.powered = cluster.powered_count();
-    boot_view.available = cluster.available_count();
-    boot_view.jobs_in_system = cluster.jobs_in_system();
-    cp.seed_observation(boot_view);
-  }
-  // Pristine t = 0 image for cold restarts: the facade before the first
-  // tick, boot observation already seeded.  Captured only when that mode
-  // is in play so the default path serializes nothing.
-  std::string pristine_snapshot;
-  if (cf.enabled() && cf.recovery == ControllerRecoveryMode::kColdRestart) {
-    pristine_snapshot = cp.snapshot();
-  }
-
-  auto ship_telemetry = [&](double t, const TelemetryFrame& snap) {
-    // Telemetry lifecycle id: send-site monotone sequence (DESIGN.md §14.1).
-    const std::uint64_t frame_id =
-        cp.lifecycle().next_frame_id(FrameClass::kTelemetry);
-    if (!chan_on) {
-      cp.accept_telemetry(snap);
-      return;
-    }
-    if (const auto delay = channel.telemetry_delay()) {
-      if (*delay > 0.0) {
-        queue.schedule(t + *delay, EventType::kTelemetryDeliver,
-                       telemetry_in_flight.put(snap));
-      } else {
-        // Zero latency: deliver synchronously, never touching the queue
-        // (event interleaving stays identical to no channel at all).
-        cp.accept_telemetry(snap);
-      }
-    } else {
-      cp.lifecycle().on_frame_dropped(FrameClass::kTelemetry,
-                                      DropCause::kChannel);
-      trace_instant1(trace, t, "channel", "telemetry-drop", "id",
-                     static_cast<double>(frame_id));
-    }
-  };
-
-  auto send_ack = [&](double t, const Command& cmd) {
-    if (!cp.actuator().enabled()) return;  // fire-and-forget: no ack protocol
-    const std::uint64_t frame_id = cp.lifecycle().next_frame_id(FrameClass::kAck);
-    if (!chan_on) {
-      cp.on_ack(t, cmd.kind, cmd.gen);
-      return;
-    }
-    if (const auto delay = channel.ack_delay()) {
-      if (*delay > 0.0) {
-        queue.schedule(t + *delay, EventType::kAckDeliver,
-                       acks_in_flight.put(AckMsg{cmd.kind, cmd.gen}));
-      } else {
-        cp.on_ack(t, cmd.kind, cmd.gen);
-      }
-    } else {
-      cp.lifecycle().on_frame_dropped(FrameClass::kAck, DropCause::kChannel);
-      trace_instant1(trace, t, "channel", "ack-drop", "id",
-                     static_cast<double>(frame_id));
-    }
-  };
-
-  auto exit_safe_mode = [&](double t) {
-    in_safe_mode = false;
-    result.safe_mode_time_s += t - safe_mode_entered_at;
-    trace_instant(trace, t, "control", "safe-mode-exit");
-  };
-
-  // Fleet-side command application: era gate (safe mode), generation
-  // dedup, then the actual cluster call, then the ack.
-  auto apply_command = [&](double t, const Command& cmd) {
-    if (in_safe_mode) {
-      if (cmd.era < safe_min_era) {
-        // Planned by the incarnation whose death tripped the watchdog;
-        // nobody is waiting for an ack.
-        ++cmd_rejected_era;
-        return;
-      }
-      // First live command after recovery: hand control back to the policy.
-      exit_safe_mode(t);
-    }
-    const int kind = static_cast<int>(cmd.kind);
-    if (cmd.gen <= last_applied_gen[kind]) {
-      // Retransmitted or reordered duplicate: idempotent — detected, not
-      // re-applied, but re-acked (the original ack may be the casualty).
-      ++cmd_duplicates;
-      send_ack(t, cmd);
-      return;
-    }
-    last_applied_gen[kind] = cmd.gen;
-    if (cmd.kind == CommandKind::kTarget) {
-      cluster.set_active_target(t, static_cast<unsigned>(cmd.value));
-    } else {
-      cluster.set_all_speeds(t, cmd.value);
-    }
-    // Fleet-side apply observed: closes the decision→apply stage of the
-    // command's lifecycle (before the ack ships, matching real causality).
-    cp.on_command_applied(t, cmd.kind, cmd.gen);
-    send_ack(t, cmd);
-  };
-
-  auto transmit = [&](double t, const Command& cmd) {
-    if (!chan_on) {
-      // Actuator without a channel: delivery and ack are synchronous (the
-      // protocol runs, but nothing can be lost).
-      apply_command(t, cmd);
-      return;
-    }
-    if (const auto delay = channel.command_delay()) {
-      if (*delay > 0.0) {
-        queue.schedule(t + *delay, EventType::kCommandDeliver,
-                       commands_in_flight.put(cmd));
-      } else {
-        apply_command(t, cmd);
-      }
-    } else {
-      cp.lifecycle().on_command_frame_dropped(t, cmd, DropCause::kChannel);
-      trace_instant1(trace, t, "channel", "command-drop", "id",
-                     static_cast<double>(command_lifecycle_id(cmd.kind, cmd.gen)));
-    }
-  };
-
-  // Transmits one facade decision.  The facade already consulted the
-  // policy, stamped the fresh commands and collected due retransmissions
-  // (in transmit order); the driver's only job is delivery.
-  auto dispatch_decision = [&](double t, const ControlPlane::Decision& decision) {
-    if (!cmd_path) {
-      // Legacy synchronous path.  A live controller acting again also
-      // ends safe mode (relevant when only controller faults are on).
-      if (in_safe_mode) exit_safe_mode(t);
-      apply_action(cluster, t, decision.action);
-      // The whole action applied in place: report each freshly stamped
-      // command as applied so even fire-and-forget runs carry complete
-      // issued→applied lifecycle timelines (latency 0 by construction).
-      for (const ControlPlane::Outbound& out : decision.commands) {
-        if (!out.retransmit) cp.on_command_applied(t, out.frame.kind, out.frame.gen);
-      }
-      return;
-    }
-    for (const ControlPlane::Outbound& out : decision.commands) {
-      if (out.retransmit) trace_instant(trace, t, "channel", "command-retry");
-      transmit(t, out.frame);
-    }
-  };
-
-  // A control tick that fires while the controller is down: telemetry has
-  // already been shipped, the policy is not consulted, and (on short
-  // ticks) the watchdog counts toward the safe-mode trip.
-  auto miss_tick = [&](double t, double local_rate, bool short_tick) {
-    ++ticks_missed_count;
-    trace_instant(trace, t, "control", "tick-missed");
-    if (short_tick) {
-      ++missed_short_ticks;
-      if (cf.safe_mode && !in_safe_mode &&
-          missed_short_ticks >= cf.watchdog_ticks) {
-        // Watchdog trip: safe static fallback — everything on at nominal
-        // frequency — until a post-recovery command arrives.
-        in_safe_mode = true;
-        safe_mode_entered_at = t;
-        safe_min_era = cp.era() + 1;
-        ++result.safe_mode_entries;
-        cluster.set_active_target(t, cluster.num_servers());
-        cluster.set_all_speeds(t, 1.0);
-        trace_instant(trace, t, "control", "safe-mode-enter");
-      }
-    }
-    // Admission control is fleet-local (data plane): it keeps protecting
-    // the SLA from the true local rate even with the controller dark.
-    admission.update(local_rate, cluster.serving_count(), cluster.current_speed());
-  };
-
-  // One time-series sample per control instant (normal and missed ticks;
-  // `action` is null for the latter).  Runs after the tick's side effects
-  // so the sample shows the post-decision fleet.  Read-only except for the
-  // recorder itself and the metrics period window it drains.
-  auto record_ts = [&](double t, bool long_tick, double local_rate,
-                       const ControlContext& ctx, const ControlAction* action) {
-    if (action != nullptr && action->active_target) {
-      ts_target_m = static_cast<double>(*action->active_target);
-    }
-    const double power = cluster.instantaneous_power();
-    ts_energy_j += ts_last_power_w * (t - ts_last_power_t);
-    ts_last_power_w = power;
-    ts_last_power_t = t;
-    const PeriodWindowStats win = metrics.take_period_window();
-    TimeSeriesSample s;
-    s.time = t;
-    s.long_tick = long_tick;
-    s.measured = !in_warmup;
-    s.observed_rate = ctx.measured_rate;
-    s.local_rate = local_rate;
-    if (action != nullptr) {
-      s.predicted_rate = action->explain.predicted_rate;
-      s.planning_rate = action->explain.planning_rate;
-      s.infeasible = action->infeasible;
-    }
-    // While the watchdog's fallback is active the de-facto target is the
-    // whole fleet, whatever the (dead) controller last asked for.
-    s.target_m = in_safe_mode ? static_cast<double>(cluster.num_servers())
-                              : ts_target_m;
-    s.serving = cluster.serving_count();
-    s.committed = cluster.committed_count();
-    s.powered = cluster.powered_count();
-    s.available = cluster.available_count();
-    s.speed = cluster.current_speed();
-    s.power_w = power;
-    s.energy_j = ts_energy_j;
-    s.queue_depth = cluster.jobs_in_system();
-    s.window_completed = win.completed;
-    s.window_mean_response_s = win.mean_s;
-    s.window_p95_response_s = win.p95_s;
-    s.window_p99_response_s = win.p99_s;
-    s.window_violation_fraction = win.violation_fraction;
-    s.window_violated = win.completed > 0 && win.mean_s > options.t_ref_s;
-    s.d_admitted = admitted_total - ts_prev.admitted;
-    s.d_shed = admission.shed() - ts_prev.shed;
-    ts_prev.admitted = admitted_total;
-    ts_prev.shed = admission.shed();
-    s.admit_probability = admission.admit_probability();
-    s.obs_age_s = ctx.obs_age_s;
-    s.safe_mode = in_safe_mode;
-    const std::uint64_t telemetry_dropped = channel.telemetry_counters().dropped;
-    const std::uint64_t commands_dropped = channel.command_counters().dropped;
-    const std::uint64_t acks_dropped = channel.ack_counters().dropped;
-    const std::uint64_t retries = cp.actuator().retries();
-    s.d_telemetry_dropped = telemetry_dropped - ts_prev.telemetry_dropped;
-    s.d_commands_dropped = commands_dropped - ts_prev.commands_dropped;
-    s.d_acks_dropped = acks_dropped - ts_prev.acks_dropped;
-    s.d_command_retries = retries - ts_prev.retries;
-    s.d_command_duplicates = cmd_duplicates - ts_prev.duplicates;
-    s.d_ticks_missed = ticks_missed_count - ts_prev.ticks_missed;
-    ts_prev.telemetry_dropped = telemetry_dropped;
-    ts_prev.commands_dropped = commands_dropped;
-    ts_prev.acks_dropped = acks_dropped;
-    ts_prev.retries = retries;
-    ts_prev.duplicates = cmd_duplicates;
-    ts_prev.ticks_missed = ticks_missed_count;
-    const std::uint64_t boots_now = cluster.boots_started();
-    const std::uint64_t shutdowns_now = cluster.shutdowns_started();
-    s.d_boots = boots_now - ts_prev.boots;
-    s.d_shutdowns = shutdowns_now - ts_prev.shutdowns;
-    ts_prev.boots = boots_now;
-    ts_prev.shutdowns = shutdowns_now;
-    s.solved_spares = ts_solved_spares;
-    s.availability_est = ts_availability_est;
-    s.wear_fraction = fleet_wear_mean();
-    ts->append(s);
-  };
 
   while (auto event = queue.pop()) {
     // The run is over once the workload is exhausted and every job has
@@ -688,184 +262,35 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
         injector->on_boot_timeout(now, event->subject, cluster, queue);
         trace_instant(trace, now, "fault", "boot-timeout");
         break;
-      case EventType::kShortTick: {
+      case EventType::kShortTick:
+      case EventType::kLongTick: {
+        // The fleet measures the arrival rate over the short window; a long
+        // tick samples the partial window without resetting it.
+        const bool long_tick = event->type == EventType::kLongTick;
         const double elapsed = now - last_short_tick;
-        // The rate is measured at the fleet (ground truth) and *shipped*
-        // to the controller; what the controller sees is the newest
-        // sample the telemetry link delivered.
         const double local_rate =
             elapsed > 0.0 ? static_cast<double>(arrivals_in_window) / elapsed : 0.0;
-        arrivals_in_window = 0;
-        last_short_tick = now;
-        TelemetryFrame snap;
-        snap.sample_time = now;
-        snap.rate = local_rate;
-        snap.serving = cluster.serving_count();
-        snap.committed = cluster.committed_count();
-        snap.powered = cluster.powered_count();
-        snap.available = cluster.available_count();
-        snap.jobs_in_system = cluster.jobs_in_system();
-        ship_telemetry(now, snap);
-        if (controller_down_depth > 0) {
-          miss_tick(now, local_rate, /*short_tick=*/true);
-          if (ts != nullptr) {
-            record_ts(now, /*long_tick=*/false, local_rate,
-                      cp.make_context(now, in_safe_mode), nullptr);
-          }
-          if (!workload_done || cluster.jobs_in_system() > 0) {
-            queue.schedule(now + t_short, EventType::kShortTick);
-          }
-          break;
+        if (!long_tick) {
+          arrivals_in_window = 0;
+          last_short_tick = now;
         }
-        missed_short_ticks = 0;
-        const ControlPlane::Decision decision =
-            cp.on_tick(now, /*long_tick=*/false, in_safe_mode);
-        const ControlAction& action = decision.action;
-        dispatch_decision(now, decision);
-        ++ticks_total;
-        if (action.infeasible) ++infeasible_ticks;
-        if (action.explain.solved_spares >= 0) {
-          // Standing reliability plan re-reported on the short grid.
-          ts_solved_spares = static_cast<double>(action.explain.solved_spares);
-          ts_availability_est = action.explain.availability_est;
-        }
-        admission.update(local_rate, cluster.serving_count(),
-                         cluster.current_speed());
-        observe_control(/*long_tick=*/false, decision.ctx, action, now - elapsed);
-        if (ts != nullptr) {
-          record_ts(now, /*long_tick=*/false, local_rate, decision.ctx, &action);
-        }
+        loop.on_tick(now, long_tick, local_rate);
         // Keep ticking while there is anything left to happen.
         if (!workload_done || cluster.jobs_in_system() > 0) {
-          queue.schedule(now + t_short, EventType::kShortTick);
-        }
-        break;
-      }
-      case EventType::kLongTick: {
-        const double elapsed = now - last_short_tick;
-        const double local_rate =
-            elapsed > 0.0 ? static_cast<double>(arrivals_in_window) / elapsed : 0.0;
-        TelemetryFrame snap;
-        snap.sample_time = now;
-        snap.rate = local_rate;
-        snap.serving = cluster.serving_count();
-        snap.committed = cluster.committed_count();
-        snap.powered = cluster.powered_count();
-        snap.available = cluster.available_count();
-        snap.jobs_in_system = cluster.jobs_in_system();
-        ship_telemetry(now, snap);
-        if (controller_down_depth > 0) {
-          miss_tick(now, local_rate, /*short_tick=*/false);
-          if (ts != nullptr) {
-            record_ts(now, /*long_tick=*/true, local_rate,
-                      cp.make_context(now, in_safe_mode), nullptr);
-          }
-          if (!workload_done || cluster.jobs_in_system() > 0) {
-            queue.schedule(now + t_long, EventType::kLongTick);
-          }
-          break;
-        }
-        const ControlPlane::Decision decision =
-            cp.on_tick(now, /*long_tick=*/true, in_safe_mode);
-        const ControlAction& action = decision.action;
-        dispatch_decision(now, decision);
-        ++ticks_total;
-        if (action.infeasible) ++infeasible_ticks;
-        if (action.explain.solved_spares >= 0) {
-          // Fresh reliability plan: update the sticky scalars and the
-          // whole-run means (long-tick plans only — short ticks re-report).
-          ts_solved_spares = static_cast<double>(action.explain.solved_spares);
-          ts_availability_est = action.explain.availability_est;
-          reliab_avail_sum += action.explain.availability_est;
-          reliab_spares_sum += ts_solved_spares;
-          ++reliab_plan_ticks;
-        }
-        admission.update(local_rate, cluster.serving_count(),
-                         cluster.current_speed());
-        observe_control(/*long_tick=*/true, decision.ctx, action, last_long_tick);
-        if (ts != nullptr) {
-          record_ts(now, /*long_tick=*/true, local_rate, decision.ctx, &action);
-        }
-        last_long_tick = now;
-        if (!workload_done || cluster.jobs_in_system() > 0) {
-          queue.schedule(now + t_long, EventType::kLongTick);
+          queue.schedule(now + (long_tick ? t_long : t_short), event->type);
         }
         break;
       }
       case EventType::kTelemetryDeliver:
-        cp.accept_telemetry(telemetry_in_flight.take(event->subject));
-        break;
       case EventType::kCommandDeliver:
-        apply_command(now, commands_in_flight.take(event->subject));
+      case EventType::kAckDeliver:
+      case EventType::kControllerFail:
+      case EventType::kControllerRecover:
+        loop.on_event(*event);
         break;
-      case EventType::kAckDeliver: {
-        const AckMsg ack = acks_in_flight.take(event->subject);
-        cp.on_ack(now, ack.kind, ack.gen);
-        break;
-      }
-      case EventType::kControllerFail: {
-        ++controller_down_depth;
-        double duration;
-        if (event->subject == kRandomOutage) {
-          duration = -cf.mttr_s * std::log(outage_rng.uniform01_open_left());
-        } else {
-          duration = cf.script[event->subject].duration_s;
-        }
-        queue.schedule(now + duration, EventType::kControllerRecover,
-                       event->subject);
-        trace_instant(trace, now, "control", "controller-fail");
-        break;
-      }
-      case EventType::kControllerRecover: {
-        GC_CHECK(controller_down_depth > 0, "recover without an outage");
-        --controller_down_depth;
-        if (controller_down_depth == 0) {
-          switch (cf.recovery) {
-            case ControllerRecoveryMode::kPreserve:
-              break;
-            case ControllerRecoveryMode::kWarmRestart: {
-              // Crash + restart from durable state: serialize, tear the
-              // facade down, rebuild it empty, restore.  The snapshot
-              // bit-identity contract (cp/snapshot.h) makes this a state
-              // transplant — the command stream must match kPreserve
-              // exactly, and tests/test_recovery holds it to that.
-              const std::string snap = cp.snapshot();
-              cp_box.emplace(controller, cp_options,
-                             Rng(control_seed, /*stream=*/14));
-              cp.restore(snap);
-              configure_lifecycle();
-              break;
-            }
-            case ControllerRecoveryMode::kColdRestart: {
-              // Durable state lost: restart from the pristine t = 0 image.
-              // The era must not regress with it — safe mode rejects
-              // commands from dead incarnations, and in a real deployment
-              // the incarnation number lives in a coordination service,
-              // not on the lost disk — so it is re-derived here.
-              const std::uint32_t prev_era = cp.era();
-              cp_box.emplace(controller, cp_options,
-                             Rng(control_seed, /*stream=*/14));
-              cp.restore(pristine_snapshot);
-              while (cp.era() < prev_era) cp.bump_era();
-              configure_lifecycle();
-              break;
-            }
-          }
-          // New incarnation: its commands outrank anything the dead one
-          // left in flight, and the watchdog starts from a clean slate.
-          cp.bump_era();
-          missed_short_ticks = 0;
-        }
-        if (event->subject == kRandomOutage && cf.mtbf_s > 0.0) {
-          const double ttf =
-              -cf.mtbf_s * std::log(outage_rng.uniform01_open_left());
-          queue.schedule(now + ttf, EventType::kControllerFail, kRandomOutage);
-        }
-        trace_instant(trace, now, "control", "controller-recover");
-        break;
-      }
       case EventType::kRecord: {
-        record_timeline(now);
+        loop.record_timeline(now, arrivals_in_record);
+        arrivals_in_record = 0;
         if (!workload_done || cluster.jobs_in_system() > 0) {
           queue.schedule(now + options.record_interval_s, EventType::kRecord);
         }
@@ -873,6 +298,7 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
       }
       case EventType::kWarmupEnd: {
         in_warmup = false;
+        loop.begin_measuring(now);
         serving_avg = TimeWeightedAccumulator(now);
         speed_avg = TimeWeightedAccumulator(now);
         jobs_avg = TimeWeightedAccumulator(now);
@@ -891,8 +317,6 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
         warmup_redispatched = cluster.jobs_redispatched();
         warmup_lost = cluster.jobs_lost();
         warmup_admitted = admitted_total;
-        warmup_ticks = ticks_total;
-        warmup_infeasible = infeasible_ticks;
         break;
       }
     }
@@ -914,8 +338,6 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
     warmup_redispatched = cluster.jobs_redispatched();
     warmup_lost = cluster.jobs_lost();
     warmup_admitted = admitted_total;
-    warmup_ticks = ticks_total;
-    warmup_infeasible = infeasible_ticks;
     measure_start = now;
   }
   const EnergyBreakdown total = cluster.energy();
@@ -940,12 +362,6 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   result.shed_ratio =
       offered > 0 ? static_cast<double>(result.shed_jobs) / static_cast<double>(offered)
                   : 0.0;
-  result.infeasible_ticks = infeasible_ticks - warmup_infeasible;
-  const std::uint64_t measured_ticks = ticks_total - warmup_ticks;
-  result.infeasible_ratio =
-      measured_ticks > 0 ? static_cast<double>(result.infeasible_ticks) /
-                               static_cast<double>(measured_ticks)
-                         : 0.0;
 
   result.response_hist = response_hist_post;
   if (options.warmup_s > 0.0) {
@@ -961,13 +377,6 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
     result.max_response_s = metrics.response().count() > 0 ? metrics.response().max() : 0.0;
     result.job_violation_ratio = metrics.job_violation_ratio();
   }
-  // Window violations from the recorded timeline (mean response per window
-  // vs the guarantee); without a timeline this stays 0.
-  for (const TimelinePoint& p : result.timeline) {
-    if (p.time <= measure_start) continue;
-    window_violations.add(p.window_mean_response_s > options.t_ref_s);
-  }
-  result.window_violation_ratio = window_violations.ratio();
 
   result.mean_power_w =
       result.sim_time_s > 0.0 ? result.energy.total_j() / result.sim_time_s : 0.0;
@@ -980,77 +389,7 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
           ? 1.0 - result.mean_available / static_cast<double>(cluster.num_servers())
           : 0.0;
 
-  // Whole-run totals (including warmup, unlike the deltas above) for the
-  // counters snapshot.  Registered at the end so the hot loop only touches
-  // the per-event counters above.
-  registry.counter("sim.jobs.completed").inc(metrics.completed());
-  registry.counter("sim.jobs.dropped").inc(cluster.jobs_dropped());
-  registry.counter("sim.jobs.redispatched").inc(cluster.jobs_redispatched());
-  registry.counter("sim.jobs.lost").inc(cluster.jobs_lost());
-  registry.counter("cluster.boots").inc(cluster.boots_started());
-  registry.counter("cluster.shutdowns").inc(cluster.shutdowns_started());
-  registry.counter("cluster.failures").inc(cluster.failures());
-  registry.counter("cluster.repairs").inc(cluster.repairs());
-  registry.counter("cluster.boot_timeouts").inc(cluster.boot_timeouts());
-  registry.counter("control.ticks").inc(ticks_total);
-  registry.counter("control.infeasible_ticks").inc(infeasible_ticks);
-  registry.gauge("sim.time_s").set(now);
-
-  // Control-plane degradation accounting.  Result fields are whole-run
-  // (the management path degrades during warmup too); counters are
-  // registered only when the respective subsystem was on, so disabled
-  // runs keep their historical counter set.
-  if (in_safe_mode) result.safe_mode_time_s += now - safe_mode_entered_at;
-  result.telemetry_dropped = channel.telemetry_counters().dropped;
-  result.commands_dropped = channel.command_counters().dropped;
-  result.acks_dropped = channel.ack_counters().dropped;
-  result.command_retries = cp.actuator().retries();
-  result.command_duplicates = cmd_duplicates;
-  result.commands_exhausted = cp.actuator().exhausted();
-  result.ticks_missed = ticks_missed_count;
-  if (chan_on) {
-    registry.counter("chan.telemetry.sent").inc(channel.telemetry_counters().sent);
-    registry.counter("chan.telemetry.dropped").inc(result.telemetry_dropped);
-    registry.counter("chan.telemetry.stale_discarded")
-        .inc(cp.telemetry_stale_discarded());
-    registry.counter("chan.command.sent").inc(channel.command_counters().sent);
-    registry.counter("chan.command.dropped").inc(result.commands_dropped);
-    registry.counter("chan.ack.sent").inc(channel.ack_counters().sent);
-    registry.counter("chan.ack.dropped").inc(result.acks_dropped);
-  }
-  if (cmd_path) {
-    registry.counter("act.retries").inc(cp.actuator().retries());
-    registry.counter("act.acked").inc(cp.actuator().acked());
-    registry.counter("act.stale_acks").inc(cp.actuator().stale_acks());
-    registry.counter("act.exhausted").inc(cp.actuator().exhausted());
-    registry.counter("act.duplicates").inc(cmd_duplicates);
-    registry.counter("act.rejected_era").inc(cmd_rejected_era);
-  }
-  if (cf.enabled()) {
-    registry.counter("control.ticks_missed").inc(ticks_missed_count);
-    registry.counter("control.safe_mode_entries").inc(result.safe_mode_entries);
-  }
-  if (options.audit != nullptr) {
-    registry.counter("obs.audit.records").inc(options.audit->size());
-  }
-  if (trace != nullptr) {
-    // These differ between tracing on and off by construction; determinism
-    // comparisons must skip the "obs." namespace (tests/test_obs_determinism).
-    registry.counter("obs.trace.emitted").inc(trace->emitted());
-    registry.counter("obs.trace.dropped").inc(trace->dropped());
-  }
-  if (ts != nullptr) {
-    registry.counter("obs.timeseries.periods").inc(ts->periods());
-    registry.counter("obs.timeseries.rows").inc(ts->size());
-  }
-
-  // Reliability readout.  The fleet.* transition counters are registered
-  // unconditionally so wear stays observable with the reliability policy
-  // off (they duplicate cluster.boots/cluster.shutdowns under the names
-  // the wear tooling gates on); the wear/availability gauges appear only
-  // when the model or a reliability-aware policy was active.
-  registry.counter("fleet.boot_count").inc(cluster.boots_started());
-  registry.counter("fleet.shutdown_count").inc(cluster.shutdowns_started());
+  // Per-server wear from the transition counters.
   const auto server_boots = cluster.server_boots();
   const auto server_shutdowns = cluster.server_shutdowns();
   result.server_cycles.resize(server_boots.size());
@@ -1065,46 +404,21 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   }
   result.wear_fraction_mean =
       server_boots.empty() ? 0.0 : wear_sum / static_cast<double>(server_boots.size());
-  if (reliab_plan_ticks > 0) {
-    result.availability_estimate =
-        reliab_avail_sum / static_cast<double>(reliab_plan_ticks);
-    result.mean_solved_spares =
-        reliab_spares_sum / static_cast<double>(reliab_plan_ticks);
-  }
-  if (options.reliability.enabled() || reliab_plan_ticks > 0) {
-    registry.gauge("fleet.wear_fraction_mean").set(result.wear_fraction_mean);
-    registry.gauge("fleet.wear_fraction_max").set(result.wear_fraction_max);
-    // Ground-truth availability over the measured horizon, alongside the
-    // closed-form estimate the controller planned with.
-    registry.gauge("fleet.availability_observed").set(1.0 - result.unavailability);
-    if (reliab_plan_ticks > 0) {
-      registry.gauge("reliability.availability_estimate")
-          .set(result.availability_estimate);
-      registry.gauge("reliability.solved_spares_mean")
-          .set(result.mean_solved_spares);
-    }
-  }
-  result.counters = registry.snapshot();
-  // Close every still-open lifecycle record and export the per-stage
-  // latency histograms + per-command timelines.  Like response_hist, these
-  // are purely observational and excluded from the determinism checksums.
-  cp.lifecycle().finalize_all(now);
-  result.lifecycle_ack_hist = cp.lifecycle().ack_latency();
-  result.lifecycle_apply_hist = cp.lifecycle().apply_latency();
-  result.lifecycle_e2e_hist = cp.lifecycle().e2e_latency();
-  result.lifecycle_obs_age_hist = cp.lifecycle().obs_age();
-  result.command_lifecycles = cp.lifecycle().records();
-  // The facade keeps its own cp.* instruments (it has no registry — the
-  // other drivers surface them through gcreplay); merge them so a sim run
-  // exposes the same namespace.  Goldens exclude counters, so this is
-  // observational.
-  const CountersSnapshot cp_snap = cp.counters_snapshot();
-  for (const auto& [name, value] : cp_snap.counters) {
-    result.counters.add_counter(name, value);
-  }
-  for (const auto& [name, value] : cp_snap.gauges) {
-    result.counters.add_gauge(name, value);
-  }
+
+  // Whole-run totals (including warmup, unlike the deltas above) for the
+  // counters snapshot.  Registered at the end so the hot loop only touches
+  // the per-event counters above.
+  registry.counter("sim.jobs.completed").inc(metrics.completed());
+  registry.counter("sim.jobs.dropped").inc(cluster.jobs_dropped());
+  registry.counter("sim.jobs.redispatched").inc(cluster.jobs_redispatched());
+  registry.counter("sim.jobs.lost").inc(cluster.jobs_lost());
+  registry.counter("cluster.boots").inc(cluster.boots_started());
+  registry.counter("cluster.shutdowns").inc(cluster.shutdowns_started());
+  registry.counter("cluster.failures").inc(cluster.failures());
+  registry.counter("cluster.repairs").inc(cluster.repairs());
+  registry.counter("cluster.boot_timeouts").inc(cluster.boot_timeouts());
+  registry.gauge("sim.time_s").set(now);
+  loop.finish(now, registry, result);
   return result;
 }
 

@@ -22,6 +22,10 @@
 //                       drops the fleet into a safe static fallback
 //                       (all-on, nominal frequency) when it trips.
 //
+// Ticks, deliveries, outage edges and record points are forwarded to the
+// control loop both engines share (sim/control_loop.h); this loop owns the
+// arrivals, departures, server transitions and faults.
+//
 // The run ends when the workload is exhausted AND all jobs have departed,
 // or at `hard_stop_s` if configured (overload protection).
 #pragma once

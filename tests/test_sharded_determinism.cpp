@@ -17,6 +17,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -140,8 +141,8 @@ struct ShardedRun {
 
 // The fig8-style degraded configuration: scripted + background faults,
 // boot hangs, admission control and a lossy, latent control channel with
-// the ack/retry actuator.  (No controller outages — those are
-// sequential-only and rejected by the sharded engine.)
+// the ack/retry actuator.  (No controller outages; make_outage_run adds
+// them.)
 ShardedRun make_degraded_run() {
   ShardedRun r;
   r.extra.faults.script = {{600.0, 0, 900.0},
@@ -407,6 +408,24 @@ std::uint64_t conservation_gap(const CountersSnapshot& c) {
   return c.counter_or("sim.events.arrival", 0) - accounted;
 }
 
+// The sequential engine on the same cluster, controller and options as a
+// ShardedRun (its own workload stream, so the numbers differ).
+SimResult run_sequential_twin(const ShardedRun& spec) {
+  Workload workload = spec.scenario.make_workload(spec.config, spec.workload_seed);
+  const Provisioner solver(spec.config);
+  const auto controller = make_policy(PolicyKind::kCombinedDcp, &solver, spec.popts);
+  ClusterOptions cluster;
+  cluster.num_servers = spec.config.max_servers;
+  cluster.power = spec.config.power;
+  cluster.transition = spec.config.transition;
+  cluster.initial_active = spec.config.max_servers;
+  cluster.dispatch_seed = 4242;
+  SimulationOptions sim = spec.extra;
+  sim.t_ref_s = spec.config.t_ref_s;
+  sim.warmup_s = spec.popts.dcp.long_period_s;
+  return run_simulation(workload, cluster, *controller, sim);
+}
+
 TEST(ShardedDeterminism, JobsAreConservedWithWarmupInBothEngines) {
   const ShardedRun spec = make_degraded_run();
   ASSERT_GT(spec.popts.dcp.long_period_s, 0.0);  // run() warms up one long period
@@ -421,22 +440,82 @@ TEST(ShardedDeterminism, JobsAreConservedWithWarmupInBothEngines) {
         << "the warmup's completions are outside SimResult";
   }
 
-  Workload workload = spec.scenario.make_workload(spec.config, spec.workload_seed);
-  const Provisioner solver(spec.config);
-  const auto controller = make_policy(PolicyKind::kCombinedDcp, &solver, spec.popts);
-  ClusterOptions cluster;
-  cluster.num_servers = spec.config.max_servers;
-  cluster.power = spec.config.power;
-  cluster.transition = spec.config.transition;
-  cluster.initial_active = spec.config.max_servers;
-  cluster.dispatch_seed = 4242;
-  SimulationOptions sim = spec.extra;
-  sim.t_ref_s = spec.config.t_ref_s;
-  sim.warmup_s = spec.popts.dcp.long_period_s;
-  const SimResult seq = run_simulation(workload, cluster, *controller, sim);
+  const SimResult seq = run_sequential_twin(spec);
   EXPECT_GT(seq.counters.counter_or("sim.events.arrival", 0), 0u);
   EXPECT_EQ(conservation_gap(seq.counters), 0u) << "sequential";
   EXPECT_LT(seq.completed_jobs, seq.counters.counter_or("sim.jobs.completed", 0));
+}
+
+// -- controller outages ------------------------------------------------------
+//
+// The degraded run plus a failing controller: a scripted outage long enough
+// to trip the watchdog into safe mode, and a random fail-stop process on
+// top.  Outages, safe mode and every recovery mode run in the shared control
+// loop on the orchestrator thread, so the run stays K-invariant.
+ShardedRun make_outage_run(ControllerRecoveryMode mode) {
+  ShardedRun r = make_degraded_run();
+  r.extra.controller_faults.script = {{600.0, 120.0}, {1500.0, 60.0}};
+  r.extra.controller_faults.mtbf_s = 700.0;
+  r.extra.controller_faults.mttr_s = 90.0;
+  r.extra.controller_faults.seed = 21;
+  r.extra.controller_faults.safe_mode = true;
+  r.extra.controller_faults.recovery = mode;
+  return r;
+}
+
+TEST(ShardedDeterminism, ControllerOutagesAreShardCountInvariant) {
+  std::uint64_t preserve_sum = 0;
+  for (const ControllerRecoveryMode mode :
+       {ControllerRecoveryMode::kPreserve, ControllerRecoveryMode::kWarmRestart,
+        ControllerRecoveryMode::kColdRestart}) {
+    const ShardedRun spec = make_outage_run(mode);
+    const std::string tag = "outage" + std::to_string(static_cast<int>(mode));
+    const RunArtifacts base = run_with_sinks(spec, 1, tag);
+    EXPECT_GT(base.result.safe_mode_entries, 0u) << "mode " << static_cast<int>(mode);
+    EXPECT_GT(base.result.ticks_missed, 0u);
+    for (const unsigned k : {3u, 8u}) {
+      const RunArtifacts other = run_with_sinks(spec, k, tag);
+      EXPECT_EQ(base.sum, other.sum) << "checksum diverged at K=" << k;
+      EXPECT_EQ(layout_free(base.result.counters), layout_free(other.result.counters))
+          << "counters diverged at K=" << k;
+      EXPECT_EQ(base.audit_jsonl, other.audit_jsonl) << "audit diverged at K=" << k;
+      EXPECT_EQ(base.ts_csv, other.ts_csv) << "timeseries diverged at K=" << k;
+    }
+    // A warm restart is a state transplant: bit-identical to preserve.
+    if (mode == ControllerRecoveryMode::kPreserve) preserve_sum = base.sum;
+    if (mode == ControllerRecoveryMode::kWarmRestart) {
+      EXPECT_EQ(base.sum, preserve_sum);
+    }
+  }
+}
+
+// -- one metric namespace ----------------------------------------------------
+//
+// Both engines drive the same control loop, so a lossy run exports the same
+// chan.*, act.* and cp.* names from either engine.
+std::set<std::string> control_plane_names(const CountersSnapshot& c) {
+  std::set<std::string> names;
+  const auto keep = [&](const std::string& name) {
+    if (name.starts_with("chan.") || name.starts_with("act.") ||
+        name.starts_with("cp.")) {
+      names.insert(name);
+    }
+  };
+  for (const auto& entry : c.counters) keep(entry.first);
+  for (const auto& entry : c.gauges) keep(entry.first);
+  return names;
+}
+
+TEST(ShardedDeterminism, BothEnginesExportOneControlPlaneNamespace) {
+  const ShardedRun spec = make_degraded_run();
+  const std::set<std::string> sharded =
+      control_plane_names(spec.run(2, nullptr, nullptr).counters);
+  EXPECT_TRUE(sharded.contains("cp.ticks"));
+  EXPECT_TRUE(sharded.contains("cp.commands.issued"));
+  EXPECT_TRUE(sharded.contains("cp.telemetry.accepted"));
+  EXPECT_TRUE(sharded.contains("chan.telemetry.sent"));
+  EXPECT_TRUE(sharded.contains("act.retries"));
+  EXPECT_EQ(sharded, control_plane_names(run_sequential_twin(spec).counters));
 }
 
 // -- sequential engine stays untouched ---------------------------------------
