@@ -110,6 +110,8 @@ perf_smoke() {
          and (.solver_cache.hit_rate | . >= 0 and . <= 1)
          and (.sharded | length) == 12
          and (.sharded | all(.events_per_sec > 0 and .speedup > 0))
+         and .sharded_consolidated.events_per_sec > 0
+         and (.sharded_consolidated.imbalance | . >= 0)
          and .sharded_speedup_k4_m16384 > 0' \
     BENCH_core.json >/dev/null \
     || { echo "perf_smoke: BENCH_core.json malformed" >&2; exit 1; }
@@ -179,7 +181,15 @@ bench_compare() {
         cur: ($c.sharded | map(select(.shards == 1 and .servers == 16384))
                 | first.events_per_sec),
         base: ($b.sharded | map(select(.shards == 1 and .servers == 16384))
-                 | first.events_per_sec) }
+                 | first.events_per_sec) },
+      # Machine-independent: a fleet consolidated onto a 1/16 prefix must
+      # still spread its work over every shard.  Strided ownership keeps
+      # the imbalance near 0; contiguous ranges put the whole prefix on
+      # shard 0 (imbalance K-1 = 3).  An absolute bound, not a tolerance.
+      { what: "sharded_consolidated.imbalance (<= 0.5)",
+        ok: ($c.sharded_consolidated.imbalance <= 0.5),
+        cur: $c.sharded_consolidated.imbalance,
+        base: 0.5 }
     ]
     | map(select(.ok | not))
     | if length == 0 then "ok"
@@ -236,10 +246,15 @@ fig16_smoke() {
 # trace replay at K=4.  The full test suite is not repeated under TSan: it
 # is single-threaded, the ASan/UBSan lane already covers it, and TSan's
 # ~10x slowdown would dominate CI for zero additional thread coverage.
+# The lane builds without NDEBUG (RelWithDebInfo at -O1), so every
+# GC_DCHECK runs too — among them the check that the sharded engine's
+# dense power column matches a fold over the server meters bit for bit.
 tsan_lane() {
   local dir="build-ci-tsan"
   echo "==> [tsan] configure"
   cmake -B "${dir}" -S . -DGC_WERROR=ON -DGC_TSAN=ON \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g" \
         -DGC_BUILD_EXAMPLES=OFF -DGC_BUILD_TOOLS=OFF >/dev/null
   echo "==> [tsan] build"
   cmake --build "${dir}" -j "${JOBS}" \

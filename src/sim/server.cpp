@@ -26,7 +26,7 @@ double Server::outstanding_work(double now) const {
     const double done = (now - progress_anchor_) * effective_rate();
     work += std::max(current_->remaining - done, 0.0);
   }
-  for (const Job& j : queue_) work += j.remaining;
+  for (std::size_t i = head_; i < queue_.size(); ++i) work += queue_[i].remaining;
   return work;
 }
 
@@ -51,7 +51,7 @@ void Server::set_draining(double now, bool draining) {
 }
 
 void Server::begin_shutdown(double now) {
-  GC_CHECK(state_ == PowerState::kOn && draining_ && !busy() && queue_.empty(),
+  GC_CHECK(state_ == PowerState::kOn && draining_ && queue_length() == 0,
            "begin_shutdown: server must be ON, draining and empty");
   state_ = PowerState::kShuttingDown;
   draining_ = false;
@@ -73,13 +73,15 @@ std::vector<Job> Server::fail(double now) {
   // optimistic model; we keep the remaining-work the job actually had).
   sync_progress(now);
   std::vector<Job> orphans;
-  orphans.reserve(queue_.size() + (current_ ? 1 : 0));
+  orphans.reserve(queue_length());
   if (current_) {
     orphans.push_back(*current_);
     current_.reset();
   }
-  for (const Job& j : queue_) orphans.push_back(j);
+  orphans.insert(orphans.end(), queue_.begin() + static_cast<std::ptrdiff_t>(head_),
+                 queue_.end());
   queue_.clear();
+  head_ = 0;
   state_ = PowerState::kFailed;
   draining_ = false;
   meter_update(now);
@@ -102,10 +104,21 @@ void Server::sync_progress(double now) {
   progress_anchor_ = now;
 }
 
+Job Server::pop_front() {
+  Job job = queue_[head_++];
+  if (head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
+  } else if (head_ >= 64 && 2 * head_ >= queue_.size()) {
+    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  return job;
+}
+
 void Server::start_next(double now) {
-  GC_CHECK(!current_ && !queue_.empty(), "start_next: nothing to start");
-  current_ = queue_.front();
-  queue_.pop_front();
+  GC_CHECK(!current_ && head_ < queue_.size(), "start_next: nothing to start");
+  current_ = pop_front();
   current_->start_service_time = now;
   progress_anchor_ = now;
 }
@@ -117,8 +130,10 @@ std::optional<double> Server::enqueue(double now, const Job& job) {
     queue_.push_back(job);
     return std::nullopt;
   }
-  queue_.push_back(job);
-  start_next(now);
+  GC_DCHECK(head_ == queue_.size(), "enqueue: idle server with waiting jobs");
+  current_ = job;
+  current_->start_service_time = now;
+  progress_anchor_ = now;
   meter_update(now);  // idle -> busy
   return completion_eta(now);
 }
@@ -140,7 +155,7 @@ Server::Completion Server::complete_current(double now) {
   Completion result{*current_, std::nullopt};
   result.finished.remaining = 0.0;
   current_.reset();
-  if (!queue_.empty()) {
+  if (head_ < queue_.size()) {
     start_next(now);
     result.next_eta = completion_eta(now);
   }

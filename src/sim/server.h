@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -57,7 +56,7 @@ class Server {
   [[nodiscard]] double effective_rate() const noexcept { return speed_ * rate_scale_; }
   [[nodiscard]] bool busy() const noexcept { return current_.has_value(); }
   [[nodiscard]] std::size_t queue_length() const noexcept {
-    return queue_.size() + (current_ ? 1 : 0);
+    return (queue_.size() - head_) + (current_ ? 1 : 0);
   }
   // Remaining work (at s = 1) across the in-flight job and the queue,
   // with in-flight progress synced to `now`.
@@ -116,6 +115,8 @@ class Server {
   void sync_progress(double now);
   void start_next(double now);
   void meter_update(double now);
+  // Pops the FIFO head (requires a non-empty queue).
+  [[nodiscard]] Job pop_front();
 
   std::uint32_t index_;
   const PowerModel* power_;  // non-owning
@@ -124,7 +125,15 @@ class Server {
   double speed_;
   double rate_scale_;
   std::optional<Job> current_;
-  std::deque<Job> queue_;
+  // Waiting jobs in FCFS order: queue_[head_, size) is the live FIFO.  A
+  // vector with a head index rather than a deque (libstdc++ allocates one
+  // per deque up front), so a server that never queues — every dark server
+  // of a consolidated fleet — owns no heap block.
+  // It is cleared when it drains and compacted once the consumed prefix
+  // is at least 64 jobs and half the vector, so each job is moved O(1)
+  // times amortized.
+  std::vector<Job> queue_;
+  std::size_t head_ = 0;
   double progress_anchor_ = 0.0;  // time at which current_->remaining was exact
   EnergyMeter meter_;
 };

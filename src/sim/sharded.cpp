@@ -16,21 +16,29 @@
 //   1. per-*server* RNG streams derived from (seed, global index) — never
 //      per-shard or shared streams;
 //   2. the frozen window assignment: arrival i maps to rank i mod m over
-//      the serving set frozen at the window start, so every shard computes
-//      its share of a global round-robin without seeing the other shards;
+//      the serving set frozen at the window start; each shard holds its
+//      serving servers with their *global* ranks, so it walks its share of
+//      one global round-robin without seeing the other shards;
 //   3. canonical reductions: every floating-point aggregate is folded from
 //      per-server partials in ascending global-server-index order on the
 //      orchestrator thread (integer totals commute and merge freely).
+//
+// Ownership is strided (ShardLayout): shard k owns gi ≡ k (mod K).  DCP
+// commits a prefix [0, target) of the fleet, so contiguous ranges would put
+// a consolidated fleet's whole serving set on shard 0; strides spread any
+// prefix evenly over every shard (DESIGN.md §11.2).
 #include "sim/sharded.h"
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,6 +51,7 @@
 #include "stats/log_histogram.h"
 #include "stats/rng.h"
 #include "util/assert.h"
+#include "util/format.h"
 #include "util/index_bitset.h"
 
 namespace gc {
@@ -60,27 +69,6 @@ constexpr std::size_t kNumEventTypes =
 // sequential engine sheds from one global stream, which is inherently
 // order-dependent).
 constexpr std::uint64_t kAdmitSeedSalt = 0xad317755ULL;
-
-// Index of the first arrival in block b*m + [rank0, rank0 + width) at or
-// after `i`, where m is the frozen global serving count and [rank0,
-// rank0 + width) this shard's frozen rank range.  A shard's owned arrivals
-// form one contiguous run per m-aligned block, so iteration is O(owned),
-// not O(all arrivals).
-[[nodiscard]] std::size_t first_owned_at_or_after(std::size_t i, std::size_t m,
-                                                  std::size_t rank0,
-                                                  std::size_t width) {
-  const std::size_t block = i / m;
-  const std::size_t pos = i - block * m;
-  if (pos < rank0) return block * m + rank0;
-  if (pos < rank0 + width) return i;
-  return (block + 1) * m + rank0;
-}
-
-[[nodiscard]] std::size_t next_owned(std::size_t i, std::size_t m,
-                                     std::size_t rank0, std::size_t width) {
-  const std::size_t pos = i % m;
-  return pos + 1 == rank0 + width ? i + m - width + 1 : i + 1;
-}
 
 // Per-server metric partials.  Floating-point members are folded in
 // canonical global-index order at barriers/end-of-run; never summed into
@@ -110,8 +98,10 @@ struct SpeedCommand {
   double speed = 1.0;
 };
 
-// One shard: a contiguous global-server-index range with its own event
-// queue, servers, RNG streams, serving/live sets and accumulators.  All
+// One shard: the servers gi = li * K + k (li < count) with its own
+// event queue, servers, RNG streams, serving/live sets and accumulators.
+// Everything shard-side — the sets, the per-server vectors and the subject
+// of every shard-queue event — is keyed by the local index li.  All
 // methods run either on the shard's worker (between barriers) or on the
 // orchestrator thread (at barriers) — never both concurrently.
 //
@@ -121,10 +111,15 @@ struct SpeedCommand {
 // eager fan-out would have made, before its next transition and before
 // every energy flush.  Invariant: a dark server's meter equals what
 // replaying every logged command would give (DESIGN.md §11.2).
+//
+// Invariant: watts[li] == servers[li].instantaneous_power() bit for bit
+// after every mutation (DESIGN.md §11.5), so the power fold streams one
+// dense column instead of whole Server objects.
 struct Shard {
   // -- static configuration ------------------------------------------------
-  std::uint32_t first = 0;  // global index range [first, last)
-  std::uint32_t last = 0;
+  ShardLayout layout{1, 0};
+  std::uint32_t k = 0;      // owns gi ≡ k (mod K)
+  std::uint32_t count = 0;  // owned servers: layout.owned(k)
   PowerModel power_model{};  // shard-local copy: stable address for Servers
   TransitionModel transition_model{};
   const Distribution* job_size = nullptr;
@@ -137,6 +132,7 @@ struct Shard {
   // -- simulation state -----------------------------------------------------
   EventQueue queue;
   std::vector<Server> servers;
+  std::vector<double> watts;   // per server: instantaneous_power()
   std::vector<Rng> size_rng;   // per server
   std::vector<Rng> admit_rng;  // per server; sized only when admission is on
   std::vector<Rng> fault_rng;  // per server; sized only when faults are on
@@ -154,10 +150,13 @@ struct Shard {
   unsigned failed = 0;
   std::size_t jobs = 0;
 
-  // Frozen round-robin assignment for the current window (copy-on-dirty:
-  // refreshed at a barrier only when the serving set changed).
+  // Frozen round-robin assignment for the current window: the serving
+  // servers (local indices, ascending) and their global round-robin ranks.
+  // `frozen` is refreshed at a barrier only when the serving set changed;
+  // `rank` whenever any shard's did (the orchestrator's merge).
   bool serving_dirty = true;
   std::vector<std::uint32_t> frozen;
+  std::vector<std::uint32_t> rank;
 
   // Speed commands applied so far, and per server how many of them its
   // meter has seen (meaningful only while the server is dark).
@@ -165,7 +164,9 @@ struct Shard {
   std::vector<std::uint32_t> speed_seen;
 
   // Commanded control state, broadcast by the orchestrator at barriers.
-  unsigned target = 0;
+  // `target_split` is the owned part of the committed prefix [0, target):
+  // local indices li < target_split.
+  std::uint32_t target_split = 0;
   double commanded_speed = 1.0;
   double p_admit = 1.0;
   bool admission_on = false;
@@ -199,9 +200,8 @@ struct Shard {
   std::vector<std::uint32_t> window_touched;  // global indices, unsorted
   std::vector<std::uint32_t> record_touched;
 
-  [[nodiscard]] unsigned size() const noexcept { return last - first; }
-  [[nodiscard]] Server& server(std::uint32_t gi) noexcept {
-    return servers[gi - first];
+  [[nodiscard]] std::uint32_t global(std::uint32_t li) const noexcept {
+    return layout.global_of(k, li);
   }
   [[nodiscard]] unsigned serving_count() const noexcept {
     return static_cast<unsigned>(serving.size());
@@ -210,16 +210,21 @@ struct Shard {
     return serving_count() + booting;
   }
   [[nodiscard]] unsigned available_count() const noexcept {
-    return size() - failed;
+    return count - failed;
   }
 
-  // Advances server gi's lazy time-integrals to `now` using its *current*
+  // Re-reads server li's meter into the dense power column.
+  void refresh_watts(std::uint32_t li) {
+    watts[li] = servers[li].instantaneous_power();
+  }
+
+  // Advances server li's lazy time-integrals to `now` using its *current*
   // state; must run before any mutation of that state.
-  void sync_stats(double now, std::uint32_t gi) {
-    PerServerStats& ps = stats[gi - first];
+  void sync_stats(double now, std::uint32_t li) {
+    PerServerStats& ps = stats[li];
     const double dt = now - ps.anchor;
     if (dt <= 0.0) return;
-    const Server& s = servers[gi - first];
+    const Server& s = servers[li];
     ps.jobs_integral += dt * static_cast<double>(s.queue_length());
     if (s.serving()) ps.serving_integral += dt;
     if (!s.failed()) ps.available_integral += dt;
@@ -248,12 +253,11 @@ struct Shard {
   // and live sets in sync (the shard-side mirror of
   // Cluster::apply_transition).
   template <typename Fn>
-  void transition(double now, std::uint32_t gi, Fn&& mutate) {
-    const std::uint32_t li = gi - first;
+  void transition(double now, std::uint32_t li, Fn&& mutate) {
     Server& s = servers[li];
     const bool was_live = live.contains(li);
     if (!was_live) catch_up_speed(li);
-    sync_stats(now, gi);
+    sync_stats(now, li);
     const PowerState before = s.state();
     const bool was_serving = s.serving();
     mutate(s);
@@ -283,6 +287,7 @@ struct Shard {
         speed_seen[li] = static_cast<std::uint32_t>(speed_log.size());
       }
     }
+    refresh_watts(li);
   }
 
   [[nodiscard]] double sample_ttf(std::uint32_t li) {
@@ -292,73 +297,72 @@ struct Shard {
     return -faults->mttr_s * std::log(fault_rng[li].uniform01_open_left());
   }
 
-  void boot_server(double now, std::uint32_t gi) {
-    transition(now, gi, [&](Server& s) { s.start_boot(now); });
+  void boot_server(double now, std::uint32_t li) {
+    transition(now, li, [&](Server& s) { s.start_boot(now); });
     ++boots;
-    ++server_boots[gi - first];
-    Server& s = server(gi);
+    ++server_boots[li];
+    Server& s = servers[li];
     // Boot-hang draw from the server's own fault stream (the sequential
     // engine uses one shared stream; see DESIGN.md §11.1).  Drawn only when
     // the outcome can differ from a clean boot.
     if (faults != nullptr && faults->boot_hang_prob > 0.0 &&
-        fault_rng[gi - first].uniform01() < faults->boot_hang_prob) {
+        fault_rng[li].uniform01() < faults->boot_hang_prob) {
       s.pending_transition =
-          queue.schedule(now + boot_timeout_s, EventType::kBootTimeout, gi);
+          queue.schedule(now + boot_timeout_s, EventType::kBootTimeout, li);
     } else {
       s.pending_transition = queue.schedule(
-          now + transition_model.boot_delay_s, EventType::kBootComplete, gi);
+          now + transition_model.boot_delay_s, EventType::kBootComplete, li);
     }
   }
 
-  void start_drain(double now, std::uint32_t gi) {
-    transition(now, gi, [&](Server& s) { s.set_draining(now, true); });
-    maybe_begin_shutdown(now, gi);
+  void start_drain(double now, std::uint32_t li) {
+    transition(now, li, [&](Server& s) { s.set_draining(now, true); });
+    maybe_begin_shutdown(now, li);
   }
 
-  void maybe_begin_shutdown(double now, std::uint32_t gi) {
-    Server& s = server(gi);
+  void maybe_begin_shutdown(double now, std::uint32_t li) {
+    Server& s = servers[li];
     if (s.state() != PowerState::kOn || !s.draining() || s.queue_length() != 0) {
       return;
     }
-    transition(now, gi, [&](Server& sv) { sv.begin_shutdown(now); });
+    transition(now, li, [&](Server& sv) { sv.begin_shutdown(now); });
     ++shutdowns;
-    ++server_shutdowns[gi - first];
+    ++server_shutdowns[li];
     s.pending_transition = queue.schedule(
-        now + transition_model.shutdown_delay_s, EventType::kShutdownComplete, gi);
+        now + transition_model.shutdown_delay_s, EventType::kShutdownComplete, li);
   }
 
-  void on_boot_complete(double now, std::uint32_t gi) {
-    transition(now, gi, [&](Server& s) { s.finish_boot(now); });
-    server(gi).pending_transition = kInvalidEventId;
-    // The target may have moved below gi while this boot was in flight.
-    if (gi >= target) start_drain(now, gi);
+  void on_boot_complete(double now, std::uint32_t li) {
+    transition(now, li, [&](Server& s) { s.finish_boot(now); });
+    servers[li].pending_transition = kInvalidEventId;
+    // The target may have moved below this server while it booted.
+    if (li >= target_split) start_drain(now, li);
   }
 
-  void on_shutdown_complete(double now, std::uint32_t gi) {
-    transition(now, gi, [&](Server& s) { s.finish_shutdown(now); });
-    server(gi).pending_transition = kInvalidEventId;
-    if (gi < target) boot_server(now, gi);
+  void on_shutdown_complete(double now, std::uint32_t li) {
+    transition(now, li, [&](Server& s) { s.finish_shutdown(now); });
+    servers[li].pending_transition = kInvalidEventId;
+    if (li < target_split) boot_server(now, li);
   }
 
   // Fail-stop crash: cancel the server's pending events, orphan its jobs
   // (lost — the sharded model never re-dispatches across the frozen
   // assignment) and count the failure.
-  void crash(double now, std::uint32_t gi, bool from_boot_timeout) {
-    Server& s = server(gi);
+  void crash(double now, std::uint32_t li, bool from_boot_timeout) {
+    Server& s = servers[li];
     queue.cancel(s.pending_departure);
     s.pending_departure = kInvalidEventId;
     queue.cancel(s.pending_transition);
     s.pending_transition = kInvalidEventId;
     std::vector<Job> orphans;
-    transition(now, gi, [&](Server& sv) { orphans = sv.fail(now); });
+    transition(now, li, [&](Server& sv) { orphans = sv.fail(now); });
     jobs -= orphans.size();
     lost += orphans.size();
     ++failures;
     if (from_boot_timeout) ++boot_timeouts;
   }
 
-  void on_fail_event(double now, std::uint32_t gi) {
-    const std::uint32_t li = gi - first;
+  void on_fail_event(double now, std::uint32_t li) {
     // Scripted kServerFail events carry their exact scripted time; matched
     // FIFO per server against the background failure chain.
     bool scripted = false;
@@ -371,67 +375,66 @@ struct Shard {
     } else {
       background_armed[li] = 0;
     }
-    const PowerState st = server(gi).state();
+    const PowerState st = servers[li].state();
     const bool can_crash = st == PowerState::kBooting || st == PowerState::kOn ||
                            st == PowerState::kShuttingDown;
     if (scripted) {
       if (!can_crash) return;  // already OFF/FAILED: the script misses
-      crash(now, gi, /*from_boot_timeout=*/false);
+      crash(now, li, /*from_boot_timeout=*/false);
       if (std::isfinite(repair_after)) {
-        queue.schedule(now + repair_after, EventType::kServerRepair, gi);
+        queue.schedule(now + repair_after, EventType::kServerRepair, li);
       }
       return;
     }
     if (!can_crash) {
       // Unpowered when the clock fired: restart the background clock.
-      queue.schedule(now + sample_ttf(li), EventType::kServerFail, gi);
+      queue.schedule(now + sample_ttf(li), EventType::kServerFail, li);
       background_armed[li] = 1;
       return;
     }
-    crash(now, gi, /*from_boot_timeout=*/false);
-    queue.schedule(now + sample_ttr(li), EventType::kServerRepair, gi);
+    crash(now, li, /*from_boot_timeout=*/false);
+    queue.schedule(now + sample_ttr(li), EventType::kServerRepair, li);
   }
 
-  void on_repair_event(double now, std::uint32_t gi) {
-    Server& s = server(gi);
+  void on_repair_event(double now, std::uint32_t li) {
+    Server& s = servers[li];
     if (s.state() != PowerState::kFailed) return;
-    transition(now, gi, [&](Server& sv) { sv.finish_repair(now); });
+    transition(now, li, [&](Server& sv) { sv.finish_repair(now); });
     ++repairs;
-    const std::uint32_t li = gi - first;
     if (faults != nullptr && faults->mtbf_s > 0.0 && !background_armed[li]) {
-      queue.schedule(now + sample_ttf(li), EventType::kServerFail, gi);
+      queue.schedule(now + sample_ttf(li), EventType::kServerFail, li);
       background_armed[li] = 1;
     }
-    if (gi < target) boot_server(now, gi);
+    if (li < target_split) boot_server(now, li);
   }
 
-  void on_boot_timeout(double now, std::uint32_t gi) {
-    Server& s = server(gi);
+  void on_boot_timeout(double now, std::uint32_t li) {
+    Server& s = servers[li];
     if (s.state() != PowerState::kBooting) return;
     s.pending_transition = kInvalidEventId;  // this event
-    crash(now, gi, /*from_boot_timeout=*/true);
-    queue.schedule(now + sample_ttr(gi - first), EventType::kServerRepair, gi);
+    crash(now, li, /*from_boot_timeout=*/true);
+    queue.schedule(now + sample_ttr(li), EventType::kServerRepair, li);
   }
 
   // Reconciles towards the committed prefix [0, new_target) in ascending
-  // global-index order (deterministic): boots OFF servers below the
-  // target and revives draining ones, then drains the serving ones at or
-  // above it.  Cost O(target + drained), not O(shard size).
+  // index order (deterministic): boots OFF servers below the target and
+  // revives draining ones, then drains the serving ones at or above it.
+  // The owned part of the prefix is li < target_split.  Cost O(owned
+  // prefix + drained), not O(shard size).
   void reconcile(double now, unsigned new_target) {
-    target = new_target;
-    const std::uint32_t split = std::clamp<std::uint32_t>(target, first, last);
-    for (std::uint32_t gi = first; gi < split; ++gi) {
-      Server& s = server(gi);
+    target_split = layout.owned_below(k, new_target);
+    for (std::uint32_t li = 0; li < target_split; ++li) {
+      Server& s = servers[li];
       if (s.state() == PowerState::kOff) {
-        boot_server(now, gi);
+        boot_server(now, li);
       } else if (s.state() == PowerState::kOn && s.draining()) {
-        transition(now, gi, [&](Server& sv) { sv.set_draining(now, false); });
+        transition(now, li, [&](Server& sv) { sv.set_draining(now, false); });
       }
       // BOOTING / SHUTTING_DOWN / FAILED catch up from their completion
       // events; an ON serving server is already where it should be.
     }
-    serving.for_each_from(split - first, [&](std::size_t li) {
-      start_drain(now, first + static_cast<std::uint32_t>(li));
+    serving.for_each_from(target_split, [&](std::size_t li) {
+      start_drain(now, static_cast<std::uint32_t>(li));
     });
   }
 
@@ -442,23 +445,21 @@ struct Shard {
     if (speed == commanded_speed) return;
     commanded_speed = speed;
     speed_log.push_back(SpeedCommand{now, speed});
-    live.for_each([&](std::size_t li) {
+    live.for_each([&](std::size_t i) {
+      const auto li = static_cast<std::uint32_t>(i);
       Server& s = servers[li];
       const auto eta = s.set_speed(now, speed);
+      refresh_watts(li);
       if (eta) {
         queue.cancel(s.pending_departure);
-        s.pending_departure = queue.schedule(
-            *eta, EventType::kDeparture, first + static_cast<std::uint32_t>(li));
+        s.pending_departure = queue.schedule(*eta, EventType::kDeparture, li);
       }
     });
   }
 
-  void on_arrival(double now, std::size_t index, std::size_t window_m,
-                  std::size_t rank0) {
+  // Arrival `index` of the trace, assigned to frozen server li.
+  void on_arrival(double now, std::size_t index, std::uint32_t li) {
     ++events[static_cast<std::size_t>(EventType::kArrival)];
-    const std::uint32_t gi =
-        frozen[static_cast<std::size_t>(index % window_m) - rank0];
-    const std::uint32_t li = gi - first;
     if (admission_on && p_admit < 1.0) {
       // Shed draw from the assigned server's admission stream; drawn only
       // when the outcome is in doubt (p == 1 admits draw-free).
@@ -476,31 +477,35 @@ struct Shard {
       ++dropped;
       return;
     }
-    sync_stats(now, gi);
+    sync_stats(now, li);
     Job job;
     job.id = static_cast<std::uint64_t>(index);
     job.arrival_time = now;
     job.size = job.remaining = job_size->sample(size_rng[li]);
     ++jobs;
+    // The meter moves only when the server flips idle -> busy (an ETA).
     const auto eta = s.enqueue(now, job);
     if (eta) {
-      s.pending_departure = queue.schedule(*eta, EventType::kDeparture, gi);
+      refresh_watts(li);
+      s.pending_departure = queue.schedule(*eta, EventType::kDeparture, li);
     }
   }
 
-  void on_departure(double now, std::uint32_t gi) {
-    Server& s = server(gi);
-    sync_stats(now, gi);
+  void on_departure(double now, std::uint32_t li) {
+    Server& s = servers[li];
+    sync_stats(now, li);
     const auto completion = s.complete_current(now);
+    // ... and back only when it goes idle (no next job).
+    if (!completion.next_eta) refresh_watts(li);
     s.pending_departure =
         completion.next_eta
-            ? queue.schedule(*completion.next_eta, EventType::kDeparture, gi)
+            ? queue.schedule(*completion.next_eta, EventType::kDeparture, li)
             : kInvalidEventId;
     --jobs;
     ++completed;
     const double response = now - completion.finished.arrival_time;
     if (measuring) {
-      PerServerStats& ps = stats[gi - first];
+      PerServerStats& ps = stats[li];
       ++ps.completed;
       ps.response_sum += response;
       if (response > ps.response_max) ps.response_max = response;
@@ -510,17 +515,17 @@ struct Shard {
         window_hist.add(response);
         ++window_completed;
         if (response > t_ref_s) ++window_violations;
-        if (ps.window_count == 0) window_touched.push_back(gi);
+        if (ps.window_count == 0) window_touched.push_back(global(li));
         ps.window_sum += response;
         ++ps.window_count;
       }
       if (track_record) {
-        if (ps.record_count == 0) record_touched.push_back(gi);
+        if (ps.record_count == 0) record_touched.push_back(global(li));
         ps.record_sum += response;
         ++ps.record_count;
       }
     }
-    if (!completion.next_eta) maybe_begin_shutdown(now, gi);
+    if (!completion.next_eta) maybe_begin_shutdown(now, li);
   }
 
   void dispatch(const Event& event) {
@@ -547,14 +552,25 @@ struct Shard {
   // Advances the shard through one lookahead window: every queued event
   // with time <= barrier and every owned arrival in [lo, hi) — arrival
   // times are < barrier by construction.  A queue event at an arrival's
-  // exact time runs first.
+  // exact time runs first.  The owned arrivals are block * m + rank[j]
+  // for each m-aligned block and each frozen server j, so iteration is
+  // O(owned), not O(all arrivals).
   void advance_to(double barrier, const std::vector<double>& arrivals,
-                  std::size_t lo, std::size_t hi, std::size_t window_m,
-                  std::size_t rank0) {
+                  std::size_t lo, std::size_t hi, std::size_t window_m) {
     const std::size_t width = frozen.size();
     std::size_t next_arrival = hi;
+    std::size_t block = 0;
+    std::size_t j = 0;
     if (window_m > 0 && width > 0 && lo < hi) {
-      next_arrival = first_owned_at_or_after(lo, window_m, rank0, width);
+      block = lo / window_m;
+      j = static_cast<std::size_t>(
+          std::lower_bound(rank.begin(), rank.end(), lo - block * window_m) -
+          rank.begin());
+      if (j == width) {
+        ++block;
+        j = 0;
+      }
+      next_arrival = block * window_m + rank[j];
     }
     for (;;) {
       const double ta = next_arrival < hi ? arrivals[next_arrival] : kInfTime;
@@ -565,8 +581,12 @@ struct Shard {
         continue;
       }
       if (next_arrival < hi) {
-        on_arrival(arrivals[next_arrival], next_arrival, window_m, rank0);
-        next_arrival = next_owned(next_arrival, window_m, rank0, width);
+        on_arrival(arrivals[next_arrival], next_arrival, frozen[j]);
+        if (++j == width) {
+          ++block;
+          j = 0;
+        }
+        next_arrival = block * window_m + rank[j];
         continue;
       }
       break;
@@ -576,9 +596,8 @@ struct Shard {
   // Warmup barrier: flush and snapshot energy, zero the time-integrals, and
   // start recording response statistics.
   void begin_measuring(double now) {
-    for (std::uint32_t gi = first; gi < last; ++gi) {
-      sync_stats(now, gi);
-      const std::uint32_t li = gi - first;
+    for (std::uint32_t li = 0; li < count; ++li) {
+      sync_stats(now, li);
       flush_energy(now, li);
       const Server& s = servers[li];
       warm_energy[li] =
@@ -594,9 +613,9 @@ struct Shard {
   }
 
   void finalize(double now) {
-    for (std::uint32_t gi = first; gi < last; ++gi) {
-      sync_stats(now, gi);
-      flush_energy(now, gi - first);
+    for (std::uint32_t li = 0; li < count; ++li) {
+      sync_stats(now, li);
+      flush_energy(now, li);
     }
   }
 };
@@ -607,10 +626,10 @@ struct Shard {
 // ascending global-index order, so each reading is K-invariant.
 class ShardedFleet final : public FleetView {
  public:
-  ShardedFleet(std::vector<std::unique_ptr<Shard>>& shards, unsigned num_servers,
+  ShardedFleet(std::vector<std::unique_ptr<Shard>>& shards, const ShardLayout& layout,
                ThreadPool& pool, const WearModel& wear, double initial_speed)
       : shards_(shards),
-        num_servers_(num_servers),
+        layout_(layout),
         pool_(pool),
         wear_(wear),
         commanded_speed_(initial_speed) {}
@@ -636,7 +655,22 @@ class ShardedFleet final : public FleetView {
     return n;
   }
 
-  unsigned num_servers() const override { return num_servers_; }
+  // Visits every server as (shard, local index) in ascending global-index
+  // order — the canonical fold order.  Under strided ownership gi = li * K
+  // + k, so that is li-major, k-minor; the first M mod K shards own one
+  // server past the last full row.
+  template <typename Fn>
+  void for_each_canonical(Fn&& visit) const {
+    const std::uint32_t rows = layout_.num_servers / layout_.num_shards;
+    for (std::uint32_t li = 0; li < rows; ++li) {
+      for (const auto& s : shards_) visit(*s, li);
+    }
+    for (unsigned k = 0; k < layout_.num_servers % layout_.num_shards; ++k) {
+      visit(*shards_[k], rows);
+    }
+  }
+
+  unsigned num_servers() const override { return layout_.num_servers; }
   unsigned serving_count() const override {
     return static_cast<unsigned>(total([](const Shard& s) { return s.serving_count(); }));
   }
@@ -656,16 +690,23 @@ class ShardedFleet final : public FleetView {
   }
   double speed() const override { return commanded_speed_; }
   double power_w() const override {
-    // Shards are contiguous ascending ranges: this is the canonical fold.
     double watts = 0.0;
-    for (const auto& s : shards_) {
-      for (const Server& server : s->servers) watts += server.instantaneous_power();
-    }
+    for_each_canonical([&](const Shard& s, std::uint32_t li) { watts += s.watts[li]; });
+#ifndef NDEBUG
+    // The dense column must be bit-identical to reading every meter.
+    double metered = 0.0;
+    for_each_canonical([&](const Shard& s, std::uint32_t li) {
+      metered += s.servers[li].instantaneous_power();
+    });
+    GC_DCHECK(
+        std::bit_cast<std::uint64_t>(watts) == std::bit_cast<std::uint64_t>(metered),
+        "sharded: watts column diverged from the server meters");
+#endif
     return watts;
   }
 
   void set_target(double now, unsigned target) override {
-    const unsigned clamped = std::clamp(target, 1u, num_servers_);
+    const unsigned clamped = std::clamp(target, 1u, layout_.num_servers);
     parallel([&](std::size_t k) { shards_[k]->reconcile(now, clamped); });
   }
   void set_speed(double now, double speed) override {
@@ -745,31 +786,25 @@ class ShardedFleet final : public FleetView {
   double wear_fraction() const override {
     if (!wear_.enabled()) return 0.0;
     double wear_sum = 0.0;
-    for (const auto& s : shards_) {
-      for (std::uint32_t li = 0; li < s->size(); ++li) {
-        wear_sum += wear_.wear_fraction(s->server_boots[li], s->server_shutdowns[li]);
-      }
-    }
-    return wear_sum / static_cast<double>(num_servers_);
+    for_each_canonical([&](const Shard& s, std::uint32_t li) {
+      wear_sum += wear_.wear_fraction(s.server_boots[li], s.server_shutdowns[li]);
+    });
+    return wear_sum / static_cast<double>(layout_.num_servers);
   }
 
  private:
   // Visits the per-server stats of the servers in touched_ in ascending
-  // global-index order (the canonical fold order).  Shards are contiguous
-  // ascending ranges, so one cursor walks them alongside the sorted list.
+  // global-index order (the canonical fold order).
   template <typename Fn>
   void for_each_touched(Fn&& visit) {
     std::sort(touched_.begin(), touched_.end());
-    std::size_t k = 0;
     for (const std::uint32_t gi : touched_) {
-      while (gi >= shards_[k]->last) ++k;
-      Shard& s = *shards_[k];
-      visit(s.stats[gi - s.first]);
+      visit(shards_[layout_.shard_of(gi)]->stats[layout_.local_of(gi)]);
     }
   }
 
   std::vector<std::unique_ptr<Shard>>& shards_;
-  const unsigned num_servers_;
+  const ShardLayout layout_;
   ThreadPool& pool_;
   const WearModel& wear_;
   double commanded_speed_;
@@ -794,6 +829,14 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   options.admission.validate();
 
   const unsigned num_servers = cluster.num_servers;
+  // Same contract (and message) as the sequential FaultInjector.
+  for (const ScriptedFault& f : options.faults.script) {
+    if (f.server >= num_servers) {
+      throw std::invalid_argument(
+          format("FaultOptions: scripted fault targets server {} of {}", f.server,
+                 num_servers));
+    }
+  }
   const unsigned num_shards = std::min(sharded.num_shards, num_servers);
   if (sharded.profile != nullptr) {
     sharded.profile->shard_busy_s.assign(num_shards, 0.0);
@@ -816,111 +859,113 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
 
   const unsigned initial_active = std::min(cluster.initial_active, num_servers);
   // -- shard construction ---------------------------------------------------
-  // Contiguous ranges: the first (num_servers % K) shards get one extra.
-  const unsigned shard_base = num_servers / num_shards;
-  const unsigned shard_extra = num_servers % num_shards;
+  // Strided ownership (ShardLayout): shard k owns gi = li * K + k.
+  const ShardLayout layout{num_shards, num_servers};
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(num_shards);
-  {
-    std::uint32_t next_first = 0;
-    for (unsigned k = 0; k < num_shards; ++k) {
-      auto shard = std::make_unique<Shard>();
+  for (unsigned k = 0; k < num_shards; ++k) {
+    auto shard = std::make_unique<Shard>();
+    Shard& s = *shard;
+    s.layout = layout;
+    s.k = k;
+    s.count = layout.owned(k);
+    s.power_model = PowerModel(cluster.power);
+    s.transition_model = cluster.transition;
+    s.job_size = &job_size;
+    s.t_ref_s = options.t_ref_s;
+    s.track_window = options.timeseries != nullptr;
+    s.track_record = options.record_interval_s > 0.0;
+    s.target_split = layout.owned_below(k, initial_active);
+    s.commanded_speed = cluster.initial_speed;
+    s.admission_on = options.admission.enabled;
+    s.measuring = options.warmup_s <= 0.0;
+    if (options.expected_events_hint > 0) {
+      s.queue.reserve(options.expected_events_hint / num_shards + 1);
+    }
+    const unsigned count = s.count;
+    s.servers.reserve(count);
+    s.watts.reserve(count);
+    s.size_rng.reserve(count);
+    s.stats.resize(count);
+    s.warm_energy.resize(count);
+    s.serving.assign(count);
+    s.live.assign(count);
+    s.speed_seen.assign(count, 0);
+    s.server_boots.assign(count, 0);
+    s.server_shutdowns.assign(count, 0);
+    for (std::uint32_t li = 0; li < count; ++li) {
+      const std::uint32_t gi = s.global(li);
+      const bool initially_on = li < s.target_split;
+      s.servers.emplace_back(gi, &s.power_model, cluster.initial_speed,
+                             initially_on, 0.0);
+      s.watts.push_back(s.servers.back().instantaneous_power());
+      s.size_rng.emplace_back(workload_seed, gi);
+      if (initially_on) {
+        s.serving.insert(li);
+        s.live.insert(li);
+        ++s.powered;
+      }
+    }
+    if (options.admission.enabled) {
+      s.admit_rng.reserve(count);
+      for (std::uint32_t li = 0; li < count; ++li) {
+        s.admit_rng.emplace_back(workload_seed ^ kAdmitSeedSalt, s.global(li));
+      }
+    }
+    if (options.faults.enabled()) {
+      s.faults = &options.faults;
+      s.boot_timeout_s = options.faults.boot_timeout_s > 0.0
+                             ? options.faults.boot_timeout_s
+                             : 3.0 * cluster.transition.boot_delay_s;
+      s.fault_rng.reserve(count);
+      for (std::uint32_t li = 0; li < count; ++li) {
+        s.fault_rng.emplace_back(faults_seed, s.global(li));
+      }
+      s.scripted_times.resize(count);
+      s.scripted_repair.resize(count);
+      s.scripted_next.assign(count, 0);
+      s.background_armed.assign(count, 0);
+    }
+    shards.push_back(std::move(shard));
+  }
+  if (options.faults.enabled()) {
+    // Scripted faults route to the owning shard (in range: checked above).
+    for (const ScriptedFault& f : options.faults.script) {
+      Shard& s = *shards[layout.shard_of(f.server)];
+      const std::uint32_t li = layout.local_of(f.server);
+      s.scripted_times[li].push_back(f.time);
+      s.scripted_repair[li].push_back(f.repair_after_s);
+    }
+    for (const auto& shard : shards) {
       Shard& s = *shard;
-      s.first = next_first;
-      s.last = next_first + shard_base + (k < shard_extra ? 1 : 0);
-      next_first = s.last;
-      s.power_model = PowerModel(cluster.power);
-      s.transition_model = cluster.transition;
-      s.job_size = &job_size;
-      s.t_ref_s = options.t_ref_s;
-      s.track_window = options.timeseries != nullptr;
-      s.track_record = options.record_interval_s > 0.0;
-      s.target = initial_active;
-      s.commanded_speed = cluster.initial_speed;
-      s.admission_on = options.admission.enabled;
-      s.measuring = options.warmup_s <= 0.0;
-      if (options.expected_events_hint > 0) {
-        s.queue.reserve(options.expected_events_hint / num_shards + 1);
-      }
-      const unsigned count = s.size();
-      s.servers.reserve(count);
-      s.size_rng.reserve(count);
-      s.stats.resize(count);
-      s.warm_energy.resize(count);
-      s.serving.assign(count);
-      s.live.assign(count);
-      s.speed_seen.assign(count, 0);
-      s.server_boots.assign(count, 0);
-      s.server_shutdowns.assign(count, 0);
-      for (std::uint32_t gi = s.first; gi < s.last; ++gi) {
-        const bool initially_on = gi < initial_active;
-        s.servers.emplace_back(gi, &s.power_model, cluster.initial_speed,
-                               initially_on, 0.0);
-        s.size_rng.emplace_back(workload_seed, gi);
-        if (initially_on) {
-          s.serving.insert(gi - s.first);
-          s.live.insert(gi - s.first);
-          ++s.powered;
+      for (std::uint32_t li = 0; li < s.count; ++li) {
+        // Keep (time, repair) pairs sorted by time so the FIFO match at
+        // on_fail_event sees them in firing order.
+        auto& times = s.scripted_times[li];
+        auto& reps = s.scripted_repair[li];
+        std::vector<std::size_t> order(times.size());
+        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+        std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+          return times[a] < times[b];
+        });
+        std::vector<double> st(times.size()), sr(times.size());
+        for (std::size_t i = 0; i < order.size(); ++i) {
+          st[i] = times[order[i]];
+          sr[i] = reps[order[i]];
+        }
+        times = std::move(st);
+        reps = std::move(sr);
+        for (const double t : times) s.queue.schedule(t, EventType::kServerFail, li);
+        if (options.faults.mtbf_s > 0.0) {
+          s.queue.schedule(s.sample_ttf(li), EventType::kServerFail, li);
+          s.background_armed[li] = 1;
         }
       }
-      if (options.admission.enabled) {
-        s.admit_rng.reserve(count);
-        for (std::uint32_t gi = s.first; gi < s.last; ++gi) {
-          s.admit_rng.emplace_back(workload_seed ^ kAdmitSeedSalt, gi);
-        }
-      }
-      if (options.faults.enabled()) {
-        s.faults = &options.faults;
-        s.boot_timeout_s = options.faults.boot_timeout_s > 0.0
-                               ? options.faults.boot_timeout_s
-                               : 3.0 * cluster.transition.boot_delay_s;
-        s.fault_rng.reserve(count);
-        for (std::uint32_t gi = s.first; gi < s.last; ++gi) {
-          s.fault_rng.emplace_back(faults_seed, gi);
-        }
-        s.scripted_times.resize(count);
-        s.scripted_repair.resize(count);
-        s.scripted_next.assign(count, 0);
-        s.background_armed.assign(count, 0);
-        for (const ScriptedFault& f : options.faults.script) {
-          if (f.server >= s.first && f.server < s.last) {
-            s.scripted_times[f.server - s.first].push_back(f.time);
-            s.scripted_repair[f.server - s.first].push_back(f.repair_after_s);
-          }
-        }
-        for (std::uint32_t li = 0; li < count; ++li) {
-          // Keep (time, repair) pairs sorted by time so the FIFO match at
-          // on_fail_event sees them in firing order.
-          auto& times = s.scripted_times[li];
-          auto& reps = s.scripted_repair[li];
-          std::vector<std::size_t> order(times.size());
-          for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-          std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-            return times[a] < times[b];
-          });
-          std::vector<double> st(times.size()), sr(times.size());
-          for (std::size_t i = 0; i < order.size(); ++i) {
-            st[i] = times[order[i]];
-            sr[i] = reps[order[i]];
-          }
-          times = std::move(st);
-          reps = std::move(sr);
-          for (const double t : times) {
-            s.queue.schedule(t, EventType::kServerFail, s.first + li);
-          }
-          if (options.faults.mtbf_s > 0.0) {
-            s.queue.schedule(s.sample_ttf(li), EventType::kServerFail,
-                             s.first + li);
-            s.background_armed[li] = 1;
-          }
-        }
-      }
-      shards.push_back(std::move(shard));
     }
   }
 
   const WearModel wear(options.reliability);
-  ShardedFleet fleet(shards, num_servers, pool, wear, cluster.initial_speed);
+  ShardedFleet fleet(shards, layout, pool, wear, cluster.initial_speed);
 
   // -- orchestrator state ---------------------------------------------------
   // The orchestrator queue holds the ticks, record/warmup marks, and the
@@ -933,26 +978,47 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   double now = 0.0;
   std::size_t cursor = 0;  // arrivals consumed (times strictly < now)
   std::size_t window_m = 0;
-  std::vector<std::size_t> window_rank0(num_shards, 0);
+  std::vector<std::size_t> merge_pos(num_shards, 0);
+
+  // Refreshes the frozen assignment: each dirty shard re-lists its serving
+  // servers, then — if any did — one merge of the K ascending lists in
+  // global-index order (li-major, k-minor) hands out the global ranks.
+  auto freeze_serving_sets = [&] {
+    bool dirty = false;
+    for (const auto& sp : shards) {
+      Shard& s = *sp;
+      if (!s.serving_dirty) continue;
+      dirty = true;
+      s.frozen.clear();
+      s.frozen.reserve(s.serving.size());
+      s.serving.for_each(
+          [&](std::size_t li) { s.frozen.push_back(static_cast<std::uint32_t>(li)); });
+      s.rank.resize(s.frozen.size());
+      s.serving_dirty = false;
+    }
+    if (!dirty) return;
+    std::fill(merge_pos.begin(), merge_pos.end(), std::size_t{0});
+    std::uint32_t rank = 0;
+    for (;;) {
+      std::uint32_t row = std::numeric_limits<std::uint32_t>::max();
+      for (unsigned k = 0; k < num_shards; ++k) {
+        const Shard& s = *shards[k];
+        if (merge_pos[k] < s.frozen.size()) row = std::min(row, s.frozen[merge_pos[k]]);
+      }
+      if (row == std::numeric_limits<std::uint32_t>::max()) break;
+      for (unsigned k = 0; k < num_shards; ++k) {
+        Shard& s = *shards[k];
+        std::size_t& pos = merge_pos[k];
+        if (pos < s.frozen.size() && s.frozen[pos] == row) s.rank[pos++] = rank++;
+      }
+    }
+    window_m = rank;
+  };
 
   // Advances every shard to `barrier` behind a freshly frozen assignment.
   auto advance_barrier = [&](double barrier) {
     if (barrier <= now) return;
-    std::size_t rank = 0;
-    for (unsigned k = 0; k < num_shards; ++k) {
-      Shard& s = *shards[k];
-      if (s.serving_dirty) {
-        s.frozen.clear();
-        s.frozen.reserve(s.serving.size());
-        s.serving.for_each([&](std::size_t li) {
-          s.frozen.push_back(s.first + static_cast<std::uint32_t>(li));
-        });
-        s.serving_dirty = false;
-      }
-      window_rank0[k] = rank;
-      rank += s.frozen.size();
-    }
-    window_m = rank;
+    freeze_serving_sets();
     const std::size_t lo = cursor;
     const std::size_t hi = static_cast<std::size_t>(
         std::lower_bound(arrivals.begin() + static_cast<std::ptrdiff_t>(lo),
@@ -969,8 +1035,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       const auto wall0 = clock::now();
       fleet.parallel([&](std::size_t k) {
         const auto t0 = clock::now();
-        shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m,
-                              window_rank0[k]);
+        shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m);
         prof->shard_busy_s[k] +=
             std::chrono::duration<double>(clock::now() - t0).count();
       });
@@ -979,8 +1044,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       ++prof->barriers;
     } else {
       fleet.parallel([&](std::size_t k) {
-        shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m,
-                              window_rank0[k]);
+        shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m);
       });
     }
     cursor = hi;
@@ -1106,32 +1170,28 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   LogHistogram response_hist;
   result.server_cycles.resize(num_servers);
   double wear_sum = 0.0;
-  for (const auto& sp : shards) {
-    const Shard& s = *sp;
-    violations += s.violations;
-    response_hist.merge(s.response_hist);
-    for (std::uint32_t li = 0; li < s.size(); ++li) {
-      const PerServerStats& ps = s.stats[li];
-      completed += ps.completed;
-      response_sum += ps.response_sum;
-      if (ps.response_max > response_max) response_max = ps.response_max;
-      jobs_integral += ps.jobs_integral;
-      serving_integral += ps.serving_integral;
-      available_integral += ps.available_integral;
-      const EnergyMeter& meter = s.servers[li].meter();
-      energy.busy_j += meter.joules_busy() - s.warm_energy[li].busy_j;
-      energy.idle_j += meter.joules_idle() - s.warm_energy[li].idle_j;
-      energy.transition_j +=
-          meter.joules_transition() - s.warm_energy[li].transition_j;
-      energy.off_j += meter.joules_off() - s.warm_energy[li].off_j;
-      result.server_cycles[s.first + li] =
-          s.server_boots[li] + s.server_shutdowns[li];
-      const double frac =
-          wear.wear_fraction(s.server_boots[li], s.server_shutdowns[li]);
-      wear_sum += frac;
-      if (frac > result.wear_fraction_max) result.wear_fraction_max = frac;
-    }
+  for (const auto& s : shards) {
+    violations += s->violations;
+    response_hist.merge(s->response_hist);
   }
+  fleet.for_each_canonical([&](const Shard& s, std::uint32_t li) {
+    const PerServerStats& ps = s.stats[li];
+    completed += ps.completed;
+    response_sum += ps.response_sum;
+    if (ps.response_max > response_max) response_max = ps.response_max;
+    jobs_integral += ps.jobs_integral;
+    serving_integral += ps.serving_integral;
+    available_integral += ps.available_integral;
+    const EnergyMeter& meter = s.servers[li].meter();
+    energy.busy_j += meter.joules_busy() - s.warm_energy[li].busy_j;
+    energy.idle_j += meter.joules_idle() - s.warm_energy[li].idle_j;
+    energy.transition_j += meter.joules_transition() - s.warm_energy[li].transition_j;
+    energy.off_j += meter.joules_off() - s.warm_energy[li].off_j;
+    result.server_cycles[s.global(li)] = s.server_boots[li] + s.server_shutdowns[li];
+    const double frac = wear.wear_fraction(s.server_boots[li], s.server_shutdowns[li]);
+    wear_sum += frac;
+    if (frac > result.wear_fraction_max) result.wear_fraction_max = frac;
+  });
 
   const std::uint64_t lost_whole = fleet.total([](const Shard& s) { return s.lost; });
   const std::uint64_t failures_whole =

@@ -1,9 +1,10 @@
 // Sharded deterministic simulation core: conservative parallel DES
 // (DESIGN.md §11).
 //
-// The cluster is partitioned into K contiguous shards, each owning its own
-// EventQueue, Server vector, per-server RNG streams and per-server metric
-// accumulators, executed on a fixed thread pool.  Synchronization is
+// The cluster is partitioned into K strided shards (shard k owns the
+// servers gi ≡ k mod K; see ShardLayout), each owning its own EventQueue,
+// Server vector, per-server RNG streams and per-server metric accumulators,
+// executed on a fixed thread pool.  Synchronization is
 // conservative: the DCP structure gives a natural lookahead window — no
 // cross-shard interaction (provisioning commands, telemetry aggregation,
 // admission updates) happens between control-period barriers — so each
@@ -85,6 +86,33 @@ struct ShardProfile {
     if (shard_busy_s.empty() || total <= 0.0) return 0.0;
     const double mean = total / static_cast<double>(shard_busy_s.size());
     return mean > 0.0 ? busy_max_s() / mean - 1.0 : 0.0;
+  }
+};
+
+// Strided server ownership (DESIGN.md §11.2): shard k of K owns the
+// global indices gi ≡ k (mod K), at local index li = gi / K.  Any prefix
+// [0, n) of the fleet — which is what DCP commits — spreads over the shards
+// within one server of evenly.
+struct ShardLayout {
+  unsigned num_shards = 1;   // K (>= 1)
+  unsigned num_servers = 0;  // M
+
+  [[nodiscard]] unsigned shard_of(std::uint32_t gi) const noexcept {
+    return gi % num_shards;
+  }
+  [[nodiscard]] std::uint32_t local_of(std::uint32_t gi) const noexcept {
+    return gi / num_shards;
+  }
+  [[nodiscard]] std::uint32_t global_of(unsigned k, std::uint32_t li) const noexcept {
+    return li * num_shards + k;
+  }
+  // Servers of shard k with gi < bound: li < ceil((bound - k) / K).
+  [[nodiscard]] std::uint32_t owned_below(unsigned k, unsigned bound) const noexcept {
+    return bound > k ? (bound - k + num_shards - 1) / num_shards : 0;
+  }
+  // Servers shard k owns.
+  [[nodiscard]] std::uint32_t owned(unsigned k) const noexcept {
+    return owned_below(k, num_servers);
   }
 };
 

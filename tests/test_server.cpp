@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace gc {
 namespace {
 
@@ -94,6 +97,71 @@ TEST_F(ServerTest, OutstandingWorkTracksProgress) {
   EXPECT_DOUBLE_EQ(server.outstanding_work(0.0), 7.0);
   EXPECT_DOUBLE_EQ(server.outstanding_work(1.0), 6.0);
   EXPECT_DOUBLE_EQ(server.outstanding_work(4.0), 3.0);
+}
+
+// A long busy period that never drains: each completion admits one more
+// job, so the FIFO's consumed prefix keeps growing until it is compacted
+// (several times over 250 jobs).  Job sizes are dyadic, so every sum below
+// is exact.
+TEST_F(ServerTest, FifoStaysFcfsAcrossCompaction) {
+  Server server(0, &pm_, 1.0, true, 0.0);
+  const auto size_of = [](std::uint64_t id) {
+    return 0.25 * static_cast<double>(id % 7 + 1);
+  };
+  std::uint64_t next_id = 0;
+  double waiting_work = 0.0;  // work of the jobs behind the one in service
+  const auto admit = [&](double now) {
+    const double size = size_of(next_id);
+    const auto eta = server.enqueue(now, make_job(next_id, now, size));
+    if (next_id > 0) waiting_work += size;
+    ++next_id;
+    return eta;
+  };
+  ASSERT_TRUE(admit(0.0).has_value());  // job 0 goes straight into service
+  for (int i = 0; i < 9; ++i) EXPECT_FALSE(admit(0.0).has_value());
+  EXPECT_EQ(server.queue_length(), 10u);
+  EXPECT_DOUBLE_EQ(server.outstanding_work(0.0), size_of(0) + waiting_work);
+
+  double now = 0.0;
+  double eta = size_of(0);
+  std::uint64_t expect_id = 0;
+  for (; expect_id < 250; ++expect_id) {
+    now = eta;
+    const auto done = server.complete_current(now);
+    EXPECT_EQ(done.finished.id, expect_id) << "FCFS order broke";
+    ASSERT_TRUE(done.next_eta.has_value());  // the backlog never drains
+    eta = *done.next_eta;
+    const double in_service = size_of(expect_id + 1);
+    waiting_work -= in_service;
+    EXPECT_DOUBLE_EQ(eta, now + in_service);
+    EXPECT_FALSE(admit(now).has_value());
+    EXPECT_EQ(server.queue_length(), 10u);
+    EXPECT_DOUBLE_EQ(server.outstanding_work(now), in_service + waiting_work);
+  }
+
+  // Crash half-way through the job in service: the orphans come back in
+  // service order, the in-flight job first with its banked progress.
+  const double crash_at = now + 0.5 * (eta - now);
+  const std::vector<Job> orphans = server.fail(crash_at);
+  ASSERT_EQ(orphans.size(), 10u);
+  EXPECT_DOUBLE_EQ(orphans[0].remaining, 0.5 * size_of(expect_id));
+  for (std::size_t i = 0; i < orphans.size(); ++i) {
+    EXPECT_EQ(orphans[i].id, expect_id + i);
+  }
+  EXPECT_EQ(server.queue_length(), 0u);
+  EXPECT_DOUBLE_EQ(server.outstanding_work(crash_at), 0.0);
+
+  // The emptied FIFO serves again after repair and reboot.
+  server.finish_repair(crash_at + 1.0);
+  server.start_boot(crash_at + 1.0);
+  server.finish_boot(crash_at + 2.0);
+  ASSERT_TRUE(
+      server.enqueue(crash_at + 2.0, make_job(999, crash_at + 2.0, 1.0)).has_value());
+  EXPECT_FALSE(
+      server.enqueue(crash_at + 2.0, make_job(1000, crash_at + 2.0, 1.0)).has_value());
+  EXPECT_EQ(server.complete_current(crash_at + 3.0).finished.id, 999u);
+  EXPECT_EQ(server.complete_current(crash_at + 4.0).finished.id, 1000u);
+  EXPECT_EQ(server.queue_length(), 0u);
 }
 
 TEST_F(ServerTest, BootLifecycle) {

@@ -11,6 +11,7 @@
 // to prove the sharded work left run_simulation untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -516,6 +518,164 @@ TEST(ShardedDeterminism, BothEnginesExportOneControlPlaneNamespace) {
   EXPECT_TRUE(sharded.contains("chan.telemetry.sent"));
   EXPECT_TRUE(sharded.contains("act.retries"));
   EXPECT_EQ(sharded, control_plane_names(run_sequential_twin(spec).counters));
+}
+
+// -- strided ownership on a ragged fleet --------------------------------------
+//
+// Shard k owns gi ≡ k (mod K).  M = 37 is prime, so every K > 1 leaves
+// shards of unequal size, and the serving sets below have holes (crashed
+// servers) on different shards.  The frozen round-robin ranks are rebuilt
+// by merging the shards' serving lists, so this is where a merge bug would
+// show as a K-dependent assignment.
+constexpr unsigned kRaggedServers = 37;
+constexpr unsigned kRaggedShardCounts[] = {1, 2, 3, 5, 8};
+
+TEST(ShardedDeterminism, StridedLayoutMapsEveryServerToOneSlot) {
+  for (const unsigned num_shards : kRaggedShardCounts) {
+    const ShardLayout layout{num_shards, kRaggedServers};
+    std::vector<int> hits(kRaggedServers, 0);
+    unsigned owned_total = 0;
+    for (unsigned k = 0; k < num_shards; ++k) {
+      owned_total += layout.owned(k);
+      for (std::uint32_t li = 0; li < layout.owned(k); ++li) {
+        const std::uint32_t gi = layout.global_of(k, li);
+        ASSERT_LT(gi, kRaggedServers) << "K=" << num_shards;
+        ++hits[gi];
+        EXPECT_EQ(layout.shard_of(gi), k);
+        EXPECT_EQ(layout.local_of(gi), li);
+      }
+    }
+    EXPECT_EQ(owned_total, kRaggedServers) << "K=" << num_shards;
+    for (std::uint32_t gi = 0; gi < kRaggedServers; ++gi) {
+      EXPECT_EQ(hits[gi], 1) << "server " << gi << " at K=" << num_shards;
+    }
+    // Every committed prefix [0, bound) splits into owned prefixes.
+    for (unsigned bound = 0; bound <= kRaggedServers; ++bound) {
+      unsigned split_total = 0;
+      for (unsigned k = 0; k < num_shards; ++k) {
+        const std::uint32_t split = layout.owned_below(k, bound);
+        split_total += split;
+        if (split > 0) {
+          EXPECT_LT(layout.global_of(k, split - 1), bound);
+        }
+        if (split < layout.owned(k)) {
+          EXPECT_GE(layout.global_of(k, split), bound);
+        }
+      }
+      EXPECT_EQ(split_total, bound) << "K=" << num_shards;
+    }
+  }
+}
+
+// A fixed target path through the control loop: all on, consolidate to a
+// 3-server prefix, grow to 29, then shrink to 11.  Short ticks alternate
+// the speed, so dark servers lag the speed log.
+class TargetPathController final : public Controller {
+ public:
+  [[nodiscard]] double short_period_s() const override { return 5.0; }
+  [[nodiscard]] double long_period_s() const override { return 20.0; }
+  [[nodiscard]] ControlAction on_short_tick(const ControlContext& ctx) override {
+    ControlAction action;
+    action.speed = static_cast<long>(ctx.now / 5.0) % 3 == 0 ? 0.8 : 1.0;
+    return action;
+  }
+  [[nodiscard]] ControlAction on_long_tick(const ControlContext& ctx) override {
+    ControlAction action = on_short_tick(ctx);
+    action.active_target = ctx.now < 60.0    ? kRaggedServers
+                           : ctx.now < 160.0 ? 3u
+                           : ctx.now < 240.0 ? 29u
+                                             : 11u;
+    return action;
+  }
+  [[nodiscard]] const char* name() const override { return "target-path"; }
+};
+
+RunArtifacts run_ragged(unsigned num_shards) {
+  ClusterConfig config = bench_cluster_config();
+  config.max_servers = kRaggedServers;
+  // Gated power: a server's draw moves when it flips idle <-> busy, so the
+  // power column's refresh on those flips is exercised (and DCHECKed).
+  config.power.utilization_gated = true;
+  const PiecewiseLinearRate profile({{0.0, 20.0}, {320.0, 20.0}});
+  const Trace trace = Trace::from_profile(profile, 320.0, /*seed=*/41);
+  const Distribution job_size = Distribution::exponential(config.mu_max);
+  TargetPathController controller;
+  ClusterOptions cluster;
+  cluster.num_servers = kRaggedServers;
+  cluster.power = config.power;
+  cluster.transition = config.transition;
+  cluster.initial_active = kRaggedServers;
+  cluster.dispatch_seed = 606;
+  DecisionAuditLog audit;
+  TimeSeriesRecorder timeseries;
+  SimulationOptions sim;
+  sim.t_ref_s = config.t_ref_s;
+  sim.warmup_s = 20.0;
+  sim.record_interval_s = 10.0;
+  sim.audit = &audit;
+  sim.timeseries = &timeseries;
+  const double inf = std::numeric_limits<double>::infinity();
+  sim.faults.script = {{30.0, 36, 40.0},    // the ragged tail, all-on phase
+                       {90.0, 1, 30.0},     // holes in the 3-server prefix
+                       {100.0, 2, 200.0},
+                       {130.0, 0, 10.0},
+                       {200.0, 17, 20.0},   // holes in the grown prefix
+                       {200.0, 22, inf},
+                       {210.0, 28, 15.0}};
+  ShardedOptions sharded;
+  sharded.num_shards = num_shards;
+  RunArtifacts out;
+  out.result = run_sharded_simulation(trace, job_size, /*workload_seed=*/29, cluster,
+                                      controller, sim, sharded);
+  out.sum = checksum(out.result);
+  out.audit_jsonl = audit.to_jsonl();
+  out.ts_csv = csv_bytes(timeseries, "ragged_k" + std::to_string(num_shards));
+  return out;
+}
+
+TEST(ShardedDeterminism, RaggedFleetWithHolesIsShardCountInvariant) {
+  const RunArtifacts base = run_ragged(1);
+  // The run took the path it claims: consolidated to the small prefix,
+  // grew past 25, and crashed servers inside both prefixes.
+  unsigned min_serving = kRaggedServers;
+  unsigned max_after = 0;
+  for (const TimelinePoint& p : base.result.timeline) {
+    if (p.time > 60.0 && p.time < 160.0) min_serving = std::min(min_serving, p.serving);
+    if (p.time > 200.0 && p.time < 240.0) max_after = std::max(max_after, p.serving);
+  }
+  EXPECT_LE(min_serving, 2u);
+  EXPECT_GE(max_after, 25u);
+  EXPECT_GE(base.result.counters.counter_or("cluster.failures", 0), 6u);
+  EXPECT_GT(base.result.completed_jobs, 0u);
+  for (const unsigned k : kRaggedShardCounts) {
+    if (k == 1) continue;
+    const RunArtifacts other = run_ragged(k);
+    EXPECT_EQ(base.sum, other.sum) << "checksum diverged at K=" << k;
+    EXPECT_EQ(layout_free(base.result.counters), layout_free(other.result.counters))
+        << "counters diverged at K=" << k;
+    EXPECT_EQ(base.audit_jsonl, other.audit_jsonl) << "audit diverged at K=" << k;
+    EXPECT_EQ(base.ts_csv, other.ts_csv) << "timeseries diverged at K=" << k;
+  }
+}
+
+// A scripted fault naming a server outside the fleet is a configuration
+// error in both engines, with the same message.
+TEST(ShardedDeterminism, OutOfRangeScriptedFaultThrowsInBothEngines) {
+  ShardedRun spec;
+  spec.extra.faults.script = {{10.0, spec.config.max_servers, 5.0}};
+  const auto message_of = [](const auto& run) {
+    try {
+      (void)run();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  const std::string sharded = message_of([&] { return spec.run(2, nullptr, nullptr); });
+  const std::string sequential = message_of([&] { return run_sequential_twin(spec); });
+  EXPECT_NE(sharded.find("scripted fault targets server 16 of 16"), std::string::npos)
+      << sharded;
+  EXPECT_EQ(sharded, sequential);
 }
 
 // -- sequential engine stays untouched ---------------------------------------
