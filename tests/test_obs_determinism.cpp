@@ -9,11 +9,15 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <string_view>
 
 #include "control/policies.h"
+#include "cp/lifecycle.h"
 #include "exp/scenario.h"
 #include "obs/audit.h"
+#include "obs/prometheus.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
@@ -332,6 +336,80 @@ TEST(ObsDeterminism, LossyRunIsTimeSeriesIndependent) {
   const SimResult unrecorded = without.run(nullptr, nullptr);
   EXPECT_EQ(checksum(recorded), checksum(unrecorded));
   EXPECT_TRUE(counters_match_outside_obs(recorded.counters, unrecorded.counters));
+}
+
+// FNV-1a over the bytes of a rendered artifact.
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Byte-level pin of every rendered artifact.  The checksums above pin
+// SimResult only; this pins what --trace-out / --timeseries-out write: the
+// Chrome trace (a default ring, and a small ring that wraps), the audit
+// JSONL and CSV, the time series as CSV and JSON, the counters snapshot,
+// the command lifecycles and the Prometheus exposition.  The lossy stack
+// makes retransmits, drops and safe mode show up in the text.  A change to
+// any number writer that moves a byte fails here.
+TEST(ObsDeterminism, RenderedArtifactBytesArePinned) {
+  if constexpr (!kTracingCompiledIn) {
+    GTEST_SKIP() << "trace artifacts are empty with tracing compiled out";
+  }
+  GoldenRun golden = make_lossy_golden();
+  TraceCollector trace;
+  DecisionAuditLog audit;
+  TimeSeriesRecorder timeseries;
+  const SimResult r = golden.run(&trace, &audit, &timeseries);
+
+  GoldenRun wrapped_run = make_lossy_golden();
+  TraceOptions small;
+  small.capacity = 257;
+  TraceCollector wrapped(small);
+  (void)wrapped_run.run(&wrapped, nullptr);
+  ASSERT_GT(wrapped.dropped(), 0u);
+  ASSERT_FALSE(r.command_lifecycles.empty());
+
+  CountersSnapshot snap = r.counters;
+  snap.add_counter("obs.trace.records", trace.size());
+  snap.add_counter("obs.trace.dropped", trace.dropped());
+  std::ostringstream lifecycle;
+  write_lifecycle_jsonl(lifecycle, r.command_lifecycles);
+
+  struct Pin {
+    const char* what;
+    std::string text;
+    std::uint64_t hash;
+    std::size_t bytes;
+  };
+  const Pin pins[] = {
+      {"trace", trace.to_chrome_json(), 4239001005843072152ULL, 679774},
+      {"trace (wrapped ring)", wrapped.to_chrome_json(), 484027128091814379ULL, 30529},
+      {"audit jsonl", audit.to_jsonl(), 13031552830012359260ULL, 295114},
+      {"audit csv", to_csv_text(audit.to_csv_table()), 5755293311217953368ULL,
+       40993},
+      {"timeseries csv", to_csv_text(timeseries.to_csv_table()),
+       5827889155092280114ULL, 88595},
+      {"timeseries json", timeseries.to_json(), 5736761126467413099ULL, 127701},
+      {"counters json", snap.to_json(), 8903481156749187791ULL, 2983},
+      {"lifecycle jsonl", std::move(lifecycle).str(), 6951017864923093123ULL, 120019},
+      {"prometheus",
+       to_prometheus_text(r.counters,
+                          {{"response_time_seconds", &r.response_hist},
+                           {"cp.lifecycle.ack_latency_seconds", &r.lifecycle_ack_hist},
+                           {"cp.lifecycle.apply_latency_seconds", &r.lifecycle_apply_hist},
+                           {"cp.lifecycle.e2e_seconds", &r.lifecycle_e2e_hist},
+                           {"cp.lifecycle.obs_age_seconds", &r.lifecycle_obs_age_hist}}),
+       14137080547309991805ULL, 81707},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.what);
+    EXPECT_EQ(fnv1a(pin.text), pin.hash);
+    EXPECT_EQ(pin.text.size(), pin.bytes);
+  }
 }
 
 }  // namespace
