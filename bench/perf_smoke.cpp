@@ -27,28 +27,41 @@
 //                     commits.  Its shard imbalance is gated in CI: with
 //                     strided ownership every shard owns a slice of any
 //                     prefix (contiguous ranges would leave K-1 idle).
+//   * sinks_overhead — the fig8 combined-DCP replay with the trace, audit
+//                     and time-series sinks attached and every artifact
+//                     rendered to memory, over the same replay with the
+//                     sinks off (best of three each).  A ratio of two
+//                     timings on one machine, so CI gates it absolutely.
 //
 // Wall-clock numbers vary with the machine; the JSON is a trajectory, not
 // a pass/fail gate (CI only checks that the file is produced and sane,
 // and — on machines whose committed baseline demonstrates parallel
-// speedup — that the K=4 / M=16384 sharded speedup does not regress).
+// speedup — that the K=4 / M=16384 sharded speedup does not regress; the
+// machine-independent imbalance and sinks_overhead ratios are gated
+// absolutely).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "control/policies.h"
 #include "core/provisioner.h"
+#include "cp/lifecycle.h"
 #include "exp/scenario.h"
+#include "obs/audit.h"
+#include "obs/prometheus.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
 #include "sim/sharded.h"
 #include "sim/simulation.h"
 #include "stats/rng.h"
+#include "util/csv.h"
 #include "util/format.h"
 #include "workload/rate_profile.h"
 #include "workload/trace.h"
@@ -146,6 +159,25 @@ double solve_reliable_ns_per_call(const gc::Provisioner& solver, long iters) {
   return ns;
 }
 
+// fig8's arrivals: three compressed WC98-like days at 70% of the feasible
+// peak, synthesized from fixed seeds.
+gc::Trace fig8_trace(const gc::ClusterConfig& config) {
+  const double day_s = 2400.0;
+  const auto profile = gc::make_wc98_like_profile(
+      0.7 * config.max_feasible_arrival_rate(), /*days=*/3.0, /*seed=*/13, day_s);
+  return gc::Trace::from_profile(*profile, 3.0 * day_s, /*seed=*/13);
+}
+
+// fig8's fleet: every server of the config, all active at the start.
+gc::ClusterOptions fig8_cluster(const gc::ClusterConfig& config) {
+  gc::ClusterOptions cluster;
+  cluster.num_servers = config.max_servers;
+  cluster.power = config.power;
+  cluster.transition = config.transition;
+  cluster.initial_active = config.max_servers;
+  return cluster;
+}
+
 // The fig8 workload — three compressed WC98-like days — replayed under
 // combined DCP and then failure-aware DCP, both sharing ONE Provisioner.
 // Both runs see the identical arrival trace on the identical tick grid,
@@ -158,11 +190,7 @@ double solve_reliable_ns_per_call(const gc::Provisioner& solver, long iters) {
 // so nearly every query is a distinct key.)
 gc::SolverCacheStats trace_replay_cache_stats() {
   const gc::ClusterConfig config = gc::bench_cluster_config();
-  const double day_s = 2400.0;
-  const auto profile = gc::make_wc98_like_profile(
-      0.7 * config.max_feasible_arrival_rate(), /*days=*/3.0, /*seed=*/13, day_s);
-  const gc::Trace trace = gc::Trace::from_profile(*profile, 3.0 * day_s, /*seed=*/13);
-
+  const gc::Trace trace = fig8_trace(config);
   const gc::Provisioner solver(config);
   gc::PolicyOptions popts;
   popts.dcp = gc::bench_dcp_params();
@@ -172,11 +200,6 @@ gc::SolverCacheStats trace_replay_cache_stats() {
     gc::Workload workload = gc::Workload::trace_replay(
         trace, gc::Distribution::exponential(config.mu_max), /*seed=*/21);
     const auto controller = gc::make_policy(kind, &solver, popts);
-    gc::ClusterOptions cluster;
-    cluster.num_servers = config.max_servers;
-    cluster.power = config.power;
-    cluster.transition = config.transition;
-    cluster.initial_active = config.max_servers;
     gc::SimulationOptions sim;
     sim.t_ref_s = config.t_ref_s;
     sim.warmup_s = 2.0 * popts.dcp.long_period_s;
@@ -187,7 +210,7 @@ gc::SolverCacheStats trace_replay_cache_stats() {
     gc::TimeSeriesRecorder ts_sink;
     sim.trace = &trace_sink;
     sim.timeseries = &ts_sink;
-    (void)run_simulation(workload, cluster, *controller, sim);
+    (void)run_simulation(workload, fig8_cluster(config), *controller, sim);
   }
   return solver.cache_stats();
 }
@@ -313,6 +336,86 @@ ShardedCell sharded_consolidated() {
   return best;
 }
 
+// The fig8 combined-DCP replay (three compressed WC98-like days), timed
+// end to end.  With `with_sinks` it also attaches the trace, audit and
+// time-series sinks and renders every artifact --trace-out and
+// --timeseries-out write, to memory.  Returns the wall seconds.
+double fig8_replay_s(const gc::Trace& trace, bool with_sinks) {
+  const gc::ClusterConfig config = gc::bench_cluster_config();
+  const gc::Provisioner solver(config);
+  gc::PolicyOptions popts;
+  popts.dcp = gc::bench_dcp_params();
+  const auto controller = gc::make_policy(gc::PolicyKind::kCombinedDcp, &solver, popts);
+  gc::Workload workload = gc::Workload::trace_replay(
+      trace, gc::Distribution::exponential(config.mu_max), /*seed=*/21);
+  gc::SimulationOptions sim;
+  sim.t_ref_s = config.t_ref_s;
+  sim.warmup_s = 2.0 * popts.dcp.long_period_s;
+  sim.record_interval_s = 240.0;
+
+  struct Sinks {
+    gc::TraceCollector trace;
+    gc::DecisionAuditLog audit;
+    gc::TimeSeriesRecorder timeseries;
+  };
+  const auto start = Clock::now();
+  std::optional<Sinks> sinks;
+  if (with_sinks) {
+    sinks.emplace();
+    sim.trace = &sinks->trace;
+    sim.audit = &sinks->audit;
+    sim.timeseries = &sinks->timeseries;
+  }
+  const gc::SimResult r = run_simulation(workload, fig8_cluster(config), *controller, sim);
+  std::size_t bytes = 0;
+  if (sinks) {
+    bytes += sinks->trace.to_chrome_json().size();
+    bytes += sinks->audit.to_jsonl().size();
+    bytes += gc::to_csv_text(sinks->audit.to_csv_table()).size();
+    bytes += gc::to_csv_text(sinks->timeseries.to_csv_table()).size();
+    bytes += r.counters.to_json().size();
+    std::ostringstream lifecycle;
+    gc::write_lifecycle_jsonl(lifecycle, r.command_lifecycles);
+    bytes += lifecycle.str().size();
+    bytes += gc::to_prometheus_text(
+                 r.counters,
+                 {{"response_time_seconds", &r.response_hist},
+                  {"cp.lifecycle.ack_latency_seconds", &r.lifecycle_ack_hist},
+                  {"cp.lifecycle.apply_latency_seconds", &r.lifecycle_apply_hist},
+                  {"cp.lifecycle.e2e_seconds", &r.lifecycle_e2e_hist},
+                  {"cp.lifecycle.obs_age_seconds", &r.lifecycle_obs_age_hist}})
+                 .size();
+  }
+  const double elapsed = seconds_since(start);
+  if (with_sinks && bytes == 0) {
+    std::fprintf(stderr, "perf_smoke: sinks_overhead rendered no artifact bytes\n");
+    std::exit(1);
+  }
+  return elapsed;
+}
+
+struct SinksOverhead {
+  double off_s = 0.0;  // best of three, sinks off
+  double on_s = 0.0;   // best of three, sinks on + every artifact rendered
+  [[nodiscard]] double ratio() const { return on_s / off_s; }
+};
+
+// Off and on runs alternate so a drifting host load hits both sides; one
+// untimed pair first warms the allocator and the caches.
+SinksOverhead sinks_overhead() {
+  const gc::Trace trace = fig8_trace(gc::bench_cluster_config());
+  (void)fig8_replay_s(trace, false);
+  (void)fig8_replay_s(trace, true);
+  SinksOverhead best;
+  for (int rep = 0; rep < 3; ++rep) {
+    const double off = fig8_replay_s(trace, false);
+    const double on = fig8_replay_s(trace, true);
+    if (rep == 0 || off < best.off_s) best.off_s = off;
+    if (rep == 0 || on < best.on_s) best.on_s = on;
+  }
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -331,6 +434,7 @@ int main(int argc, char** argv) {
   const gc::SolverCacheStats replay = trace_replay_cache_stats();
   const std::vector<ShardedCell> grid = sharded_grid();
   const ShardedCell consolidated = sharded_consolidated();
+  const SinksOverhead sinks = sinks_overhead();
   double speedup_k4_m16384 = 0.0;
   for (const ShardedCell& cell : grid) {
     if (cell.shards == 4 && cell.servers == 16384) speedup_k4_m16384 = cell.speedup;
@@ -372,11 +476,14 @@ int main(int argc, char** argv) {
                "  \"sharded_consolidated\": {\"shards\": %u, \"servers\": %u, "
                "\"initial_active\": %u, \"events_per_sec\": %.6e, "
                "\"busy_fraction\": %.4f, \"imbalance\": %.4f},\n"
-               "  \"sharded_speedup_k4_m16384\": %.4f\n"
+               "  \"sharded_speedup_k4_m16384\": %.4f,\n"
+               "  \"sinks_overhead\": {\"sinks_off_s\": %.6f, \"sinks_on_s\": %.6f, "
+               "\"ratio\": %.4f}\n"
                "}\n",
                consolidated.shards, consolidated.servers, consolidated.servers / 16,
                consolidated.events_per_sec, consolidated.busy_fraction,
-               consolidated.imbalance, speedup_k4_m16384);
+               consolidated.imbalance, speedup_k4_m16384, sinks.off_s, sinks.on_s,
+               sinks.ratio());
   std::fclose(out);
 
   std::printf("event loop  : M=16 %.3e  M=256 %.3e  M=1024 %.3e ops/sec\n",
@@ -396,6 +503,8 @@ int main(int argc, char** argv) {
   std::printf("consolidated: K=%u M=%-6u %.3e ev/s  imbalance %.2f (1/16 prefix)\n",
               consolidated.shards, consolidated.servers, consolidated.events_per_sec,
               consolidated.imbalance);
+  std::printf("sinks       : fig8 replay %.3f s off, %.3f s on + rendered (%.2fx)\n",
+              sinks.off_s, sinks.on_s, sinks.ratio());
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

@@ -6,7 +6,8 @@
 # a sane BENCH_core.json (the persisted perf trajectory; gitignored), or if
 # it regresses against the committed ci/BENCH_baseline.json by more than
 # BENCH_TOLERANCE (default 0.15; hosted runners set it wider — the check is
-# one-sided, so a faster machine never fails it).
+# one-sided, so a faster machine never fails it).  It then runs the
+# perfbench smoke test (perfbench/test_smoke.py) at --quick size.
 # The sanitize mode also runs the ThreadSanitizer lane over the sharded
 # simulation core (see tsan_lane; `ci/check.sh tsan` runs just that lane).
 # The lint mode runs the cheap static checks (no build tree or
@@ -112,7 +113,10 @@ perf_smoke() {
          and (.sharded | all(.events_per_sec > 0 and .speedup > 0))
          and .sharded_consolidated.events_per_sec > 0
          and (.sharded_consolidated.imbalance | . >= 0)
-         and .sharded_speedup_k4_m16384 > 0' \
+         and .sharded_speedup_k4_m16384 > 0
+         and .sinks_overhead.sinks_off_s > 0
+         and .sinks_overhead.sinks_on_s > 0
+         and .sinks_overhead.ratio > 0' \
     BENCH_core.json >/dev/null \
     || { echo "perf_smoke: BENCH_core.json malformed" >&2; exit 1; }
   bench_compare
@@ -189,7 +193,15 @@ bench_compare() {
       { what: "sharded_consolidated.imbalance (<= 0.5)",
         ok: ($c.sharded_consolidated.imbalance <= 0.5),
         cur: $c.sharded_consolidated.imbalance,
-        base: 0.5 }
+        base: 0.5 },
+      # Machine-independent: the fig8 replay with every observability sink
+      # attached and every artifact rendered may cost at most 1.5x the
+      # same replay with the sinks off.  A ratio of two timings from one
+      # run, so an absolute bound, not a tolerance.
+      { what: "sinks_overhead.ratio (<= 1.5)",
+        ok: ($c.sinks_overhead.ratio <= 1.5),
+        cur: $c.sinks_overhead.ratio,
+        base: 1.5 }
     ]
     | map(select(.ok | not))
     | if length == 0 then "ok"
@@ -197,6 +209,16 @@ bench_compare() {
            | join("\n") + "\n" | halt_error(1)
       end' >/dev/null \
     || { echo "perf_smoke: benchmark regression beyond tolerance ${tol}" >&2; exit 1; }
+}
+
+# Smoke-tests the perfbench harness (BENCHMARK.json): every workload at
+# --quick size, untraced and traced, must pass its output checks and print
+# every declared metric.  Its Release build tree goes under the lane's
+# build directory, not the source tree.
+perfbench_smoke() {
+  local dir="$1"
+  echo "==> [${dir}] perfbench smoke"
+  CARGO_TARGET_DIR="$(pwd)/${dir}/perfbench-target" python3 perfbench/test_smoke.py
 }
 
 # Smoke-checks the --trace-out / --timeseries-out pipeline end to end: the
@@ -503,6 +525,7 @@ case "${MODE}" in
     perf_smoke build-ci-plain
     trace_out_smoke build-ci-plain
     fig16_smoke build-ci-plain
+    perfbench_smoke build-ci-plain
     ;;
   sanitize)
     run_config sanitize -DGREENCLUSTER_SANITIZE=ON
@@ -535,6 +558,7 @@ case "${MODE}" in
     perf_smoke build-ci-plain
     trace_out_smoke build-ci-plain
     fig16_smoke build-ci-plain
+    perfbench_smoke build-ci-plain
     run_config sanitize -DGREENCLUSTER_SANITIZE=ON
     tsan_lane
     soak_lane

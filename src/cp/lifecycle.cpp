@@ -1,21 +1,14 @@
 #include "cp/lifecycle.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <string>
 
 #include "obs/trace.h"
+#include "util/format.h"
 
 namespace gc {
 namespace {
-
-// %.17g round-trips doubles exactly, matching the audit/counters writers.
-std::string num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 const char* span_name(CommandKind kind) noexcept {
   return kind == CommandKind::kTarget ? "target" : "speed";
@@ -265,19 +258,40 @@ void LifecycleTracker::export_jsonl(std::ostream& os) const {
 
 void write_lifecycle_jsonl(std::ostream& os,
                            const std::vector<CommandLifecycle>& records) {
+  // Rendered into one buffer and written once; append_g is %.17g, which
+  // round-trips doubles exactly, matching the audit/counters writers.
+  std::string out;
+  out.reserve(records.size() * 256);  // a record renders to ~210 bytes
   for (const CommandLifecycle& rec : records) {
-    os << "{\"kind\":\"" << to_string(rec.kind) << "\",\"gen\":" << rec.gen
-       << ",\"id\":" << rec.id() << ",\"era\":" << rec.era
-       << ",\"value\":" << num(rec.value)
-       << ",\"issued_s\":" << num(rec.issued_s)
-       << ",\"obs_age_s\":" << num(rec.obs_age_s)
-       << ",\"retransmits\":" << rec.retransmits
-       << ",\"frame_drops\":" << rec.frame_drops
-       << ",\"last_sent_s\":" << num(rec.last_sent_s)
-       << ",\"acked_s\":" << num(rec.acked_s)
-       << ",\"applied_s\":" << num(rec.applied_s) << ",\"state\":\""
-       << to_string(rec.state) << "\"}\n";
+    out += "{\"kind\":\"";
+    out += to_string(rec.kind);
+    out += "\",\"gen\":";
+    append_u64(out, rec.gen);
+    out += ",\"id\":";
+    append_u64(out, rec.id());
+    out += ",\"era\":";
+    append_u64(out, rec.era);
+    out += ",\"value\":";
+    append_g(out, rec.value);
+    out += ",\"issued_s\":";
+    append_g(out, rec.issued_s);
+    out += ",\"obs_age_s\":";
+    append_g(out, rec.obs_age_s);
+    out += ",\"retransmits\":";
+    append_u64(out, rec.retransmits);
+    out += ",\"frame_drops\":";
+    append_u64(out, rec.frame_drops);
+    out += ",\"last_sent_s\":";
+    append_g(out, rec.last_sent_s);
+    out += ",\"acked_s\":";
+    append_g(out, rec.acked_s);
+    out += ",\"applied_s\":";
+    append_g(out, rec.applied_s);
+    out += ",\"state\":\"";
+    out += to_string(rec.state);
+    out += "\"}\n";
   }
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 void LifecycleTracker::counters_into(CountersSnapshot& snap) const {

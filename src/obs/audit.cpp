@@ -7,28 +7,34 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/format.h"
+
 namespace gc {
 namespace {
 
+void append_key(std::string& out, const char* key) {
+  out += '"';
+  out += key;
+  out += "\": ";
+}
+
 void append_kv(std::string& out, const char* key, double value, bool last = false) {
-  char buf[96];
+  append_key(out, key);
   // %.17g keeps doubles re-parse-exact; integers render without exponents.
-  std::snprintf(buf, sizeof buf, "\"%s\": %.17g%s", key, value, last ? "" : ", ");
-  out += buf;
+  append_g(out, value);
+  if (!last) out += ", ";
 }
 
 void append_kv(std::string& out, const char* key, std::uint64_t value,
                bool last = false) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "\"%s\": %llu%s", key,
-                static_cast<unsigned long long>(value), last ? "" : ", ");
-  out += buf;
+  append_key(out, key);
+  append_u64(out, value);
+  if (!last) out += ", ";
 }
 
 void append_kv(std::string& out, const char* key, bool value, bool last = false) {
-  out += '"';
-  out += key;
-  out += value ? "\": true" : "\": false";
+  append_key(out, key);
+  out += value ? "true" : "false";
   if (!last) out += ", ";
 }
 
@@ -36,7 +42,7 @@ void append_kv(std::string& out, const char* key, bool value, bool last = false)
 
 std::string DecisionAuditLog::to_jsonl() const {
   std::string out;
-  out.reserve(records_.size() * 256);
+  out.reserve(records_.size() * 768);  // a record renders to ~720 bytes
   for (const AuditRecord& r : records_) {
     out += '{';
     append_kv(out, "t", r.time_s);

@@ -1,9 +1,10 @@
 #include "obs/counters.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+
+#include "util/format.h"
 
 namespace gc {
 namespace {
@@ -128,10 +129,8 @@ std::string CountersSnapshot::to_json() const {
     out += first ? "\n    " : ",\n    ";
     first = false;
     append_json_string(out, name);
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(value));
     out += ": ";
-    out += buf;
+    append_u64(out, value);
   }
   out += first ? "},\n  \"gauges\": {" : "\n  },\n  \"gauges\": {";
   first = true;
@@ -139,11 +138,9 @@ std::string CountersSnapshot::to_json() const {
     out += first ? "\n    " : ",\n    ";
     first = false;
     append_json_string(out, name);
-    char buf[64];
-    // %.17g survives a strtod round trip bit-exactly for any finite double.
-    std::snprintf(buf, sizeof buf, "%.17g", value);
     out += ": ";
-    out += buf;
+    // %.17g survives a strtod round trip bit-exactly for any finite double.
+    append_g(out, value);
   }
   out += first ? "}\n}\n" : "\n  }\n}\n";
   return out;

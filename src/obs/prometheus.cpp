@@ -5,27 +5,12 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
+#include "util/format.h"
+
 namespace gc {
-
-namespace {
-
-void append_number(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_number(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-}  // namespace
 
 std::string prometheus_name(std::string_view name) {
   std::string out = "gc_";
@@ -45,14 +30,14 @@ std::string to_prometheus_text(
     const std::string metric = prometheus_name(name) + "_total";
     out += "# TYPE " + metric + " counter\n";
     out += metric + " ";
-    append_number(out, value);
+    append_u64(out, value);
     out += '\n';
   }
   for (const auto& [name, value] : snapshot.gauges) {
     const std::string metric = prometheus_name(name);
     out += "# TYPE " + metric + " gauge\n";
     out += metric + " ";
-    append_number(out, value);
+    append_g(out, value);
     out += '\n';
   }
   for (const auto& [name, hist] : histograms) {
@@ -65,20 +50,21 @@ std::string to_prometheus_text(
     std::uint64_t cumulative = hist->underflow();
     for (const auto& bucket : hist->nonzero_buckets()) {
       cumulative += bucket.count;
-      out += metric + "_bucket{le=\"";
-      append_number(out, bucket.upper);
+      out += metric;
+      out += "_bucket{le=\"";
+      append_g(out, bucket.upper);
       out += "\"} ";
-      append_number(out, cumulative);
+      append_u64(out, cumulative);
       out += '\n';
     }
     out += metric + "_bucket{le=\"+Inf\"} ";
-    append_number(out, hist->count());
+    append_u64(out, hist->count());
     out += '\n';
     out += metric + "_sum ";
-    append_number(out, hist->sum());
+    append_g(out, hist->sum());
     out += '\n';
     out += metric + "_count ";
-    append_number(out, hist->count());
+    append_u64(out, hist->count());
     out += '\n';
   }
   return out;

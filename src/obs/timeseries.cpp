@@ -1,7 +1,8 @@
 #include "obs/timeseries.h"
 
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/format.h"
 
 namespace gc {
 
@@ -48,12 +49,6 @@ MergeKind merge_kind(std::size_t col) {
     default:
       return MergeKind::kLast;
   }
-}
-
-void append_json_number(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -304,11 +299,14 @@ void TimeSeriesRecorder::write_csv(const std::filesystem::path& path) const {
 }
 
 std::string TimeSeriesRecorder::to_json() const {
-  const CsvTable table = to_csv_table();
+  // Straight from the column store (plus the pending partial row, as
+  // to_csv_table() emits it): no intermediate table.
+  const bool pending = pending_count_ > 0;
   std::string out = "{\"stride\": ";
-  append_json_number(out, static_cast<double>(stride_));
+  out.reserve(64 + kNumColumns * (32 + 24 * (num_rows_ + 1)));
+  append_u64(out, stride_);
   out += ", \"periods\": ";
-  append_json_number(out, static_cast<double>(periods_));
+  append_u64(out, periods_);
   out += ", \"columns\": {";
   const auto& names = column_names();
   for (std::size_t col = 0; col < kNumColumns; ++col) {
@@ -316,9 +314,14 @@ std::string TimeSeriesRecorder::to_json() const {
     out += '"';
     out += names[col];
     out += "\": [";
-    for (std::size_t row = 0; row < table.rows.size(); ++row) {
+    const std::vector<double>& column = columns_[col];
+    for (std::size_t row = 0; row < num_rows_; ++row) {
       if (row != 0) out += ", ";
-      append_json_number(out, table.rows[row][col]);
+      append_g(out, column[row]);
+    }
+    if (pending) {
+      if (num_rows_ != 0) out += ", ";
+      append_g(out, pending_[col]);
     }
     out += ']';
   }

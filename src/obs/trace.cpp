@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/format.h"
+
 namespace gc {
 namespace {
 
@@ -19,25 +21,24 @@ void append_escaped(std::string& out, const char* s) {
   out += '"';
 }
 
-void append_number(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
 }  // namespace
 
-TraceCollector::TraceCollector(TraceOptions options) {
-  if (options.capacity == 0) {
+TraceCollector::TraceCollector(TraceOptions options) : capacity_(options.capacity) {
+  if (capacity_ == 0) {
     throw std::invalid_argument("TraceCollector: capacity must be > 0");
   }
-  ring_.resize(options.capacity);
+  // Reserved, not resized: the ring fills lazily, so a short run never
+  // touches (or zero-fills) the pages it does not use.
+  ring_.reserve(capacity_);
 }
 
 void TraceCollector::emit(const TraceRecord& record) noexcept {
-  ring_[head_] = record;
-  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-  if (size_ < ring_.size()) ++size_;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(record);  // within the reserved capacity: no allocation
+  } else {
+    ring_[head_] = record;
+  }
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
   ++emitted_;
 }
 
@@ -113,20 +114,23 @@ void TraceCollector::async_end(double ts_s, const char* cat, const char* name,
   emit(r);
 }
 
+std::size_t TraceCollector::oldest() const noexcept {
+  // head_ is the next write position, i.e. the oldest record once full.
+  return ring_.size() == capacity_ ? head_ : 0;
+}
+
 std::vector<TraceRecord> TraceCollector::records() const {
   std::vector<TraceRecord> out;
-  out.reserve(size_);
-  // Oldest record: head_ when the ring has wrapped, 0 otherwise.
-  const std::size_t start = size_ == ring_.size() ? head_ : 0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
+  out.reserve(ring_.size());
+  const std::size_t start = oldest();
+  out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(start), ring_.end());
+  out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(start));
   return out;
 }
 
 void TraceCollector::clear() noexcept {
+  ring_.clear();  // keeps the reserved capacity
   head_ = 0;
-  size_ = 0;
   emitted_ = 0;
 }
 
@@ -134,27 +138,29 @@ std::string TraceCollector::to_chrome_json() const {
   // Chrome's JSON object format: displayTimeUnit/metadata are optional but
   // make Perfetto label the axis in milliseconds of simulated time.
   std::string out = "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
-  const std::vector<TraceRecord> recs = records();
-  bool first = true;
-  for (const TraceRecord& r : recs) {
-    if (!first) out += ",\n";
-    first = false;
+  out.reserve(out.size() + 128 * ring_.size() + 8);  // a record renders to ~110 bytes
+  // Walk the ring in place, oldest first: [start, size) then [0, start).
+  const std::size_t start = oldest();
+  const std::size_t n = ring_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != 0) out += ",\n";
+    const TraceRecord& r = ring_[start + i < n ? start + i : start + i - n];
     out += "{\"pid\": 1, \"tid\": ";
-    append_number(out, static_cast<double>(r.tid));
+    append_u64(out, r.tid);
     out += ", \"ph\": \"";
     out += static_cast<char>(r.phase);
     out += "\", \"ts\": ";
-    append_number(out, r.ts_s * 1e6);  // simulation seconds -> microseconds
+    append_g(out, r.ts_s * 1e6);  // simulation seconds -> microseconds
     if (r.phase == TracePhase::kComplete) {
       out += ", \"dur\": ";
-      append_number(out, r.dur_s * 1e6);
+      append_g(out, r.dur_s * 1e6);
     }
     if (r.phase == TracePhase::kInstant) {
       out += ", \"s\": \"t\"";  // instant scope: thread
     }
     if (r.phase == TracePhase::kAsyncBegin || r.phase == TracePhase::kAsyncEnd) {
       out += ", \"id\": ";
-      append_number(out, static_cast<double>(r.id));
+      append_u64(out, r.id);
     }
     out += ", \"cat\": ";
     append_escaped(out, r.cat);
@@ -165,7 +171,7 @@ std::string TraceCollector::to_chrome_json() const {
       out += ", \"args\": {";
       append_escaped(out, r.arg_name[0]);
       out += ": ";
-      append_number(out, r.arg_value[0]);
+      append_g(out, r.arg_value[0]);
       out += '}';
     } else if (r.nargs > 0) {
       out += ", \"args\": {";
@@ -173,7 +179,7 @@ std::string TraceCollector::to_chrome_json() const {
         if (a > 0) out += ", ";
         append_escaped(out, r.arg_name[a]);
         out += ": ";
-        append_number(out, r.arg_value[a]);
+        append_g(out, r.arg_value[a]);
       }
       out += '}';
     }

@@ -7,7 +7,9 @@
 //   * Records are 64-byte PODs in a fixed-capacity ring buffer: emitting
 //     never allocates, and a long run keeps the most recent `capacity`
 //     records (overwrites are counted in `dropped()` so truncation is
-//     visible, never silent).
+//     visible, never silent).  The constructor reserves the ring and emit
+//     appends until it is full, then wraps, so a short run pays only for
+//     the records it emits; the exporter walks the ring in place.
 //   * Names and categories are `const char*` and must point to storage
 //     that outlives the collector — in practice string literals.  This
 //     keeps a record trivially copyable; the exporter never frees them.
@@ -66,8 +68,8 @@ class TraceCollector {
  public:
   explicit TraceCollector(TraceOptions options = {});
 
-  // Hot-path emit: copies the record into the ring, overwriting the oldest
-  // record when full.
+  // Hot-path emit: appends the record to the ring, or overwrites the oldest
+  // record once the ring is full.
   void emit(const TraceRecord& record) noexcept;
 
   // Convenience constructors for the common shapes.
@@ -80,13 +82,13 @@ class TraceCollector {
   void async_begin(double ts_s, const char* cat, const char* name, std::uint32_t id);
   void async_end(double ts_s, const char* cat, const char* name, std::uint32_t id);
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   // Total records emitted, including overwritten ones.
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
   // Records lost to ring overwrite (emitted - size while saturated).
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return emitted_ - static_cast<std::uint64_t>(size_);
+    return emitted_ - static_cast<std::uint64_t>(ring_.size());
   }
 
   // Records in emission order, oldest first.
@@ -100,9 +102,12 @@ class TraceCollector {
   void write_chrome_json(const std::filesystem::path& path) const;
 
  private:
-  std::vector<TraceRecord> ring_;
-  std::size_t head_ = 0;  // next write position
-  std::size_t size_ = 0;
+  // Ring index of the oldest record.
+  [[nodiscard]] std::size_t oldest() const noexcept;
+
+  std::size_t capacity_;
+  std::vector<TraceRecord> ring_;  // grows to capacity_, then wraps
+  std::size_t head_ = 0;           // next write position
   std::uint64_t emitted_ = 0;
 };
 

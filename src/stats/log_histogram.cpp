@@ -1,11 +1,13 @@
 #include "stats/log_histogram.h"
 
+#include <bit>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+
+#include "util/format.h"
 
 namespace gc {
 
@@ -26,6 +28,8 @@ void LogHistogramOptions::validate() const {
 
 LogHistogram::LogHistogram(LogHistogramOptions options) : options_(options) {
   options_.validate();
+  lowest_ = std::ldexp(1.0, options_.min_exponent);
+  saturation_ = std::ldexp(1.0, options_.max_exponent);
   counts_.assign(num_buckets(), 0);
   min_ = std::numeric_limits<double>::infinity();
   max_ = -std::numeric_limits<double>::infinity();
@@ -38,17 +42,21 @@ std::size_t LogHistogram::num_buckets() const noexcept {
 }
 
 std::size_t LogHistogram::bucket_index(double x) const noexcept {
-  int exp = 0;
-  const double mantissa = std::frexp(x, &exp);  // x = mantissa * 2^exp, m in [0.5, 1)
-  const int octave = exp - 1;                   // x in [2^octave, 2^(octave+1))
-  if (octave >= options_.max_exponent) return num_buckets() - 1;
-  const auto sub_buckets = std::size_t{1} << options_.sub_bucket_bits;
-  // Position of x inside its octave, in [0, 1); top bits pick the sub-bucket.
-  auto sub = static_cast<std::size_t>((2.0 * mantissa - 1.0) *
-                                      static_cast<double>(sub_buckets));
-  if (sub >= sub_buckets) sub = sub_buckets - 1;  // guard fp round-up at 1.0
+  if (x >= saturation_) return num_buckets() - 1;  // clamped, +inf included
+  // x >= 2^min_exponent >= 2^-64 is a normal double: x = (1 + f) * 2^e with
+  // the biased e in bits 52..62 and f's 52 bits below it.  The top
+  // sub_bucket_bits of f are floor(f * S), the sub-bucket.  Writing x as
+  // m * 2^(e+1) with m in [0.5, 1), that is floor((2m - 1) * S) exactly:
+  // the product is exact, so no rounding can move a value across a bucket
+  // edge.
+  constexpr unsigned kMantissaBits = 52;
+  constexpr int kExponentBias = 1023;
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const int octave = static_cast<int>(bits >> kMantissaBits) - kExponentBias;
+  const std::uint64_t sub_mask = (std::uint64_t{1} << options_.sub_bucket_bits) - 1;
+  const std::uint64_t sub = (bits >> (kMantissaBits - options_.sub_bucket_bits)) & sub_mask;
   const auto row = static_cast<std::size_t>(octave - options_.min_exponent);
-  return (row << options_.sub_bucket_bits) + sub;
+  return (row << options_.sub_bucket_bits) + static_cast<std::size_t>(sub);
 }
 
 double LogHistogram::bucket_lower(std::size_t index) const noexcept {
@@ -85,13 +93,12 @@ void LogHistogram::add(double x, std::uint64_t n) noexcept {
   sum_ += x * static_cast<double>(n);
   if (x < min_) min_ = x;
   if (x > max_) max_ = x;
-  if (x < std::ldexp(1.0, options_.min_exponent)) {
+  if (x < lowest_) {
     underflow_ += n;
     return;
   }
-  const std::size_t index = bucket_index(x);
-  if (x >= std::ldexp(1.0, options_.max_exponent)) saturated_ += n;
-  counts_[index] += n;
+  if (x >= saturation_) saturated_ += n;
+  counts_[bucket_index(x)] += n;
 }
 
 double LogHistogram::min() const noexcept { return count_ == 0 ? 0.0 : min_; }
@@ -157,19 +164,6 @@ std::vector<LogHistogram::Bucket> LogHistogram::nonzero_buckets() const {
 
 namespace {
 
-void append_number(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_number(std::string& out, double v) {
-  char buf[40];
-  // %.17g survives a strtod round trip bit-exactly for any finite double.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
 // Same tiny-parser shape as CountersSnapshot::from_json (obs/counters.cpp):
 // exactly the grammar to_json emits, nothing more.
 struct Parser {
@@ -230,23 +224,24 @@ struct Parser {
 
 std::string LogHistogram::to_json() const {
   std::string out = "{\"sub_bucket_bits\": ";
-  append_number(out, std::uint64_t{options_.sub_bucket_bits});
+  append_u64(out, options_.sub_bucket_bits);
   out += ", \"min_exponent\": ";
-  append_number(out, static_cast<double>(options_.min_exponent));
+  append_g(out, options_.min_exponent);
   out += ", \"max_exponent\": ";
-  append_number(out, static_cast<double>(options_.max_exponent));
+  append_g(out, options_.max_exponent);
   out += ", \"count\": ";
-  append_number(out, count_);
+  append_u64(out, count_);
   out += ", \"underflow\": ";
-  append_number(out, underflow_);
+  append_u64(out, underflow_);
   out += ", \"saturated\": ";
-  append_number(out, saturated_);
+  append_u64(out, saturated_);
   out += ", \"sum\": ";
-  append_number(out, sum_);
+  // %.17g survives a strtod round trip bit-exactly for any finite double.
+  append_g(out, sum_);
   out += ", \"min\": ";
-  append_number(out, min());
+  append_g(out, min());
   out += ", \"max\": ";
-  append_number(out, max());
+  append_g(out, max());
   out += ", \"buckets\": {";
   bool first = true;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
@@ -254,9 +249,9 @@ std::string LogHistogram::to_json() const {
     if (!first) out += ", ";
     first = false;
     out += '"';
-    append_number(out, static_cast<std::uint64_t>(i));
+    append_u64(out, i);
     out += "\": ";
-    append_number(out, counts_[i]);
+    append_u64(out, counts_[i]);
   }
   out += "}}";
   return out;

@@ -3,10 +3,11 @@
 //
 // Layout (HdrHistogram-style): the positive reals are covered by octaves
 // [2^o, 2^(o+1)), each subdivided linearly into S = 2^sub_bucket_bits
-// sub-buckets of width 2^o / S.  A value is indexed by extracting its
-// binary exponent (std::frexp) and the top `sub_bucket_bits` of its
-// mantissa — no loops, no float log.  quantile() returns the midpoint of
-// the bucket holding the target rank, so any reported quantile q is within
+// sub-buckets of width 2^o / S.  A value is indexed by reading its
+// IEEE-754 exponent field and the top `sub_bucket_bits` of its mantissa
+// straight from its bits — no loops, no libm call.  quantile() returns the
+// midpoint of the bucket holding the target rank, so any reported quantile
+// q is within
 //
 //     |q - x| <= relative_error_bound() * x,   bound = 1 / (2 S)
 //
@@ -17,10 +18,11 @@
 // and stores only the non-zero buckets.
 //
 // Values below 2^min_exponent (including zero and negatives) land in an
-// underflow counter; values at or above 2^max_exponent are clamped into the
-// top bucket and tallied in saturated() — quantiles over clamped mass lose
-// the relative-error bound, so pick the range to cover the data (the
-// default spans ~1 µs to ~4096 s, every plausible response time here).
+// underflow counter; values at or above 2^max_exponent (+inf included) are
+// clamped into the top bucket and tallied in saturated() — quantiles over
+// clamped mass lose the relative-error bound, so pick the range to cover
+// the data (the default spans ~1 µs to ~4096 s, every plausible response
+// time here).
 #pragma once
 
 #include <cstdint>
@@ -74,6 +76,11 @@ class LogHistogram {
   // both sample streams.  Throws std::invalid_argument on geometry mismatch.
   void merge(const LogHistogram& other);
 
+  // Index of the bucket add(x) counts x in — the key of to_json's sparse
+  // map.  x must be >= 2^min_exponent (smaller values underflow instead);
+  // values >= 2^max_exponent, +inf included, clamp to the top bucket.
+  [[nodiscard]] std::size_t bucket_index(double x) const noexcept;
+
   // Non-empty buckets in value order (for exposition/export).
   struct Bucket {
     double lower = 0.0;
@@ -95,13 +102,12 @@ class LogHistogram {
 
  private:
   [[nodiscard]] std::size_t num_buckets() const noexcept;
-  // Index of the bucket holding x (clamps to the top bucket); x must be
-  // >= 2^min_exponent.
-  [[nodiscard]] std::size_t bucket_index(double x) const noexcept;
   [[nodiscard]] double bucket_lower(std::size_t index) const noexcept;
   [[nodiscard]] double bucket_upper(std::size_t index) const noexcept;
 
   LogHistogramOptions options_;
+  double lowest_ = 0.0;      // 2^min_exponent: smaller values underflow
+  double saturation_ = 0.0;  // 2^max_exponent: larger values saturate
   std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
   std::uint64_t underflow_ = 0;

@@ -61,20 +61,24 @@ CsvTable read_csv_file(const std::filesystem::path& path) {
 }
 
 std::string to_csv_text(const CsvTable& table) {
-  std::ostringstream os;
+  std::string out;
+  std::size_t cells = 0;
+  for (const auto& row : table.rows) cells += row.size();
+  // Most cells are small integers or flags; a short guess costs one regrowth.
+  out.reserve(16 * table.header.size() + 8 * cells);
   for (std::size_t i = 0; i < table.header.size(); ++i) {
-    if (i != 0) os << ',';
-    os << table.header[i];
+    if (i != 0) out += ',';
+    out += table.header[i];
   }
-  os << '\n';
+  out += '\n';
   for (const auto& row : table.rows) {
     for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i != 0) os << ',';
-      os << gc::format("{:.15g}", row[i]);
+      if (i != 0) out += ',';
+      append_g(out, row[i], 15);
     }
-    os << '\n';
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 void write_csv_file(const std::filesystem::path& path, const CsvTable& table) {

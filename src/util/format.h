@@ -1,6 +1,16 @@
-// Minimal std::format stand-in for GCC 12 (no <format> in libstdc++ 12).
+// Minimal std::format stand-in for GCC 12 (no <format> in libstdc++ 12),
+// plus the one number writer every artifact renders through.
 //
-// Supports the subset this project uses:
+// append_g / append_u64 are the hot-path writers: the trace, audit,
+// time-series, counters, Prometheus, lifecycle and CSV exporters emit
+// every number through them.  append_g is std::to_chars in the general
+// form with an explicit precision, which the standard defines as printf's
+// "%.{precision}g" — so "%.17g" output (bit-exact under strtod) is kept
+// byte for byte, without a format string, a locale or a snprintf call per
+// number (tests/test_format.cpp checks this over random bit patterns).
+//
+// format() is cold-path code (logs, table rendering, names); clarity over
+// speed.  It supports the subset this project uses:
 //   * "{}"          — default rendering (%g for floating point, decimal for
 //                     integers, "true"/"false" for bool, pass-through for
 //                     strings)
@@ -8,11 +18,11 @@
 //                     arguments (e.g. "{:g}", "{:.3f}", "{:.9g}", "{:x}");
 //                     for strings, ">N" / "<N" pads to width N.
 //
-// This is cold-path code (logs, table rendering, names); clarity over
-// speed.  Errors (too few/many args, bad spec) throw std::invalid_argument
-// so tests catch misuse immediately.
+// Errors (too few/many args, bad spec) throw std::invalid_argument so tests
+// catch misuse immediately.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -23,6 +33,24 @@
 #include <vector>
 
 namespace gc {
+
+// Appends `value` exactly as printf("%.{precision}g") renders it, including
+// "inf", "-inf", "nan" and "-nan".  `precision` is 1..17: enough for a
+// strtod round trip at 17, and it bounds the rendered length.
+inline void append_g(std::string& out, double value, int precision = 17) {
+  char buf[32];  // "-1.2345678901234567e-308" is 24 characters
+  const auto result =
+      std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, precision);
+  out.append(buf, result.ptr);
+}
+
+// Appends `value` in decimal, as printf("%llu").
+inline void append_u64(std::string& out, unsigned long long value) {
+  char buf[20];  // UINT64_MAX has 20 digits
+  const auto result = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, result.ptr);
+}
+
 namespace detail {
 
 [[nodiscard]] std::string printf_spec(std::string_view spec, std::string_view length_mod,

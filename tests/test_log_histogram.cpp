@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -176,6 +178,72 @@ TEST(LogHistogram, UnderflowAndSaturationAreCounted) {
   EXPECT_DOUBLE_EQ(h.min(), -1.0);
   EXPECT_DOUBLE_EQ(h.max(), 1e9);
   EXPECT_GT(h.quantile(0.99), 1.0);
+}
+
+// +inf saturates into the top bucket like any other value >= 2^max_exponent:
+// the same quantile as 1e300, not a bucket near 0.5.
+TEST(LogHistogram, PositiveInfinitySaturatesLikeAHugeValue) {
+  LogHistogram inf, huge;
+  inf.add(std::numeric_limits<double>::infinity());
+  huge.add(1e300);
+  EXPECT_EQ(inf.saturated(), 1u);
+  EXPECT_EQ(inf.quantile(0.5), huge.quantile(0.5));
+  EXPECT_EQ(inf.quantile(0.5), 4080.0);  // the top bucket's midpoint
+  EXPECT_EQ(inf.bucket_index(std::numeric_limits<double>::infinity()),
+            huge.bucket_index(1e300));
+}
+
+// The frexp formula bucket_index replaced, kept as the reference:
+// x = m * 2^exp with m in [0.5, 1), octave exp - 1, sub-bucket
+// floor((2m - 1) * S), octaves at or above max_exponent clamped to the top.
+std::size_t frexp_bucket_index(const LogHistogramOptions& o, double x) {
+  int exp = 0;
+  const double mantissa = std::frexp(x, &exp);
+  const int octave = exp - 1;
+  const auto octaves = static_cast<std::size_t>(o.max_exponent - o.min_exponent);
+  if (octave >= o.max_exponent) return (octaves << o.sub_bucket_bits) - 1;
+  const auto sub_buckets = std::size_t{1} << o.sub_bucket_bits;
+  auto sub = static_cast<std::size_t>((2.0 * mantissa - 1.0) *
+                                      static_cast<double>(sub_buckets));
+  if (sub >= sub_buckets) sub = sub_buckets - 1;
+  const auto row = static_cast<std::size_t>(octave - o.min_exponent);
+  return (row << o.sub_bucket_bits) + sub;
+}
+
+// The bit-field index equals the frexp formula on every finite value in
+// [2^-20, 2^13) — the default range plus one saturating octave — for random
+// exponent/mantissa patterns, exact powers of two and their neighbours, at
+// the coarsest, default and finest sub-bucket resolutions.
+TEST(LogHistogram, BucketIndexMatchesTheFrexpFormula) {
+  std::vector<double> xs;
+  Rng rng(2024);
+  for (int i = 0; i < 1'200'000; ++i) {
+    const auto exponent = static_cast<std::uint64_t>(1023 - 20) + rng.uniform_below(33);
+    const std::uint64_t mantissa = rng() >> 12;
+    xs.push_back(std::bit_cast<double>((exponent << 52) | mantissa));
+  }
+  for (int e = -20; e <= 13; ++e) {
+    const double p = std::ldexp(1.0, e);
+    if (e > -20) xs.push_back(std::nextafter(p, 0.0));
+    if (e < 13) {
+      xs.push_back(p);
+      xs.push_back(std::nextafter(p, 1e9));
+    }
+  }
+  std::size_t checked = 0;
+  for (const unsigned bits : {1u, 6u, 12u}) {
+    LogHistogramOptions options;
+    options.sub_bucket_bits = bits;
+    const LogHistogram h(options);
+    for (const double x : xs) {
+      ASSERT_GE(x, 0x1p-20);
+      ASSERT_LT(x, 0x1p13);
+      ASSERT_EQ(h.bucket_index(x), frexp_bucket_index(options, x))
+          << "x = " << x << ", sub_bucket_bits = " << bits;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 3'000'000u);
 }
 
 TEST(LogHistogram, JsonRoundTripIsExact) {

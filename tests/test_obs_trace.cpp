@@ -2,6 +2,7 @@
 // export (the schema shape chrome://tracing / Perfetto requires).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "obs/trace.h"
@@ -49,6 +50,85 @@ TEST(TraceCollector, ClearResetsEverything) {
   EXPECT_EQ(trace.size(), 0u);
   EXPECT_EQ(trace.emitted(), 0u);
   EXPECT_TRUE(trace.records().empty());
+}
+
+// The ring fills lazily, but its capacity is the configured one from the
+// start.
+TEST(TraceCollector, CapacityIsTheConfiguredValueBeforeAnyEmit) {
+  TraceOptions opts;
+  opts.capacity = 1000;
+  const TraceCollector trace(opts);
+  EXPECT_EQ(trace.capacity(), 1000u);
+  EXPECT_EQ(trace.size(), 0u);
+  EXPECT_EQ(TraceCollector().capacity(), TraceOptions{}.capacity);
+}
+
+// Emits `n` instants with timestamps first, first + 1, ... and, every third
+// record, a counter sample, so the rendered text varies per record.
+void emit_series(TraceCollector& trace, int first, int n) {
+  for (int i = first; i < first + n; ++i) {
+    if (i % 3 == 0) {
+      trace.counter(static_cast<double>(i), "serving", "servers", 0.5 * i);
+    } else {
+      trace.instant(static_cast<double>(i), "cat", "tick", static_cast<std::uint32_t>(i));
+    }
+  }
+}
+
+TEST(TraceCollector, WrapsAfterCapacityPlusKEmits) {
+  constexpr int kCapacity = 8;
+  constexpr int kExtra = 5;
+  TraceOptions opts;
+  opts.capacity = kCapacity;
+  TraceCollector trace(opts);
+  emit_series(trace, 0, kCapacity + kExtra);
+  EXPECT_EQ(trace.size(), static_cast<std::size_t>(kCapacity));
+  EXPECT_EQ(trace.capacity(), static_cast<std::size_t>(kCapacity));
+  EXPECT_EQ(trace.emitted(), static_cast<std::uint64_t>(kCapacity + kExtra));
+  EXPECT_EQ(trace.dropped(), static_cast<std::uint64_t>(kExtra));
+  const auto records = trace.records();
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kCapacity));
+  for (int i = 0; i < kCapacity; ++i) {
+    EXPECT_DOUBLE_EQ(records[static_cast<std::size_t>(i)].ts_s, kExtra + i);
+  }
+}
+
+TEST(TraceCollector, ClearThenRefillBehavesLikeAFreshRing) {
+  TraceOptions opts;
+  opts.capacity = 6;
+  TraceCollector reused(opts);
+  emit_series(reused, 100, 9);  // wrapped before the clear
+  reused.clear();
+  EXPECT_EQ(reused.size(), 0u);
+  EXPECT_EQ(reused.capacity(), 6u);
+  TraceCollector fresh(opts);
+  for (const int n : {4, 6, 7}) {  // partly filled, exactly full, wrapped
+    reused.clear();
+    fresh.clear();
+    emit_series(reused, 0, n);
+    emit_series(fresh, 0, n);
+    EXPECT_EQ(reused.size(), fresh.size());
+    EXPECT_EQ(reused.dropped(), fresh.dropped());
+    EXPECT_EQ(reused.to_chrome_json(), fresh.to_chrome_json());
+  }
+}
+
+// The exporter walks the ring in place; its text must equal the text of the
+// oldest-first records() re-emitted into a ring that holds them exactly.
+TEST(TraceCollector, WrappedChromeJsonEqualsTheRecordsRendering) {
+  TraceOptions opts;
+  opts.capacity = 7;
+  TraceCollector trace(opts);
+  emit_series(trace, 0, 7 * 3 + 4);
+  ASSERT_GT(trace.dropped(), 0u);
+  const auto records = trace.records();
+  TraceCollector unwrapped(opts);
+  for (const TraceRecord& r : records) unwrapped.emit(r);
+  ASSERT_EQ(unwrapped.dropped(), 0u);
+  EXPECT_EQ(trace.to_chrome_json(), unwrapped.to_chrome_json());
+  // And the oldest survivor comes first in the text.
+  const std::string json = trace.to_chrome_json();
+  EXPECT_LT(json.find("\"ts\": 18000000,"), json.find("\"ts\": 24000000,"));
 }
 
 // Chrome trace_event JSON shape: top-level "traceEvents" array; every event
