@@ -75,6 +75,13 @@ TEST(SimEdge, WarmupBeyondWorkloadYieldsNoMeasurements) {
       run_simulation(workload, two_server_options(), controller, options);
   EXPECT_EQ(result.completed_jobs, 0u);  // all completions were "in warmup"
   EXPECT_EQ(result.dropped_jobs, 0u);
+  // No response statistic may leak from the warmup into the empty result.
+  EXPECT_EQ(result.mean_response_s, 0.0);
+  EXPECT_EQ(result.p95_response_s, 0.0);
+  EXPECT_EQ(result.p99_response_s, 0.0);
+  EXPECT_EQ(result.max_response_s, 0.0);
+  EXPECT_EQ(result.job_violation_ratio, 0.0);
+  EXPECT_EQ(result.response_hist.count(), 0u);
 }
 
 TEST(SimEdge, ZeroTransitionDelaysWork) {
