@@ -18,11 +18,20 @@ void MetricsCollector::on_job_completed(double now, const Job& job) {
   p99_.add(response);
   violations_.add(response > t_ref_);
   response_hist_.add(response);
+  ++completed_total_;
   if (period_window_on_) {
     period_hist_.add(response);
     ++period_completed_;
     if (response > t_ref_) ++period_violations_;
   }
+}
+
+void MetricsCollector::begin_measuring() {
+  response_ = MeanVarAccumulator();
+  p95_ = P2Quantile(0.95);
+  p99_ = P2Quantile(0.99);
+  violations_ = RatioAccumulator();
+  response_hist_.clear();
 }
 
 PeriodWindowStats MetricsCollector::take_period_window() noexcept {

@@ -44,8 +44,13 @@ class MetricsCollector {
  public:
   explicit MetricsCollector(double t_ref_s);
 
-  // Called for every completed job past warmup.
+  // Called for every completed job, warmup included.
   void on_job_completed(double now, const Job& job);
+
+  // Starts the measured interval: forgets the responses seen so far (mean,
+  // tails, violation ratio, histogram).  completed_total() and the timeline
+  // / period windows keep running.
+  void begin_measuring();
 
   // Rolls the per-window response aggregate (used by the timeline).
   [[nodiscard]] double take_window_mean_response() noexcept;
@@ -62,10 +67,8 @@ class MetricsCollector {
   [[nodiscard]] PeriodWindowStats take_period_window() noexcept;
 
   // Response distribution with the same coverage as response()/p95(): every
-  // job passed to on_job_completed().  Exactly mergeable across
-  // replications, unlike the P² estimators behind p95()/p99().  (The
-  // simulation loop keeps its own post-warmup histogram for
-  // SimResult::response_hist when a warmup is configured.)
+  // job completed since begin_measuring().  Exactly mergeable across
+  // replications, unlike the P² estimators behind p95()/p99().
   [[nodiscard]] const LogHistogram& response_histogram() const noexcept {
     return response_hist_;
   }
@@ -77,7 +80,9 @@ class MetricsCollector {
   // paper guarantees the *mean*; per-job tail violations are reported as a
   // stricter secondary metric.)
   [[nodiscard]] double job_violation_ratio() const noexcept { return violations_.ratio(); }
+  // Jobs completed since begin_measuring() / over the whole run.
   [[nodiscard]] std::uint64_t completed() const noexcept { return response_.count(); }
+  [[nodiscard]] std::uint64_t completed_total() const noexcept { return completed_total_; }
   [[nodiscard]] double t_ref() const noexcept { return t_ref_; }
 
  private:
@@ -88,6 +93,7 @@ class MetricsCollector {
   P2Quantile p99_;
   RatioAccumulator violations_;
   LogHistogram response_hist_;
+  std::uint64_t completed_total_ = 0;
   // Per-control-period window (valid only while period_window_on_).
   bool period_window_on_ = false;
   LogHistogram period_hist_;

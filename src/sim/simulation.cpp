@@ -159,7 +159,6 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   // Warmup snapshots.
   EnergyBreakdown warmup_energy;
   double measure_start = 0.0;
-  std::uint64_t warmup_completed = 0;
   std::uint64_t warmup_dropped = 0;
   std::uint64_t warmup_boots = 0;
   std::uint64_t warmup_shutdowns = 0;
@@ -171,10 +170,6 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   std::uint64_t warmup_lost = 0;
   std::uint64_t warmup_admitted = 0;
   bool in_warmup = options.warmup_s > 0.0;
-  MeanVarAccumulator response_post;  // post-warmup responses
-  P2Quantile p95_post(0.95), p99_post(0.99);
-  RatioAccumulator violations_post;
-  LogHistogram response_hist_post;  // post-warmup mergeable distribution
 
   SimResult result;
   double now = 0.0;
@@ -231,14 +226,6 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
       case EventType::kDeparture: {
         const Job finished = cluster.handle_departure(now, event->subject);
         metrics.on_job_completed(now, finished);
-        if (!in_warmup) {
-          const double response = now - finished.arrival_time;
-          response_post.add(response);
-          p95_post.add(response);
-          p99_post.add(response);
-          violations_post.add(response > options.t_ref_s);
-          response_hist_post.add(response);
-        }
         break;
       }
       case EventType::kBootComplete:
@@ -299,6 +286,7 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
       case EventType::kWarmupEnd: {
         in_warmup = false;
         loop.begin_measuring(now);
+        metrics.begin_measuring();
         serving_avg = TimeWeightedAccumulator(now);
         speed_avg = TimeWeightedAccumulator(now);
         jobs_avg = TimeWeightedAccumulator(now);
@@ -306,7 +294,6 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
         cluster.flush_energy(now);
         warmup_energy = cluster.energy();
         measure_start = now;
-        warmup_completed = metrics.completed();
         warmup_dropped = cluster.jobs_dropped();
         warmup_boots = cluster.boots_started();
         warmup_shutdowns = cluster.shutdowns_started();
@@ -326,8 +313,8 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   if (in_warmup) {
     // The workload drained before the warmup ended: there is no measured
     // interval at all.  Report an empty (not a warmup-polluted) result.
+    metrics.begin_measuring();
     warmup_energy = cluster.energy();
-    warmup_completed = metrics.completed();
     warmup_dropped = cluster.jobs_dropped();
     warmup_boots = cluster.boots_started();
     warmup_shutdowns = cluster.shutdowns_started();
@@ -347,7 +334,7 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   result.energy.off_j = total.off_j - warmup_energy.off_j;
 
   result.sim_time_s = now - measure_start;
-  result.completed_jobs = metrics.completed() - warmup_completed;
+  result.completed_jobs = metrics.completed();
   result.dropped_jobs = cluster.jobs_dropped() - warmup_dropped;
   result.boots = cluster.boots_started() - warmup_boots;
   result.shutdowns = cluster.shutdowns_started() - warmup_shutdowns;
@@ -363,20 +350,12 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
       offered > 0 ? static_cast<double>(result.shed_jobs) / static_cast<double>(offered)
                   : 0.0;
 
-  result.response_hist = response_hist_post;
-  if (options.warmup_s > 0.0) {
-    result.mean_response_s = response_post.mean();
-    result.p95_response_s = p95_post.value();
-    result.p99_response_s = p99_post.value();
-    result.max_response_s = response_post.count() > 0 ? response_post.max() : 0.0;
-    result.job_violation_ratio = violations_post.ratio();
-  } else {
-    result.mean_response_s = metrics.response().mean();
-    result.p95_response_s = metrics.p95();
-    result.p99_response_s = metrics.p99();
-    result.max_response_s = metrics.response().count() > 0 ? metrics.response().max() : 0.0;
-    result.job_violation_ratio = metrics.job_violation_ratio();
-  }
+  result.response_hist = metrics.response_histogram();
+  result.mean_response_s = metrics.response().mean();
+  result.p95_response_s = metrics.p95();
+  result.p99_response_s = metrics.p99();
+  result.max_response_s = metrics.completed() > 0 ? metrics.response().max() : 0.0;
+  result.job_violation_ratio = metrics.job_violation_ratio();
 
   result.mean_power_w =
       result.sim_time_s > 0.0 ? result.energy.total_j() / result.sim_time_s : 0.0;
@@ -408,7 +387,7 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   // Whole-run totals (including warmup, unlike the deltas above) for the
   // counters snapshot.  Registered at the end so the hot loop only touches
   // the per-event counters above.
-  registry.counter("sim.jobs.completed").inc(metrics.completed());
+  registry.counter("sim.jobs.completed").inc(metrics.completed_total());
   registry.counter("sim.jobs.dropped").inc(cluster.jobs_dropped());
   registry.counter("sim.jobs.redispatched").inc(cluster.jobs_redispatched());
   registry.counter("sim.jobs.lost").inc(cluster.jobs_lost());

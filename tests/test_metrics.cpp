@@ -45,6 +45,29 @@ TEST(MetricsCollector, PercentilesOrdered) {
   EXPECT_GT(metrics.p95(), 0.0);
 }
 
+TEST(MetricsCollector, BeginMeasuringForgetsResponsesButKeepsTotal) {
+  MetricsCollector metrics(1.0);
+  metrics.on_job_completed(5.0, make_job(0.0));  // warmup: response 5 (violation)
+  metrics.on_job_completed(6.0, make_job(5.5));
+  metrics.begin_measuring();
+  EXPECT_EQ(metrics.completed(), 0u);
+  EXPECT_EQ(metrics.completed_total(), 2u);
+  EXPECT_EQ(metrics.response().mean(), 0.0);
+  EXPECT_EQ(metrics.p95(), 0.0);
+  EXPECT_EQ(metrics.p99(), 0.0);
+  EXPECT_EQ(metrics.job_violation_ratio(), 0.0);
+  EXPECT_EQ(metrics.response_histogram().count(), 0u);
+
+  metrics.on_job_completed(7.0, make_job(6.75));  // response 0.25
+  EXPECT_EQ(metrics.completed(), 1u);
+  EXPECT_EQ(metrics.completed_total(), 3u);
+  EXPECT_DOUBLE_EQ(metrics.response().mean(), 0.25);
+  EXPECT_DOUBLE_EQ(metrics.response().max(), 0.25);
+  EXPECT_EQ(metrics.job_violation_ratio(), 0.0);
+  EXPECT_EQ(metrics.response_histogram().count(), 1u);
+  EXPECT_DOUBLE_EQ(metrics.response_histogram().max(), 0.25);
+}
+
 TEST(SimResult, SlaCheck) {
   SimResult result;
   result.mean_response_s = 0.4;
