@@ -18,6 +18,8 @@ const char* to_string(PowerState state) noexcept {
 EnergyMeter::EnergyMeter(const PowerModel* model, double start_time)
     : model_(model), last_time_(start_time) {
   GC_CHECK(model != nullptr, "EnergyMeter needs a power model");
+  busy_watts_ = model_->power(speed_, 1.0);
+  idle_watts_ = model_->power(speed_, 0.0);
 }
 
 double EnergyMeter::instantaneous_power() const noexcept {
@@ -26,7 +28,7 @@ double EnergyMeter::instantaneous_power() const noexcept {
     case PowerState::kFailed: return model_->off_power();
     case PowerState::kBooting:
     case PowerState::kShuttingDown: return model_->transition_power();
-    case PowerState::kOn: return model_->power(speed_, busy_ ? 1.0 : 0.0);
+    case PowerState::kOn: return busy_ ? busy_watts_ : idle_watts_;
   }
   return 0.0;
 }
@@ -46,8 +48,12 @@ void EnergyMeter::integrate(double now) {
 
 void EnergyMeter::update(double now, PowerState state, double speed, bool busy) {
   integrate(now);
+  if (speed != speed_) {
+    speed_ = speed;
+    busy_watts_ = model_->power(speed_, 1.0);
+    idle_watts_ = model_->power(speed_, 0.0);
+  }
   state_ = state;
-  speed_ = speed;
   busy_ = busy;
 }
 

@@ -25,6 +25,8 @@ class EnergyMeter {
 
   // Accounts the interval [last_update, now) at the *previous* operating
   // point, then records the new one.  `busy` means a job is executing.
+  // The power model is consulted only when `speed` differs from the last
+  // update's; busy/idle and state changes read the cached draw.
   void update(double now, PowerState state, double speed, bool busy);
 
   // Finalizes accounting up to `now` without changing the operating point.
@@ -44,8 +46,12 @@ class EnergyMeter {
 
   const PowerModel* model_;  // non-owning; outlives the meter
   double last_time_;
-  PowerState state_ = PowerState::kOff;
   double speed_ = 1.0;
+  // An ON server's draw at speed_: PowerModel::power(speed_, 1.0 / 0.0),
+  // the same bits the model returns.
+  double busy_watts_ = 0.0;
+  double idle_watts_ = 0.0;
+  PowerState state_ = PowerState::kOff;
   bool busy_ = false;
   // busy / idle / transition / off
   std::array<double, 4> by_class_{};

@@ -7,9 +7,13 @@
 
 namespace gc {
 
+// One Server per simulated machine: a 131072-server sharded fleet holds
+// them all, so their size is resident memory.
+static_assert(sizeof(Server) <= 216, "Server grew: check the fleet's peak RSS");
+
 Server::Server(std::uint32_t index, const PowerModel* power, double initial_speed,
                bool initially_on, double start_time, double rate_scale)
-    : index_(index), power_(power),
+    : index_(index),
       state_(initially_on ? PowerState::kOn : PowerState::kOff), speed_(initial_speed),
       rate_scale_(rate_scale), meter_(power, start_time) {
   GC_CHECK(power != nullptr, "Server: null power model");

@@ -119,7 +119,6 @@ class Server {
   [[nodiscard]] Job pop_front();
 
   std::uint32_t index_;
-  const PowerModel* power_;  // non-owning
   PowerState state_;
   bool draining_ = false;
   double speed_;
