@@ -8,7 +8,7 @@
 //
 // The pooled p95/p99 columns come from merging the replications'
 // LogHistograms (stats/log_histogram.h) — exact pooling of the 8 response
-// distributions, which per-run P² estimates cannot provide (averaging
+// distributions, which the per-run p95/p99 scalars cannot provide (averaging
 // per-run quantiles is not the quantile of the pooled sample).
 #include <iostream>
 

@@ -5,7 +5,7 @@
 namespace gc {
 
 MetricsCollector::MetricsCollector(double t_ref_s)
-    : t_ref_(t_ref_s), p95_(0.95), p99_(0.99) {
+    : t_ref_(t_ref_s) {
   GC_CHECK(t_ref_s > 0.0, "MetricsCollector: t_ref must be positive");
 }
 
@@ -14,8 +14,6 @@ void MetricsCollector::on_job_completed(double now, const Job& job) {
   GC_DCHECK(response >= 0.0, "negative response time");
   response_.add(response);
   window_response_.add(response);
-  p95_.add(response);
-  p99_.add(response);
   violations_.add(response > t_ref_);
   response_hist_.add(response);
   ++completed_total_;
@@ -26,10 +24,8 @@ void MetricsCollector::on_job_completed(double now, const Job& job) {
   }
 }
 
-void MetricsCollector::begin_measuring() {
+void MetricsCollector::begin_measuring() noexcept {
   response_ = MeanVarAccumulator();
-  p95_ = P2Quantile(0.95);
-  p99_ = P2Quantile(0.99);
   violations_ = RatioAccumulator();
   response_hist_.clear();
 }

@@ -11,7 +11,6 @@
 #include "sim/job.h"
 #include "stats/accumulators.h"
 #include "stats/log_histogram.h"
-#include "stats/quantile.h"
 
 namespace gc {
 
@@ -50,7 +49,7 @@ class MetricsCollector {
   // Starts the measured interval: forgets the responses seen so far (mean,
   // tails, violation ratio, histogram).  completed_total() and the timeline
   // / period windows keep running.
-  void begin_measuring();
+  void begin_measuring() noexcept;
 
   // Rolls the per-window response aggregate (used by the timeline).
   [[nodiscard]] double take_window_mean_response() noexcept;
@@ -66,16 +65,18 @@ class MetricsCollector {
   // starts a new window.  All-zero when disabled or the window was empty.
   [[nodiscard]] PeriodWindowStats take_period_window() noexcept;
 
-  // Response distribution with the same coverage as response()/p95(): every
-  // job completed since begin_measuring().  Exactly mergeable across
-  // replications, unlike the P² estimators behind p95()/p99().
+  // Response distribution with the same coverage as response(): every job
+  // completed since begin_measuring().  Exactly mergeable across
+  // replications.
   [[nodiscard]] const LogHistogram& response_histogram() const noexcept {
     return response_hist_;
   }
 
   [[nodiscard]] const MeanVarAccumulator& response() const noexcept { return response_; }
-  [[nodiscard]] double p95() const noexcept { return p95_.value(); }
-  [[nodiscard]] double p99() const noexcept { return p99_.value(); }
+  // Tails read from response_histogram(): bucket midpoints within
+  // relative_error_bound() (1/128) of the true order statistic; 0 when empty.
+  [[nodiscard]] double p95() const noexcept { return response_hist_.quantile(0.95); }
+  [[nodiscard]] double p99() const noexcept { return response_hist_.quantile(0.99); }
   // Fraction of jobs whose individual response time exceeded t_ref.  (The
   // paper guarantees the *mean*; per-job tail violations are reported as a
   // stricter secondary metric.)
@@ -89,8 +90,6 @@ class MetricsCollector {
   double t_ref_;
   MeanVarAccumulator response_;
   MeanVarAccumulator window_response_;
-  P2Quantile p95_;
-  P2Quantile p99_;
   RatioAccumulator violations_;
   LogHistogram response_hist_;
   std::uint64_t completed_total_ = 0;
@@ -173,10 +172,10 @@ struct SimResult {
   // cover the entire run including warmup.
   CountersSnapshot counters;
   // Post-warmup response-time distribution as an exactly-mergeable
-  // LogHistogram: replication harnesses (bench/tab4) pool these with
-  // merge() to get whole-experiment percentiles, which the P²-derived
-  // p95_response_s/p99_response_s scalars cannot provide.  Purely
-  // observational — excluded from the determinism checksums.
+  // LogHistogram.  p95_response_s/p99_response_s are its quantile(0.95) /
+  // quantile(0.99); replication harnesses (bench/tab4) pool the histograms
+  // with merge() to get whole-experiment percentiles.  The histogram itself
+  // is excluded from the determinism checksums (the two scalars are not).
   LogHistogram response_hist;
   // Control-loop actuation latency distributions from the lifecycle
   // tracker (cp/lifecycle.h): decision→ack, decision→apply, end-to-end,

@@ -1,5 +1,6 @@
-// Log2-bucketed latency histogram with bounded relative error — the
-// mergeable complement to the P² streaming quantiles (stats/quantile.h).
+// Log2-bucketed latency histogram with bounded relative error: the one tail
+// estimator of both simulation engines (SimResult::p95/p99_response_s are
+// its quantiles) and of the per-period time series.
 //
 // Layout (HdrHistogram-style): the positive reals are covered by octaves
 // [2^o, 2^(o+1)), each subdivided linearly into S = 2^sub_bucket_bits
@@ -12,7 +13,7 @@
 //     |q - x| <= relative_error_bound() * x,   bound = 1 / (2 S)
 //
 // of the true order statistic x in that bucket (0.78% at the default 6
-// bits).  Unlike P², two histograms over disjoint samples merge *exactly*:
+// bits).  Two histograms over disjoint samples merge *exactly*:
 // bucket counts add, so pooling replications (bench/tab4) or sharded runs
 // loses nothing.  Serialization (to_json/from_json) round-trips bit-exactly
 // and stores only the non-zero buckets.

@@ -1,92 +1,11 @@
 #include "stats/quantile.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include "util/assert.h"
 
 namespace gc {
-
-P2Quantile::P2Quantile(double p) : p_(p) {
-  if (!(p > 0.0 && p < 1.0)) throw std::invalid_argument("P2Quantile: p must be in (0,1)");
-  desired_ = {1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0};
-  increments_ = {0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0};
-}
-
-void P2Quantile::add(double x) noexcept {
-  if (count_ < 5) {
-    heights_[count_] = x;
-    ++count_;
-    if (count_ == 5) {
-      std::sort(heights_.begin(), heights_.end());
-      for (int i = 0; i < 5; ++i) positions_[i] = static_cast<double>(i + 1);
-    }
-    return;
-  }
-  ++count_;
-
-  int k;  // cell index of the new observation
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  // Adjust interior markers with the piecewise-parabolic formula.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double right_gap = positions_[i + 1] - positions_[i];
-    const double left_gap = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0)) {
-      const double sign = d >= 0 ? 1.0 : -1.0;
-      // Parabolic prediction.
-      const double qi = heights_[i] +
-          sign / (positions_[i + 1] - positions_[i - 1]) *
-              ((positions_[i] - positions_[i - 1] + sign) *
-                   (heights_[i + 1] - heights_[i]) / right_gap +
-               (positions_[i + 1] - positions_[i] - sign) *
-                   (heights_[i] - heights_[i - 1]) / (-left_gap));
-      if (heights_[i - 1] < qi && qi < heights_[i + 1]) {
-        heights_[i] = qi;
-      } else {
-        // Fall back to linear prediction toward the neighbor.
-        const int j = i + (sign > 0 ? 1 : -1);
-        heights_[i] += sign * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]) * sign;
-      }
-      positions_[i] += sign;
-    }
-  }
-}
-
-double P2Quantile::value() const noexcept {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    std::array<double, 5> sorted = heights_;
-    // GCC 12 under -fsanitize instrumentation emits a bogus -Warray-bounds
-    // from std::sort's insertion-sort specialization here (count_ < 5 bounds
-    // the range inside the array).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Warray-bounds"
-    std::sort(sorted.begin(), sorted.begin() + static_cast<long>(count_));
-#pragma GCC diagnostic pop
-    const double h = p_ * static_cast<double>(count_ - 1);
-    const auto lo = static_cast<std::size_t>(h);
-    const std::size_t hi = std::min<std::size_t>(lo + 1, count_ - 1);
-    return sorted[lo] + (h - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
-  }
-  return heights_[2];
-}
 
 double exact_quantile(std::span<const double> samples, double p) {
   GC_CHECK(!samples.empty(), "exact_quantile: empty sample");

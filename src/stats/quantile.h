@@ -1,48 +1,10 @@
-// Quantile estimation.
-//
-// `P2Quantile` is the Jain–Chlamtac P² streaming estimator: O(1) memory,
-// good for p50/p95/p99 over millions of response times.  `exact_quantile`
-// is the reference implementation used by tests and small samples.
-//
-// Approximation error: P² keeps only five markers and adjusts them with a
-// piecewise-parabolic (hence the name) height formula, so its estimate is
-// a *heuristic* — it carries no distribution-free error bound.  In practice
-// it converges well for smooth unimodal distributions (the M/M/m response
-// times here), but it can be materially off for multimodal or heavy-tailed
-// data, early in a stream (the first few hundred samples), or at extreme
-// quantiles (p beyond ~0.99 leaves the outer markers data-starved).  Two
-// estimators over the *same* stream also cannot be combined: P² state does
-// not merge.  When a bounded error or exact cross-run pooling matters, use
-// stats/log_histogram.h instead — it guarantees every quantile to within
-// 1/(2S) relative error (0.78% at the default geometry) and merges
-// exactly; P² remains the cheaper choice for a single in-loop p95/p99.
+// Exact quantile of a small sample: the reference the tests check the
+// streaming estimators against.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <span>
 
 namespace gc {
-
-class P2Quantile {
- public:
-  // `p` in (0, 1), e.g. 0.95.
-  explicit P2Quantile(double p);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  // Current estimate; for fewer than 5 samples falls back to the exact
-  // value over the samples seen so far.
-  [[nodiscard]] double value() const noexcept;
-
- private:
-  double p_;
-  std::uint64_t count_ = 0;
-  std::array<double, 5> heights_{};   // marker heights
-  std::array<double, 5> positions_{}; // actual marker positions (1-based)
-  std::array<double, 5> desired_{};   // desired marker positions
-  std::array<double, 5> increments_{};
-};
 
 // Exact quantile with linear interpolation (type-7, the numpy default).
 // `p` in [0, 1].  The input need not be sorted; it is copied.

@@ -1,5 +1,8 @@
 // Determinism goldens: fixed-seed end-to-end runs whose SimResult checksums
-// are pinned to the values produced by the pre-optimization simulator core.
+// are pinned to the values produced by the pre-optimization simulator core,
+// re-pinned once for a deliberate model change: p95/p99 are read from the
+// response LogHistogram instead of P² estimators (every other field kept
+// its bits).
 //
 // These tests exist to make hot-path rewrites (event queue internals,
 // dispatcher indexing, solver caching) provably behavior-preserving: any
@@ -114,7 +117,7 @@ struct GoldenRun {
 TEST(DeterminismGolden, CombinedDcpDiurnal) {
   GoldenRun golden;
   const SimResult result = golden.run(PolicyKind::kCombinedDcp, {});
-  EXPECT_EQ(checksum(result), 13401298517741172659ULL);
+  EXPECT_EQ(checksum(result), 7698358306312404789ULL);
 }
 
 TEST(DeterminismGolden, FailureAwareDcpUnderBackgroundFaults) {
@@ -125,7 +128,7 @@ TEST(DeterminismGolden, FailureAwareDcpUnderBackgroundFaults) {
   sim.faults.boot_hang_prob = 0.1;
   sim.faults.seed = 77;
   const SimResult result = golden.run(PolicyKind::kDcpFailureAware, sim);
-  EXPECT_EQ(checksum(result), 12610961472770440868ULL);
+  EXPECT_EQ(checksum(result), 8985163258281787258ULL);
 }
 
 TEST(DeterminismGolden, ScriptedFaultScenarioWithAdmission) {
@@ -137,7 +140,7 @@ TEST(DeterminismGolden, ScriptedFaultScenarioWithAdmission) {
   sim.admission.enabled = true;
   sim.admission.mu_max = golden.config.mu_max;
   const SimResult result = golden.run(PolicyKind::kCombinedDcp, sim);
-  EXPECT_EQ(checksum(result), 17454101182521964540ULL);
+  EXPECT_EQ(checksum(result), 2113958324298853593ULL);
 }
 
 // The checksum itself must be stable across platforms/compilers for the

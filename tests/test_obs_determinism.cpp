@@ -158,7 +158,7 @@ TEST(ObsDeterminism, TracedRunMatchesPinnedGolden) {
   TraceCollector trace;
   DecisionAuditLog audit;
   const SimResult traced = golden.run(&trace, &audit);
-  EXPECT_EQ(checksum(traced), 13401298517741172659ULL);
+  EXPECT_EQ(checksum(traced), 7698358306312404789ULL);
 }
 
 // A saturated ring (tiny capacity, guaranteed overwrites) is still free of
@@ -169,7 +169,7 @@ TEST(ObsDeterminism, RingOverflowDoesNotPerturbTheRun) {
   tiny.capacity = 16;
   TraceCollector trace(tiny);
   const SimResult traced = golden.run(&trace, nullptr);
-  EXPECT_EQ(checksum(traced), 13401298517741172659ULL);
+  EXPECT_EQ(checksum(traced), 7698358306312404789ULL);
   if constexpr (kTracingCompiledIn) {
     EXPECT_GT(trace.dropped(), 0u);
     EXPECT_EQ(trace.size(), 16u);
@@ -205,7 +205,7 @@ TEST(ObsDeterminism, PerfectChannelWithActuatorMatchesPinnedGolden) {
   golden.extra.controller_faults.watchdog_ticks = 3;  // armed, never trips
   golden.popts.staleness.horizon_s = 60.0;
   const SimResult result = golden.run(nullptr, nullptr);
-  EXPECT_EQ(checksum(result), 13401298517741172659ULL);
+  EXPECT_EQ(checksum(result), 7698358306312404789ULL);
   EXPECT_EQ(result.command_retries, 0u);
   EXPECT_EQ(result.telemetry_dropped, 0u);
   EXPECT_EQ(result.ticks_missed, 0u);
@@ -247,7 +247,7 @@ GoldenRun make_lossy_golden() {
 TEST(ObsDeterminism, FaultsAdmissionChannelGoldenIsPinned) {
   GoldenRun golden = make_lossy_golden();
   const SimResult result = golden.run(nullptr, nullptr);
-  EXPECT_EQ(checksum(result), 13159024489807549190ULL);
+  EXPECT_EQ(checksum(result), 4901449984472170482ULL);
   // The degraded path actually exercised what it pins.
   EXPECT_GT(result.telemetry_dropped, 0u);
   EXPECT_GT(result.commands_dropped, 0u);
@@ -280,7 +280,7 @@ TEST(ObsDeterminism, TimeSeriesRecorderMatchesPinnedGolden) {
   GoldenRun golden;
   TimeSeriesRecorder timeseries;
   const SimResult recorded = golden.run(nullptr, nullptr, &timeseries);
-  EXPECT_EQ(checksum(recorded), 13401298517741172659ULL);
+  EXPECT_EQ(checksum(recorded), 7698358306312404789ULL);
   EXPECT_GT(timeseries.periods(), 0u);
   EXPECT_EQ(timeseries.periods(),
             recorded.counters.counter_or("obs.timeseries.periods", 0));
@@ -296,7 +296,7 @@ TEST(ObsDeterminism, TimeSeriesEnabledLossyRunMatchesPinnedGolden) {
   GoldenRun golden = make_lossy_golden();
   TimeSeriesRecorder timeseries;
   const SimResult recorded = golden.run(nullptr, nullptr, &timeseries);
-  EXPECT_EQ(checksum(recorded), 13159024489807549190ULL);
+  EXPECT_EQ(checksum(recorded), 4901449984472170482ULL);
 
   GoldenRun plain = make_lossy_golden();
   const SimResult unrecorded = plain.run(nullptr, nullptr);

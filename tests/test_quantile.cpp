@@ -2,12 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <stdexcept>
 #include <vector>
-
-#include "stats/distributions.h"
-#include "stats/rng.h"
 
 namespace gc {
 namespace {
@@ -23,67 +18,6 @@ TEST(ExactQuantile, SmallSamples) {
 TEST(ExactQuantile, SingleElement) {
   const std::vector<double> xs = {7.0};
   EXPECT_DOUBLE_EQ(exact_quantile(xs, 0.3), 7.0);
-}
-
-TEST(P2Quantile, RejectsBadP) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-}
-
-TEST(P2Quantile, ExactForFewerThanFive) {
-  P2Quantile q(0.5);
-  q.add(10.0);
-  q.add(20.0);
-  q.add(30.0);
-  EXPECT_DOUBLE_EQ(q.value(), 20.0);
-}
-
-TEST(P2Quantile, EmptyReturnsZero) {
-  const P2Quantile q(0.9);
-  EXPECT_DOUBLE_EQ(q.value(), 0.0);
-}
-
-struct P2Case {
-  double p;
-  std::uint64_t seed;
-};
-
-class P2AccuracyTest : public ::testing::TestWithParam<P2Case> {};
-
-TEST_P(P2AccuracyTest, TracksExponentialQuantiles) {
-  const auto [p, seed] = GetParam();
-  P2Quantile estimator(p);
-  const Exponential dist(1.0);
-  Rng rng(seed);
-  std::vector<double> all;
-  all.reserve(100000);
-  for (int i = 0; i < 100000; ++i) {
-    const double x = dist.sample(rng);
-    estimator.add(x);
-    all.push_back(x);
-  }
-  const double exact = exact_quantile(all, p);
-  // P² converges to within a few percent on smooth distributions.
-  EXPECT_NEAR(estimator.value(), exact, std::max(0.05 * exact, 0.02))
-      << "p=" << p << " seed=" << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, P2AccuracyTest,
-                         ::testing::Values(P2Case{0.5, 1}, P2Case{0.9, 2},
-                                           P2Case{0.95, 3}, P2Case{0.99, 4},
-                                           P2Case{0.5, 5}, P2Case{0.95, 6}));
-
-TEST(P2Quantile, UniformMedian) {
-  P2Quantile q(0.5);
-  Rng rng(77);
-  for (int i = 0; i < 50000; ++i) q.add(rng.uniform01());
-  EXPECT_NEAR(q.value(), 0.5, 0.02);
-}
-
-TEST(P2Quantile, MonotoneInputs) {
-  P2Quantile q(0.9);
-  for (int i = 1; i <= 1000; ++i) q.add(static_cast<double>(i));
-  EXPECT_NEAR(q.value(), 900.0, 30.0);
 }
 
 }  // namespace

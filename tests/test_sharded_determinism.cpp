@@ -719,7 +719,7 @@ TEST(ShardedDeterminism, SequentialLossyGoldenStillPinned) {
   sim.actuator.ack_timeout_s = 2.0;
   sim.controller_faults.script = {{900.0, 120.0}};
   const SimResult result = run_simulation(workload, cluster, *controller, sim);
-  EXPECT_EQ(checksum(result), 13159024489807549190ULL);
+  EXPECT_EQ(checksum(result), 4901449984472170482ULL);
 }
 
 }  // namespace

@@ -84,6 +84,27 @@ TEST(SimEdge, WarmupBeyondWorkloadYieldsNoMeasurements) {
   EXPECT_EQ(result.response_hist.count(), 0u);
 }
 
+// The reported tails are the response histogram's quantiles, exactly, with
+// and without a warmup (the histogram then covers only the measured part).
+TEST(SimEdge, TailsAreTheResponseHistogramQuantiles) {
+  for (const double warmup : {0.0, 100.0}) {
+    Workload workload = Workload::poisson_exponential(15.0, 10.0, 500.0, 6);
+    NullController controller;
+    SimulationOptions options;
+    options.t_ref_s = 1.0;
+    options.warmup_s = warmup;
+    const SimResult result =
+        run_simulation(workload, two_server_options(), controller, options);
+    ASSERT_GT(result.completed_jobs, 1000u) << "warmup " << warmup;
+    EXPECT_EQ(result.response_hist.count(), result.completed_jobs) << "warmup " << warmup;
+    EXPECT_EQ(result.p95_response_s, result.response_hist.quantile(0.95))
+        << "warmup " << warmup;
+    EXPECT_EQ(result.p99_response_s, result.response_hist.quantile(0.99))
+        << "warmup " << warmup;
+    EXPECT_LT(result.p95_response_s, result.p99_response_s) << "warmup " << warmup;
+  }
+}
+
 TEST(SimEdge, ZeroTransitionDelaysWork) {
   ClusterOptions options = two_server_options();
   options.num_servers = 4;
