@@ -1,4 +1,4 @@
-#include "queueing/mg1.h"
+#include "support/mg1.h"
 
 #include <stdexcept>
 

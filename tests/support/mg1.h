@@ -1,8 +1,7 @@
-// M/G/1 Pollaczek–Khinchine results.
-//
-// The evaluation's sensitivity study replaces exponential job sizes with
-// deterministic and bounded-Pareto ones; P–K quantifies how far the M/M/1
-// design model drifts under those, which EXPERIMENTS.md reports.
+// M/G/1 Pollaczek–Khinchine results: the closed-form oracle the simulator
+// is validated against for deterministic and bounded-Pareto job sizes
+// (test_simulation_validation), where the M/M/1 design model no longer
+// applies.
 #pragma once
 
 namespace gc {

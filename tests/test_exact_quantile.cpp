@@ -1,4 +1,4 @@
-#include "stats/quantile.h"
+#include "support/exact_quantile.h"
 
 #include <gtest/gtest.h>
 

@@ -14,19 +14,10 @@
 #include <vector>
 
 #include "stats/rng.h"
+#include "support/exact_quantile.h"
 
 namespace gc {
 namespace {
-
-// Exact p-quantile of a sorted sample with the same rank convention the
-// histogram uses: the ceil(p * n)-th smallest value.
-double exact_quantile(std::vector<double> sorted, double p) {
-  std::sort(sorted.begin(), sorted.end());
-  const auto n = sorted.size();
-  auto rank = static_cast<std::size_t>(std::ceil(p * static_cast<double>(n)));
-  rank = std::min(std::max<std::size_t>(rank, 1), n);
-  return sorted[rank - 1];
-}
 
 std::vector<double> random_sample(std::uint64_t seed, std::size_t n) {
   Rng rng(seed);
@@ -89,7 +80,7 @@ TEST(LogHistogram, QuantilesWithinAdvertisedRelativeError) {
     const double bound = h.relative_error_bound();
     EXPECT_DOUBLE_EQ(bound, 1.0 / 128.0);  // 6 sub-bucket bits
     for (const double p : {0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999}) {
-      const double exact = exact_quantile(xs, p);
+      const double exact = order_statistic(xs, p);
       const double est = h.quantile(p);
       EXPECT_NEAR(est, exact, bound * exact)
           << "seed " << seed << " p " << p;
@@ -105,7 +96,7 @@ TEST(LogHistogram, CoarserGeometryHasLooserBoundButStillHolds) {
   for (const double x : xs) h.add(x);
   EXPECT_DOUBLE_EQ(h.relative_error_bound(), 1.0 / 16.0);
   for (const double p : {0.5, 0.95, 0.99}) {
-    const double exact = exact_quantile(xs, p);
+    const double exact = order_statistic(xs, p);
     EXPECT_NEAR(h.quantile(p), exact, h.relative_error_bound() * exact);
   }
 }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "stats/distributions.h"
+#include "stats/rng.h"
+#include "support/exact_quantile.h"
+
 namespace gc {
 namespace {
 
@@ -66,6 +72,29 @@ TEST(MetricsCollector, BeginMeasuringForgetsResponsesButKeepsTotal) {
   EXPECT_EQ(metrics.job_violation_ratio(), 0.0);
   EXPECT_EQ(metrics.response_histogram().count(), 1u);
   EXPECT_DOUBLE_EQ(metrics.response_histogram().max(), 0.25);
+}
+
+// p95()/p99() are the response histogram's quantiles, so they inherit its
+// advertised bound against the exact rank-ceil(p*n) order statistic.
+TEST(MetricsCollector, TailsCarryTheHistogramBound) {
+  MetricsCollector metrics(1.0);
+  const Exponential dist(4.0);  // mean 0.25 s
+  Rng rng(31);
+  std::vector<double> responses;
+  responses.reserve(100000);
+  for (int i = 0; i < 100000; ++i) {
+    const double x = dist.sample(rng);
+    responses.push_back(x);
+    metrics.on_job_completed(x, make_job(0.0));
+  }
+  const double bound = metrics.response_histogram().relative_error_bound();
+  EXPECT_DOUBLE_EQ(bound, 1.0 / 128.0);
+  const double p95 = order_statistic(responses, 0.95);
+  const double p99 = order_statistic(responses, 0.99);
+  EXPECT_NEAR(metrics.p95(), p95, bound * p95);
+  EXPECT_NEAR(metrics.p99(), p99, bound * p99);
+  EXPECT_EQ(metrics.p95(), metrics.response_histogram().quantile(0.95));
+  EXPECT_EQ(metrics.p99(), metrics.response_histogram().quantile(0.99));
 }
 
 TEST(SimResult, SlaCheck) {

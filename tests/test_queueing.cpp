@@ -1,4 +1,3 @@
-#include "queueing/mg1.h"
 #include "queueing/mm1.h"
 #include "queueing/mmc.h"
 
@@ -6,6 +5,8 @@
 
 #include <cmath>
 #include <stdexcept>
+
+#include "support/mg1.h"
 
 namespace gc {
 namespace {

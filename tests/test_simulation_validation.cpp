@@ -2,10 +2,10 @@
 // results — the foundation the whole evaluation rests on (DESIGN.md §2).
 #include <gtest/gtest.h>
 
-#include "queueing/mg1.h"
 #include "queueing/mm1.h"
 #include "queueing/mmc.h"
 #include "sim/simulation.h"
+#include "support/mg1.h"
 #include "workload/workload.h"
 
 namespace gc {
