@@ -1,6 +1,6 @@
 // perf_smoke — the persisted performance trajectory of the simulator core.
 //
-// Runs three cheap, deterministic micro-measurements and writes them to
+// Runs cheap, deterministic measurements of the core and writes them to
 // BENCH_core.json (overridable via argv[1]) so CI keeps a machine-readable
 // record of core hot-path throughput next to every build:
 //
@@ -27,11 +27,15 @@
 //                     commits.  Its shard imbalance is gated in CI: with
 //                     strided ownership every shard owns a slice of any
 //                     prefix (contiguous ranges would leave K-1 idle).
-//   * sinks_overhead — the fig8 combined-DCP replay with the trace, audit
-//                     and time-series sinks attached and every artifact
-//                     rendered to memory, over the same replay with the
-//                     sinks off (best of three each).  A ratio of two
-//                     timings on one machine, so CI gates it absolutely.
+//   * dcday         — the fig8 combined-DCP replay (three compressed
+//                     WC98-like days on the sequential engine, sinks off)
+//                     end to end: simulated events, best-of-three wall
+//                     seconds and events/sec.
+//   * sinks_overhead — the same replay with the trace, audit and
+//                     time-series sinks attached and every artifact
+//                     rendered to memory, over the dcday replay (best of
+//                     three each).  A ratio of two timings on one
+//                     machine, so CI gates it absolutely.
 //
 // Wall-clock numbers vary with the machine; the JSON is a trajectory, not
 // a pass/fail gate (CI only checks that the file is produced and sane,
@@ -336,11 +340,16 @@ ShardedCell sharded_consolidated() {
   return best;
 }
 
+struct Replay {
+  double seconds = 0.0;
+  std::uint64_t events = 0;  // events the engine dispatched (sim.events.*)
+};
+
 // The fig8 combined-DCP replay (three compressed WC98-like days), timed
 // end to end.  With `with_sinks` it also attaches the trace, audit and
 // time-series sinks and renders every artifact --trace-out and
-// --timeseries-out write, to memory.  Returns the wall seconds.
-double fig8_replay_s(const gc::Trace& trace, bool with_sinks) {
+// --timeseries-out write, to memory.
+Replay fig8_replay(const gc::Trace& trace, bool with_sinks) {
   const gc::ClusterConfig config = gc::bench_cluster_config();
   const gc::Provisioner solver(config);
   gc::PolicyOptions popts;
@@ -391,27 +400,36 @@ double fig8_replay_s(const gc::Trace& trace, bool with_sinks) {
     std::fprintf(stderr, "perf_smoke: sinks_overhead rendered no artifact bytes\n");
     std::exit(1);
   }
-  return elapsed;
+  Replay replay{elapsed, 0};
+  for (const auto& [name, value] : r.counters.counters) {
+    if (name.starts_with("sim.events.")) replay.events += value;
+  }
+  return replay;
 }
 
 struct SinksOverhead {
   double off_s = 0.0;  // best of three, sinks off
   double on_s = 0.0;   // best of three, sinks on + every artifact rendered
+  std::uint64_t events = 0;  // per sinks-off replay (deterministic)
   [[nodiscard]] double ratio() const { return on_s / off_s; }
+  [[nodiscard]] double events_per_sec() const {
+    return static_cast<double>(events) / off_s;
+  }
 };
 
 // Off and on runs alternate so a drifting host load hits both sides; one
 // untimed pair first warms the allocator and the caches.
 SinksOverhead sinks_overhead() {
   const gc::Trace trace = fig8_trace(gc::bench_cluster_config());
-  (void)fig8_replay_s(trace, false);
-  (void)fig8_replay_s(trace, true);
+  (void)fig8_replay(trace, false);
+  (void)fig8_replay(trace, true);
   SinksOverhead best;
   for (int rep = 0; rep < 3; ++rep) {
-    const double off = fig8_replay_s(trace, false);
-    const double on = fig8_replay_s(trace, true);
-    if (rep == 0 || off < best.off_s) best.off_s = off;
+    const Replay off = fig8_replay(trace, false);
+    const double on = fig8_replay(trace, true).seconds;
+    if (rep == 0 || off.seconds < best.off_s) best.off_s = off.seconds;
     if (rep == 0 || on < best.on_s) best.on_s = on;
+    best.events = off.events;
   }
   return best;
 }
@@ -477,13 +495,16 @@ int main(int argc, char** argv) {
                "\"initial_active\": %u, \"events_per_sec\": %.6e, "
                "\"busy_fraction\": %.4f, \"imbalance\": %.4f},\n"
                "  \"sharded_speedup_k4_m16384\": %.4f,\n"
+               "  \"dcday\": {\"events\": %llu, \"run_s\": %.6f, "
+               "\"events_per_sec\": %.6e},\n"
                "  \"sinks_overhead\": {\"sinks_off_s\": %.6f, \"sinks_on_s\": %.6f, "
                "\"ratio\": %.4f}\n"
                "}\n",
                consolidated.shards, consolidated.servers, consolidated.servers / 16,
                consolidated.events_per_sec, consolidated.busy_fraction,
-               consolidated.imbalance, speedup_k4_m16384, sinks.off_s, sinks.on_s,
-               sinks.ratio());
+               consolidated.imbalance, speedup_k4_m16384,
+               static_cast<unsigned long long>(sinks.events), sinks.off_s,
+               sinks.events_per_sec(), sinks.off_s, sinks.on_s, sinks.ratio());
   std::fclose(out);
 
   std::printf("event loop  : M=16 %.3e  M=256 %.3e  M=1024 %.3e ops/sec\n",
@@ -503,6 +524,9 @@ int main(int argc, char** argv) {
   std::printf("consolidated: K=%u M=%-6u %.3e ev/s  imbalance %.2f (1/16 prefix)\n",
               consolidated.shards, consolidated.servers, consolidated.events_per_sec,
               consolidated.imbalance);
+  std::printf("dcday       : fig8 replay %llu events in %.3f s (%.3e ev/s)\n",
+              static_cast<unsigned long long>(sinks.events), sinks.off_s,
+              sinks.events_per_sec());
   std::printf("sinks       : fig8 replay %.3f s off, %.3f s on + rendered (%.2fx)\n",
               sinks.off_s, sinks.on_s, sinks.ratio());
   std::printf("wrote %s\n", path.c_str());

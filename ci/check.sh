@@ -114,6 +114,9 @@ perf_smoke() {
          and .sharded_consolidated.events_per_sec > 0
          and (.sharded_consolidated.imbalance | . >= 0)
          and .sharded_speedup_k4_m16384 > 0
+         and .dcday.events > 0
+         and .dcday.run_s > 0
+         and .dcday.events_per_sec > 0
          and .sinks_overhead.sinks_off_s > 0
          and .sinks_overhead.sinks_on_s > 0
          and .sinks_overhead.ratio > 0' \
@@ -186,6 +189,13 @@ bench_compare() {
                 | first.events_per_sec),
         base: ($b.sharded | map(select(.shards == 1 and .servers == 16384))
                  | first.events_per_sec) },
+      # End to end: the fig8 datacenter day on the sequential engine (sinks
+      # off), the experiment of the paper itself.  Its event throughput
+      # may not fall, like event_loop.
+      { what: "dcday.events_per_sec",
+        ok: ($c.dcday.events_per_sec >= $b.dcday.events_per_sec * (1 - $tol)),
+        cur: $c.dcday.events_per_sec,
+        base: $b.dcday.events_per_sec },
       # Machine-independent: a fleet consolidated onto a 1/16 prefix must
       # still spread its work over every shard.  Strided ownership keeps
       # the imbalance near 0; contiguous ranges put the whole prefix on
