@@ -10,8 +10,8 @@ namespace gc {
 namespace {
 
 std::vector<double> sorted_copy(std::span<const double> samples, double p) {
-  GC_CHECK(!samples.empty(), "exact_quantile: empty sample");
-  GC_CHECK(p >= 0.0 && p <= 1.0, "exact_quantile: p out of range");
+  GC_CHECK(!samples.empty(), "quantile of an empty sample");
+  GC_CHECK(p >= 0.0 && p <= 1.0, "quantile: p out of range");
   std::vector<double> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
   return sorted;

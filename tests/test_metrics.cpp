@@ -93,8 +93,6 @@ TEST(MetricsCollector, TailsCarryTheHistogramBound) {
   const double p99 = order_statistic(responses, 0.99);
   EXPECT_NEAR(metrics.p95(), p95, bound * p95);
   EXPECT_NEAR(metrics.p99(), p99, bound * p99);
-  EXPECT_EQ(metrics.p95(), metrics.response_histogram().quantile(0.95));
-  EXPECT_EQ(metrics.p99(), metrics.response_histogram().quantile(0.99));
 }
 
 TEST(SimResult, SlaCheck) {
