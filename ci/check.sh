@@ -11,7 +11,8 @@
 # The sanitize mode also runs the ThreadSanitizer lane over the sharded
 # simulation core (see tsan_lane; `ci/check.sh tsan` runs just that lane).
 # The lint mode runs the cheap static checks (no build tree or
-# CMakeCache.txt tracked by git, clang-format via ci/format.sh --check,
+# CMakeCache.txt tracked by git, no src/ header that only tests include,
+# clang-format via ci/format.sh --check,
 # clang-tidy when installed, plus a tracing-compiled-out configure)
 # without running the suite.
 # The soak mode records a multi-day fig8 trace, replays it through
@@ -329,6 +330,17 @@ lint() {
   [ -z "${committed}" ] \
     || { printf 'lint: build artifacts are tracked by git:\n%s\n' \
            "$(echo "${committed}" | head -5)" >&2; exit 1; }
+  # Code with no production caller is deleted, not kept alive by its tests:
+  # every header under src/ needs an includer outside tests/ other than its
+  # own .cpp.
+  echo "==> [lint] no test-only modules under src/"
+  local dead="" header
+  while IFS= read -r header; do
+    git grep -qF "#include \"${header#src/}\"" -- ':!tests/' ":!${header%.h}.cpp" \
+      || dead="${dead}${header}"$'\n'
+  done < <(git ls-files 'src/*.h')
+  [ -z "${dead}" ] \
+    || { printf 'lint: headers only tests include:\n%s' "${dead}" >&2; exit 1; }
   echo "==> [lint] clang-format"
   ci/format.sh --check
   # The zero-overhead claim only holds if the tracing-compiled-out build

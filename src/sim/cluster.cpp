@@ -1,6 +1,7 @@
 #include "sim/cluster.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -8,14 +9,11 @@
 #include "util/assert.h"
 
 namespace gc {
+namespace {
 
-Cluster::Cluster(const ClusterOptions& options, EventQueue* queue)
-    : queue_(queue), transition_(options.transition),
-      dispatcher_(options.dispatch, Rng(options.dispatch_seed, /*stream=*/3)),
-      group_rng_(options.dispatch_seed, /*stream=*/5), speed_(options.initial_speed) {
-  GC_CHECK(queue != nullptr, "Cluster: null event queue");
-
-  // Normalize to group form: the homogeneous fields describe one group.
+// The cluster's groups: `options.groups`, or the homogeneous fields as one
+// group.  Validates either form.
+std::vector<ServerGroupSpec> normalized_groups(const ClusterOptions& options) {
   std::vector<ServerGroupSpec> groups = options.groups;
   if (groups.empty()) {
     if (options.num_servers == 0) {
@@ -33,8 +31,7 @@ Cluster::Cluster(const ClusterOptions& options, EventQueue* queue)
     spec.initial_speed = options.initial_speed;
     groups.push_back(spec);
   }
-
-  std::size_t total = 0;
+  bool any_active = false;
   for (const ServerGroupSpec& g : groups) {
     if (g.count == 0) throw std::invalid_argument("ServerGroupSpec: empty group");
     if (g.initial_active > g.count) {
@@ -46,175 +43,122 @@ Cluster::Cluster(const ClusterOptions& options, EventQueue* queue)
     if (!(g.rate_scale > 0.0)) {
       throw std::invalid_argument("ServerGroupSpec: rate_scale must be positive");
     }
-    total += g.count;
+    any_active |= g.initial_active > 0;
   }
-  bool any_active = false;
-  for (const ServerGroupSpec& g : groups) any_active |= g.initial_active > 0;
   if (!any_active) {
     throw std::invalid_argument("ClusterOptions: at least one server must start ON");
   }
+  return groups;
+}
 
-  power_models_.reserve(groups.size());
-  group_sizes_.reserve(groups.size());
-  group_speeds_.reserve(groups.size());
-  server_group_.reserve(total);
-  servers_.reserve(total);
-  group_booting_.assign(groups.size(), 0);
-  std::uint32_t index = 0;
-  std::uint32_t group_id = 0;
+std::uint32_t fleet_size(const std::vector<ServerGroupSpec>& groups) {
+  std::uint32_t total = 0;
+  for (const ServerGroupSpec& g : groups) total += g.count;
+  return total;
+}
+
+// The speed every server starts at, or NaN if the groups differ.
+double common_speed(const std::vector<ServerGroupSpec>& groups) {
   for (const ServerGroupSpec& g : groups) {
-    power_models_.emplace_back(g.power);  // reserved: addresses are stable
-    group_sizes_.push_back(g.count);
-    group_speeds_.push_back(g.initial_speed);
-    for (std::uint32_t i = 0; i < g.count; ++i, ++index) {
-      server_group_.push_back(group_id);
-      servers_.emplace_back(index, &power_models_.back(), g.initial_speed,
-                            /*initially_on=*/i < g.initial_active,
-                            /*start_time=*/0.0, g.rate_scale);
+    if (g.initial_speed != groups.front().initial_speed) {
+      return std::numeric_limits<double>::quiet_NaN();
     }
-    ++group_id;
   }
+  return groups.front().initial_speed;
+}
 
-  server_boots_.assign(total, 0);
-  server_shutdowns_.assign(total, 0);
+EventQueue& checked(EventQueue* queue) {
+  GC_CHECK(queue != nullptr, "Cluster: null event queue");
+  return *queue;
+}
 
-  // Seed the incremental accounting from the initial states (ON or OFF).
-  serving_index_.reserve(total);
-  for (const Server& s : servers_) {
-    if (s.serving()) serving_index_.push_back(s.index());
-    if (s.state() != PowerState::kOff) ++powered_total_;
+}  // namespace
+
+Cluster::Cluster(const ClusterOptions& options, EventQueue* queue)
+    : groups_(normalized_groups(options)),
+      store_(checked(queue), options.transition, fleet_size(groups_),
+             common_speed(groups_)),
+      dispatcher_(options.dispatch, Rng(options.dispatch_seed, /*stream=*/3)),
+      group_rng_(options.dispatch_seed, /*stream=*/5) {
+  power_models_.reserve(groups_.size());
+  std::uint32_t index = 0;
+  for (const ServerGroupSpec& g : groups_) {
+    power_models_.emplace_back(g.power);  // reserved: addresses are stable
+    for (std::uint32_t i = 0; i < g.count; ++i, ++index) {
+      store_.add(index, &power_models_.back(), g.initial_speed,
+                 /*on=*/i < g.initial_active, g.rate_scale);
+    }
   }
-}
-
-void Cluster::serving_insert(std::uint32_t index) {
-  const auto it =
-      std::lower_bound(serving_index_.begin(), serving_index_.end(), index);
-  GC_DCHECK(it == serving_index_.end() || *it != index,
-            "serving_insert: index already present");
-  serving_index_.insert(it, index);
-}
-
-void Cluster::serving_erase(std::uint32_t index) {
-  const auto it =
-      std::lower_bound(serving_index_.begin(), serving_index_.end(), index);
-  GC_CHECK(it != serving_index_.end() && *it == index,
-           "serving_erase: index not in serving set");
-  serving_index_.erase(it);
-}
-
-std::pair<std::uint32_t, std::uint32_t> Cluster::group_range(std::size_t group) const {
-  GC_CHECK(group < group_sizes_.size(), "Cluster: group index out of range");
-  std::uint32_t begin = 0;
-  for (std::size_t g = 0; g < group; ++g) begin += group_sizes_[g];
-  return {begin, begin + group_sizes_[group]};
-}
-
-unsigned Cluster::group_size(std::size_t group) const {
-  GC_CHECK(group < group_sizes_.size(), "Cluster: group index out of range");
-  return group_sizes_[group];
 }
 
 std::uint32_t Cluster::group_of(std::uint32_t server) const {
-  GC_CHECK(server < server_group_.size(), "Cluster: server index out of range");
-  return server_group_[server];
-}
-
-unsigned Cluster::group_serving_count(std::size_t group) const {
-  const auto [begin, end] = group_range(group);
-  // The serving index is sorted and group ranges are contiguous, so the
-  // group's serving set is one subrange of it.
-  const auto lo = std::lower_bound(serving_index_.begin(), serving_index_.end(), begin);
-  const auto hi = std::lower_bound(lo, serving_index_.end(), end);
-  return static_cast<unsigned>(hi - lo);
-}
-
-void Cluster::set_group_speed(double now, std::size_t group, double speed) {
-  GC_CHECK(speed > 0.0 && speed <= 1.0, "set_group_speed: speed out of (0,1]");
-  const auto [begin, end] = group_range(group);
-  group_speeds_[group] = speed;
-  for (std::uint32_t i = begin; i < end; ++i) {
-    const auto eta = servers_[i].set_speed(now, speed);
-    if (eta) reschedule_departure(now, servers_[i], *eta);
+  GC_CHECK(server < num_servers(), "Cluster: server index out of range");
+  std::uint32_t group = 0;
+  for (std::uint32_t end = groups_[0].count; server >= end; end += groups_[group].count) {
+    ++group;
   }
+  return group;
 }
 
 bool Cluster::route_job_to_group(double now, std::size_t group, const Job& job) {
-  const auto [begin, end] = group_range(group);
+  GC_CHECK(group < groups_.size(), "Cluster: group index out of range");
+  std::uint32_t begin = 0;
+  for (std::size_t g = 0; g < group; ++g) begin += groups_[g].count;
+  const std::uint32_t end = begin + groups_[group].count;
+  ++store_.totals().admitted;
   // Random pick among the group's serving servers (matches the per-class
   // random-split M/M/1 model the hetero solver assumes).  The group's
-  // serving set is a contiguous subrange of the sorted serving index, so
-  // the k-th serving server is an O(log S) lookup instead of a range scan.
-  const auto lo = std::lower_bound(serving_index_.begin(), serving_index_.end(), begin);
-  const auto hi = std::lower_bound(lo, serving_index_.end(), end);
+  // serving set is a contiguous subrange of the ascending serving list.
+  const std::span<const std::uint32_t> serving = serving_list();
+  const auto lo = std::lower_bound(serving.begin(), serving.end(), begin);
+  const auto hi = std::lower_bound(lo, serving.end(), end);
   const auto serving_count = static_cast<std::uint64_t>(hi - lo);
   if (serving_count == 0) {
-    ++jobs_dropped_;
+    ++store_.totals().dropped;
     return false;
   }
   const std::uint64_t pick = group_rng_.uniform_below(serving_count);
-  Server& chosen = servers_[*(lo + static_cast<std::ptrdiff_t>(pick))];
-  const auto eta = chosen.enqueue(now, job);
-  if (eta) reschedule_departure(now, chosen, *eta);
-  ++jobs_in_system_;
+  store_.enqueue(now, *(lo + static_cast<std::ptrdiff_t>(pick)), job);
   return true;
 }
 
 const Server& Cluster::server(std::uint32_t index) const {
-  GC_CHECK(index < servers_.size(), "Cluster: server index out of range");
-  return servers_[index];
+  GC_CHECK(index < num_servers(), "Cluster: server index out of range");
+  return store_.server(index);
 }
 
-void Cluster::reschedule_departure(double now, Server& server, double eta) {
-  if (server.pending_departure != kInvalidEventId) {
-    queue_->cancel(server.pending_departure);
+void Cluster::boot(double now, std::uint32_t server) {
+  // With fault injection, this individual boot may hang: instead of a
+  // completion it gets a watchdog timeout that fails the server.
+  const std::optional<double> hang =
+      faults_ ? faults_->sample_boot_hang(store_.boot_delay_s())
+              : std::nullopt;
+  store_.boot(now, server, hang);
+  trace_async_begin(trace_, now, "lifecycle", "boot", server);
+}
+
+void Cluster::drain(double now, std::uint32_t server) {
+  if (store_.drain(now, server)) {
+    trace_async_begin(trace_, now, "lifecycle", "shutdown", server);
   }
-  server.pending_departure = queue_->schedule(eta, EventType::kDeparture, server.index());
-  (void)now;
-}
-
-void Cluster::set_group_active_target(double now, std::size_t group, unsigned target) {
-  const auto [begin, end] = group_range(group);
-  const unsigned committed = group_serving_count(group) + group_booting_[group];
-  reconcile_range(now, begin, end, committed, std::min(target, group_sizes_[group]));
 }
 
 void Cluster::set_active_target(double now, unsigned target) {
   target = std::clamp(target, 1u, num_servers());
-  reconcile_range(now, 0, static_cast<std::uint32_t>(servers_.size()),
-                  committed_count(), target);
-}
-
-void Cluster::reconcile_range(double now, std::uint32_t begin, std::uint32_t end,
-                              unsigned committed, unsigned target) {
+  unsigned committed = committed_count();
   if (target > committed) {
     // 1) Revive draining servers — they are still hot.
-    for (std::uint32_t i = begin; i < end && committed < target; ++i) {
-      Server& s = servers_[i];
+    for (std::uint32_t i = 0; i < num_servers() && committed < target; ++i) {
+      const Server& s = store_.server(i);
       if (s.state() == PowerState::kOn && s.draining()) {
-        apply_transition(s, [&] { s.set_draining(now, false); });
+        store_.revive(now, i);
         ++committed;
       }
     }
     // 2) Boot OFF servers.
-    for (std::uint32_t i = begin; i < end && committed < target; ++i) {
-      Server& s = servers_[i];
-      if (s.state() == PowerState::kOff) {
-        apply_transition(s, [&] { s.start_boot(now); });
-        trace_async_begin(trace_, now, "lifecycle", "boot", s.index());
-        // With fault injection, this individual boot may hang: instead of a
-        // completion it gets a watchdog timeout that fails the server.
-        const std::optional<double> hang =
-            faults_ ? faults_->sample_boot_hang(transition_.boot_delay_s)
-                    : std::nullopt;
-        if (hang) {
-          s.pending_transition =
-              queue_->schedule(now + *hang, EventType::kBootTimeout, s.index());
-        } else {
-          s.pending_transition = queue_->schedule(
-              now + transition_.boot_delay_s, EventType::kBootComplete, s.index());
-        }
-        ++boots_started_;
-        ++server_boots_[i];
+    for (std::uint32_t i = 0; i < num_servers() && committed < target; ++i) {
+      if (store_.server(i).state() == PowerState::kOff) {
+        boot(now, i);
         ++committed;
       }
     }
@@ -223,133 +167,74 @@ void Cluster::reconcile_range(double now, std::uint32_t begin, std::uint32_t end
     return;
   }
 
-  if (target < committed) {
-    unsigned excess = committed - target;
-    // Drain serving servers with the least outstanding work first, but
-    // never below one serving server cluster-wide (a reduction to zero in
-    // one *group* of a hetero cluster is allowed when target == 0 there,
-    // as long as another group still serves).  Candidates come off the
-    // serving index: same ascending order a full range scan would visit,
-    // without touching non-serving servers.
-    while (excess > 0) {
-      // Never drain the last serving server: booting capacity cannot take
-      // traffic yet, and a cluster with zero serving servers drops jobs.
-      if (serving_count() <= 1) break;
-      const auto lo =
-          std::lower_bound(serving_index_.begin(), serving_index_.end(), begin);
-      const auto hi = std::lower_bound(lo, serving_index_.end(), end);
-      Server* victim = nullptr;
-      double least_work = std::numeric_limits<double>::infinity();
-      for (auto it = lo; it != hi; ++it) {
-        Server& s = servers_[*it];
-        const double work = s.outstanding_work(now);
-        if (work < least_work) {
-          least_work = work;
-          victim = &s;
-        }
+  // Drain serving servers with the least outstanding work first (ties go
+  // to the lowest index), but never the last serving server: booting
+  // capacity cannot take traffic yet, and a cluster with zero serving
+  // servers drops jobs.
+  for (unsigned excess = committed - target; excess > 0 && serving_count() > 1;
+       --excess) {
+    std::uint32_t victim = 0;
+    double least_work = std::numeric_limits<double>::infinity();
+    store_.serving().for_each([&](std::size_t i) {
+      const auto li = static_cast<std::uint32_t>(i);
+      const double work = store_.server(li).outstanding_work(now);
+      if (work < least_work) {
+        least_work = work;
+        victim = li;
       }
-      if (victim == nullptr) break;  // only booting servers left; let them land
-      apply_transition(*victim, [&] { victim->set_draining(now, true); });
-      maybe_begin_shutdown(now, *victim);
-      --excess;
-    }
+    });
+    drain(now, victim);
   }
 }
 
-void Cluster::maybe_begin_shutdown(double now, Server& server) {
-  if (server.state() == PowerState::kOn && server.draining() && !server.busy() &&
-      server.queue_length() == 0) {
-    apply_transition(server, [&] { server.begin_shutdown(now); });
-    trace_async_begin(trace_, now, "lifecycle", "shutdown", server.index());
-    server.pending_transition = queue_->schedule(
-        now + transition_.shutdown_delay_s, EventType::kShutdownComplete,
-        server.index());
-    ++shutdowns_started_;
-    ++server_shutdowns_[server.index()];
-  }
-}
-
-void Cluster::set_all_speeds(double now, double speed) {
-  GC_CHECK(speed > 0.0 && speed <= 1.0, "set_all_speeds: speed out of (0,1]");
-  speed_ = speed;
-  for (double& s : group_speeds_) s = speed;
-  for (Server& s : servers_) {
-    const auto eta = s.set_speed(now, speed);
-    if (eta) reschedule_departure(now, s, *eta);
-  }
-}
-
-bool Cluster::route_job(double now, const Job& job) {
-  const long target = dispatcher_.pick(now, servers_, serving_index_);
-  if (target < 0) {
-    ++jobs_dropped_;
-    return false;
-  }
-  Server& s = servers_[static_cast<std::size_t>(target)];
-  const auto eta = s.enqueue(now, job);
-  if (eta) reschedule_departure(now, s, *eta);
-  ++jobs_in_system_;
+bool Cluster::dispatch(double now, const Job& job) {
+  const long target = dispatcher_.pick(now, store_.servers(), serving_list());
+  if (target < 0) return false;
+  store_.enqueue(now, static_cast<std::uint32_t>(target), job);
   return true;
 }
 
+bool Cluster::route_job(double now, const Job& job) {
+  ++store_.totals().admitted;
+  if (dispatch(now, job)) return true;
+  ++store_.totals().dropped;
+  return false;
+}
+
 Job Cluster::handle_departure(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "departure for unknown server");
-  Server& s = servers_[server];
-  s.pending_departure = kInvalidEventId;
-  const Server::Completion completion = s.complete_current(now);
-  if (completion.next_eta) {
-    reschedule_departure(now, s, *completion.next_eta);
-  } else {
-    maybe_begin_shutdown(now, s);
+  GC_CHECK(server < num_servers(), "departure for unknown server");
+  const Job finished = store_.depart(now, server);
+  // A departure that emptied a draining server began its shutdown.
+  if (store_.server(server).state() == PowerState::kShuttingDown) {
+    trace_async_begin(trace_, now, "lifecycle", "shutdown", server);
   }
-  GC_CHECK(jobs_in_system_ > 0, "departure with no jobs in system");
-  --jobs_in_system_;
-  return completion.finished;
+  return finished;
 }
 
 void Cluster::handle_boot_complete(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "boot completion for unknown server");
-  Server& s = servers_[server];
-  s.pending_transition = kInvalidEventId;
-  apply_transition(s, [&] { s.finish_boot(now); });
-  trace_async_end(trace_, now, "lifecycle", "boot", s.index());
-  // Booted servers adopt their group's current speed.
-  const auto eta = s.set_speed(now, group_speeds_[server_group_[server]]);
-  GC_CHECK(!eta.has_value(), "freshly booted server cannot have work");
+  GC_CHECK(server < num_servers(), "boot completion for unknown server");
+  store_.finish_boot(now, server);
+  trace_async_end(trace_, now, "lifecycle", "boot", server);
 }
 
 void Cluster::handle_shutdown_complete(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "shutdown completion for unknown server");
-  Server& s = servers_[server];
-  s.pending_transition = kInvalidEventId;
-  apply_transition(s, [&] { s.finish_shutdown(now); });
-  trace_async_end(trace_, now, "lifecycle", "shutdown", s.index());
+  GC_CHECK(server < num_servers(), "shutdown completion for unknown server");
+  store_.finish_shutdown(now, server);
+  trace_async_end(trace_, now, "lifecycle", "shutdown", server);
 }
 
 bool Cluster::fail_server(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "fail_server: unknown server");
-  Server& s = servers_[server];
-  if (s.state() == PowerState::kOff || s.failed()) return false;
-  // A crashed server's scheduled future is void: its in-flight departure
-  // and its boot/shutdown completion must not fire.
-  if (s.pending_departure != kInvalidEventId) {
-    queue_->cancel(s.pending_departure);
-    s.pending_departure = kInvalidEventId;
-  }
-  if (s.pending_transition != kInvalidEventId) {
-    queue_->cancel(s.pending_transition);
-    s.pending_transition = kInvalidEventId;
-  }
+  GC_CHECK(server < num_servers(), "fail_server: unknown server");
+  const PowerState state = store_.server(server).state();
+  if (state == PowerState::kOff || state == PowerState::kFailed) return false;
   // Close the interrupted transition's lane before opening the failed one.
-  if (s.state() == PowerState::kBooting) {
-    trace_async_end(trace_, now, "lifecycle", "boot", s.index());
-  } else if (s.state() == PowerState::kShuttingDown) {
-    trace_async_end(trace_, now, "lifecycle", "shutdown", s.index());
+  if (state == PowerState::kBooting) {
+    trace_async_end(trace_, now, "lifecycle", "boot", server);
+  } else if (state == PowerState::kShuttingDown) {
+    trace_async_end(trace_, now, "lifecycle", "shutdown", server);
   }
-  std::vector<Job> orphans;
-  apply_transition(s, [&] { orphans = s.fail(now); });
-  ++failures_;
-  trace_async_begin(trace_, now, "lifecycle", "failed", s.index());
+  std::vector<Job> orphans = store_.fail(now, server);
+  trace_async_begin(trace_, now, "lifecycle", "failed", server);
   // Fail the orphans over to surviving serving servers; with none left the
   // jobs are lost (distinct from admission-time drops).
   for (Job& job : orphans) {
@@ -358,63 +243,26 @@ bool Cluster::fail_server(double now, std::uint32_t server) {
     // enqueue invariant (remaining > 0) holds and it finishes immediately
     // on the failover server.
     job.remaining = std::max(job.remaining, 1e-12);
-    const long target = dispatcher_.pick(now, servers_, serving_index_);
-    if (target < 0) {
-      ++jobs_lost_;
-      GC_CHECK(jobs_in_system_ > 0, "fail_server: losing an untracked job");
-      --jobs_in_system_;
-      continue;
+    if (dispatch(now, job)) {
+      ++store_.totals().redispatched;
+    } else {
+      ++store_.totals().lost;
     }
-    Server& survivor = servers_[static_cast<std::size_t>(target)];
-    const auto eta = survivor.enqueue(now, job);
-    if (eta) reschedule_departure(now, survivor, *eta);
-    ++jobs_redispatched_;  // still counted in jobs_in_system_
   }
   return true;
 }
 
 void Cluster::timeout_boot(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "timeout_boot: unknown server");
-  Server& s = servers_[server];
-  GC_CHECK(s.state() == PowerState::kBooting, "timeout_boot: server not BOOTING");
-  // The timeout event that brought us here was the pending transition.
-  s.pending_transition = kInvalidEventId;
-  trace_async_end(trace_, now, "lifecycle", "boot", s.index());
-  std::vector<Job> orphans;
-  apply_transition(s, [&] { orphans = s.fail(now); });
-  GC_CHECK(orphans.empty(), "timeout_boot: booting server held jobs");
-  ++failures_;
-  ++boot_timeouts_;
-  trace_async_begin(trace_, now, "lifecycle", "failed", s.index());
+  GC_CHECK(server < num_servers(), "timeout_boot: unknown server");
+  trace_async_end(trace_, now, "lifecycle", "boot", server);
+  store_.time_out_boot(now, server);
+  trace_async_begin(trace_, now, "lifecycle", "failed", server);
 }
 
 void Cluster::repair_server(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "repair_server: unknown server");
-  Server& s = servers_[server];
-  apply_transition(s, [&] { s.finish_repair(now); });
-  ++repairs_;
-  trace_async_end(trace_, now, "lifecycle", "failed", s.index());
-}
-
-void Cluster::flush_energy(double now) {
-  for (Server& s : servers_) s.flush_energy(now);
-}
-
-EnergyBreakdown Cluster::energy() const {
-  EnergyBreakdown sum;
-  for (const Server& s : servers_) {
-    sum.busy_j += s.meter().joules_busy();
-    sum.idle_j += s.meter().joules_idle();
-    sum.transition_j += s.meter().joules_transition();
-    sum.off_j += s.meter().joules_off();
-  }
-  return sum;
-}
-
-double Cluster::instantaneous_power() const {
-  double watts = 0.0;
-  for (const Server& s : servers_) watts += s.instantaneous_power();
-  return watts;
+  GC_CHECK(server < num_servers(), "repair_server: unknown server");
+  store_.finish_repair(now, server);
+  trace_async_end(trace_, now, "lifecycle", "failed", server);
 }
 
 }  // namespace gc

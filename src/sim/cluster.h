@@ -1,9 +1,11 @@
-// The simulated cluster: N servers, a dispatcher, and the VOVF transition
-// choreography.
+// The simulated cluster of the sequential engine: one FleetStore
+// (sim/fleet_store.h: the server lifecycle, its counts and sets, the watts
+// column, the speed log and the servers' event scheduling) plus what only
+// this model has — the global dispatcher, revive-then-boot and least-work
+// drain, crash failover, injector boot hangs and lifecycle trace spans.
 //
-// The cluster owns all event *scheduling* for its servers (departures,
-// boot/shutdown completions) on an EventQueue provided by the simulation
-// loop, which in turn routes those events back into the cluster's handlers.
+// Events go on an EventQueue provided by the simulation loop, which routes
+// them back into the cluster's handlers.
 //
 // Control plane semantics (see DESIGN.md §1.2):
 //   * set_active_target(m): reconciles towards m servers that are either
@@ -12,20 +14,20 @@
 //     service).  To shrink, serving servers with the least outstanding
 //     work are put into draining; a draining server shuts down as soon as
 //     its queue empties (possibly immediately).
-//   * set_all_speeds(s): applied to every powered server; in-flight work is
-//     re-timed (departure events rescheduled).
+//   * set_all_speeds(s): applied to every server (a dark one catches up at
+//     its next transition); in-flight work is re-timed (departure events
+//     rescheduled).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
-#include "power/energy_meter.h"
 #include "power/power_model.h"
 #include "sim/dispatcher.h"
 #include "sim/event_queue.h"
+#include "sim/fleet_store.h"
 #include "sim/job.h"
 #include "sim/server.h"
 
@@ -56,16 +58,6 @@ struct ClusterOptions {
   std::vector<ServerGroupSpec> groups;
 };
 
-struct EnergyBreakdown {
-  double busy_j = 0.0;
-  double idle_j = 0.0;
-  double transition_j = 0.0;
-  double off_j = 0.0;
-  [[nodiscard]] double total_j() const noexcept {
-    return busy_j + idle_j + transition_j + off_j;
-  }
-};
-
 class Cluster {
  public:
   // `queue` must outlive the cluster.
@@ -73,47 +65,40 @@ class Cluster {
 
   // -- control plane --------------------------------------------------------
   void set_active_target(double now, unsigned target);
-  void set_all_speeds(double now, double speed);
+  void set_all_speeds(double now, double speed) { store_.set_speed_all(now, speed); }
 
-  // Group-level control (heterogeneous clusters).  Groups are indexed in
-  // ClusterOptions::groups order; a homogeneous cluster is group 0.
-  [[nodiscard]] std::size_t num_groups() const noexcept { return group_sizes_.size(); }
-  [[nodiscard]] unsigned group_size(std::size_t group) const;
-  [[nodiscard]] unsigned group_serving_count(std::size_t group) const;
+  // Heterogeneous clusters: groups are index ranges in ClusterOptions::groups
+  // order (a homogeneous cluster is group 0).
   [[nodiscard]] std::uint32_t group_of(std::uint32_t server) const;
-  void set_group_active_target(double now, std::size_t group, unsigned target);
-  void set_group_speed(double now, std::size_t group, double speed);
   // Routes within one group (serving servers only, random pick); used by
   // weighted hetero dispatchers.  Returns false if the group has no
   // serving server (the job is dropped).
   bool route_job_to_group(double now, std::size_t group, const Job& job);
 
-  // Fleet counts are maintained incrementally on every lifecycle
-  // transition (serve/boot/fail/shutdown), so all of these are O(1) —
-  // they are read on every event by the simulation loop.
-  [[nodiscard]] unsigned serving_count() const noexcept {
-    return static_cast<unsigned>(serving_index_.size());
-  }
+  // Fleet counts are maintained on every lifecycle transition by the
+  // FleetStore, so all of these are O(1).
+  [[nodiscard]] unsigned serving_count() const noexcept { return store_.serving_count(); }
   // Serving + booting: the capacity already committed.
   [[nodiscard]] unsigned committed_count() const noexcept {
-    return serving_count() + booting_total_;
+    return store_.committed_count();
   }
   // Anything not OFF (including FAILED: a crashed machine is not off).
-  [[nodiscard]] unsigned powered_count() const noexcept { return powered_total_; }
+  [[nodiscard]] unsigned powered_count() const noexcept { return store_.powered_count(); }
   // Anything not FAILED: the fleet a failure-aware controller can draw on.
   [[nodiscard]] unsigned available_count() const noexcept {
-    return num_servers() - failed_total_;
+    return store_.available_count();
   }
-  [[nodiscard]] unsigned failed_count() const noexcept { return failed_total_; }
-  // The serving-set index: indices of serving() servers, ascending.  The
-  // dispatcher picks from this instead of scanning all M servers.
-  [[nodiscard]] std::span<const std::uint32_t> serving_index() const noexcept {
-    return serving_index_;
+  [[nodiscard]] unsigned failed_count() const noexcept { return store_.failed_count(); }
+  // Indices of the serving() servers, ascending: the list the dispatcher
+  // picks from (rebuilt here if a transition changed it).
+  [[nodiscard]] std::span<const std::uint32_t> serving_list() {
+    store_.refresh_serving_list();
+    return store_.serving_list();
   }
-  [[nodiscard]] unsigned num_servers() const noexcept {
-    return static_cast<unsigned>(servers_.size());
-  }
-  [[nodiscard]] double current_speed() const noexcept { return speed_; }
+  [[nodiscard]] unsigned num_servers() const noexcept { return store_.size(); }
+  // The commanded speed; NaN while the groups of a heterogeneous cluster
+  // still run at different initial speeds.
+  [[nodiscard]] double current_speed() const noexcept { return store_.speed(); }
 
   // -- data plane (called by the simulation loop) ---------------------------
   // Routes an arrival; returns false if dropped (no serving server — only
@@ -150,120 +135,43 @@ class Cluster {
   void repair_server(double now, std::uint32_t server);
 
   // -- accounting -----------------------------------------------------------
-  void flush_energy(double now);
-  [[nodiscard]] EnergyBreakdown energy() const;
-  [[nodiscard]] double instantaneous_power() const;
-  [[nodiscard]] std::size_t jobs_in_system() const noexcept { return jobs_in_system_; }
-  [[nodiscard]] std::uint64_t jobs_dropped() const noexcept { return jobs_dropped_; }
-  [[nodiscard]] std::uint64_t boots_started() const noexcept { return boots_started_; }
-  [[nodiscard]] std::uint64_t shutdowns_started() const noexcept {
-    return shutdowns_started_;
+  void flush_energy(double now) { store_.flush_energy(now); }
+  // Per-category joules; call flush_energy first.
+  [[nodiscard]] EnergyBreakdown energy() const { return store_.energy(); }
+  [[nodiscard]] double instantaneous_power() const { return store_.power_w(); }
+  // One server's entry in the dense power column the fold above reads.
+  [[nodiscard]] double watts(std::uint32_t server) const { return store_.watts(server); }
+  [[nodiscard]] std::size_t jobs_in_system() const noexcept {
+    return store_.jobs_in_system();
   }
+  // Whole-run totals (shed is counted by the admission controller).
+  [[nodiscard]] const FleetTotals& totals() const noexcept { return store_.totals(); }
   // Per-server transition counts (index = server index), the raw signal
-  // behind the wear-out model (core/reliability.h): each boot or shutdown
-  // is half an on/off cycle charged against that server's lifetime budget.
+  // behind the wear-out model (core/reliability.h).
   [[nodiscard]] std::span<const std::uint32_t> server_boots() const noexcept {
-    return server_boots_;
+    return store_.server_boots();
   }
   [[nodiscard]] std::span<const std::uint32_t> server_shutdowns() const noexcept {
-    return server_shutdowns_;
+    return store_.server_shutdowns();
   }
-  // Server class of a given index (heterogeneous fleets; 0 for uniform).
-  [[nodiscard]] std::uint32_t server_class_of(unsigned server) const noexcept {
-    return server_group_[server];
-  }
-  [[nodiscard]] std::uint64_t failures() const noexcept { return failures_; }
-  [[nodiscard]] std::uint64_t repairs() const noexcept { return repairs_; }
-  [[nodiscard]] std::uint64_t boot_timeouts() const noexcept { return boot_timeouts_; }
-  // Jobs that survived a crash by moving to another serving server.
-  [[nodiscard]] std::uint64_t jobs_redispatched() const noexcept {
-    return jobs_redispatched_;
-  }
-  // Jobs destroyed by a crash (no surviving server could take them).
-  [[nodiscard]] std::uint64_t jobs_lost() const noexcept { return jobs_lost_; }
 
+  // A dark (OFF or FAILED) server's speed and meter catch up with the
+  // fleet's speed commands only at its next transition or energy flush.
   [[nodiscard]] const Server& server(std::uint32_t index) const;
 
  private:
-  void reschedule_departure(double now, Server& server, double eta);
-  void maybe_begin_shutdown(double now, Server& server);
-  // Reconciles active servers towards `target` within [begin, end);
-  // `committed` is the serving+booting count of that range.
-  void reconcile_range(double now, std::uint32_t begin, std::uint32_t end,
-                       unsigned committed, unsigned target);
-  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> group_range(
-      std::size_t group) const;
+  void boot(double now, std::uint32_t server);
+  void drain(double now, std::uint32_t server);
+  // Enqueues on the dispatcher's pick; false if nothing is serving.
+  bool dispatch(double now, const Job& job);
 
-  // -- incremental fleet accounting ----------------------------------------
-  // Every server lifecycle mutation goes through apply_transition so the
-  // serving-set index and the per-state counters stay exact.  The invariant
-  // (checked by tests/test_cluster_property.cpp): counters and index always
-  // equal what a full scan of servers_ would produce.
-  void serving_insert(std::uint32_t index);
-  void serving_erase(std::uint32_t index);
-  template <typename Fn>
-  void apply_transition(Server& server, Fn&& mutate) {
-    const PowerState before = server.state();
-    const bool was_serving = server.serving();
-    mutate();
-    const PowerState after = server.state();
-    const std::uint32_t group = server_group_[server.index()];
-    if (before != after) {
-      if ((before != PowerState::kOff) != (after != PowerState::kOff)) {
-        if (after != PowerState::kOff) ++powered_total_; else --powered_total_;
-      }
-      if ((before == PowerState::kBooting) != (after == PowerState::kBooting)) {
-        if (after == PowerState::kBooting) {
-          ++booting_total_;
-          ++group_booting_[group];
-        } else {
-          --booting_total_;
-          --group_booting_[group];
-        }
-      }
-      if ((before == PowerState::kFailed) != (after == PowerState::kFailed)) {
-        if (after == PowerState::kFailed) ++failed_total_; else --failed_total_;
-      }
-    }
-    const bool is_serving = server.serving();
-    if (was_serving != is_serving) {
-      if (is_serving) serving_insert(server.index());
-      else serving_erase(server.index());
-    }
-  }
-
-  std::vector<Server> servers_;
-  // Serving-set index: serving() servers' indices, ascending.  Updated in
-  // apply_transition; O(serving) insert/erase on the rare lifecycle
-  // transitions buys O(1)/O(serving) dispatch on every arrival.
-  std::vector<std::uint32_t> serving_index_;
-  std::vector<unsigned> group_booting_;
-  unsigned booting_total_ = 0;
-  unsigned powered_total_ = 0;
-  unsigned failed_total_ = 0;
-  EventQueue* queue_;  // non-owning
+  std::vector<ServerGroupSpec> groups_;
   std::vector<PowerModel> power_models_;  // one per group; stable addresses
-  std::vector<unsigned> group_sizes_;
-  std::vector<double> group_speeds_;      // current common speed per group
-  std::vector<std::uint32_t> server_group_;
-  TransitionModel transition_;
+  FleetStore store_;
   Dispatcher dispatcher_;
   Rng group_rng_;  // used by route_job_to_group
   FaultInjector* faults_ = nullptr;  // non-owning; may be null
   TraceCollector* trace_ = nullptr;  // non-owning; may be null
-  double speed_;
-  std::size_t jobs_in_system_ = 0;
-  std::uint64_t jobs_dropped_ = 0;
-  std::uint64_t boots_started_ = 0;
-  std::uint64_t shutdowns_started_ = 0;
-  // Per-server transition tallies behind server_boots()/server_shutdowns().
-  std::vector<std::uint32_t> server_boots_;
-  std::vector<std::uint32_t> server_shutdowns_;
-  std::uint64_t failures_ = 0;
-  std::uint64_t repairs_ = 0;
-  std::uint64_t boot_timeouts_ = 0;
-  std::uint64_t jobs_redispatched_ = 0;
-  std::uint64_t jobs_lost_ = 0;
 };
 
 }  // namespace gc

@@ -62,7 +62,7 @@ long Dispatcher::pick(double now, std::span<const Server> servers,
 
 long Dispatcher::pick(double now, std::span<const Server> servers) {
   // Reference scan: collect the serving candidates in ascending order —
-  // exactly the set (and order) the incremental index maintains.
+  // exactly the set (and order) the fleet store's serving list holds.
   scratch_.clear();
   scratch_.reserve(servers.size());
   for (const Server& s : servers) {

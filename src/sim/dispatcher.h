@@ -9,18 +9,18 @@
 // sequence:
 //
 //   * pick(now, servers, serving) — the hot path.  `serving` is the
-//     cluster's incrementally-maintained index of serving() servers in
-//     ascending order (sim/cluster.h), so round-robin and random pick in
-//     O(1) and JSQ/least-work scan only the serving subset instead of all
-//     M servers.
+//     fleet store's list of serving() servers in ascending order
+//     (sim/fleet_store.h), so round-robin and random pick in O(1) and
+//     JSQ/least-work scan only the serving subset instead of all M
+//     servers.
 //   * pick(now, servers) — the retained reference implementation: rebuilds
 //     the serving set by scanning every server, exactly as the
 //     pre-index dispatcher did.  Kept as the equivalence oracle
-//     (tests/test_dispatcher_equivalence.cpp) and for callers without an
-//     index.
+//     (tests/test_dispatcher_equivalence.cpp) and for callers without a
+//     serving list.
 //
 // Both produce identical pick sequences for the same (policy, rng) state
-// because the index lists the same candidates in the same ascending order
+// because the list holds the same candidates in the same ascending order
 // the scan would collect.
 #pragma once
 

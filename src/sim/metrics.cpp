@@ -16,7 +16,6 @@ void MetricsCollector::on_job_completed(double now, const Job& job) {
   window_response_.add(response);
   violations_.add(response > t_ref_);
   response_hist_.add(response);
-  ++completed_total_;
   if (period_window_on_) {
     period_hist_.add(response);
     ++period_completed_;

@@ -7,7 +7,7 @@
 
 #include "cp/lifecycle.h"
 #include "obs/counters.h"
-#include "sim/cluster.h"
+#include "sim/fleet_store.h"
 #include "sim/job.h"
 #include "stats/accumulators.h"
 #include "stats/log_histogram.h"
@@ -47,8 +47,8 @@ class MetricsCollector {
   void on_job_completed(double now, const Job& job);
 
   // Starts the measured interval: forgets the responses seen so far (mean,
-  // tails, violation ratio, histogram).  completed_total() and the timeline
-  // / period windows keep running.
+  // tails, violation ratio, histogram).  The timeline / period windows keep
+  // running.
   void begin_measuring() noexcept;
 
   // Rolls the per-window response aggregate (used by the timeline).
@@ -81,9 +81,8 @@ class MetricsCollector {
   // paper guarantees the *mean*; per-job tail violations are reported as a
   // stricter secondary metric.)
   [[nodiscard]] double job_violation_ratio() const noexcept { return violations_.ratio(); }
-  // Jobs completed since begin_measuring() / over the whole run.
+  // Jobs completed since begin_measuring().
   [[nodiscard]] std::uint64_t completed() const noexcept { return response_.count(); }
-  [[nodiscard]] std::uint64_t completed_total() const noexcept { return completed_total_; }
   [[nodiscard]] double t_ref() const noexcept { return t_ref_; }
 
  private:
@@ -92,7 +91,6 @@ class MetricsCollector {
   MeanVarAccumulator window_response_;
   RatioAccumulator violations_;
   LogHistogram response_hist_;
-  std::uint64_t completed_total_ = 0;
   // Per-control-period window (valid only while period_window_on_).
   bool period_window_on_ = false;
   LogHistogram period_hist_;

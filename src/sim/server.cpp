@@ -153,7 +153,7 @@ Server::Completion Server::complete_current(double now) {
   GC_CHECK(current_.has_value(), "complete_current: no job in service");
   sync_progress(now);
   // Floating-point wiggle: the departure event fires exactly at the ETA the
-  // cluster computed, so remaining must be ~0 here.
+  // store computed, so remaining must be ~0 here.
   GC_DCHECK(current_->remaining <= 1e-6 * std::max(current_->size, 1.0),
             "complete_current: job finished with work left");
   Completion result{*current_, std::nullopt};

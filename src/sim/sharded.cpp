@@ -31,13 +31,14 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -46,13 +47,13 @@
 #include "power/power_model.h"
 #include "sim/admission.h"
 #include "sim/control_loop.h"
+#include "sim/fleet_store.h"
 #include "sim/server.h"
 #include "stats/accumulators.h"
 #include "stats/log_histogram.h"
 #include "stats/rng.h"
 #include "util/assert.h"
 #include "util/format.h"
-#include "util/index_bitset.h"
 
 namespace gc {
 namespace {
@@ -92,36 +93,30 @@ struct PerServerStats {
   std::uint64_t record_count = 0;
 };
 
-// One logged speed command (see Shard::speed_log).
-struct SpeedCommand {
-  double time = 0.0;
-  double speed = 1.0;
-};
-
-// One shard: the servers gi = li * K + k (li < count) with its own
-// event queue, servers, RNG streams, serving/live sets and accumulators.
-// Everything shard-side — the sets, the per-server vectors and the subject
-// of every shard-queue event — is keyed by the local index li.  All
-// methods run either on the shard's worker (between barriers) or on the
-// orchestrator thread (at barriers) — never both concurrently.
+// One shard: the servers gi = li * K + k (li < count) as one FleetStore
+// over its own event queue, plus what only the sharded model has: prefix
+// reconcile, per-server RNG and fault streams, the window walk over the
+// frozen round-robin list, and the per-server stat integrals.  Everything
+// shard-side — the store, the per-server vectors and the subject of every
+// shard-queue event — is keyed by the local index li.  All methods run
+// either on the shard's worker (between barriers) or on the orchestrator
+// thread (at barriers) — never both concurrently.
 //
-// Dark servers (OFF or FAILED) are not touched by speed commands: each
-// command is appended to `speed_log`, and a dark server replays the
-// entries it has not seen through the same Server::set_speed calls the
-// eager fan-out would have made, before its next transition and before
-// every energy flush.  Invariant: a dark server's meter equals what
-// replaying every logged command would give (DESIGN.md §11.2).
-//
-// Invariant: watts[li] == servers[li].instantaneous_power() bit for bit
-// after every mutation (DESIGN.md §11.5), so the power fold streams one
-// dense column instead of whole Server objects.
+// Each handler syncs server li's stat integrals before the store mutates
+// it; a second sync at the same instant is a no-op.
 struct Shard {
+  Shard(const ShardLayout& layout_, std::uint32_t k_, const ClusterOptions& cluster)
+      : layout(layout_),
+        k(k_),
+        count(layout_.owned(k_)),
+        power_model(cluster.power),
+        store(queue, cluster.transition, count, cluster.initial_speed) {}
+
   // -- static configuration ------------------------------------------------
-  ShardLayout layout{1, 0};
-  std::uint32_t k = 0;      // owns gi ≡ k (mod K)
-  std::uint32_t count = 0;  // owned servers: layout.owned(k)
-  PowerModel power_model{};  // shard-local copy: stable address for Servers
-  TransitionModel transition_model{};
+  ShardLayout layout;
+  std::uint32_t k;      // owns gi ≡ k (mod K)
+  std::uint32_t count;  // owned servers: layout.owned(k)
+  PowerModel power_model;  // shard-local copy: stable address for Servers
   const Distribution* job_size = nullptr;
   const FaultOptions* faults = nullptr;  // null when fault injection is off
   double t_ref_s = 0.1;
@@ -131,8 +126,7 @@ struct Shard {
 
   // -- simulation state -----------------------------------------------------
   EventQueue queue;
-  std::vector<Server> servers;
-  std::vector<double> watts;   // per server: instantaneous_power()
+  FleetStore store;
   std::vector<Rng> size_rng;   // per server
   std::vector<Rng> admit_rng;  // per server; sized only when admission is on
   std::vector<Rng> fault_rng;  // per server; sized only when faults are on
@@ -141,33 +135,16 @@ struct Shard {
   std::vector<std::size_t> scripted_next;
   std::vector<char> background_armed;  // one background failure chain/server
 
-  // O(1) fleet accounting (the sharded analogue of Cluster's
-  // apply_transition bookkeeping).  Both sets hold shard-local indices.
-  IndexBitset serving;  // ON and not draining
-  IndexBitset live;     // not OFF/FAILED: the servers speed commands touch
-  unsigned booting = 0;
-  unsigned powered = 0;
-  unsigned failed = 0;
-  std::size_t jobs = 0;
-
-  // Frozen round-robin assignment for the current window: the serving
-  // servers (local indices, ascending) and their global round-robin ranks.
-  // `frozen` is refreshed at a barrier only when the serving set changed;
-  // `rank` whenever any shard's did (the orchestrator's merge).
-  bool serving_dirty = true;
-  std::vector<std::uint32_t> frozen;
+  // Frozen round-robin assignment for the current window: the store's
+  // serving list as of the window start, and its servers' global
+  // round-robin ranks (the orchestrator's merge).
+  std::span<const std::uint32_t> frozen;
   std::vector<std::uint32_t> rank;
-
-  // Speed commands applied so far, and per server how many of them its
-  // meter has seen (meaningful only while the server is dark).
-  std::vector<SpeedCommand> speed_log;
-  std::vector<std::uint32_t> speed_seen;
 
   // Commanded control state, broadcast by the orchestrator at barriers.
   // `target_split` is the owned part of the committed prefix [0, target):
   // local indices li < target_split.
   std::uint32_t target_split = 0;
-  double commanded_speed = 1.0;
   double p_admit = 1.0;
   bool admission_on = false;
   bool measuring = false;
@@ -175,21 +152,9 @@ struct Shard {
   // -- per-server statistics (canonical folds read these) -------------------
   std::vector<PerServerStats> stats;
   std::vector<EnergyBreakdown> warm_energy;
-  std::vector<std::uint32_t> server_boots;
-  std::vector<std::uint32_t> server_shutdowns;
 
   // -- shard integer totals (merge exactly in any order) --------------------
   std::array<std::uint64_t, kNumEventTypes> events{};
-  std::uint64_t admitted = 0;
-  std::uint64_t completed = 0;  // whole run (the post-warmup count is per server)
-  std::uint64_t shed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t lost = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t repairs = 0;
-  std::uint64_t boot_timeouts = 0;
-  std::uint64_t boots = 0;
-  std::uint64_t shutdowns = 0;
   std::uint64_t violations = 0;  // post-warmup per-job tail violations
   LogHistogram response_hist;    // post-warmup
 
@@ -203,20 +168,6 @@ struct Shard {
   [[nodiscard]] std::uint32_t global(std::uint32_t li) const noexcept {
     return layout.global_of(k, li);
   }
-  [[nodiscard]] unsigned serving_count() const noexcept {
-    return static_cast<unsigned>(serving.size());
-  }
-  [[nodiscard]] unsigned committed_count() const noexcept {
-    return serving_count() + booting;
-  }
-  [[nodiscard]] unsigned available_count() const noexcept {
-    return count - failed;
-  }
-
-  // Re-reads server li's meter into the dense power column.
-  void refresh_watts(std::uint32_t li) {
-    watts[li] = servers[li].instantaneous_power();
-  }
 
   // Advances server li's lazy time-integrals to `now` using its *current*
   // state; must run before any mutation of that state.
@@ -224,70 +175,11 @@ struct Shard {
     PerServerStats& ps = stats[li];
     const double dt = now - ps.anchor;
     if (dt <= 0.0) return;
-    const Server& s = servers[li];
+    const Server& s = store.server(li);
     ps.jobs_integral += dt * static_cast<double>(s.queue_length());
     if (s.serving()) ps.serving_integral += dt;
     if (!s.failed()) ps.available_integral += dt;
     ps.anchor = now;
-  }
-
-  // Brings dark server li's speed and meter up to date with the log.  A
-  // dark server has no job in service, so no departure moves.
-  void catch_up_speed(std::uint32_t li) {
-    Server& s = servers[li];
-    for (std::size_t i = speed_seen[li]; i < speed_log.size(); ++i) {
-      [[maybe_unused]] const auto eta =
-          s.set_speed(speed_log[i].time, speed_log[i].speed);
-      GC_DCHECK(!eta, "sharded: dark server had a job in service");
-    }
-    speed_seen[li] = static_cast<std::uint32_t>(speed_log.size());
-  }
-
-  // Every energy flush goes through here, so a dark meter catches up first.
-  void flush_energy(double now, std::uint32_t li) {
-    if (!live.contains(li)) catch_up_speed(li);
-    servers[li].flush_energy(now);
-  }
-
-  // Runs a power-state mutation keeping the O(1) counters and the serving
-  // and live sets in sync (the shard-side mirror of
-  // Cluster::apply_transition).
-  template <typename Fn>
-  void transition(double now, std::uint32_t li, Fn&& mutate) {
-    Server& s = servers[li];
-    const bool was_live = live.contains(li);
-    if (!was_live) catch_up_speed(li);
-    sync_stats(now, li);
-    const PowerState before = s.state();
-    const bool was_serving = s.serving();
-    mutate(s);
-    const PowerState after = s.state();
-    if (before != after) {
-      const bool was_powered = before != PowerState::kOff;
-      const bool is_powered = after != PowerState::kOff;
-      if (was_powered != is_powered) is_powered ? ++powered : --powered;
-      const bool was_booting = before == PowerState::kBooting;
-      const bool is_booting = after == PowerState::kBooting;
-      if (was_booting != is_booting) is_booting ? ++booting : --booting;
-      const bool was_failed = before == PowerState::kFailed;
-      const bool is_failed = after == PowerState::kFailed;
-      if (was_failed != is_failed) is_failed ? ++failed : --failed;
-    }
-    const bool is_serving = s.serving();
-    if (was_serving != is_serving) {
-      is_serving ? serving.insert(li) : serving.erase(li);
-      serving_dirty = true;
-    }
-    const bool is_live = after != PowerState::kOff && after != PowerState::kFailed;
-    if (was_live != is_live) {
-      if (is_live) {
-        live.insert(li);
-      } else {
-        live.erase(li);
-        speed_seen[li] = static_cast<std::uint32_t>(speed_log.size());
-      }
-    }
-    refresh_watts(li);
   }
 
   [[nodiscard]] double sample_ttf(std::uint32_t li) {
@@ -298,68 +190,38 @@ struct Shard {
   }
 
   void boot_server(double now, std::uint32_t li) {
-    transition(now, li, [&](Server& s) { s.start_boot(now); });
-    ++boots;
-    ++server_boots[li];
-    Server& s = servers[li];
+    sync_stats(now, li);
     // Boot-hang draw from the server's own fault stream (the sequential
     // engine uses one shared stream; see DESIGN.md §11.1).  Drawn only when
     // the outcome can differ from a clean boot.
-    if (faults != nullptr && faults->boot_hang_prob > 0.0 &&
-        fault_rng[li].uniform01() < faults->boot_hang_prob) {
-      s.pending_transition =
-          queue.schedule(now + boot_timeout_s, EventType::kBootTimeout, li);
-    } else {
-      s.pending_transition = queue.schedule(
-          now + transition_model.boot_delay_s, EventType::kBootComplete, li);
-    }
+    const bool hangs = faults != nullptr && faults->boot_hang_prob > 0.0 &&
+                       fault_rng[li].uniform01() < faults->boot_hang_prob;
+    store.boot(now, li, hangs ? std::optional<double>(boot_timeout_s) : std::nullopt);
   }
 
   void start_drain(double now, std::uint32_t li) {
-    transition(now, li, [&](Server& s) { s.set_draining(now, true); });
-    maybe_begin_shutdown(now, li);
-  }
-
-  void maybe_begin_shutdown(double now, std::uint32_t li) {
-    Server& s = servers[li];
-    if (s.state() != PowerState::kOn || !s.draining() || s.queue_length() != 0) {
-      return;
-    }
-    transition(now, li, [&](Server& sv) { sv.begin_shutdown(now); });
-    ++shutdowns;
-    ++server_shutdowns[li];
-    s.pending_transition = queue.schedule(
-        now + transition_model.shutdown_delay_s, EventType::kShutdownComplete, li);
+    sync_stats(now, li);
+    store.drain(now, li);
   }
 
   void on_boot_complete(double now, std::uint32_t li) {
-    transition(now, li, [&](Server& s) { s.finish_boot(now); });
-    servers[li].pending_transition = kInvalidEventId;
+    sync_stats(now, li);
+    store.finish_boot(now, li);
     // The target may have moved below this server while it booted.
     if (li >= target_split) start_drain(now, li);
   }
 
   void on_shutdown_complete(double now, std::uint32_t li) {
-    transition(now, li, [&](Server& s) { s.finish_shutdown(now); });
-    servers[li].pending_transition = kInvalidEventId;
+    sync_stats(now, li);
+    store.finish_shutdown(now, li);
     if (li < target_split) boot_server(now, li);
   }
 
-  // Fail-stop crash: cancel the server's pending events, orphan its jobs
-  // (lost — the sharded model never re-dispatches across the frozen
-  // assignment) and count the failure.
-  void crash(double now, std::uint32_t li, bool from_boot_timeout) {
-    Server& s = servers[li];
-    queue.cancel(s.pending_departure);
-    s.pending_departure = kInvalidEventId;
-    queue.cancel(s.pending_transition);
-    s.pending_transition = kInvalidEventId;
-    std::vector<Job> orphans;
-    transition(now, li, [&](Server& sv) { orphans = sv.fail(now); });
-    jobs -= orphans.size();
-    lost += orphans.size();
-    ++failures;
-    if (from_boot_timeout) ++boot_timeouts;
+  // Fail-stop crash: the server's jobs are lost — the sharded model never
+  // re-dispatches across the frozen assignment.
+  void crash(double now, std::uint32_t li) {
+    sync_stats(now, li);
+    store.totals().lost += store.fail(now, li).size();
   }
 
   void on_fail_event(double now, std::uint32_t li) {
@@ -375,12 +237,12 @@ struct Shard {
     } else {
       background_armed[li] = 0;
     }
-    const PowerState st = servers[li].state();
+    const PowerState st = store.server(li).state();
     const bool can_crash = st == PowerState::kBooting || st == PowerState::kOn ||
                            st == PowerState::kShuttingDown;
     if (scripted) {
       if (!can_crash) return;  // already OFF/FAILED: the script misses
-      crash(now, li, /*from_boot_timeout=*/false);
+      crash(now, li);
       if (std::isfinite(repair_after)) {
         queue.schedule(now + repair_after, EventType::kServerRepair, li);
       }
@@ -392,15 +254,14 @@ struct Shard {
       background_armed[li] = 1;
       return;
     }
-    crash(now, li, /*from_boot_timeout=*/false);
+    crash(now, li);
     queue.schedule(now + sample_ttr(li), EventType::kServerRepair, li);
   }
 
   void on_repair_event(double now, std::uint32_t li) {
-    Server& s = servers[li];
-    if (s.state() != PowerState::kFailed) return;
-    transition(now, li, [&](Server& sv) { sv.finish_repair(now); });
-    ++repairs;
+    if (!store.server(li).failed()) return;
+    sync_stats(now, li);
+    store.finish_repair(now, li);
     if (faults != nullptr && faults->mtbf_s > 0.0 && !background_armed[li]) {
       queue.schedule(now + sample_ttf(li), EventType::kServerFail, li);
       background_armed[li] = 1;
@@ -409,10 +270,9 @@ struct Shard {
   }
 
   void on_boot_timeout(double now, std::uint32_t li) {
-    Server& s = servers[li];
-    if (s.state() != PowerState::kBooting) return;
-    s.pending_transition = kInvalidEventId;  // this event
-    crash(now, li, /*from_boot_timeout=*/true);
+    if (store.server(li).state() != PowerState::kBooting) return;
+    sync_stats(now, li);
+    store.time_out_boot(now, li);
     queue.schedule(now + sample_ttr(li), EventType::kServerRepair, li);
   }
 
@@ -424,36 +284,18 @@ struct Shard {
   void reconcile(double now, unsigned new_target) {
     target_split = layout.owned_below(k, new_target);
     for (std::uint32_t li = 0; li < target_split; ++li) {
-      Server& s = servers[li];
+      const Server& s = store.server(li);
       if (s.state() == PowerState::kOff) {
         boot_server(now, li);
       } else if (s.state() == PowerState::kOn && s.draining()) {
-        transition(now, li, [&](Server& sv) { sv.set_draining(now, false); });
+        sync_stats(now, li);
+        store.revive(now, li);
       }
       // BOOTING / SHUTTING_DOWN / FAILED catch up from their completion
       // events; an ON serving server is already where it should be.
     }
-    serving.for_each_from(target_split, [&](std::size_t li) {
+    store.serving().for_each_from(target_split, [&](std::size_t li) {
       start_drain(now, static_cast<std::uint32_t>(li));
-    });
-  }
-
-  // Applies a speed command to the live servers in ascending order and
-  // logs it for the dark ones.  Every server already runs at the
-  // commanded speed (dark ones once caught up), so repeating it is a no-op.
-  void set_speed_all(double now, double speed) {
-    if (speed == commanded_speed) return;
-    commanded_speed = speed;
-    speed_log.push_back(SpeedCommand{now, speed});
-    live.for_each([&](std::size_t i) {
-      const auto li = static_cast<std::uint32_t>(i);
-      Server& s = servers[li];
-      const auto eta = s.set_speed(now, speed);
-      refresh_watts(li);
-      if (eta) {
-        queue.cancel(s.pending_departure);
-        s.pending_departure = queue.schedule(*eta, EventType::kDeparture, li);
-      }
     });
   }
 
@@ -464,17 +306,16 @@ struct Shard {
       // Shed draw from the assigned server's admission stream; drawn only
       // when the outcome is in doubt (p == 1 admits draw-free).
       if (admit_rng[li].uniform01() >= p_admit) {
-        ++shed;
+        ++store.totals().shed;
         return;
       }
     }
-    ++admitted;
-    Server& s = servers[li];
-    if (!s.serving()) {
+    ++store.totals().admitted;
+    if (!store.server(li).serving()) {
       // Frozen assignments outlive mid-window crashes/drains; arrivals to a
       // server that stopped serving are dropped, mirroring a stale routing
       // table.
-      ++dropped;
+      ++store.totals().dropped;
       return;
     }
     sync_stats(now, li);
@@ -482,28 +323,13 @@ struct Shard {
     job.id = static_cast<std::uint64_t>(index);
     job.arrival_time = now;
     job.size = job.remaining = job_size->sample(size_rng[li]);
-    ++jobs;
-    // The meter moves only when the server flips idle -> busy (an ETA).
-    const auto eta = s.enqueue(now, job);
-    if (eta) {
-      refresh_watts(li);
-      s.pending_departure = queue.schedule(*eta, EventType::kDeparture, li);
-    }
+    store.enqueue(now, li, job);
   }
 
+  // The store starts the next job, or shuts a drained server down.
   void on_departure(double now, std::uint32_t li) {
-    Server& s = servers[li];
     sync_stats(now, li);
-    const auto completion = s.complete_current(now);
-    // ... and back only when it goes idle (no next job).
-    if (!completion.next_eta) refresh_watts(li);
-    s.pending_departure =
-        completion.next_eta
-            ? queue.schedule(*completion.next_eta, EventType::kDeparture, li)
-            : kInvalidEventId;
-    --jobs;
-    ++completed;
-    const double response = now - completion.finished.arrival_time;
+    const double response = now - store.depart(now, li).arrival_time;
     if (measuring) {
       PerServerStats& ps = stats[li];
       ++ps.completed;
@@ -525,7 +351,6 @@ struct Shard {
         ++ps.record_count;
       }
     }
-    if (!completion.next_eta) maybe_begin_shutdown(now, li);
   }
 
   void dispatch(const Event& event) {
@@ -598,8 +423,8 @@ struct Shard {
   void begin_measuring(double now) {
     for (std::uint32_t li = 0; li < count; ++li) {
       sync_stats(now, li);
-      flush_energy(now, li);
-      const Server& s = servers[li];
+      store.flush_energy(now, li);
+      const Server& s = store.server(li);
       warm_energy[li] =
           EnergyBreakdown{s.meter().joules_busy(), s.meter().joules_idle(),
                           s.meter().joules_transition(), s.meter().joules_off()};
@@ -615,7 +440,7 @@ struct Shard {
   void finalize(double now) {
     for (std::uint32_t li = 0; li < count; ++li) {
       sync_stats(now, li);
-      flush_energy(now, li);
+      store.flush_energy(now, li);
     }
   }
 };
@@ -672,36 +497,29 @@ class ShardedFleet final : public FleetView {
 
   unsigned num_servers() const override { return layout_.num_servers; }
   unsigned serving_count() const override {
-    return static_cast<unsigned>(total([](const Shard& s) { return s.serving_count(); }));
+    return static_cast<unsigned>(
+        total([](const Shard& s) { return s.store.serving_count(); }));
   }
   unsigned committed_count() const override {
     return static_cast<unsigned>(
-        total([](const Shard& s) { return s.committed_count(); }));
+        total([](const Shard& s) { return s.store.committed_count(); }));
   }
   unsigned powered_count() const override {
-    return static_cast<unsigned>(total([](const Shard& s) { return s.powered; }));
+    return static_cast<unsigned>(
+        total([](const Shard& s) { return s.store.powered_count(); }));
   }
   unsigned available_count() const override {
     return static_cast<unsigned>(
-        total([](const Shard& s) { return s.available_count(); }));
+        total([](const Shard& s) { return s.store.available_count(); }));
   }
   std::uint64_t jobs_in_system() const override {
-    return total([](const Shard& s) { return s.jobs; });
+    return total([](const Shard& s) { return s.store.jobs_in_system(); });
   }
   double speed() const override { return commanded_speed_; }
   double power_w() const override {
     double watts = 0.0;
-    for_each_canonical([&](const Shard& s, std::uint32_t li) { watts += s.watts[li]; });
-#ifndef NDEBUG
-    // The dense column must be bit-identical to reading every meter.
-    double metered = 0.0;
-    for_each_canonical([&](const Shard& s, std::uint32_t li) {
-      metered += s.servers[li].instantaneous_power();
-    });
-    GC_DCHECK(
-        std::bit_cast<std::uint64_t>(watts) == std::bit_cast<std::uint64_t>(metered),
-        "sharded: watts column diverged from the server meters");
-#endif
+    for_each_canonical(
+        [&](const Shard& s, std::uint32_t li) { watts += s.store.watts(li); });
     return watts;
   }
 
@@ -712,18 +530,19 @@ class ShardedFleet final : public FleetView {
   void set_speed(double now, double speed) override {
     speed_avg.advance(now, commanded_speed_);
     commanded_speed_ = speed;
-    parallel([&](std::size_t k) { shards_[k]->set_speed_all(now, speed); });
+    parallel([&](std::size_t k) { shards_[k]->store.set_speed_all(now, speed); });
   }
 
-  std::uint64_t admitted() const override {
-    return total([](const Shard& s) { return s.admitted; }) + orphaned_arrivals;
+  // The shards' totals, with the orphaned arrivals admitted and dropped.
+  [[nodiscard]] FleetTotals totals() const {
+    FleetTotals sum;
+    for (const auto& s : shards_) sum += s->store.totals();
+    sum.admitted += orphaned_arrivals;
+    sum.dropped += orphaned_arrivals;
+    return sum;
   }
-  std::uint64_t shed() const override {
-    return total([](const Shard& s) { return s.shed; });
-  }
-  [[nodiscard]] std::uint64_t dropped() const {
-    return total([](const Shard& s) { return s.dropped; }) + orphaned_arrivals;
-  }
+  std::uint64_t admitted() const override { return totals().admitted; }
+  std::uint64_t shed() const override { return totals().shed; }
 
   // Folds and resets the per-tick response window across shards.  The
   // mean is folded from per-server sums in ascending global-index order.
@@ -777,17 +596,14 @@ class ShardedFleet final : public FleetView {
     return count > 0 ? sum / static_cast<double>(count) : 0.0;
   }
 
-  std::uint64_t boots() const override {
-    return total([](const Shard& s) { return s.boots; });
-  }
-  std::uint64_t shutdowns() const override {
-    return total([](const Shard& s) { return s.shutdowns; });
-  }
+  std::uint64_t boots() const override { return totals().boots; }
+  std::uint64_t shutdowns() const override { return totals().shutdowns; }
   double wear_fraction() const override {
     if (!wear_.enabled()) return 0.0;
     double wear_sum = 0.0;
     for_each_canonical([&](const Shard& s, std::uint32_t li) {
-      wear_sum += wear_.wear_fraction(s.server_boots[li], s.server_shutdowns[li]);
+      wear_sum += wear_.wear_fraction(s.store.server_boots()[li],
+                                      s.store.server_shutdowns()[li]);
     });
     return wear_sum / static_cast<double>(layout_.num_servers);
   }
@@ -864,47 +680,27 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(num_shards);
   for (unsigned k = 0; k < num_shards; ++k) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Shard>(layout, k, cluster);
     Shard& s = *shard;
-    s.layout = layout;
-    s.k = k;
-    s.count = layout.owned(k);
-    s.power_model = PowerModel(cluster.power);
-    s.transition_model = cluster.transition;
     s.job_size = &job_size;
     s.t_ref_s = options.t_ref_s;
     s.track_window = options.timeseries != nullptr;
     s.track_record = options.record_interval_s > 0.0;
     s.target_split = layout.owned_below(k, initial_active);
-    s.commanded_speed = cluster.initial_speed;
     s.admission_on = options.admission.enabled;
     s.measuring = options.warmup_s <= 0.0;
     if (options.expected_events_hint > 0) {
       s.queue.reserve(options.expected_events_hint / num_shards + 1);
     }
     const unsigned count = s.count;
-    s.servers.reserve(count);
-    s.watts.reserve(count);
     s.size_rng.reserve(count);
     s.stats.resize(count);
     s.warm_energy.resize(count);
-    s.serving.assign(count);
-    s.live.assign(count);
-    s.speed_seen.assign(count, 0);
-    s.server_boots.assign(count, 0);
-    s.server_shutdowns.assign(count, 0);
     for (std::uint32_t li = 0; li < count; ++li) {
       const std::uint32_t gi = s.global(li);
-      const bool initially_on = li < s.target_split;
-      s.servers.emplace_back(gi, &s.power_model, cluster.initial_speed,
-                             initially_on, 0.0);
-      s.watts.push_back(s.servers.back().instantaneous_power());
+      s.store.add(gi, &s.power_model, cluster.initial_speed,
+                  /*on=*/li < s.target_split);
       s.size_rng.emplace_back(workload_seed, gi);
-      if (initially_on) {
-        s.serving.insert(li);
-        s.live.insert(li);
-        ++s.powered;
-      }
     }
     if (options.admission.enabled) {
       s.admit_rng.reserve(count);
@@ -980,21 +776,18 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   std::size_t window_m = 0;
   std::vector<std::size_t> merge_pos(num_shards, 0);
 
-  // Refreshes the frozen assignment: each dirty shard re-lists its serving
-  // servers, then — if any did — one merge of the K ascending lists in
-  // global-index order (li-major, k-minor) hands out the global ranks.
+  // Refreshes the frozen assignment: each shard whose serving set changed
+  // re-lists its serving servers, then — if any did — one merge of the K
+  // ascending lists in global-index order (li-major, k-minor) hands out the
+  // global ranks.
   auto freeze_serving_sets = [&] {
     bool dirty = false;
     for (const auto& sp : shards) {
       Shard& s = *sp;
-      if (!s.serving_dirty) continue;
+      if (!s.store.refresh_serving_list()) continue;
       dirty = true;
-      s.frozen.clear();
-      s.frozen.reserve(s.serving.size());
-      s.serving.for_each(
-          [&](std::size_t li) { s.frozen.push_back(static_cast<std::uint32_t>(li)); });
+      s.frozen = s.store.serving_list();
       s.rank.resize(s.frozen.size());
-      s.serving_dirty = false;
     }
     if (!dirty) return;
     std::fill(merge_pos.begin(), merge_pos.end(), std::size_t{0});
@@ -1056,11 +849,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   double last_short_time = 0.0;
   std::size_t last_short_cursor = 0;
   std::size_t last_record_cursor = 0;
-  struct WarmSnapshot {
-    std::uint64_t admitted = 0, shed = 0, dropped = 0, lost = 0;
-    std::uint64_t failures = 0, repairs = 0, boot_timeouts = 0;
-    std::uint64_t boots = 0, shutdowns = 0;
-  } warm;
+  FleetTotals warm;
 
   // -- initial schedule -----------------------------------------------------
   // Long before short at t = 0: at coincident ticks the long (VOVF)
@@ -1123,17 +912,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
         loop.begin_measuring(t);
         measuring = true;
         measure_start = t;
-        warm.admitted = fleet.admitted();
-        warm.shed = fleet.shed();
-        warm.dropped = fleet.dropped();
-        warm.boots = fleet.boots();
-        warm.shutdowns = fleet.shutdowns();
-        for (const auto& s : shards) {
-          warm.lost += s->lost;
-          warm.failures += s->failures;
-          warm.repairs += s->repairs;
-          warm.boot_timeouts += s->boot_timeouts;
-        }
+        warm = fleet.totals();
         fleet.speed_avg = TimeWeightedAccumulator(t);
         break;
       }
@@ -1182,32 +961,20 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     jobs_integral += ps.jobs_integral;
     serving_integral += ps.serving_integral;
     available_integral += ps.available_integral;
-    const EnergyMeter& meter = s.servers[li].meter();
+    const EnergyMeter& meter = s.store.server(li).meter();
     energy.busy_j += meter.joules_busy() - s.warm_energy[li].busy_j;
     energy.idle_j += meter.joules_idle() - s.warm_energy[li].idle_j;
     energy.transition_j += meter.joules_transition() - s.warm_energy[li].transition_j;
     energy.off_j += meter.joules_off() - s.warm_energy[li].off_j;
-    result.server_cycles[s.global(li)] = s.server_boots[li] + s.server_shutdowns[li];
-    const double frac = wear.wear_fraction(s.server_boots[li], s.server_shutdowns[li]);
+    const std::uint32_t boots = s.store.server_boots()[li];
+    const std::uint32_t shutdowns = s.store.server_shutdowns()[li];
+    result.server_cycles[s.global(li)] = boots + shutdowns;
+    const double frac = wear.wear_fraction(boots, shutdowns);
     wear_sum += frac;
     if (frac > result.wear_fraction_max) result.wear_fraction_max = frac;
   });
 
-  const std::uint64_t lost_whole = fleet.total([](const Shard& s) { return s.lost; });
-  const std::uint64_t failures_whole =
-      fleet.total([](const Shard& s) { return s.failures; });
-  const std::uint64_t repairs_whole =
-      fleet.total([](const Shard& s) { return s.repairs; });
-  const std::uint64_t boot_timeouts_whole =
-      fleet.total([](const Shard& s) { return s.boot_timeouts; });
   result.completed_jobs = completed;
-  result.dropped_jobs = fleet.dropped() - warm.dropped;
-  result.shed_jobs = fleet.shed() - warm.shed;
-  result.failures = failures_whole - warm.failures;
-  result.repairs = repairs_whole - warm.repairs;
-  result.boot_timeouts = boot_timeouts_whole - warm.boot_timeouts;
-  result.jobs_redispatched = 0;  // the sharded model drops, never re-routes
-  result.jobs_lost = lost_whole - warm.lost;
   result.sim_time_s = sim_time;
   result.mean_response_s =
       completed > 0 ? response_sum / static_cast<double>(completed) : 0.0;
@@ -1220,8 +987,6 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
                     : 0.0;
   result.energy = energy;
   result.mean_power_w = sim_time > 0.0 ? energy.total_j() / sim_time : 0.0;
-  result.boots = fleet.boots() - warm.boots;
-  result.shutdowns = fleet.shutdowns() - warm.shutdowns;
   result.mean_serving = sim_time > 0.0 ? serving_integral / sim_time : 0.0;
   result.mean_speed = fleet.speed_avg.time_average();
   result.mean_jobs_in_system = sim_time > 0.0 ? jobs_integral / sim_time : 0.0;
@@ -1230,10 +995,6 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       sim_time > 0.0
           ? 1.0 - result.mean_available / static_cast<double>(num_servers)
           : 0.0;
-  const std::uint64_t offered = (fleet.admitted() - warm.admitted) + result.shed_jobs;
-  result.shed_ratio =
-      offered > 0 ? static_cast<double>(result.shed_jobs) / static_cast<double>(offered)
-                  : 0.0;
   result.wear_fraction_mean =
       num_servers > 0 ? wear_sum / static_cast<double>(num_servers) : 0.0;
   result.response_hist = std::move(response_hist);
@@ -1251,18 +1012,8 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
                  to_string(static_cast<EventType>(type)))
         .inc(count);
   }
-  registry.counter("sim.jobs.admitted").inc(fleet.admitted());
-  registry.counter("sim.jobs.shed").inc(fleet.shed());
-  registry.counter("sim.jobs.completed")
-      .inc(fleet.total([](const Shard& s) { return s.completed; }));
-  registry.counter("sim.jobs.dropped").inc(fleet.dropped());
-  registry.counter("sim.jobs.redispatched").inc(0);
-  registry.counter("sim.jobs.lost").inc(lost_whole);
-  registry.counter("cluster.boots").inc(fleet.boots());
-  registry.counter("cluster.shutdowns").inc(fleet.shutdowns());
-  registry.counter("cluster.failures").inc(failures_whole);
-  registry.counter("cluster.repairs").inc(repairs_whole);
-  registry.counter("cluster.boot_timeouts").inc(boot_timeouts_whole);
+  // The sharded model drops, never re-routes: redispatched stays 0.
+  report_fleet_totals(fleet.totals(), warm, result, registry);
   registry.gauge("sim.time_s").set(end_time);
   registry.counter("sharded.num_shards").inc(num_shards);
   registry.counter("sharded.shard_events_scheduled")

@@ -3,8 +3,9 @@
 //
 // The cluster is partitioned into K strided shards (shard k owns the
 // servers gi ≡ k mod K; see ShardLayout), each owning its own EventQueue,
-// Server vector, per-server RNG streams and per-server metric accumulators,
-// executed on a fixed thread pool.  Synchronization is
+// FleetStore (sim/fleet_store.h: the server lifecycle, shared with the
+// sequential Cluster), per-server RNG streams and per-server metric
+// accumulators, executed on a fixed thread pool.  Synchronization is
 // conservative: the DCP structure gives a natural lookahead window — no
 // cross-shard interaction (provisioning commands, telemetry aggregation,
 // admission updates) happens between control-period barriers — so each

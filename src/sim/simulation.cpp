@@ -19,13 +19,8 @@ constexpr std::size_t kNumEventTypes =
 class ClusterFleet final : public FleetView {
  public:
   ClusterFleet(Cluster& cluster, MetricsCollector& metrics,
-               const AdmissionController& admission, const std::uint64_t& admitted,
-               const WearModel& wear)
-      : cluster_(cluster),
-        metrics_(metrics),
-        admission_(admission),
-        admitted_(admitted),
-        wear_(wear) {}
+               const AdmissionController& admission, const WearModel& wear)
+      : cluster_(cluster), metrics_(metrics), admission_(admission), wear_(wear) {}
 
   unsigned num_servers() const override { return cluster_.num_servers(); }
   unsigned serving_count() const override { return cluster_.serving_count(); }
@@ -41,7 +36,7 @@ class ClusterFleet final : public FleetView {
   void set_speed(double now, double speed) override {
     cluster_.set_all_speeds(now, speed);
   }
-  std::uint64_t admitted() const override { return admitted_; }
+  std::uint64_t admitted() const override { return cluster_.totals().admitted; }
   std::uint64_t shed() const override { return admission_.shed(); }
   PeriodWindowStats take_period_window() override {
     return metrics_.take_period_window();
@@ -49,8 +44,8 @@ class ClusterFleet final : public FleetView {
   double take_record_mean_response() override {
     return metrics_.take_window_mean_response();
   }
-  std::uint64_t boots() const override { return cluster_.boots_started(); }
-  std::uint64_t shutdowns() const override { return cluster_.shutdowns_started(); }
+  std::uint64_t boots() const override { return cluster_.totals().boots; }
+  std::uint64_t shutdowns() const override { return cluster_.totals().shutdowns; }
   // Fleet mean from whole-run totals (uniform budget; the per-server /
   // per-class split is folded into SimResult at the end).
   double wear_fraction() const override {
@@ -63,7 +58,6 @@ class ClusterFleet final : public FleetView {
   Cluster& cluster_;
   MetricsCollector& metrics_;
   const AdmissionController& admission_;
-  const std::uint64_t& admitted_;
   const WearModel& wear_;
 };
 
@@ -92,8 +86,6 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
     events_dispatched[t] = &registry.counter(
         std::string("sim.events.") + to_string(static_cast<EventType>(t)));
   }
-  Counter& jobs_admitted_count = registry.counter("sim.jobs.admitted");
-  Counter& jobs_shed_count = registry.counter("sim.jobs.shed");
   TraceCollector* trace = kTracingCompiledIn ? options.trace : nullptr;
   cluster.set_trace(trace);
 
@@ -119,13 +111,10 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   options.reliability.validate();
   const WearModel wear(options.reliability);
 
-  // Jobs past admission control (routed or dropped); offered = admitted + shed.
-  std::uint64_t admitted_total = 0;
-
   // The control plane — facade, management channel, actuation, outages and
   // the per-tick observability — is the shared control loop (sim/control_loop.h);
   // this loop only forwards ticks and control-plane events to it.
-  ClusterFleet fleet(cluster, metrics, admission, admitted_total, wear);
+  ClusterFleet fleet(cluster, metrics, admission, wear);
   if (options.timeseries != nullptr) metrics.enable_period_window();
   ControlLoop loop(controller, options, cluster_options.dispatch_seed, fleet,
                    admission, queue);
@@ -156,19 +145,16 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   TimeWeightedAccumulator jobs_avg(0.0);
   TimeWeightedAccumulator available_avg(0.0);
 
+  // The run's integer totals; the admission controller counts the shed.
+  auto run_totals = [&] {
+    FleetTotals totals = cluster.totals();
+    totals.shed = admission.shed();
+    return totals;
+  };
   // Warmup snapshots.
-  EnergyBreakdown warmup_energy;
+  EnergyBreakdown warm_energy;
+  FleetTotals warm;
   double measure_start = 0.0;
-  std::uint64_t warmup_dropped = 0;
-  std::uint64_t warmup_boots = 0;
-  std::uint64_t warmup_shutdowns = 0;
-  std::uint64_t warmup_shed = 0;
-  std::uint64_t warmup_failures = 0;
-  std::uint64_t warmup_repairs = 0;
-  std::uint64_t warmup_boot_timeouts = 0;
-  std::uint64_t warmup_redispatched = 0;
-  std::uint64_t warmup_lost = 0;
-  std::uint64_t warmup_admitted = 0;
   bool in_warmup = options.warmup_s > 0.0;
 
   SimResult result;
@@ -208,10 +194,7 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
           job.size = pending->size;
           job.remaining = pending->size;
           cluster.route_job(now, job);
-          ++admitted_total;
-          jobs_admitted_count.inc();
         } else {
-          jobs_shed_count.inc();
           trace_instant(trace, now, "admission", "shed");
         }
         pending = workload.next();
@@ -292,18 +275,9 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
         jobs_avg = TimeWeightedAccumulator(now);
         available_avg = TimeWeightedAccumulator(now);
         cluster.flush_energy(now);
-        warmup_energy = cluster.energy();
+        warm_energy = cluster.energy();
+        warm = run_totals();
         measure_start = now;
-        warmup_dropped = cluster.jobs_dropped();
-        warmup_boots = cluster.boots_started();
-        warmup_shutdowns = cluster.shutdowns_started();
-        warmup_shed = admission.shed();
-        warmup_failures = cluster.failures();
-        warmup_repairs = cluster.repairs();
-        warmup_boot_timeouts = cluster.boot_timeouts();
-        warmup_redispatched = cluster.jobs_redispatched();
-        warmup_lost = cluster.jobs_lost();
-        warmup_admitted = admitted_total;
         break;
       }
     }
@@ -314,41 +288,18 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
     // The workload drained before the warmup ended: there is no measured
     // interval at all.  Report an empty (not a warmup-polluted) result.
     metrics.begin_measuring();
-    warmup_energy = cluster.energy();
-    warmup_dropped = cluster.jobs_dropped();
-    warmup_boots = cluster.boots_started();
-    warmup_shutdowns = cluster.shutdowns_started();
-    warmup_shed = admission.shed();
-    warmup_failures = cluster.failures();
-    warmup_repairs = cluster.repairs();
-    warmup_boot_timeouts = cluster.boot_timeouts();
-    warmup_redispatched = cluster.jobs_redispatched();
-    warmup_lost = cluster.jobs_lost();
-    warmup_admitted = admitted_total;
+    warm_energy = cluster.energy();
+    warm = run_totals();
     measure_start = now;
   }
   const EnergyBreakdown total = cluster.energy();
-  result.energy.busy_j = total.busy_j - warmup_energy.busy_j;
-  result.energy.idle_j = total.idle_j - warmup_energy.idle_j;
-  result.energy.transition_j = total.transition_j - warmup_energy.transition_j;
-  result.energy.off_j = total.off_j - warmup_energy.off_j;
+  result.energy.busy_j = total.busy_j - warm_energy.busy_j;
+  result.energy.idle_j = total.idle_j - warm_energy.idle_j;
+  result.energy.transition_j = total.transition_j - warm_energy.transition_j;
+  result.energy.off_j = total.off_j - warm_energy.off_j;
 
   result.sim_time_s = now - measure_start;
   result.completed_jobs = metrics.completed();
-  result.dropped_jobs = cluster.jobs_dropped() - warmup_dropped;
-  result.boots = cluster.boots_started() - warmup_boots;
-  result.shutdowns = cluster.shutdowns_started() - warmup_shutdowns;
-  result.shed_jobs = admission.shed() - warmup_shed;
-  result.failures = cluster.failures() - warmup_failures;
-  result.repairs = cluster.repairs() - warmup_repairs;
-  result.boot_timeouts = cluster.boot_timeouts() - warmup_boot_timeouts;
-  result.jobs_redispatched = cluster.jobs_redispatched() - warmup_redispatched;
-  result.jobs_lost = cluster.jobs_lost() - warmup_lost;
-  const std::uint64_t offered =
-      (admitted_total - warmup_admitted) + result.shed_jobs;
-  result.shed_ratio =
-      offered > 0 ? static_cast<double>(result.shed_jobs) / static_cast<double>(offered)
-                  : 0.0;
 
   result.response_hist = metrics.response_histogram();
   result.mean_response_s = metrics.response().mean();
@@ -375,27 +326,17 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   double wear_sum = 0.0;
   for (std::size_t i = 0; i < server_boots.size(); ++i) {
     result.server_cycles[i] = server_boots[i] + server_shutdowns[i];
-    const double frac =
-        wear.wear_fraction(server_boots[i], server_shutdowns[i],
-                           cluster.server_class_of(static_cast<unsigned>(i)));
+    const double frac = wear.wear_fraction(server_boots[i], server_shutdowns[i],
+                                           cluster.group_of(static_cast<std::uint32_t>(i)));
     wear_sum += frac;
     result.wear_fraction_max = std::max(result.wear_fraction_max, frac);
   }
   result.wear_fraction_mean =
       server_boots.empty() ? 0.0 : wear_sum / static_cast<double>(server_boots.size());
 
-  // Whole-run totals (including warmup, unlike the deltas above) for the
-  // counters snapshot.  Registered at the end so the hot loop only touches
-  // the per-event counters above.
-  registry.counter("sim.jobs.completed").inc(metrics.completed_total());
-  registry.counter("sim.jobs.dropped").inc(cluster.jobs_dropped());
-  registry.counter("sim.jobs.redispatched").inc(cluster.jobs_redispatched());
-  registry.counter("sim.jobs.lost").inc(cluster.jobs_lost());
-  registry.counter("cluster.boots").inc(cluster.boots_started());
-  registry.counter("cluster.shutdowns").inc(cluster.shutdowns_started());
-  registry.counter("cluster.failures").inc(cluster.failures());
-  registry.counter("cluster.repairs").inc(cluster.repairs());
-  registry.counter("cluster.boot_timeouts").inc(cluster.boot_timeouts());
+  // The lifecycle deltas, and the whole-run totals (including warmup) for
+  // the counters snapshot, registered after the per-event counters above.
+  report_fleet_totals(run_totals(), warm, result, registry);
   registry.gauge("sim.time_s").set(now);
   loop.finish(now, registry, result);
   return result;

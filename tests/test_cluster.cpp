@@ -74,7 +74,7 @@ TEST(Cluster, ScaleUpBootsServers) {
   cluster.set_active_target(0.0, 4);
   EXPECT_EQ(cluster.serving_count(), 2u);    // boots take time
   EXPECT_EQ(cluster.committed_count(), 4u);
-  EXPECT_EQ(cluster.boots_started(), 2u);
+  EXPECT_EQ(cluster.totals().boots, 2u);
   (void)drive(queue, cluster, 100.0);
   EXPECT_EQ(cluster.serving_count(), 4u);
 }
@@ -85,7 +85,7 @@ TEST(Cluster, ScaleDownDrainsIdleServersImmediately) {
   cluster.set_active_target(0.0, 1);
   // One idle server drains straight into shutdown.
   EXPECT_EQ(cluster.serving_count(), 1u);
-  EXPECT_EQ(cluster.shutdowns_started(), 1u);
+  EXPECT_EQ(cluster.totals().shutdowns, 1u);
   (void)drive(queue, cluster, 100.0);
   EXPECT_EQ(cluster.powered_count(), 1u);
 }
@@ -98,11 +98,11 @@ TEST(Cluster, ScaleDownWaitsForBusyServers) {
   ASSERT_TRUE(cluster.route_job(0.0, make_job(2, 0.0, 5.0)));
   cluster.set_active_target(0.0, 1);
   // Victim is draining but still busy: no shutdown yet.
-  EXPECT_EQ(cluster.shutdowns_started(), 0u);
+  EXPECT_EQ(cluster.totals().shutdowns, 0u);
   EXPECT_EQ(cluster.serving_count(), 1u);
   const auto done = drive(queue, cluster, 100.0);
   EXPECT_EQ(done.size(), 2u);  // both jobs complete (no migration, no loss)
-  EXPECT_EQ(cluster.shutdowns_started(), 1u);
+  EXPECT_EQ(cluster.totals().shutdowns, 1u);
   EXPECT_EQ(cluster.powered_count(), 1u);
 }
 
@@ -115,7 +115,7 @@ TEST(Cluster, ReviveDrainingBeforeBooting) {
   EXPECT_EQ(cluster.serving_count(), 1u);
   cluster.set_active_target(1.0, 2);  // should revive, not boot
   EXPECT_EQ(cluster.serving_count(), 2u);
-  EXPECT_EQ(cluster.boots_started(), 0u);
+  EXPECT_EQ(cluster.totals().boots, 0u);
 }
 
 TEST(Cluster, NeverDrainsLastServingServer) {
@@ -219,17 +219,11 @@ ClusterOptions grouped_options() {
 TEST(ClusterGroups, LayoutAndCounts) {
   EventQueue queue;
   const Cluster cluster(grouped_options(), &queue);
-  EXPECT_EQ(cluster.num_groups(), 2u);
   EXPECT_EQ(cluster.num_servers(), 5u);
-  EXPECT_EQ(cluster.group_size(0), 3u);
-  EXPECT_EQ(cluster.group_size(1), 2u);
-  EXPECT_EQ(cluster.group_serving_count(0), 2u);
-  EXPECT_EQ(cluster.group_serving_count(1), 1u);
   EXPECT_EQ(cluster.group_of(0), 0u);
   EXPECT_EQ(cluster.group_of(2), 0u);
   EXPECT_EQ(cluster.group_of(3), 1u);
   EXPECT_DEATH((void)cluster.group_of(99), "out of range");
-  EXPECT_DEATH((void)cluster.group_size(7), "out of range");
 }
 
 TEST(ClusterGroups, PerGroupRateScaleAffectsServiceTime) {
@@ -250,46 +244,13 @@ TEST(ClusterGroups, PerGroupRateScaleAffectsServiceTime) {
   EXPECT_DOUBLE_EQ(e2->time, 5.0);
 }
 
-TEST(ClusterGroups, GroupTargetsAreIndependent) {
-  EventQueue queue;
-  Cluster cluster(grouped_options(), &queue);
-  cluster.set_group_active_target(0.0, 0, 3);  // boot the third fast server
-  EXPECT_EQ(cluster.boots_started(), 1u);
-  EXPECT_EQ(cluster.group_serving_count(1), 1u);  // slow group untouched
-  cluster.set_group_active_target(0.0, 1, 0);     // shut the slow group down
-  (void)drive(queue, cluster, 100.0);
-  EXPECT_EQ(cluster.group_serving_count(0), 3u);
-  EXPECT_EQ(cluster.group_serving_count(1), 0u);
-}
-
-TEST(ClusterGroups, GroupSpeedOnlyTouchesThatGroup) {
-  EventQueue queue;
-  Cluster cluster(grouped_options(), &queue);
-  cluster.set_group_speed(0.0, 1, 1.0);
-  EXPECT_DOUBLE_EQ(cluster.server(0).speed(), 1.0);   // fast group unchanged
-  EXPECT_DOUBLE_EQ(cluster.server(3).speed(), 1.0);   // slow group raised
-  cluster.set_group_speed(0.0, 0, 0.25);
-  EXPECT_DOUBLE_EQ(cluster.server(1).speed(), 0.25);
-  EXPECT_DOUBLE_EQ(cluster.server(3).speed(), 1.0);
-}
-
-TEST(ClusterGroups, BootedServerAdoptsItsGroupsSpeed) {
-  EventQueue queue;
-  Cluster cluster(grouped_options(), &queue);
-  cluster.set_group_speed(0.0, 0, 0.5);
-  cluster.set_group_active_target(0.0, 0, 3);
-  (void)drive(queue, cluster, 100.0);
-  // Server 2 (the booted one in group 0) must come up at the group speed.
-  EXPECT_DOUBLE_EQ(cluster.server(2).speed(), 0.5);
-}
-
 TEST(ClusterGroups, RoutingToEmptyGroupDrops) {
   EventQueue queue;
-  Cluster cluster(grouped_options(), &queue);
-  cluster.set_group_active_target(0.0, 1, 0);
-  (void)drive(queue, cluster, 100.0);
+  ClusterOptions options = grouped_options();
+  options.groups[1].initial_active = 0;
+  Cluster cluster(options, &queue);
   EXPECT_FALSE(cluster.route_job_to_group(100.0, 1, make_job(9, 100.0, 1.0)));
-  EXPECT_EQ(cluster.jobs_dropped(), 1u);
+  EXPECT_EQ(cluster.totals().dropped, 1u);
 }
 
 TEST(ClusterGroups, RejectsBadGroupSpecs) {

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "control/config_io.h"
 #include "core/config_io.h"
 #include "stats/rng.h"
 #include "workload/trace.h"
@@ -160,103 +159,6 @@ TEST(ConfigCorpus, OutOfRangeIntegersThrow) {
   EXPECT_THROW((void)cluster_config_from_ini(negative), std::runtime_error);
   const IniFile huge = IniFile::parse("[cluster]\nmax_servers = 8589934592\n");
   EXPECT_THROW((void)cluster_config_from_ini(huge), std::runtime_error);
-}
-
-// -- malformed robustness-policy sections (control/config_io) ----------------
-// These must *throw*, never clamp: a negative MTBF or a spare fraction of
-// 1.5 silently squeezed into range would change provisioning behavior
-// without any operator-visible signal.
-
-TEST(ConfigCorpus, FaultSectionRejectsBadValues) {
-  for (const char* bad :
-       {"[faults]\nmtbf_s = -3600\n",       // negative MTBF
-        "[faults]\nmtbf_s = nan\n",         // non-finite MTBF
-        "[faults]\nmttr_s = inf\n",         // non-finite MTTR
-        "[faults]\nmttr_s = 0\n",           // repairs must take time
-        "[faults]\nmttr_s = -1\n",          // negative MTTR
-        "[faults]\nboot_hang_prob = 1.5\n", // probability out of [0,1]
-        "[faults]\nboot_hang_prob = -0.1\n",
-        "[faults]\nboot_timeout_s = -5\n",
-        "[faults]\nseed = -1\n"}) {
-    const IniFile ini = IniFile::parse(bad);
-    EXPECT_THROW((void)fault_options_from_ini(ini), std::runtime_error)
-        << "accepted: " << bad;
-  }
-  // A well-formed section parses and carries the values through.
-  const IniFile ok = IniFile::parse(
-      "[faults]\nmtbf_s = 21600\nmttr_s = 900\nboot_hang_prob = 0.02\n");
-  const FaultOptions faults = fault_options_from_ini(ok);
-  EXPECT_DOUBLE_EQ(faults.mtbf_s, 21600.0);
-  EXPECT_DOUBLE_EQ(faults.mttr_s, 900.0);
-  EXPECT_DOUBLE_EQ(faults.boot_hang_prob, 0.02);
-  EXPECT_TRUE(faults.enabled());
-}
-
-TEST(ConfigCorpus, FailureAwareSectionRejectsBadValues) {
-  for (const char* bad :
-       {"[failure_aware]\nspare_capacity_fraction = 1.5\n",   // > 1
-        "[failure_aware]\nspare_capacity_fraction = -0.25\n", // negative
-        "[failure_aware]\nspare_capacity_fraction = nan\n",   // non-finite
-        "[failure_aware]\nspare_capacity_fraction = inf\n",
-        "[failure_aware]\nheartbeat_interval_s = 0\n",
-        "[failure_aware]\nheartbeat_interval_s = -5\n",
-        "[failure_aware]\nheartbeat_misses = -2\n",
-        "[failure_aware]\nboot_retry_backoff_s = -1\n"}) {
-    const IniFile ini = IniFile::parse(bad);
-    EXPECT_THROW((void)failure_aware_options_from_ini(ini), std::runtime_error)
-        << "accepted: " << bad;
-  }
-  // heartbeat_misses = 0 passes the typed read but fails the struct
-  // validate (std::invalid_argument) — still a catchable throw, never a
-  // detector that counts to zero.
-  const IniFile zero_misses =
-      IniFile::parse("[failure_aware]\nheartbeat_misses = 0\n");
-  EXPECT_THROW((void)failure_aware_options_from_ini(zero_misses), std::exception);
-  const IniFile ok = IniFile::parse(
-      "[failure_aware]\nspare_capacity_fraction = 0.125\nheartbeat_misses = 3\n");
-  const FailureAwareOptions fa = failure_aware_options_from_ini(ok);
-  EXPECT_DOUBLE_EQ(fa.spare_capacity_fraction, 0.125);
-  EXPECT_EQ(fa.heartbeat_misses, 3u);
-}
-
-TEST(ConfigCorpus, ReliabilitySectionRejectsBadValues) {
-  for (const char* bad :
-       {"[reliability]\nmtbf_s = -1\n",
-        "[reliability]\nmtbf_s = nan\n",
-        "[reliability]\nmttr_s = -600\n",
-        "[reliability]\nmttr_s = inf\n",
-        "[reliability]\navailability_target = 1.01\n",  // > 1
-        "[reliability]\navailability_target = -0.5\n",
-        "[reliability]\navailability_target = nan\n",
-        "[reliability]\ncycles_to_failure = -40000\n",
-        "[reliability]\ncycle_cost_j = -5\n",
-        "[reliability]\ncycle_cost_j = inf\n",
-        "[reliability]\nmax_spares = -4\n",
-        "[reliability]\nclass_cycles_to_failure = 40000 -1\n",
-        "[reliability]\nclass_cycles_to_failure = 40000 nan\n"}) {
-    const IniFile ini = IniFile::parse(bad);
-    EXPECT_THROW((void)reliability_options_from_ini(ini), std::runtime_error)
-        << "accepted: " << bad;
-  }
-  // mtbf_s > 0 with mttr_s forced to 0 passes the per-key reads but fails
-  // the struct validate — a failure model with instant repairs is a
-  // contradiction, not a default.
-  const IniFile contradiction =
-      IniFile::parse("[reliability]\nmtbf_s = 3600\nmttr_s = 0\n");
-  EXPECT_THROW((void)reliability_options_from_ini(contradiction), std::exception);
-  const IniFile ok = IniFile::parse(
-      "[reliability]\nmtbf_s = 21600\nmttr_s = 600\n"
-      "availability_target = 0.999\nmax_spares = 4\n"
-      "cycles_to_failure = 40000\ncycle_cost_j = 5000\n"
-      "class_cycles_to_failure = 40000 10000\n");
-  const ReliabilityOptions reliability = reliability_options_from_ini(ok);
-  EXPECT_DOUBLE_EQ(reliability.mtbf_s, 21600.0);
-  EXPECT_DOUBLE_EQ(reliability.availability_target, 0.999);
-  EXPECT_EQ(reliability.max_spares, 4u);
-  ASSERT_EQ(reliability.class_cycles_to_failure.size(), 2u);
-  EXPECT_DOUBLE_EQ(reliability.class_cycles_to_failure[1], 10000.0);
-  EXPECT_TRUE(reliability.enabled());
-  EXPECT_TRUE(reliability.availability_constrained());
 }
 
 // -- trace write -> parse -> write -------------------------------------------

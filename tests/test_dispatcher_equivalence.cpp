@@ -44,7 +44,7 @@ class DispatcherEquivalenceTest : public ::testing::TestWithParam<DispatchPolicy
   }
 
   // Applies one random lifecycle mutation, then refreshes the index the
-  // same way the cluster's apply_transition would leave it: sorted indices
+  // same way the fleet store's serving list would hold it: sorted indices
   // of the currently-serving servers.
   void churn(double now, Rng& rng) {
     Server& s = servers_[static_cast<std::size_t>(rng.uniform_below(kNumServers))];

@@ -146,13 +146,13 @@ TEST(FaultInjector, ScriptedCrashThenFixedRepair) {
   EXPECT_EQ(h.cluster.server(0).state(), PowerState::kOn);
 
   h.run_until(10.5);
-  EXPECT_EQ(h.cluster.failures(), 1u);
+  EXPECT_EQ(h.cluster.totals().failures, 1u);
   EXPECT_EQ(h.cluster.failed_count(), 1u);
   EXPECT_EQ(h.cluster.available_count(), 3u);
   EXPECT_EQ(h.cluster.server(0).state(), PowerState::kFailed);
 
   h.run_until(16.0);
-  EXPECT_EQ(h.cluster.repairs(), 1u);
+  EXPECT_EQ(h.cluster.totals().repairs, 1u);
   EXPECT_EQ(h.cluster.failed_count(), 0u);
   EXPECT_EQ(h.cluster.server(0).state(), PowerState::kOff);
 }
@@ -163,7 +163,7 @@ TEST(FaultInjector, ScriptedFaultOnOffServerIsDropped) {
   faults.script.push_back({10.0, 3, 5.0});
   FaultHarness h(cluster_options(4, 2), faults, 1);
   h.run_until(20.0);
-  EXPECT_EQ(h.cluster.failures(), 0u);
+  EXPECT_EQ(h.cluster.totals().failures, 0u);
   EXPECT_EQ(h.cluster.failed_count(), 0u);
   EXPECT_EQ(h.cluster.server(3).state(), PowerState::kOff);
 }
@@ -181,9 +181,9 @@ TEST(FaultInjector, CrashDuringBootFails) {
   EXPECT_EQ(h.cluster.server(1).state(), PowerState::kFailed);
   h.run_until(10.0);
   EXPECT_EQ(h.cluster.server(1).state(), PowerState::kOff);
-  EXPECT_EQ(h.cluster.failures(), 1u);
-  EXPECT_EQ(h.cluster.repairs(), 1u);
-  EXPECT_EQ(h.cluster.boot_timeouts(), 0u);
+  EXPECT_EQ(h.cluster.totals().failures, 1u);
+  EXPECT_EQ(h.cluster.totals().repairs, 1u);
+  EXPECT_EQ(h.cluster.totals().boot_timeouts, 0u);
 }
 
 TEST(FaultInjector, OrphansRedispatchToSurvivors) {
@@ -195,9 +195,9 @@ TEST(FaultInjector, OrphansRedispatchToSurvivors) {
     ASSERT_TRUE(h.cluster.route_job(0.0, make_job(i, 0.0, 100.0)));
   }
   h.run_until(2.0);
-  EXPECT_EQ(h.cluster.failures(), 1u);
-  EXPECT_EQ(h.cluster.jobs_redispatched(), 3u);
-  EXPECT_EQ(h.cluster.jobs_lost(), 0u);
+  EXPECT_EQ(h.cluster.totals().failures, 1u);
+  EXPECT_EQ(h.cluster.totals().redispatched, 3u);
+  EXPECT_EQ(h.cluster.totals().lost, 0u);
   EXPECT_EQ(h.cluster.jobs_in_system(), 6u);  // conservation across the crash
   EXPECT_EQ(h.completed, 0u);
 }
@@ -211,13 +211,13 @@ TEST(FaultInjector, AllServersDownLosesJobs) {
     ASSERT_TRUE(h.cluster.route_job(0.0, make_job(i, 0.0, 100.0)));
   }
   h.run_until(3.0);
-  EXPECT_EQ(h.cluster.failures(), 2u);
+  EXPECT_EQ(h.cluster.totals().failures, 2u);
   EXPECT_EQ(h.cluster.serving_count(), 0u);
   EXPECT_EQ(h.cluster.failed_count(), 2u);
   // The first crash moves its jobs to the survivor; the second has nowhere
   // left and destroys all four.
-  EXPECT_EQ(h.cluster.jobs_redispatched(), 2u);
-  EXPECT_EQ(h.cluster.jobs_lost(), 4u);
+  EXPECT_EQ(h.cluster.totals().redispatched, 2u);
+  EXPECT_EQ(h.cluster.totals().lost, 4u);
   EXPECT_EQ(h.cluster.jobs_in_system(), 0u);
 }
 
@@ -230,14 +230,14 @@ TEST(FaultInjector, BootHangTimesOutAndRepairs) {
   h.cluster.set_active_target(0.0, 2);
   EXPECT_EQ(h.cluster.server(1).state(), PowerState::kBooting);
   h.run_until(4.9);
-  EXPECT_EQ(h.cluster.boot_timeouts(), 0u);
+  EXPECT_EQ(h.cluster.totals().boot_timeouts, 0u);
   EXPECT_EQ(h.cluster.server(1).state(), PowerState::kBooting);
   h.run_until(5.5);
-  EXPECT_EQ(h.cluster.boot_timeouts(), 1u);
-  EXPECT_EQ(h.cluster.failures(), 1u);
+  EXPECT_EQ(h.cluster.totals().boot_timeouts, 1u);
+  EXPECT_EQ(h.cluster.totals().failures, 1u);
   EXPECT_EQ(h.cluster.server(1).state(), PowerState::kFailed);
   h.run_until(1e7);  // the exponential repair fires eventually
-  EXPECT_EQ(h.cluster.repairs(), 1u);
+  EXPECT_EQ(h.cluster.totals().repairs, 1u);
   EXPECT_EQ(h.cluster.server(1).state(), PowerState::kOff);
 }
 
@@ -247,9 +247,9 @@ TEST(FaultInjector, DefaultBootTimeoutIsThreeBootDelays) {
   FaultHarness h(cluster_options(2, 1), faults, 3);
   h.cluster.set_active_target(0.0, 2);
   h.run_until(5.9);  // 3 * 2.0 = 6.0
-  EXPECT_EQ(h.cluster.boot_timeouts(), 0u);
+  EXPECT_EQ(h.cluster.totals().boot_timeouts, 0u);
   h.run_until(6.1);
-  EXPECT_EQ(h.cluster.boot_timeouts(), 1u);
+  EXPECT_EQ(h.cluster.totals().boot_timeouts, 1u);
 }
 
 TEST(FaultInjector, BackgroundProcessCrashesAndRepairs) {
@@ -258,12 +258,13 @@ TEST(FaultInjector, BackgroundProcessCrashesAndRepairs) {
   faults.mttr_s = 10.0;
   FaultHarness h(cluster_options(4, 4), faults, 7);
   h.run_until(2000.0);
-  EXPECT_GT(h.cluster.failures(), 0u);
-  EXPECT_GT(h.cluster.repairs(), 0u);
-  EXPECT_LE(h.cluster.repairs(), h.cluster.failures());
+  EXPECT_GT(h.cluster.totals().failures, 0u);
+  EXPECT_GT(h.cluster.totals().repairs, 0u);
+  EXPECT_LE(h.cluster.totals().repairs, h.cluster.totals().failures);
   // Every crash set FAILED and every repair cleared one.
+  const FleetTotals& totals = h.cluster.totals();
   EXPECT_EQ(h.cluster.failed_count(),
-            static_cast<unsigned>(h.cluster.failures() - h.cluster.repairs()));
+            static_cast<unsigned>(totals.failures - totals.repairs));
   // State partition still holds.
   unsigned counted = 0;
   for (std::uint32_t i = 0; i < h.cluster.num_servers(); ++i) {
@@ -306,8 +307,8 @@ TEST(FaultInjector, DeterministicInSeed) {
   a.run_until(1500.0);
   b.run_until(1500.0);
   EXPECT_EQ(a.crash_log, b.crash_log);
-  EXPECT_EQ(a.cluster.failures(), b.cluster.failures());
-  EXPECT_EQ(a.cluster.repairs(), b.cluster.repairs());
+  EXPECT_EQ(a.cluster.totals().failures, b.cluster.totals().failures);
+  EXPECT_EQ(a.cluster.totals().repairs, b.cluster.totals().repairs);
 
   FaultHarness c(cluster_options(8, 8), faults, 22);
   c.run_until(1500.0);

@@ -51,13 +51,12 @@ TEST(MetricsCollector, PercentilesOrdered) {
   EXPECT_GT(metrics.p95(), 0.0);
 }
 
-TEST(MetricsCollector, BeginMeasuringForgetsResponsesButKeepsTotal) {
+TEST(MetricsCollector, BeginMeasuringForgetsResponses) {
   MetricsCollector metrics(1.0);
   metrics.on_job_completed(5.0, make_job(0.0));  // warmup: response 5 (violation)
   metrics.on_job_completed(6.0, make_job(5.5));
   metrics.begin_measuring();
   EXPECT_EQ(metrics.completed(), 0u);
-  EXPECT_EQ(metrics.completed_total(), 2u);
   EXPECT_EQ(metrics.response().mean(), 0.0);
   EXPECT_EQ(metrics.p95(), 0.0);
   EXPECT_EQ(metrics.p99(), 0.0);
@@ -66,7 +65,6 @@ TEST(MetricsCollector, BeginMeasuringForgetsResponsesButKeepsTotal) {
 
   metrics.on_job_completed(7.0, make_job(6.75));  // response 0.25
   EXPECT_EQ(metrics.completed(), 1u);
-  EXPECT_EQ(metrics.completed_total(), 3u);
   EXPECT_DOUBLE_EQ(metrics.response().mean(), 0.25);
   EXPECT_DOUBLE_EQ(metrics.response().max(), 0.25);
   EXPECT_EQ(metrics.job_violation_ratio(), 0.0);
