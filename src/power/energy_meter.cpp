@@ -22,17 +22,6 @@ EnergyMeter::EnergyMeter(const PowerModel* model, double start_time)
   idle_watts_ = model_->power(speed_, 0.0);
 }
 
-double EnergyMeter::instantaneous_power() const noexcept {
-  switch (state_) {
-    case PowerState::kOff:
-    case PowerState::kFailed: return model_->off_power();
-    case PowerState::kBooting:
-    case PowerState::kShuttingDown: return model_->transition_power();
-    case PowerState::kOn: return busy_ ? busy_watts_ : idle_watts_;
-  }
-  return 0.0;
-}
-
 void EnergyMeter::integrate(double now) {
   GC_CHECK(now >= last_time_, "EnergyMeter: time went backwards");
   const double joules = (now - last_time_) * instantaneous_power();

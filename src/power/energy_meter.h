@@ -39,7 +39,18 @@ class EnergyMeter {
   [[nodiscard]] double joules_off() const noexcept { return by_class_[3]; }
 
   [[nodiscard]] double last_update_time() const noexcept { return last_time_; }
-  [[nodiscard]] double instantaneous_power() const noexcept;
+  // Inline: the fleet store re-reads it into its watts column whenever a
+  // server's meter moves (sim/fleet_store.h).
+  [[nodiscard]] double instantaneous_power() const noexcept {
+    switch (state_) {
+      case PowerState::kOff:
+      case PowerState::kFailed: return model_->off_power();
+      case PowerState::kBooting:
+      case PowerState::kShuttingDown: return model_->transition_power();
+      case PowerState::kOn: return busy_ ? busy_watts_ : idle_watts_;
+    }
+    return 0.0;
+  }
 
  private:
   void integrate(double now);

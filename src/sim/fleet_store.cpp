@@ -126,17 +126,15 @@ void FleetStore::catch_up_speed(std::uint32_t li) {
 
 void FleetStore::reschedule_departure(std::uint32_t li, double eta) {
   Server& s = servers_[li];
-  queue_.cancel(s.pending_departure);
+  if (s.pending_departure != kInvalidEventId) queue_.cancel(s.pending_departure);
   s.pending_departure = queue_.schedule(eta, EventType::kDeparture, li);
 }
 
-bool FleetStore::refresh_serving_list() {
-  if (!serving_list_stale_) return false;
+void FleetStore::rebuild_serving_list() {
   serving_list_.clear();
   serving_.for_each(
       [&](std::size_t li) { serving_list_.push_back(static_cast<std::uint32_t>(li)); });
   serving_list_stale_ = false;
-  return true;
 }
 
 double FleetStore::watts(std::uint32_t li) const {

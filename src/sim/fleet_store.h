@@ -121,8 +121,13 @@ class FleetStore {
   [[nodiscard]] std::span<const Server> servers() const noexcept { return servers_; }
   [[nodiscard]] const IndexBitset& serving() const noexcept { return serving_; }
   // Rebuilds the ascending serving list if a transition changed the
-  // serving set since the last rebuild; returns whether it did.
-  bool refresh_serving_list();
+  // serving set since the last rebuild; returns whether it did.  Inline:
+  // the sequential dispatcher checks it on every pick.
+  bool refresh_serving_list() {
+    if (!serving_list_stale_) return false;
+    rebuild_serving_list();
+    return true;
+  }
   // The serving list as of the last refresh.
   [[nodiscard]] std::span<const std::uint32_t> serving_list() const noexcept {
     return serving_list_;
@@ -186,6 +191,7 @@ class FleetStore {
   void transition(std::uint32_t li, Fn&& mutate);
   // A draining, empty ON server begins its shutdown; returns whether it did.
   bool maybe_begin_shutdown(double now, std::uint32_t li);
+  void rebuild_serving_list();
   // Replays the speed commands dark server li missed.
   void catch_up_speed(std::uint32_t li);
   void reschedule_departure(std::uint32_t li, double eta);
