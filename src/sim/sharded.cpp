@@ -135,10 +135,8 @@ struct Shard {
   std::vector<std::size_t> scripted_next;
   std::vector<char> background_armed;  // one background failure chain/server
 
-  // Frozen round-robin assignment for the current window: the store's
-  // serving list as of the window start, and its servers' global
-  // round-robin ranks (the orchestrator's merge).
-  std::span<const std::uint32_t> frozen;
+  // Global round-robin ranks of the frozen serving list (the store's,
+  // refreshed only at barriers), from the orchestrator's merge.
   std::vector<std::uint32_t> rank;
 
   // Commanded control state, broadcast by the orchestrator at barriers.
@@ -382,6 +380,7 @@ struct Shard {
   // O(owned), not O(all arrivals).
   void advance_to(double barrier, const std::vector<double>& arrivals,
                   std::size_t lo, std::size_t hi, std::size_t window_m) {
+    const std::span<const std::uint32_t> frozen = store.serving_list();
     const std::size_t width = frozen.size();
     std::size_t next_arrival = hi;
     std::size_t block = 0;
@@ -786,8 +785,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       Shard& s = *sp;
       if (!s.store.refresh_serving_list()) continue;
       dirty = true;
-      s.frozen = s.store.serving_list();
-      s.rank.resize(s.frozen.size());
+      s.rank.resize(s.store.serving_list().size());
     }
     if (!dirty) return;
     std::fill(merge_pos.begin(), merge_pos.end(), std::size_t{0});
@@ -795,14 +793,15 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     for (;;) {
       std::uint32_t row = std::numeric_limits<std::uint32_t>::max();
       for (unsigned k = 0; k < num_shards; ++k) {
-        const Shard& s = *shards[k];
-        if (merge_pos[k] < s.frozen.size()) row = std::min(row, s.frozen[merge_pos[k]]);
+        const auto frozen = shards[k]->store.serving_list();
+        if (merge_pos[k] < frozen.size()) row = std::min(row, frozen[merge_pos[k]]);
       }
       if (row == std::numeric_limits<std::uint32_t>::max()) break;
       for (unsigned k = 0; k < num_shards; ++k) {
         Shard& s = *shards[k];
+        const auto frozen = s.store.serving_list();
         std::size_t& pos = merge_pos[k];
-        if (pos < s.frozen.size() && s.frozen[pos] == row) s.rank[pos++] = rank++;
+        if (pos < frozen.size() && frozen[pos] == row) s.rank[pos++] = rank++;
       }
     }
     window_m = rank;
