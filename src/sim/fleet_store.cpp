@@ -1,7 +1,5 @@
 #include "sim/fleet_store.h"
 
-#include <bit>
-
 #include "obs/counters.h"
 #include "sim/metrics.h"
 #include "util/assert.h"
@@ -124,24 +122,11 @@ void FleetStore::catch_up_speed(std::uint32_t li) {
   speed_seen_[li] = static_cast<std::uint32_t>(speed_log_.size());
 }
 
-void FleetStore::reschedule_departure(std::uint32_t li, double eta) {
-  Server& s = servers_[li];
-  if (s.pending_departure != kInvalidEventId) queue_.cancel(s.pending_departure);
-  s.pending_departure = queue_.schedule(eta, EventType::kDeparture, li);
-}
-
 void FleetStore::rebuild_serving_list() {
   serving_list_.clear();
   serving_.for_each(
       [&](std::size_t li) { serving_list_.push_back(static_cast<std::uint32_t>(li)); });
   serving_list_stale_ = false;
-}
-
-double FleetStore::watts(std::uint32_t li) const {
-  GC_DCHECK(std::bit_cast<std::uint64_t>(watts_[li]) ==
-                std::bit_cast<std::uint64_t>(servers_[li].instantaneous_power()),
-            "FleetStore: watts column diverged from the server meters");
-  return watts_[li];
 }
 
 double FleetStore::power_w() const {
@@ -218,34 +203,6 @@ void FleetStore::time_out_boot(double now, std::uint32_t li) {
 void FleetStore::finish_repair(double now, std::uint32_t li) {
   transition(li, [&](Server& s) { s.finish_repair(now); });
   ++totals_.repairs;
-}
-
-void FleetStore::enqueue(double now, std::uint32_t li, const Job& job) {
-  Server& s = servers_[li];
-  const auto eta = s.enqueue(now, job);
-  ++jobs_;
-  // The meter moves only when the server goes idle -> busy (an ETA).
-  if (eta) {
-    watts_[li] = s.instantaneous_power();
-    reschedule_departure(li, *eta);
-  }
-}
-
-Job FleetStore::depart(double now, std::uint32_t li) {
-  Server& s = servers_[li];
-  s.pending_departure = kInvalidEventId;
-  const Server::Completion completion = s.complete_current(now);
-  GC_CHECK(jobs_ > 0, "departure with no jobs in system");
-  --jobs_;
-  ++totals_.completed;
-  if (completion.next_eta) {
-    s.pending_departure = queue_.schedule(*completion.next_eta, EventType::kDeparture, li);
-  } else {
-    // ... and back only when it goes idle.
-    watts_[li] = s.instantaneous_power();
-    maybe_begin_shutdown(now, li);
-  }
-  return completion.finished;
 }
 
 void FleetStore::set_speed_all(double now, double speed) {

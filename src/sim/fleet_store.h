@@ -31,6 +31,7 @@
 // policy; the store only carries each decision out.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -40,6 +41,7 @@
 #include "sim/event_queue.h"
 #include "sim/job.h"
 #include "sim/server.h"
+#include "util/assert.h"
 #include "util/index_bitset.h"
 
 namespace gc {
@@ -133,7 +135,13 @@ class FleetStore {
     return serving_list_;
   }
 
-  [[nodiscard]] double watts(std::uint32_t li) const;
+  // Inline: the sharded power fold reads every server's entry per tick.
+  [[nodiscard]] double watts(std::uint32_t li) const {
+    GC_DCHECK(std::bit_cast<std::uint64_t>(watts_[li]) ==
+                  std::bit_cast<std::uint64_t>(servers_[li].instantaneous_power()),
+              "FleetStore: watts column diverged from the server meters");
+    return watts_[li];
+  }
   // Fleet draw: the watts column folded in ascending position order.
   [[nodiscard]] double power_w() const;
 
@@ -168,13 +176,38 @@ class FleetStore {
   // FAILED -> OFF.
   void finish_repair(double now, std::uint32_t li);
 
-  // -- data plane ------------------------------------------------------------
+  // -- data plane (inline: one call per arrival and per departure) ---------
   // Accepts a job on a serving server, scheduling its departure if it went
   // straight into service.
-  void enqueue(double now, std::uint32_t li, const Job& job);
+  void enqueue(double now, std::uint32_t li, const Job& job) {
+    Server& s = servers_[li];
+    const auto eta = s.enqueue(now, job);
+    ++jobs_;
+    // The meter moves only when the server goes idle -> busy (an ETA).
+    if (eta) {
+      watts_[li] = s.instantaneous_power();
+      reschedule_departure(li, *eta);
+    }
+  }
   // The server's kDeparture fired: returns the finished job.  Starts the
   // next one, or begins the shutdown of a drained server.
-  [[nodiscard]] Job depart(double now, std::uint32_t li);
+  [[nodiscard]] Job depart(double now, std::uint32_t li) {
+    Server& s = servers_[li];
+    s.pending_departure = kInvalidEventId;
+    const Server::Completion completion = s.complete_current(now);
+    GC_CHECK(jobs_ > 0, "departure with no jobs in system");
+    --jobs_;
+    ++totals_.completed;
+    if (completion.next_eta) {
+      s.pending_departure =
+          queue_.schedule(*completion.next_eta, EventType::kDeparture, li);
+    } else {
+      // ... and back only when it goes idle.
+      watts_[li] = s.instantaneous_power();
+      maybe_begin_shutdown(now, li);
+    }
+    return completion.finished;
+  }
   // Runs the fleet at `speed` (in (0, 1]); in-flight departures move.
   void set_speed_all(double now, double speed);
 
@@ -194,7 +227,11 @@ class FleetStore {
   void rebuild_serving_list();
   // Replays the speed commands dark server li missed.
   void catch_up_speed(std::uint32_t li);
-  void reschedule_departure(std::uint32_t li, double eta);
+  void reschedule_departure(std::uint32_t li, double eta) {
+    Server& s = servers_[li];
+    if (s.pending_departure != kInvalidEventId) queue_.cancel(s.pending_departure);
+    s.pending_departure = queue_.schedule(eta, EventType::kDeparture, li);
+  }
 
   struct SpeedCommand {
     double time = 0.0;
