@@ -27,6 +27,10 @@
 // commits a prefix [0, target) of the fleet, so contiguous ranges would put
 // a consolidated fleet's whole serving set on shard 0; strides spread any
 // prefix evenly over every shard (DESIGN.md §11.2).
+//
+// A shard's servers live in a FleetStore (sim/fleet_store.h), the lifecycle
+// store the sequential Cluster uses too; this file adds only the sharded
+// model around it.
 #include "sim/sharded.h"
 
 #include <algorithm>
