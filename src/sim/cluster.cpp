@@ -1,7 +1,6 @@
 #include "sim/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 

@@ -29,6 +29,10 @@
 //
 // What to do (who boots, who drains, where orphans go) is the engine's
 // policy; the store only carries each decision out.
+//
+// Invariant (tests/test_cluster_property.cpp, after every step of a random
+// walk with crashes, repairs and hung boots): the counts, the refreshed
+// serving list and the watts column equal a full scan of the servers.
 #pragma once
 
 #include <bit>
