@@ -341,6 +341,16 @@ lint() {
   done < <(git ls-files 'src/*.h')
   [ -z "${dead}" ] \
     || { printf 'lint: headers only tests include:\n%s' "${dead}" >&2; exit 1; }
+  # Both engines share one fault plane: only the injector puts a server
+  # crash or repair on an event queue (an engine only dispatches them).
+  echo "==> [lint] one fault plane"
+  local fault_events
+  fault_events="$(git grep -nE 'EventType::kServer(Fail|Repair)' -- '*.cpp' '*.h' \
+                    ':!src/sim/fault_injector.cpp' \
+                  | grep -vE 'case EventType::kServer(Fail|Repair):' || true)"
+  [ -z "${fault_events}" ] \
+    || { printf 'lint: fault events outside sim/fault_injector.cpp:\n%s\n' \
+           "${fault_events}" >&2; exit 1; }
   echo "==> [lint] clang-format"
   ci/format.sh --check
   # The zero-overhead claim only holds if the tracing-compiled-out build

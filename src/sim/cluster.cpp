@@ -130,7 +130,7 @@ void Cluster::boot(double now, std::uint32_t server) {
   // With fault injection, this individual boot may hang: instead of a
   // completion it gets a watchdog timeout that fails the server.
   const std::optional<double> hang =
-      faults_ ? faults_->sample_boot_hang(store_.boot_delay_s())
+      faults_ ? faults_->sample_boot_hang(server, store_.boot_delay_s())
               : std::nullopt;
   store_.boot(now, server, hang);
   trace_async_begin(trace_, now, "lifecycle", "boot", server);

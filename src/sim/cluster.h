@@ -3,6 +3,9 @@
 // column, the speed log and the servers' event scheduling) plus what only
 // this model has — the global dispatcher, revive-then-boot and least-work
 // drain, crash failover, injector boot hangs and lifecycle trace spans.
+// When faults happen is the FaultInjector's business (sim/fault_injector.h,
+// the fault plane both engines share); what a crash means here is
+// fail_server / timeout_boot / repair_server below.
 //
 // Events go on an EventQueue provided by the simulation loop, which routes
 // them back into the cluster's handlers.
@@ -113,8 +116,9 @@ class Cluster {
 
   // -- fault plane (driven by sim/fault_injector.h) -------------------------
   // When set (before any boot command), every boot consults the injector
-  // for a sampled hang: hung boots get a kBootTimeout event instead of
-  // kBootComplete.  `injector` must outlive the cluster.
+  // for a sampled hang (on the sequential engine's shared boot-hang
+  // stream): hung boots get a kBootTimeout event instead of kBootComplete.
+  // `injector` must outlive the cluster.
   void set_fault_injector(FaultInjector* injector) noexcept { faults_ = injector; }
 
   // -- observability --------------------------------------------------------
@@ -131,7 +135,7 @@ class Cluster {
   bool fail_server(double now, std::uint32_t server);
   // A hung boot hit its watchdog timeout: the BOOTING server fails.
   void timeout_boot(double now, std::uint32_t server);
-  // FAILED -> OFF; a later reconcile may boot it again.
+  // FAILED -> OFF; the next target command may boot it again.
   void repair_server(double now, std::uint32_t server);
 
   // -- accounting -----------------------------------------------------------

@@ -4,13 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/cluster.h"
 #include "util/assert.h"
 #include "util/format.h"
 
 namespace gc {
 
-void FaultOptions::validate() const {
+void FaultOptions::validate(unsigned num_servers) const {
   if (!(mtbf_s >= 0.0) || !std::isfinite(mtbf_s)) {
     throw std::invalid_argument("FaultOptions: mtbf_s must be finite and >= 0");
   }
@@ -30,127 +29,104 @@ void FaultOptions::validate() const {
     if (!(f.repair_after_s > 0.0)) {  // infinity is fine
       throw std::invalid_argument("FaultOptions: scripted repair_after_s must be > 0");
     }
+    if (f.server >= num_servers) {
+      throw std::invalid_argument(
+          format("FaultOptions: scripted fault targets server {} of {}", f.server,
+                 num_servers));
+    }
   }
 }
 
-FaultInjector::FaultInjector(const FaultOptions& options, unsigned num_servers,
-                             std::uint64_t seed)
-    : options_(options), num_servers_(num_servers),
-      boot_rng_(Rng(seed, /*stream=*/0).split(0xb007)) {
-  options_.validate();
-  GC_CHECK(num_servers > 0, "FaultInjector: empty cluster");
-  server_rngs_.reserve(num_servers);
-  Rng root(seed, /*stream=*/0);
-  for (unsigned i = 0; i < num_servers; ++i) {
-    server_rngs_.push_back(root.split(i + 1));
-  }
-  scripted_repairs_.resize(num_servers);
-  scripted_times_.resize(num_servers);
-  scripted_cursor_.assign(num_servers, 0);
-  background_pending_.assign(num_servers, false);
+std::optional<double> FaultOptions::sample_boot_hang(Rng& rng, double boot_delay_s) const {
+  if (boot_hang_prob <= 0.0 || rng.uniform01() >= boot_hang_prob) return std::nullopt;
+  return boot_timeout_s > 0.0 ? boot_timeout_s : 3.0 * boot_delay_s;
+}
 
-  std::vector<ScriptedFault> script = options_.script;
-  std::stable_sort(script.begin(), script.end(),
+FaultInjector::FaultInjector(const FaultOptions& options, std::vector<Rng> clocks,
+                             std::optional<Rng> boot_stream, std::uint32_t stride,
+                             std::uint32_t offset)
+    : options_(options), boot_stream_(boot_stream) {
+  GC_CHECK(!clocks.empty(), "FaultInjector: empty fleet slice");
+  positions_.reserve(clocks.size());
+  for (const Rng& clock : clocks) positions_.push_back(Position{clock});
+  // The owned scripted entries, position-addressed, in firing order (ties
+  // keep their script order).
+  std::vector<ScriptedFault> owned;
+  for (ScriptedFault f : options.script) {
+    if (f.server % stride != offset) continue;
+    f.server /= stride;
+    GC_CHECK(f.server < positions_.size(),
+             "FaultInjector: scripted fault outside the slice");
+    owned.push_back(f);
+  }
+  std::stable_sort(owned.begin(), owned.end(),
                    [](const ScriptedFault& a, const ScriptedFault& b) {
                      return a.time < b.time;
                    });
-  for (const ScriptedFault& f : script) {
-    if (f.server >= num_servers) {
-      throw std::invalid_argument(
-          format("FaultOptions: scripted fault targets server {} of {}",
-                 f.server, num_servers));
-    }
-    scripted_times_[f.server].push_back(f.time);
-    scripted_repairs_[f.server].push_back(f.repair_after_s);
-  }
-  options_.script = std::move(script);
-}
-
-double FaultInjector::sample_ttf(std::uint32_t server) {
-  GC_DCHECK(options_.mtbf_s > 0.0, "sample_ttf without a background process");
-  return -options_.mtbf_s * std::log(server_rngs_[server].uniform01_open_left());
-}
-
-double FaultInjector::sample_ttr(std::uint32_t server) {
-  return -options_.mttr_s * std::log(server_rngs_[server].uniform01_open_left());
+  for (const ScriptedFault& f : owned) positions_[f.server].script.push_back(f);
+  options_.script = std::move(owned);
 }
 
 void FaultInjector::arm(EventQueue& queue) {
-  if (options_.mtbf_s > 0.0) {
-    for (std::uint32_t i = 0; i < num_servers_; ++i) {
-      queue.schedule(queue.now() + sample_ttf(i), EventType::kServerFail, i);
-      background_pending_[i] = true;
-    }
+  for (std::uint32_t li = 0; li < positions_.size(); ++li) {
+    restart_clock(queue.now(), li, queue);
   }
   for (const ScriptedFault& f : options_.script) {
-    queue.schedule(std::max(f.time, queue.now()), EventType::kServerFail, f.server);
+    queue.schedule(f.time, EventType::kServerFail, f.server);
   }
 }
 
-bool FaultInjector::on_fail_event(double now, std::uint32_t server, Cluster& cluster,
-                                  EventQueue& queue) {
-  GC_CHECK(server < num_servers_, "on_fail_event: unknown server");
-  // Scripted entries fire in schedule order, so a fail event at (or past)
-  // the next scripted time for this server is that scripted entry; anything
-  // earlier is the background process.
-  double scripted_repair = 0.0;
-  bool scripted = false;
-  std::size_t& cursor = scripted_cursor_[server];
-  if (cursor < scripted_times_[server].size() &&
-      now >= scripted_times_[server][cursor] - 1e-9) {
-    scripted = true;
-    scripted_repair = scripted_repairs_[server][cursor];
-    ++cursor;
-  } else {
-    background_pending_[server] = false;
+std::optional<double> FaultInjector::take_fail(double now, std::uint32_t li) {
+  GC_CHECK(li < positions_.size(), "FaultInjector: unknown server");
+  // Scripted events fire at their exact scheduled time, so a fail event at
+  // the next scripted time of this position is that entry; anything else is
+  // the background clock.
+  Position& p = positions_[li];
+  if (p.next_scripted < p.script.size() && p.script[p.next_scripted].time == now) {
+    return p.script[p.next_scripted++].repair_after_s;
   }
+  p.background_armed = false;
+  return std::nullopt;
+}
 
-  const bool crashed = cluster.fail_server(now, server);
-  if (crashed) {
-    if (scripted) {
-      if (std::isfinite(scripted_repair)) {
-        queue.schedule(now + scripted_repair, EventType::kServerRepair, server);
-      }
-      // else: down for the rest of the run.
+void FaultInjector::after_fail(double now, std::uint32_t li,
+                               std::optional<double> scripted_repair, bool crashed,
+                               EventQueue& queue) {
+  if (!scripted_repair) {
+    // A crash waits for its repair (the clock resumes from there); a clock
+    // that ticked while the server was OFF or already FAILED restarts.
+    if (crashed) {
+      schedule_repair(now, li, queue);
     } else {
-      queue.schedule(now + sample_ttr(server), EventType::kServerRepair, server);
+      restart_clock(now, li, queue);
     }
-  } else if (!scripted && options_.mtbf_s > 0.0) {
-    // The failure clock ticked while the server was OFF or already FAILED:
-    // nothing crashes, but the background chain must continue.
-    queue.schedule(now + sample_ttf(server), EventType::kServerFail, server);
-    background_pending_[server] = true;
+  } else if (crashed && std::isfinite(*scripted_repair)) {
+    queue.schedule(now + *scripted_repair, EventType::kServerRepair, li);
   }
-  // A scripted fault on a non-powered server is simply dropped; a crashed
-  // server's background chain resumes from its repair.
-  return crashed;
+  // else: a scripted crash that is never repaired, or a scripted fault on
+  // an unpowered server, which is dropped.
 }
 
-void FaultInjector::on_boot_timeout(double now, std::uint32_t server, Cluster& cluster,
-                                    EventQueue& queue) {
-  GC_CHECK(server < num_servers_, "on_boot_timeout: unknown server");
-  cluster.timeout_boot(now, server);
-  queue.schedule(now + sample_ttr(server), EventType::kServerRepair, server);
+void FaultInjector::schedule_repair(double now, std::uint32_t li, EventQueue& queue) {
+  GC_CHECK(li < positions_.size(), "FaultInjector: unknown server");
+  Position& p = positions_[li];
+  const double ttr = -options_.mttr_s * std::log(p.clock.uniform01_open_left());
+  queue.schedule(now + ttr, EventType::kServerRepair, li);
 }
 
-void FaultInjector::on_repair_event(double now, std::uint32_t server, Cluster& cluster,
-                                    EventQueue& queue) {
-  GC_CHECK(server < num_servers_, "on_repair_event: unknown server");
-  cluster.repair_server(now, server);
-  // Restart the failure clock unless this server's background chain already
-  // has a pending event (a background fail can tick while FAILED).
-  if (options_.mtbf_s > 0.0 && !background_pending_[server]) {
-    queue.schedule(now + sample_ttf(server), EventType::kServerFail, server);
-    background_pending_[server] = true;
-  }
+void FaultInjector::restart_clock(double now, std::uint32_t li, EventQueue& queue) {
+  GC_CHECK(li < positions_.size(), "FaultInjector: unknown server");
+  Position& p = positions_[li];
+  if (options_.mtbf_s <= 0.0 || p.background_armed) return;
+  const double ttf = -options_.mtbf_s * std::log(p.clock.uniform01_open_left());
+  queue.schedule(now + ttf, EventType::kServerFail, li);
+  p.background_armed = true;
 }
 
-std::optional<double> FaultInjector::sample_boot_hang(double boot_delay_s) {
-  if (options_.boot_hang_prob <= 0.0) return std::nullopt;
-  if (boot_rng_.uniform01() >= options_.boot_hang_prob) return std::nullopt;
-  const double timeout =
-      options_.boot_timeout_s > 0.0 ? options_.boot_timeout_s : 3.0 * boot_delay_s;
-  return timeout;
+std::optional<double> FaultInjector::sample_boot_hang(std::uint32_t li,
+                                                      double boot_delay_s) {
+  return options_.sample_boot_hang(boot_stream_ ? *boot_stream_ : positions_[li].clock,
+                                   boot_delay_s);
 }
 
 }  // namespace gc

@@ -1,4 +1,4 @@
-// Fault injection for the discrete-event simulator.
+// Fault injection for both simulation engines: the one fault plane.
 //
 // Two fault sources, both driving the server lifecycle extensions in
 // sim/server.h ({BOOTING, ON, SHUTTING_DOWN} -> FAILED -> OFF):
@@ -15,18 +15,21 @@
 //
 // Scripted faults make tests reproducible: each entry crashes a specific
 // server at a specific time, with an optional fixed repair delay
-// (defaulting to "never repaired").
+// (defaulting to "never repaired").  An entry whose server is OFF or
+// already FAILED at that time is dropped silently.
 //
-// Determinism: every per-server failure clock draws from its own RNG
-// stream derived via the SplitMix64 scheme in stats/rng.h (Rng::split), so
-// fault sequences are independent of event interleaving and bitwise
-// reproducible across thread counts (replications parallelize above the
-// simulator; see exp/runner.h).
+// One FaultInjector is the fault process of one fleet slice, addressed by
+// FleetStore position li: the sequential engine holds one over the whole
+// fleet (sim/simulation.h), each shard of the sharded engine one over its
+// strided slice (sim/sharded.h).  The injector decides *when* faults
+// happen — every kServerFail / kServerRepair is scheduled here — and the
+// engine decides what a crash means: the handlers below call the engine's
+// fail_server / timeout_boot / repair_server (a Cluster, or a Shard).
 //
-// The injector owns fault *scheduling*; the Cluster owns the state
-// machine.  The simulation loop routes kServerFail / kServerRepair /
-// kBootTimeout events back into the injector, which calls into the
-// cluster and schedules the follow-up event.
+// Determinism: every position's failure clock draws from its own RNG
+// stream, passed in by the engine (each engine derives its own; DESIGN.md
+// §11.4), so fault sequences are independent of event interleaving and
+// bitwise reproducible across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +41,6 @@
 #include "stats/rng.h"
 
 namespace gc {
-
-class Cluster;
 
 struct ScriptedFault {
   double time = 0.0;          // crash instant (simulation seconds)
@@ -72,56 +73,89 @@ struct FaultOptions {
   [[nodiscard]] bool enabled() const noexcept {
     return mtbf_s > 0.0 || boot_hang_prob > 0.0 || !script.empty();
   }
-  // Throws std::invalid_argument on inconsistent settings.
-  void validate() const;
+  // Throws std::invalid_argument on inconsistent settings, including a
+  // scripted fault whose server is not below `num_servers` (the default
+  // leaves the fleet size unchecked).
+  void validate(unsigned num_servers = std::numeric_limits<unsigned>::max()) const;
+
+  // One boot command's hang draw from `rng`: nullopt = the boot proceeds
+  // normally; a value = the boot hangs and is declared failed after that
+  // many seconds.  Draws only when boot_hang_prob > 0.
+  [[nodiscard]] std::optional<double> sample_boot_hang(Rng& rng,
+                                                       double boot_delay_s) const;
 };
 
 class FaultInjector {
  public:
-  FaultInjector(const FaultOptions& options, unsigned num_servers, std::uint64_t seed);
+  // The fault process of positions li < clocks.size(), position li being
+  // global server li * stride + offset (the whole fleet: stride 1, offset
+  // 0; shard k of K: stride K, offset k).  clocks[li] is position li's
+  // failure-clock stream.  Boot hangs draw from `boot_stream` when given,
+  // else from the booting position's own clock.  `options` must already be
+  // validated against the fleet size.
+  FaultInjector(const FaultOptions& options, std::vector<Rng> clocks,
+                std::optional<Rng> boot_stream, std::uint32_t stride = 1,
+                std::uint32_t offset = 0);
 
-  // Schedules the initial background failures and every scripted fault.
-  // Call once, before the first event is popped.
+  // Schedules every background failure clock, then the owned scripted
+  // faults in time order.  Call once, before the first event is popped.
   void arm(EventQueue& queue);
 
-  // kServerFail fired: crash the server (if it is powered) and schedule
-  // the repair / the next failure.  Returns true if the server crashed.
-  bool on_fail_event(double now, std::uint32_t server, Cluster& cluster,
-                     EventQueue& queue);
+  // kServerFail fired: `engine.fail_server` crashes the server if it is
+  // powered; then the repair (or, for an unpowered server, the next
+  // background failure) is scheduled.  Returns true if the server crashed.
+  template <typename Engine>
+  bool on_fail_event(double now, std::uint32_t li, Engine& engine, EventQueue& queue) {
+    const std::optional<double> scripted_repair = take_fail(now, li);
+    const bool crashed = engine.fail_server(now, li);
+    after_fail(now, li, scripted_repair, crashed, queue);
+    return crashed;
+  }
 
-  // kBootTimeout fired: the boot hung; declare the server failed and
-  // schedule its repair.
-  void on_boot_timeout(double now, std::uint32_t server, Cluster& cluster,
-                       EventQueue& queue);
+  // kBootTimeout fired: the boot hung; `engine.timeout_boot` declares the
+  // server failed and its repair is scheduled.
+  template <typename Engine>
+  void on_boot_timeout(double now, std::uint32_t li, Engine& engine, EventQueue& queue) {
+    engine.timeout_boot(now, li);
+    schedule_repair(now, li, queue);
+  }
 
-  // kServerRepair fired: return the server to OFF and restart its failure
-  // clock.
-  void on_repair_event(double now, std::uint32_t server, Cluster& cluster,
-                       EventQueue& queue);
+  // kServerRepair fired: `engine.repair_server` returns the server to OFF
+  // and its failure clock restarts.
+  template <typename Engine>
+  void on_repair_event(double now, std::uint32_t li, Engine& engine, EventQueue& queue) {
+    engine.repair_server(now, li);
+    restart_clock(now, li, queue);
+  }
 
-  // Called by the Cluster for every boot command: nullopt = the boot
-  // proceeds normally; a value = the boot hangs and the server must be
-  // declared failed after that many seconds.
-  [[nodiscard]] std::optional<double> sample_boot_hang(double boot_delay_s);
+  // Called by the engine for every boot command of position li (see
+  // FaultOptions::sample_boot_hang).
+  [[nodiscard]] std::optional<double> sample_boot_hang(std::uint32_t li,
+                                                       double boot_delay_s);
 
  private:
-  [[nodiscard]] double sample_ttf(std::uint32_t server);
-  [[nodiscard]] double sample_ttr(std::uint32_t server);
+  struct Position {
+    Rng clock;
+    // This position's scripted entries in firing order, matched FIFO as
+    // their kServerFail events fire.
+    std::vector<ScriptedFault> script;
+    std::size_t next_scripted = 0;
+    // Exactly one background failure chain exists per position.
+    bool background_armed = false;
+  };
 
-  FaultOptions options_;
-  unsigned num_servers_;
-  // Stream 0 of `rng_` drives boot-hang coin flips; each server's failure
-  // clock is an independent split so outcomes do not depend on the order
-  // in which other servers' events fire.
-  Rng boot_rng_;
-  std::vector<Rng> server_rngs_;
-  // Per-server scripted entries in firing order (matched FIFO as their
-  // kServerFail events fire); background failures track a pending flag so
-  // exactly one background event chain exists per server.
-  std::vector<std::vector<double>> scripted_repairs_;
-  std::vector<std::size_t> scripted_cursor_;
-  std::vector<std::vector<double>> scripted_times_;
-  std::vector<bool> background_pending_;
+  // Which fault a kServerFail at `now` is: the position's next scripted
+  // entry if it is due exactly now (its repair delay), else the background
+  // clock (nullopt).
+  [[nodiscard]] std::optional<double> take_fail(double now, std::uint32_t li);
+  void after_fail(double now, std::uint32_t li, std::optional<double> scripted_repair,
+                  bool crashed, EventQueue& queue);
+  void schedule_repair(double now, std::uint32_t li, EventQueue& queue);
+  void restart_clock(double now, std::uint32_t li, EventQueue& queue);
+
+  FaultOptions options_;  // its script: the owned entries by time, li-addressed
+  std::optional<Rng> boot_stream_;
+  std::vector<Position> positions_;
 };
 
 }  // namespace gc

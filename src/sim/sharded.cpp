@@ -28,22 +28,21 @@
 // a consolidated fleet's whole serving set on shard 0; strides spread any
 // prefix evenly over every shard (DESIGN.md §11.2).
 //
-// A shard's servers live in a FleetStore (sim/fleet_store.h), the lifecycle
-// store the sequential Cluster uses too; this file adds only the sharded
-// model around it.
+// A shard's servers live in a FleetStore (sim/fleet_store.h) and its faults
+// come from a FaultInjector (sim/fault_injector.h), the lifecycle store and
+// fault plane the sequential engine uses too; this file adds only the
+// sharded model around them.
 #include "sim/sharded.h"
 
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,13 +50,13 @@
 #include "power/power_model.h"
 #include "sim/admission.h"
 #include "sim/control_loop.h"
+#include "sim/fault_injector.h"
 #include "sim/fleet_store.h"
 #include "sim/server.h"
 #include "stats/accumulators.h"
 #include "stats/log_histogram.h"
 #include "stats/rng.h"
 #include "util/assert.h"
-#include "util/format.h"
 
 namespace gc {
 namespace {
@@ -98,9 +97,10 @@ struct PerServerStats {
 };
 
 // One shard: the servers gi = li * K + k (li < count) as one FleetStore
-// over its own event queue, plus what only the sharded model has: prefix
-// reconcile, per-server RNG and fault streams, the window walk over the
-// frozen round-robin list, and the per-server stat integrals.  Everything
+// over its own event queue and one FaultInjector over the same positions,
+// plus what only the sharded model has: prefix reconcile, per-server RNG
+// streams, what a crash means here, the window walk over the frozen
+// round-robin list, and the per-server stat integrals.  Everything
 // shard-side — the store, the per-server vectors and the subject of every
 // shard-queue event — is keyed by the local index li.  All methods run
 // either on the shard's worker (between barriers) or on the orchestrator
@@ -122,9 +122,7 @@ struct Shard {
   std::uint32_t count;  // owned servers: layout.owned(k)
   PowerModel power_model;  // shard-local copy: stable address for Servers
   const Distribution* job_size = nullptr;
-  const FaultOptions* faults = nullptr;  // null when fault injection is off
   double t_ref_s = 0.1;
-  double boot_timeout_s = 0.0;  // resolved (option 0 -> 3x boot delay)
   bool track_window = false;    // timeseries sink attached
   bool track_record = false;    // timeline recording on
 
@@ -133,11 +131,7 @@ struct Shard {
   FleetStore store;
   std::vector<Rng> size_rng;   // per server
   std::vector<Rng> admit_rng;  // per server; sized only when admission is on
-  std::vector<Rng> fault_rng;  // per server; sized only when faults are on
-  std::vector<std::vector<double>> scripted_times;   // per server, ascending
-  std::vector<std::vector<double>> scripted_repair;  // parallel to the above
-  std::vector<std::size_t> scripted_next;
-  std::vector<char> background_armed;  // one background failure chain/server
+  std::optional<FaultInjector> faults;  // only when fault injection is on
 
   // Global round-robin ranks of the frozen serving list (the store's,
   // refreshed only at barriers), from the orchestrator's merge.
@@ -184,21 +178,12 @@ struct Shard {
     ps.anchor = now;
   }
 
-  [[nodiscard]] double sample_ttf(std::uint32_t li) {
-    return -faults->mtbf_s * std::log(fault_rng[li].uniform01_open_left());
-  }
-  [[nodiscard]] double sample_ttr(std::uint32_t li) {
-    return -faults->mttr_s * std::log(fault_rng[li].uniform01_open_left());
-  }
-
   void boot_server(double now, std::uint32_t li) {
     sync_stats(now, li);
     // Boot-hang draw from the server's own fault stream (the sequential
-    // engine uses one shared stream; see DESIGN.md §11.1).  Drawn only when
-    // the outcome can differ from a clean boot.
-    const bool hangs = faults != nullptr && faults->boot_hang_prob > 0.0 &&
-                       fault_rng[li].uniform01() < faults->boot_hang_prob;
-    store.boot(now, li, hangs ? std::optional<double>(boot_timeout_s) : std::nullopt);
+    // engine uses one shared stream; see DESIGN.md §11.1).
+    store.boot(now, li,
+               faults ? faults->sample_boot_hang(li, store.boot_delay_s()) : std::nullopt);
   }
 
   void start_drain(double now, std::uint32_t li) {
@@ -219,63 +204,25 @@ struct Shard {
     if (li < target_split) boot_server(now, li);
   }
 
-  // Fail-stop crash: the server's jobs are lost — the sharded model never
-  // re-dispatches across the frozen assignment.
-  void crash(double now, std::uint32_t li) {
+  // -- what a fault means here (called by `faults`) --------------------------
+  // Fail-stop crash of a powered server: its jobs are lost — the sharded
+  // model never re-dispatches across the frozen assignment.
+  bool fail_server(double now, std::uint32_t li) {
+    const PowerState state = store.server(li).state();
+    if (state == PowerState::kOff || state == PowerState::kFailed) return false;
     sync_stats(now, li);
     store.totals().lost += store.fail(now, li).size();
+    return true;
   }
 
-  void on_fail_event(double now, std::uint32_t li) {
-    // Scripted kServerFail events carry their exact scripted time; matched
-    // FIFO per server against the background failure chain.
-    bool scripted = false;
-    double repair_after = 0.0;
-    if (scripted_next[li] < scripted_times[li].size() &&
-        scripted_times[li][scripted_next[li]] == now) {
-      scripted = true;
-      repair_after = scripted_repair[li][scripted_next[li]];
-      ++scripted_next[li];
-    } else {
-      background_armed[li] = 0;
-    }
-    const PowerState st = store.server(li).state();
-    const bool can_crash = st == PowerState::kBooting || st == PowerState::kOn ||
-                           st == PowerState::kShuttingDown;
-    if (scripted) {
-      if (!can_crash) return;  // already OFF/FAILED: the script misses
-      crash(now, li);
-      if (std::isfinite(repair_after)) {
-        queue.schedule(now + repair_after, EventType::kServerRepair, li);
-      }
-      return;
-    }
-    if (!can_crash) {
-      // Unpowered when the clock fired: restart the background clock.
-      queue.schedule(now + sample_ttf(li), EventType::kServerFail, li);
-      background_armed[li] = 1;
-      return;
-    }
-    crash(now, li);
-    queue.schedule(now + sample_ttr(li), EventType::kServerRepair, li);
-  }
-
-  void on_repair_event(double now, std::uint32_t li) {
-    if (!store.server(li).failed()) return;
-    sync_stats(now, li);
-    store.finish_repair(now, li);
-    if (faults != nullptr && faults->mtbf_s > 0.0 && !background_armed[li]) {
-      queue.schedule(now + sample_ttf(li), EventType::kServerFail, li);
-      background_armed[li] = 1;
-    }
-    if (li < target_split) boot_server(now, li);
-  }
-
-  void on_boot_timeout(double now, std::uint32_t li) {
-    if (store.server(li).state() != PowerState::kBooting) return;
+  void timeout_boot(double now, std::uint32_t li) {
     sync_stats(now, li);
     store.time_out_boot(now, li);
-    queue.schedule(now + sample_ttr(li), EventType::kServerRepair, li);
+  }
+
+  void repair_server(double now, std::uint32_t li) {
+    sync_stats(now, li);
+    store.finish_repair(now, li);
   }
 
   // Reconciles towards the committed prefix [0, new_target) in ascending
@@ -365,12 +312,16 @@ struct Shard {
       case EventType::kShutdownComplete:
         on_shutdown_complete(event.time, event.subject);
         break;
-      case EventType::kServerFail: on_fail_event(event.time, event.subject); break;
+      case EventType::kServerFail:
+        faults->on_fail_event(event.time, event.subject, *this, queue);
+        break;
       case EventType::kServerRepair:
-        on_repair_event(event.time, event.subject);
+        faults->on_repair_event(event.time, event.subject, *this, queue);
+        // A repaired server inside the committed prefix boots at once.
+        if (event.subject < target_split) boot_server(event.time, event.subject);
         break;
       case EventType::kBootTimeout:
-        on_boot_timeout(event.time, event.subject);
+        faults->on_boot_timeout(event.time, event.subject, *this, queue);
         break;
       default: GC_CHECK(false, "sharded: unexpected shard-local event type");
     }
@@ -644,18 +595,10 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   GC_CHECK(cluster.groups.empty(),
            "sharded: heterogeneous server groups are sequential-only");
   GC_CHECK(sharded.num_shards >= 1, "sharded: num_shards must be >= 1");
-  if (options.faults.enabled()) options.faults.validate();
+  const unsigned num_servers = cluster.num_servers;
+  if (options.faults.enabled()) options.faults.validate(num_servers);
   options.admission.validate();
 
-  const unsigned num_servers = cluster.num_servers;
-  // Same contract (and message) as the sequential FaultInjector.
-  for (const ScriptedFault& f : options.faults.script) {
-    if (f.server >= num_servers) {
-      throw std::invalid_argument(
-          format("FaultOptions: scripted fault targets server {} of {}", f.server,
-                 num_servers));
-    }
-  }
   const unsigned num_shards = std::min(sharded.num_shards, num_servers);
   if (sharded.profile != nullptr) {
     sharded.profile->shard_busy_s.assign(num_shards, 0.0);
@@ -712,55 +655,16 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       }
     }
     if (options.faults.enabled()) {
-      s.faults = &options.faults;
-      s.boot_timeout_s = options.faults.boot_timeout_s > 0.0
-                             ? options.faults.boot_timeout_s
-                             : 3.0 * cluster.transition.boot_delay_s;
-      s.fault_rng.reserve(count);
+      // The shard's fault plane; a server's boot hangs share its clock.
+      std::vector<Rng> clocks;
+      clocks.reserve(count);
       for (std::uint32_t li = 0; li < count; ++li) {
-        s.fault_rng.emplace_back(faults_seed, s.global(li));
+        clocks.emplace_back(faults_seed, s.global(li));
       }
-      s.scripted_times.resize(count);
-      s.scripted_repair.resize(count);
-      s.scripted_next.assign(count, 0);
-      s.background_armed.assign(count, 0);
+      s.faults.emplace(options.faults, std::move(clocks), std::nullopt, num_shards, k);
+      s.faults->arm(s.queue);
     }
     shards.push_back(std::move(shard));
-  }
-  if (options.faults.enabled()) {
-    // Scripted faults route to the owning shard (in range: checked above).
-    for (const ScriptedFault& f : options.faults.script) {
-      Shard& s = *shards[layout.shard_of(f.server)];
-      const std::uint32_t li = layout.local_of(f.server);
-      s.scripted_times[li].push_back(f.time);
-      s.scripted_repair[li].push_back(f.repair_after_s);
-    }
-    for (const auto& shard : shards) {
-      Shard& s = *shard;
-      for (std::uint32_t li = 0; li < s.count; ++li) {
-        // Keep (time, repair) pairs sorted by time so the FIFO match at
-        // on_fail_event sees them in firing order.
-        auto& times = s.scripted_times[li];
-        auto& reps = s.scripted_repair[li];
-        std::vector<std::size_t> order(times.size());
-        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-          return times[a] < times[b];
-        });
-        std::vector<double> st(times.size()), sr(times.size());
-        for (std::size_t i = 0; i < order.size(); ++i) {
-          st[i] = times[order[i]];
-          sr[i] = reps[order[i]];
-        }
-        times = std::move(st);
-        reps = std::move(sr);
-        for (const double t : times) s.queue.schedule(t, EventType::kServerFail, li);
-        if (options.faults.mtbf_s > 0.0) {
-          s.queue.schedule(s.sample_ttf(li), EventType::kServerFail, li);
-          s.background_armed[li] = 1;
-        }
-      }
-    }
   }
 
   const WearModel wear(options.reliability);

@@ -4,7 +4,8 @@
 // The cluster is partitioned into K strided shards (shard k owns the
 // servers gi ≡ k mod K; see ShardLayout), each owning its own EventQueue,
 // FleetStore (sim/fleet_store.h: the server lifecycle, shared with the
-// sequential Cluster), per-server RNG streams and per-server metric
+// sequential Cluster), FaultInjector (sim/fault_injector.h: the fault
+// plane, shared likewise), per-server RNG streams and per-server metric
 // accumulators, executed on a fixed thread pool.  Synchronization is
 // conservative: the DCP structure gives a natural lookahead window — no
 // cross-shard interaction (provisioning commands, telemetry aggregation,
@@ -25,11 +26,12 @@
 //
 // This is a distinct simulation model from run_simulation(), not a parallel
 // re-implementation of it: the sequential loop's global JSQ dispatcher (one
-// shared decision per arrival) and shared fault/boot-hang streams are
-// inherently order-dependent across the whole fleet and cannot be sharded
-// bit-exactly (see DESIGN.md §11.1 for the argument).  The sharded engine
-// therefore uses trace-based round-robin dispatch over the frozen serving
-// set, per-server fault streams, and histogram-derived tail quantiles.
+// shared decision per arrival) and shared boot-hang stream are inherently
+// order-dependent across the whole fleet and cannot be sharded bit-exactly
+// (see DESIGN.md §11.1 for the argument).  The sharded engine therefore
+// uses trace-based round-robin dispatch over the frozen serving set, boot
+// hangs drawn from each server's own fault stream, lost (not failed-over)
+// jobs on a crash, and histogram-derived tail quantiles.
 // Anything unsupported in this model is rejected loudly (GC_CHECK), never
 // silently approximated: heterogeneous groups are sequential-only for now.
 #pragma once

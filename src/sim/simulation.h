@@ -99,6 +99,14 @@ struct SimulationOptions {
   TimeSeriesRecorder* timeseries = nullptr;
 };
 
+// The sequential engine's fault plane (DESIGN.md §11.1): one injector over
+// the whole fleet, with `faults` validated against its size.  Server i's
+// failure clock is stream split(i + 1) of Rng(seed, 0); every boot hang
+// draws from the one shared stream split(0xb007).
+[[nodiscard]] FaultInjector sequential_fault_injector(const FaultOptions& faults,
+                                                      unsigned num_servers,
+                                                      std::uint64_t seed);
+
 // Runs one simulation.  The workload is consumed (reset it to reuse).
 [[nodiscard]] SimResult run_simulation(Workload& workload, const ClusterOptions& cluster,
                                        Controller& controller,

@@ -14,6 +14,7 @@
 
 #include "sim/cluster.h"
 #include "sim/fault_injector.h"
+#include "sim/simulation.h"
 #include "stats/rng.h"
 
 namespace gc {
@@ -33,7 +34,8 @@ TEST_P(ClusterPropertyTest, RandomWalkKeepsInvariants) {
   // Only the boot-hang draw: crashes and repairs are steps of the walk.
   FaultOptions faults;
   faults.boot_hang_prob = 0.3;
-  FaultInjector injector(faults, options.num_servers, 99 + GetParam());
+  FaultInjector injector =
+      sequential_fault_injector(faults, options.num_servers, 99 + GetParam());
   cluster.set_fault_injector(&injector);
 
   double now = 0.0;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sim/cluster.h"
+#include "sim/simulation.h"
 
 namespace gc {
 namespace {
@@ -50,7 +51,8 @@ struct FaultHarness {
 
   FaultHarness(const ClusterOptions& options, const FaultOptions& faults,
                std::uint64_t seed)
-      : cluster(options, &queue), injector(faults, options.num_servers, seed) {
+      : cluster(options, &queue),
+        injector(sequential_fault_injector(faults, options.num_servers, seed)) {
     cluster.set_fault_injector(&injector);
     injector.arm(queue);
   }
@@ -133,7 +135,7 @@ TEST(FaultOptions, EnabledOnlyWithAFaultSource) {
 TEST(FaultInjector, RejectsScriptBeyondFleet) {
   FaultOptions faults;
   faults.script.push_back({1.0, 7});
-  EXPECT_THROW(FaultInjector(faults, 4, 1), std::invalid_argument);
+  EXPECT_THROW((void)sequential_fault_injector(faults, 4, 1), std::invalid_argument);
 }
 
 TEST(FaultInjector, ScriptedCrashThenFixedRepair) {

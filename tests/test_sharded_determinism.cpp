@@ -100,10 +100,11 @@ std::uint64_t checksum(const SimResult& r) {
 constexpr unsigned kShardCounts[] = {1, 2, 4, 7};
 
 // Fixed-seed sharded configuration: the bench cluster driven by the
-// combined DCP policy over a concrete arrival trace sampled once from a
-// scenario profile (every K replays the *same* arrivals).
+// combined DCP policy (by default) over a concrete arrival trace sampled
+// once from a scenario profile (every K replays the *same* arrivals).
 struct ShardedRun {
   ClusterConfig config = bench_cluster_config();
+  PolicyKind policy = PolicyKind::kCombinedDcp;
   PolicyOptions popts;
   Scenario scenario;
   SimulationOptions extra;
@@ -121,7 +122,7 @@ struct ShardedRun {
         Trace::from_profile(*scenario.profile, scenario.horizon_s, workload_seed);
     const Distribution job_size = Distribution::exponential(config.mu_max);
     const Provisioner solver(config);
-    const auto controller = make_policy(PolicyKind::kCombinedDcp, &solver, popts);
+    const auto controller = make_policy(policy, &solver, popts);
     ClusterOptions cluster;
     cluster.num_servers = config.max_servers;
     cluster.power = config.power;
@@ -415,7 +416,7 @@ std::uint64_t conservation_gap(const CountersSnapshot& c) {
 SimResult run_sequential_twin(const ShardedRun& spec) {
   Workload workload = spec.scenario.make_workload(spec.config, spec.workload_seed);
   const Provisioner solver(spec.config);
-  const auto controller = make_policy(PolicyKind::kCombinedDcp, &solver, spec.popts);
+  const auto controller = make_policy(spec.policy, &solver, spec.popts);
   ClusterOptions cluster;
   cluster.num_servers = spec.config.max_servers;
   cluster.power = spec.config.power;
@@ -446,6 +447,32 @@ TEST(ShardedDeterminism, JobsAreConservedWithWarmupInBothEngines) {
   EXPECT_GT(seq.counters.counter_or("sim.events.arrival", 0), 0u);
   EXPECT_EQ(conservation_gap(seq.counters), 0u) << "sequential";
   EXPECT_LT(seq.completed_jobs, seq.counters.counter_or("sim.jobs.completed", 0));
+}
+
+// Both engines run one fault plane (sim/fault_injector.h), so a scripted
+// schedule crashes and repairs the same servers in both.  NPM keeps the
+// whole fleet committed, so a repaired server boots again in both engines
+// (at once in a shard, at the next long tick in the sequential engine).
+TEST(ShardedDeterminism, BothEnginesAgreeOnAScriptedFaultSchedule) {
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  ShardedRun spec;
+  spec.policy = PolicyKind::kNpm;
+  spec.extra.faults.script = {
+      {600.0, 2, 300.0},   // repaired at 900, booted again by 933 in both
+      {700.0, 4, kNever},  // never repaired
+      {800.0, 4, 50.0},    // finds server 4 already FAILED: dropped
+      {1000.0, 2, 200.0},  // the same server again, after its reboot
+  };
+  const auto faults_of = [](const SimResult& r) {
+    return std::vector<std::uint64_t>{r.counters.counter_or("cluster.failures", 0),
+                                      r.counters.counter_or("cluster.repairs", 0),
+                                      r.counters.counter_or("cluster.boot_timeouts", 0)};
+  };
+  const std::vector<std::uint64_t> sequential = faults_of(run_sequential_twin(spec));
+  EXPECT_EQ(sequential, (std::vector<std::uint64_t>{3, 2, 0}));
+  for (const unsigned k : {1u, 3u}) {
+    EXPECT_EQ(faults_of(spec.run(k, nullptr, nullptr)), sequential) << "K=" << k;
+  }
 }
 
 // -- controller outages ------------------------------------------------------
