@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "control/policies.h"
 #include "core/provisioner.h"
 #include "exp/scenario.h"
 #include "sim/dispatcher.h"
@@ -151,22 +152,6 @@ void BM_SolveCachedReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveCachedReplay);
 
-class StaticController final : public gc::Controller {
- public:
-  [[nodiscard]] double short_period_s() const override { return 1e9; }
-  [[nodiscard]] double long_period_s() const override { return 1e9; }
-  [[nodiscard]] gc::ControlAction on_short_tick(const gc::ControlContext&) override {
-    return {};
-  }
-  [[nodiscard]] gc::ControlAction on_long_tick(const gc::ControlContext&) override {
-    gc::ControlAction action;
-    action.active_target = 4;
-    action.speed = 1.0;
-    return action;
-  }
-  [[nodiscard]] const char* name() const override { return "static"; }
-};
-
 // End-to-end simulator throughput (jobs simulated per second of wall time).
 void BM_SimulatorThroughput(benchmark::State& state) {
   std::uint64_t jobs = 0;
@@ -175,7 +160,7 @@ void BM_SimulatorThroughput(benchmark::State& state) {
     gc::ClusterOptions cluster;
     cluster.num_servers = 4;
     cluster.initial_active = 4;
-    StaticController controller;
+    gc::PinnedController controller(4, 1.0);
     gc::SimulationOptions sim;
     sim.t_ref_s = 1.0;
     const gc::SimResult result = run_simulation(workload, cluster, controller, sim);

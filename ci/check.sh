@@ -351,6 +351,16 @@ lint() {
   [ -z "${fault_events}" ] \
     || { printf 'lint: fault events outside sim/fault_injector.cpp:\n%s\n' \
            "${fault_events}" >&2; exit 1; }
+  # Two event loops, one per engine: no other program file drains an
+  # EventQueue (a new experiment runs through run_simulation instead).
+  echo "==> [lint] two event loops"
+  local loops
+  loops="$(git grep -lE '(\.|->)pop\(\)' -- 'src/*' 'tools/*' \
+             ':!src/sim/simulation.cpp' ':!src/sim/sharded.cpp' \
+           | xargs -r git grep -lw 'EventQueue' -- || true)"
+  [ -z "${loops}" ] \
+    || { printf 'lint: EventQueue drained outside the two engines:\n%s\n' \
+           "${loops}" >&2; exit 1; }
   echo "==> [lint] clang-format"
   ci/format.sh --check
   # The zero-overhead claim only holds if the tracing-compiled-out build

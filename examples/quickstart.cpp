@@ -4,41 +4,16 @@
 //   $ ./quickstart [arrival_rate]
 //
 // Walks through the core API: ClusterConfig -> Provisioner::solve ->
-// run_simulation with a static pin at the solved point.
+// run_simulation with a PinnedController at the solved point.
 #include <cstdlib>
 #include <iostream>
 
+#include "control/policies.h"
 #include "core/provisioner.h"
 #include "sim/simulation.h"
 #include "util/format.h"
 #include "util/log.h"
 #include "workload/workload.h"
-
-namespace {
-
-// Pins the cluster at one operating point so the simulation measures
-// exactly what the solver promised.
-class PinController final : public gc::Controller {
- public:
-  explicit PinController(gc::OperatingPoint point) : point_(point) {}
-  [[nodiscard]] double short_period_s() const override { return 1e9; }
-  [[nodiscard]] double long_period_s() const override { return 1e9; }
-  [[nodiscard]] gc::ControlAction on_short_tick(const gc::ControlContext&) override {
-    return {};
-  }
-  [[nodiscard]] gc::ControlAction on_long_tick(const gc::ControlContext&) override {
-    gc::ControlAction action;
-    action.active_target = point_.servers;
-    action.speed = point_.speed;
-    return action;
-  }
-  [[nodiscard]] const char* name() const override { return "pin"; }
-
- private:
-  gc::OperatingPoint point_;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   gc::set_log_level(gc::LogLevel::kInfo);
@@ -73,7 +48,7 @@ int main(int argc, char** argv) {
   cluster.num_servers = config.max_servers;
   cluster.power = config.power;
   cluster.initial_active = config.max_servers;
-  PinController controller(point);
+  gc::PinnedController controller(point.servers, point.speed);
   gc::SimulationOptions sim;
   sim.t_ref_s = config.t_ref_s;
   sim.warmup_s = 200.0;

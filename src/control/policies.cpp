@@ -341,6 +341,17 @@ ControlAction ThresholdController::on_long_tick(const ControlContext& ctx) {
   return action;
 }
 
+// -- Pinned operating point -------------------------------------------------------
+
+ControlAction PinnedController::on_short_tick(const ControlContext& /*ctx*/) { return {}; }
+
+ControlAction PinnedController::on_long_tick(const ControlContext& /*ctx*/) {
+  ControlAction action;
+  action.active_target = servers_;
+  action.speed = speed_;
+  return action;
+}
+
 // -- Combined, single control period ---------------------------------------------
 
 void OracleController::save_state(SnapshotWriter& w) const {

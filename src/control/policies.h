@@ -17,6 +17,9 @@
 //                                clairvoyant bound on causal predictors (F9).
 //   * ThresholdController      — rule-based utilization autoscaler, the
 //                                practitioners' baseline (T2).
+//   * PinnedController         — one fixed operating point, for checking
+//                                the simulator against the solver and
+//                                queueing closed forms (no PolicyKind).
 #pragma once
 
 #include <memory>
@@ -209,6 +212,24 @@ class ThresholdController final : public Controller {
   double scale_out_util_;
   double scale_in_util_;
   EwmaPredictor smoother_;
+};
+
+// Holds one operating point (m servers at speed s) for the whole run: the
+// first long tick commands it, the short tick never acts, and both periods
+// (1e9 s) outlast any horizon.  What a simulation measures under it is what
+// the solver or a closed form predicts for that point.
+class PinnedController final : public Controller {
+ public:
+  PinnedController(unsigned servers, double speed) : servers_(servers), speed_(speed) {}
+  [[nodiscard]] double short_period_s() const override { return 1e9; }
+  [[nodiscard]] double long_period_s() const override { return 1e9; }
+  [[nodiscard]] ControlAction on_short_tick(const ControlContext& ctx) override;
+  [[nodiscard]] ControlAction on_long_tick(const ControlContext& ctx) override;
+  [[nodiscard]] const char* name() const override { return "pinned"; }
+
+ private:
+  unsigned servers_;
+  double speed_;
 };
 
 class CombinedSinglePeriodController final : public Controller {

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/cluster.h"
-#include "sim/event_queue.h"
-#include "stats/accumulators.h"
-#include "stats/distributions.h"
+#include "control/policies.h"
+#include "power/power_model.h"
+#include "sim/simulation.h"
 #include "stats/rng.h"
 #include "util/assert.h"
+#include "workload/workload.h"
 
 namespace gc {
 
@@ -22,144 +22,55 @@ HeteroSimResult run_hetero_validation(const HeteroConfig& config,
   GC_CHECK(point.feasible, "run_hetero_validation: infeasible operating point");
   GC_CHECK(lambda > 0.0 && horizon_s > 0.0 && warmup_s >= 0.0,
            "run_hetero_validation: bad parameters");
+  double split = 0.0;
+  for (const ClassAllocation& alloc : point.allocations) split += alloc.load;
+  GC_CHECK(std::abs(split - lambda) <= 1e-6 * std::max(lambda, 1.0),
+           "run_hetero_validation: split does not sum to lambda");
 
-  // Build the grouped cluster.  Job sizes are exp(mean 1) "work units";
-  // a class-c server has rate_scale = mu_c so its service rate at speed s
-  // is s * mu_c jobs/s — exactly the solver's model.
-  ClusterOptions options;
-  options.transition = {};  // static pin: transitions never fire
+  SimulationOptions sim;
+  sim.t_ref_s = config.t_ref_s;
+  sim.warmup_s = warmup_s;
+
+  HeteroSimResult result;
+  double weighted_response = 0.0;
   for (std::size_t c = 0; c < config.classes.size(); ++c) {
     const ServerClass& sc = config.classes[c];
     const ClassAllocation& alloc = point.allocations[c];
-    ServerGroupSpec spec;
-    spec.count = std::max(sc.count, 1u);
-    spec.power = sc.power;
-    spec.rate_scale = sc.mu_max;
-    spec.initial_active = alloc.servers;
-    spec.initial_speed = alloc.servers > 0 ? alloc.speed : 1.0;
-    options.groups.push_back(spec);
-  }
-  // The cluster requires at least one initially-ON server.
-  bool any_on = false;
-  for (const auto& g : options.groups) any_on |= g.initial_active > 0;
-  GC_CHECK(any_on, "run_hetero_validation: operating point has no active servers");
-
-  EventQueue queue;
-  Cluster cluster(options, &queue);
-
-  // Routing weights: P(class c) = x_c / lambda.
-  std::vector<double> cumulative;
-  double acc = 0.0;
-  for (const ClassAllocation& alloc : point.allocations) {
-    acc += alloc.load;
-    cumulative.push_back(acc);
-  }
-  GC_CHECK(std::abs(acc - lambda) <= 1e-6 * std::max(lambda, 1.0),
-           "run_hetero_validation: split does not sum to lambda");
-
-  Rng arrival_rng(seed, 1);
-  Rng size_rng(seed, 2);
-  Rng route_rng(seed, 3);
-  const Exponential gap(lambda);
-  const Exponential size(1.0);
-
-  double next_arrival = gap.sample(arrival_rng);
-  if (next_arrival <= horizon_s) queue.schedule(next_arrival, EventType::kArrival);
-  bool arrivals_done = next_arrival > horizon_s;
-  std::uint64_t next_job_id = 1;
-
-  std::vector<MeanVarAccumulator> responses(config.classes.size());
-
-  HeteroSimResult result;
-  double now = 0.0;
-  bool in_warmup = warmup_s > 0.0;
-  EnergyBreakdown warmup_energy;
-  double measure_start = 0.0;
-  if (warmup_s > 0.0) queue.schedule(warmup_s, EventType::kWarmupEnd);
-  // Per-class energy requires per-server metering; we aggregate by group
-  // at the end via Cluster::server(i).meter().
-
-  while (const auto event = queue.pop()) {
-    if (arrivals_done && cluster.jobs_in_system() == 0 &&
-        event->type != EventType::kArrival && event->type != EventType::kDeparture) {
-      break;
-    }
-    now = event->time;
-    switch (event->type) {
-      case EventType::kArrival: {
-        Job job;
-        job.id = next_job_id++;
-        job.arrival_time = now;
-        job.size = size.sample(size_rng);
-        job.remaining = job.size;
-        // Weighted class choice.
-        const double u = route_rng.uniform01() * lambda;
-        std::size_t group = 0;
-        while (group + 1 < cumulative.size() && u >= cumulative[group]) ++group;
-        if (!cluster.route_job_to_group(now, group, job)) ++result.dropped;
-        next_arrival = now + gap.sample(arrival_rng);
-        if (next_arrival <= horizon_s) {
-          queue.schedule(next_arrival, EventType::kArrival);
-        } else {
-          arrivals_done = true;
-        }
-        break;
-      }
-      case EventType::kDeparture: {
-        const Job finished = cluster.handle_departure(now, event->subject);
-        if (!in_warmup) {
-          const std::uint32_t group = cluster.group_of(event->subject);
-          responses[group].add(now - finished.arrival_time);
-        }
-        break;
-      }
-      case EventType::kWarmupEnd: {
-        in_warmup = false;
-        cluster.flush_energy(now);
-        warmup_energy = cluster.energy();
-        measure_start = now;
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  cluster.flush_energy(now);
-  const EnergyBreakdown total = cluster.energy();
-  result.sim_time_s = now - measure_start;
-
-  // Per-class aggregation.
-  MeanVarAccumulator overall;
-  double cluster_energy = total.total_j() - warmup_energy.total_j();
-  for (std::size_t c = 0; c < config.classes.size(); ++c) {
     HeteroClassResult cls;
-    cls.completed = responses[c].count();
-    cls.mean_response_s = responses[c].mean();
-    cls.predicted_response_s = point.allocations[c].response_time_s;
-    cls.predicted_power_w = point.allocations[c].power_watts;
-    overall.merge(responses[c]);
+    cls.predicted_response_s = alloc.response_time_s;
+    cls.predicted_power_w = alloc.power_watts;
+    if (alloc.servers == 0) {
+      GC_CHECK(alloc.load == 0.0, "run_hetero_validation: load on a class with no server");
+      // No job is routed here: the class's servers stay OFF all run.
+      cls.mean_power_w = static_cast<double>(sc.count) * PowerModel(sc.power).off_power();
+    } else {
+      // Class c's own seeds: its arrival, size and dispatch streams are
+      // independent of every other class's.
+      const std::uint64_t class_seed = Rng(seed, /*stream=*/c)();
+      Workload workload =
+          Workload::poisson_exponential(alloc.load, sc.mu_max, horizon_s, class_seed);
+      ClusterOptions cluster;
+      cluster.num_servers = sc.count;
+      cluster.power = sc.power;
+      cluster.dispatch = DispatchPolicy::kRandom;
+      cluster.initial_active = alloc.servers;
+      cluster.initial_speed = alloc.speed;
+      cluster.dispatch_seed = class_seed;
+      PinnedController controller(alloc.servers, alloc.speed);
+      const SimResult run = run_simulation(workload, cluster, controller, sim);
+      cls.completed = run.completed_jobs;
+      cls.mean_response_s = run.mean_response_s;
+      cls.mean_power_w = run.mean_power_w;
+      result.dropped += run.dropped_jobs;
+    }
+    result.completed += cls.completed;
+    weighted_response += static_cast<double>(cls.completed) * cls.mean_response_s;
+    result.mean_power_w += cls.mean_power_w;
     result.classes.push_back(cls);
   }
-  // Measured per-class power: integrate per-server meters by group.
-  {
-    std::vector<double> group_joules(config.classes.size(), 0.0);
-    for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
-      group_joules[cluster.group_of(i)] += cluster.server(i).meter().total_joules();
-    }
-    // Subtract the warmup share proportionally (warmup is steady-state
-    // here — the pin never changes — so the per-group rate is constant).
-    const double warmup_fraction =
-        total.total_j() > 0.0 ? warmup_energy.total_j() / total.total_j() : 0.0;
-    for (std::size_t c = 0; c < config.classes.size(); ++c) {
-      const double measured = group_joules[c] * (1.0 - warmup_fraction);
-      result.classes[c].mean_power_w =
-          result.sim_time_s > 0.0 ? measured / result.sim_time_s : 0.0;
-    }
+  if (result.completed > 0) {
+    result.mean_response_s = weighted_response / static_cast<double>(result.completed);
   }
-  result.completed = overall.count();
-  result.mean_response_s = overall.mean();
-  result.mean_power_w = result.sim_time_s > 0.0 ? cluster_energy / result.sim_time_s : 0.0;
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "sim/fault_injector.h"
 #include "util/assert.h"
@@ -10,60 +11,18 @@
 namespace gc {
 namespace {
 
-// The cluster's groups: `options.groups`, or the homogeneous fields as one
-// group.  Validates either form.
-std::vector<ServerGroupSpec> normalized_groups(const ClusterOptions& options) {
-  std::vector<ServerGroupSpec> groups = options.groups;
-  if (groups.empty()) {
-    if (options.num_servers == 0) {
-      throw std::invalid_argument("ClusterOptions: num_servers == 0");
-    }
-    if (options.initial_active == 0 || options.initial_active > options.num_servers) {
-      throw std::invalid_argument(
-          "ClusterOptions: need 1 <= initial_active <= num_servers");
-    }
-    ServerGroupSpec spec;
-    spec.count = options.num_servers;
-    spec.power = options.power;
-    spec.rate_scale = 1.0;
-    spec.initial_active = options.initial_active;
-    spec.initial_speed = options.initial_speed;
-    groups.push_back(spec);
+// Validates the fleet fields; returns the fleet size.
+std::uint32_t checked_size(const ClusterOptions& options) {
+  if (options.num_servers == 0) {
+    throw std::invalid_argument("ClusterOptions: num_servers == 0");
   }
-  bool any_active = false;
-  for (const ServerGroupSpec& g : groups) {
-    if (g.count == 0) throw std::invalid_argument("ServerGroupSpec: empty group");
-    if (g.initial_active > g.count) {
-      throw std::invalid_argument("ServerGroupSpec: initial_active > count");
-    }
-    if (!(g.initial_speed > 0.0 && g.initial_speed <= 1.0)) {
-      throw std::invalid_argument("ServerGroupSpec: initial_speed out of (0,1]");
-    }
-    if (!(g.rate_scale > 0.0)) {
-      throw std::invalid_argument("ServerGroupSpec: rate_scale must be positive");
-    }
-    any_active |= g.initial_active > 0;
+  if (options.initial_active == 0 || options.initial_active > options.num_servers) {
+    throw std::invalid_argument("ClusterOptions: need 1 <= initial_active <= num_servers");
   }
-  if (!any_active) {
-    throw std::invalid_argument("ClusterOptions: at least one server must start ON");
+  if (!(options.initial_speed > 0.0 && options.initial_speed <= 1.0)) {
+    throw std::invalid_argument("ClusterOptions: initial_speed out of (0,1]");
   }
-  return groups;
-}
-
-std::uint32_t fleet_size(const std::vector<ServerGroupSpec>& groups) {
-  std::uint32_t total = 0;
-  for (const ServerGroupSpec& g : groups) total += g.count;
-  return total;
-}
-
-// The speed every server starts at, or NaN if the groups differ.
-double common_speed(const std::vector<ServerGroupSpec>& groups) {
-  for (const ServerGroupSpec& g : groups) {
-    if (g.initial_speed != groups.front().initial_speed) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-  }
-  return groups.front().initial_speed;
+  return options.num_servers;
 }
 
 EventQueue& checked(EventQueue* queue) {
@@ -74,51 +33,13 @@ EventQueue& checked(EventQueue* queue) {
 }  // namespace
 
 Cluster::Cluster(const ClusterOptions& options, EventQueue* queue)
-    : groups_(normalized_groups(options)),
-      store_(checked(queue), options.transition, fleet_size(groups_),
-             common_speed(groups_)),
-      dispatcher_(options.dispatch, Rng(options.dispatch_seed, /*stream=*/3)),
-      group_rng_(options.dispatch_seed, /*stream=*/5) {
-  power_models_.reserve(groups_.size());
-  std::uint32_t index = 0;
-  for (const ServerGroupSpec& g : groups_) {
-    power_models_.emplace_back(g.power);  // reserved: addresses are stable
-    for (std::uint32_t i = 0; i < g.count; ++i, ++index) {
-      store_.add(index, &power_models_.back(), g.initial_speed,
-                 /*on=*/i < g.initial_active, g.rate_scale);
-    }
+    : power_(options.power),
+      store_(checked(queue), options.transition, checked_size(options),
+             options.initial_speed),
+      dispatcher_(options.dispatch, Rng(options.dispatch_seed, /*stream=*/3)) {
+  for (std::uint32_t i = 0; i < options.num_servers; ++i) {
+    store_.add(i, &power_, options.initial_speed, /*on=*/i < options.initial_active);
   }
-}
-
-std::uint32_t Cluster::group_of(std::uint32_t server) const {
-  GC_CHECK(server < num_servers(), "Cluster: server index out of range");
-  std::uint32_t group = 0;
-  for (std::uint32_t end = groups_[0].count; server >= end; end += groups_[group].count) {
-    ++group;
-  }
-  return group;
-}
-
-bool Cluster::route_job_to_group(double now, std::size_t group, const Job& job) {
-  GC_CHECK(group < groups_.size(), "Cluster: group index out of range");
-  std::uint32_t begin = 0;
-  for (std::size_t g = 0; g < group; ++g) begin += groups_[g].count;
-  const std::uint32_t end = begin + groups_[group].count;
-  ++store_.totals().admitted;
-  // Random pick among the group's serving servers (matches the per-class
-  // random-split M/M/1 model the hetero solver assumes).  The group's
-  // serving set is a contiguous subrange of the ascending serving list.
-  const std::span<const std::uint32_t> serving = serving_list();
-  const auto lo = std::lower_bound(serving.begin(), serving.end(), begin);
-  const auto hi = std::lower_bound(lo, serving.end(), end);
-  const auto serving_count = static_cast<std::uint64_t>(hi - lo);
-  if (serving_count == 0) {
-    ++store_.totals().dropped;
-    return false;
-  }
-  const std::uint64_t pick = group_rng_.uniform_below(serving_count);
-  store_.enqueue(now, *(lo + static_cast<std::ptrdiff_t>(pick)), job);
-  return true;
 }
 
 const Server& Cluster::server(std::uint32_t index) const {

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "obs/trace.h"
 #include "power/power_model.h"
@@ -38,15 +37,6 @@ namespace gc {
 
 class FaultInjector;
 
-// A homogeneous slice of a (possibly heterogeneous) cluster.
-struct ServerGroupSpec {
-  unsigned count = 0;
-  PowerModelParams power = {};
-  double rate_scale = 1.0;       // work-seconds per wall second at s = 1
-  unsigned initial_active = 0;   // servers of this group ON at t = 0
-  double initial_speed = 1.0;
-};
-
 struct ClusterOptions {
   unsigned num_servers = 64;
   PowerModelParams power = {};
@@ -55,10 +45,6 @@ struct ClusterOptions {
   unsigned initial_active = 64;  // servers ON at t = 0
   double initial_speed = 1.0;
   std::uint64_t dispatch_seed = 42;
-  // Heterogeneous mode: when non-empty, `groups` supersedes num_servers /
-  // power / initial_active / initial_speed (the homogeneous fields above
-  // describe group 0 of a single-group cluster).
-  std::vector<ServerGroupSpec> groups;
 };
 
 class Cluster {
@@ -69,14 +55,6 @@ class Cluster {
   // -- control plane --------------------------------------------------------
   void set_active_target(double now, unsigned target);
   void set_all_speeds(double now, double speed) { store_.set_speed_all(now, speed); }
-
-  // Heterogeneous clusters: groups are index ranges in ClusterOptions::groups
-  // order (a homogeneous cluster is group 0).
-  [[nodiscard]] std::uint32_t group_of(std::uint32_t server) const;
-  // Routes within one group (serving servers only, random pick); used by
-  // weighted hetero dispatchers.  Returns false if the group has no
-  // serving server (the job is dropped).
-  bool route_job_to_group(double now, std::size_t group, const Job& job);
 
   // Fleet counts are maintained on every lifecycle transition by the
   // FleetStore, so all of these are O(1).
@@ -99,8 +77,7 @@ class Cluster {
     return store_.serving_list();
   }
   [[nodiscard]] unsigned num_servers() const noexcept { return store_.size(); }
-  // The commanded speed; NaN while the groups of a heterogeneous cluster
-  // still run at different initial speeds.
+  // The commanded speed.
   [[nodiscard]] double current_speed() const noexcept { return store_.speed(); }
 
   // -- data plane (called by the simulation loop) ---------------------------
@@ -169,11 +146,9 @@ class Cluster {
   // Enqueues on the dispatcher's pick; false if nothing is serving.
   bool dispatch(double now, const Job& job);
 
-  std::vector<ServerGroupSpec> groups_;
-  std::vector<PowerModel> power_models_;  // one per group; stable addresses
+  PowerModel power_;  // shared by every server; declared before store_
   FleetStore store_;
   Dispatcher dispatcher_;
-  Rng group_rng_;  // used by route_job_to_group
   FaultInjector* faults_ = nullptr;  // non-owning; may be null
   TraceCollector* trace_ = nullptr;  // non-owning; may be null
 };

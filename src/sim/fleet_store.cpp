@@ -62,11 +62,10 @@ FleetStore::FleetStore(EventQueue& queue, const TransitionModel& transition,
   server_shutdowns_.assign(size, 0);
 }
 
-void FleetStore::add(std::uint32_t index, const PowerModel* power, double speed, bool on,
-                     double rate_scale) {
+void FleetStore::add(std::uint32_t index, const PowerModel* power, double speed, bool on) {
   GC_CHECK(servers_.size() < speed_seen_.size(), "FleetStore: more servers than sized");
   const auto li = size();
-  servers_.emplace_back(index, power, speed, on, /*start_time=*/0.0, rate_scale);
+  servers_.emplace_back(index, power, speed, on, /*start_time=*/0.0);
   watts_.push_back(servers_.back().instantaneous_power());
   if (on) {
     serving_.insert(li);

@@ -90,9 +90,7 @@ void report_fleet_totals(const FleetTotals& whole, const FleetTotals& warm,
 class FleetStore {
  public:
   // `queue` must outlive the store.  `size` servers are then add()ed in
-  // position order.  `speed` is the commanded speed every server starts at
-  // (NaN when they start at different speeds: the first command then
-  // reaches all of them).
+  // position order.  `speed` is the commanded speed every server starts at.
   FleetStore(EventQueue& queue, const TransitionModel& transition, std::uint32_t size,
              double speed);
   FleetStore(const FleetStore&) = delete;
@@ -100,8 +98,7 @@ class FleetStore {
 
   // Appends the server at position size(), ON (serving) or OFF.  `power`
   // must outlive the store.
-  void add(std::uint32_t index, const PowerModel* power, double speed, bool on,
-           double rate_scale = 1.0);
+  void add(std::uint32_t index, const PowerModel* power, double speed, bool on);
 
   // -- counts (O(1)) ---------------------------------------------------------
   [[nodiscard]] std::uint32_t size() const noexcept {

@@ -9,16 +9,15 @@ namespace gc {
 
 // One Server per simulated machine: a 131072-server sharded fleet holds
 // them all, so their size is resident memory.
-static_assert(sizeof(Server) <= 216, "Server grew: check the fleet's peak RSS");
+static_assert(sizeof(Server) <= 208, "Server grew: check the fleet's peak RSS");
 
 Server::Server(std::uint32_t index, const PowerModel* power, double initial_speed,
-               bool initially_on, double start_time, double rate_scale)
+               bool initially_on, double start_time)
     : index_(index),
       state_(initially_on ? PowerState::kOn : PowerState::kOff), speed_(initial_speed),
-      rate_scale_(rate_scale), meter_(power, start_time) {
+      meter_(power, start_time) {
   GC_CHECK(power != nullptr, "Server: null power model");
   GC_CHECK(initial_speed > 0.0 && initial_speed <= 1.0, "Server: speed out of (0,1]");
-  GC_CHECK(rate_scale > 0.0, "Server: rate_scale must be positive");
   meter_.update(start_time, state_, speed_, /*busy=*/false);
 }
 
@@ -27,7 +26,7 @@ void Server::meter_update(double now) { meter_.update(now, state_, speed_, busy(
 double Server::outstanding_work(double now) const {
   double work = 0.0;
   if (current_) {
-    const double done = (now - progress_anchor_) * effective_rate();
+    const double done = (now - progress_anchor_) * speed_;
     work += std::max(current_->remaining - done, 0.0);
   }
   for (std::size_t i = head_; i < queue_.size(); ++i) work += queue_[i].remaining;
@@ -103,7 +102,7 @@ void Server::sync_progress(double now) {
     progress_anchor_ = now;
     return;
   }
-  const double done = (now - progress_anchor_) * effective_rate();
+  const double done = (now - progress_anchor_) * speed_;
   current_->remaining = std::max(current_->remaining - done, 0.0);
   progress_anchor_ = now;
 }
@@ -144,9 +143,9 @@ std::optional<double> Server::enqueue(double now, const Job& job) {
 
 double Server::completion_eta(double now) const {
   GC_CHECK(current_.has_value(), "completion_eta: no job in service");
-  const double done = (now - progress_anchor_) * effective_rate();
+  const double done = (now - progress_anchor_) * speed_;
   const double remaining = std::max(current_->remaining - done, 0.0);
-  return now + remaining / effective_rate();
+  return now + remaining / speed_;
 }
 
 Server::Completion Server::complete_current(double now) {

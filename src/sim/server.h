@@ -36,11 +36,8 @@ namespace gc {
 class Server {
  public:
   // Starts life OFF (or ON at `initial_speed` if `initially_on`).
-  // `rate_scale` models heterogeneous hardware: this server executes
-  // rate_scale work-seconds per wall second at s = 1 (1.0 = the reference
-  // class job sizes are expressed in).
   Server(std::uint32_t index, const PowerModel* power, double initial_speed,
-         bool initially_on, double start_time, double rate_scale = 1.0);
+         bool initially_on, double start_time);
 
   [[nodiscard]] std::uint32_t index() const noexcept { return index_; }
   [[nodiscard]] PowerState state() const noexcept { return state_; }
@@ -51,9 +48,6 @@ class Server {
   }
   [[nodiscard]] bool failed() const noexcept { return state_ == PowerState::kFailed; }
   [[nodiscard]] double speed() const noexcept { return speed_; }
-  [[nodiscard]] double rate_scale() const noexcept { return rate_scale_; }
-  // Work-seconds executed per wall second right now.
-  [[nodiscard]] double effective_rate() const noexcept { return speed_ * rate_scale_; }
   [[nodiscard]] bool busy() const noexcept { return current_.has_value(); }
   [[nodiscard]] std::size_t queue_length() const noexcept {
     return (queue_.size() - head_) + (current_ ? 1 : 0);
@@ -122,7 +116,6 @@ class Server {
   PowerState state_;
   bool draining_ = false;
   double speed_;
-  double rate_scale_;
   std::optional<Job> current_;
   // Waiting jobs in FCFS order: queue_[head_, size) is the live FIFO.  A
   // vector with a head index rather than a deque (libstdc++ allocates one

@@ -592,8 +592,6 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
                                  const ShardedOptions& sharded) {
   // -- validation -----------------------------------------------------------
   GC_CHECK(cluster.num_servers > 0, "sharded: cluster must have servers");
-  GC_CHECK(cluster.groups.empty(),
-           "sharded: heterogeneous server groups are sequential-only");
   GC_CHECK(sharded.num_shards >= 1, "sharded: num_shards must be >= 1");
   const unsigned num_servers = cluster.num_servers;
   if (options.faults.enabled()) options.faults.validate(num_servers);

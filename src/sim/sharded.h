@@ -32,8 +32,6 @@
 // uses trace-based round-robin dispatch over the frozen serving set, boot
 // hangs drawn from each server's own fault stream, lost (not failed-over)
 // jobs on a crash, and histogram-derived tail quantiles.
-// Anything unsupported in this model is rejected loudly (GC_CHECK), never
-// silently approximated: heterogeneous groups are sequential-only for now.
 #pragma once
 
 #include <cstdint>

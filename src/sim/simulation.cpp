@@ -48,8 +48,8 @@ class ClusterFleet final : public FleetView {
   }
   std::uint64_t boots() const override { return cluster_.totals().boots; }
   std::uint64_t shutdowns() const override { return cluster_.totals().shutdowns; }
-  // Fleet mean from whole-run totals (uniform budget; the per-server /
-  // per-class split is folded into SimResult at the end).
+  // Fleet mean from whole-run totals (uniform budget; the per-server
+  // split is folded into SimResult at the end).
   double wear_fraction() const override {
     const unsigned n = cluster_.num_servers();
     if (n == 0) return 0.0;
@@ -339,8 +339,7 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   double wear_sum = 0.0;
   for (std::size_t i = 0; i < server_boots.size(); ++i) {
     result.server_cycles[i] = server_boots[i] + server_shutdowns[i];
-    const double frac = wear.wear_fraction(server_boots[i], server_shutdowns[i],
-                                           cluster.group_of(static_cast<std::uint32_t>(i)));
+    const double frac = wear.wear_fraction(server_boots[i], server_shutdowns[i]);
     wear_sum += frac;
     result.wear_fraction_max = std::max(result.wear_fraction_max, frac);
   }

@@ -198,78 +198,6 @@ TEST(Cluster, BootThenTargetDownLetsBootLand) {
   EXPECT_EQ(cluster.serving_count(), 2u);
 }
 
-ClusterOptions grouped_options() {
-  ClusterOptions options;
-  ServerGroupSpec fast;
-  fast.count = 3;
-  fast.rate_scale = 2.0;
-  fast.initial_active = 2;
-  fast.initial_speed = 1.0;
-  ServerGroupSpec slow;
-  slow.count = 2;
-  slow.rate_scale = 1.0;
-  slow.initial_active = 1;
-  slow.initial_speed = 0.5;
-  options.groups = {fast, slow};
-  options.transition.boot_delay_s = 4.0;
-  options.transition.shutdown_delay_s = 1.0;
-  return options;
-}
-
-TEST(ClusterGroups, LayoutAndCounts) {
-  EventQueue queue;
-  const Cluster cluster(grouped_options(), &queue);
-  EXPECT_EQ(cluster.num_servers(), 5u);
-  EXPECT_EQ(cluster.group_of(0), 0u);
-  EXPECT_EQ(cluster.group_of(2), 0u);
-  EXPECT_EQ(cluster.group_of(3), 1u);
-  EXPECT_DEATH((void)cluster.group_of(99), "out of range");
-}
-
-TEST(ClusterGroups, PerGroupRateScaleAffectsServiceTime) {
-  EventQueue queue;
-  Cluster cluster(grouped_options(), &queue);
-  // Route one job into the fast group (scale 2 at s=1): a 2.0-work job
-  // completes in 1 s.
-  ASSERT_TRUE(cluster.route_job_to_group(0.0, 0, make_job(1, 0.0, 2.0)));
-  const auto e = queue.pop();
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->type, EventType::kDeparture);
-  EXPECT_DOUBLE_EQ(e->time, 1.0);
-  (void)cluster.handle_departure(e->time, e->subject);
-  // Same job in the slow group (scale 1 at s=0.5): 4 s.
-  ASSERT_TRUE(cluster.route_job_to_group(1.0, 1, make_job(2, 1.0, 2.0)));
-  const auto e2 = queue.pop();
-  ASSERT_TRUE(e2.has_value());
-  EXPECT_DOUBLE_EQ(e2->time, 5.0);
-}
-
-TEST(ClusterGroups, RoutingToEmptyGroupDrops) {
-  EventQueue queue;
-  ClusterOptions options = grouped_options();
-  options.groups[1].initial_active = 0;
-  Cluster cluster(options, &queue);
-  EXPECT_FALSE(cluster.route_job_to_group(100.0, 1, make_job(9, 100.0, 1.0)));
-  EXPECT_EQ(cluster.totals().dropped, 1u);
-}
-
-TEST(ClusterGroups, RejectsBadGroupSpecs) {
-  EventQueue queue;
-  ClusterOptions options = grouped_options();
-  options.groups[0].count = 0;
-  EXPECT_THROW(Cluster(options, &queue), std::invalid_argument);
-  options = grouped_options();
-  options.groups[0].initial_active = 99;
-  EXPECT_THROW(Cluster(options, &queue), std::invalid_argument);
-  options = grouped_options();
-  options.groups[0].rate_scale = 0.0;
-  EXPECT_THROW(Cluster(options, &queue), std::invalid_argument);
-  options = grouped_options();
-  options.groups[0].initial_active = 0;
-  options.groups[1].initial_active = 0;
-  EXPECT_THROW(Cluster(options, &queue), std::invalid_argument);
-}
-
 TEST(Cluster, ServerAccessorBounds) {
   EventQueue queue;
   Cluster cluster(small_options(), &queue);

@@ -1,6 +1,6 @@
 // Dynamic validation of the heterogeneous solver: pin its operating point
-// on the grouped simulator and check that the measured per-class response
-// times and powers match the closed-form predictions.
+// in one simulation run per class and check that the measured per-class
+// response times and powers match the closed-form predictions.
 #include "exp/hetero_sim.h"
 
 #include <gtest/gtest.h>

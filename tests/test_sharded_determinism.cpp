@@ -367,24 +367,6 @@ TEST(ShardedDeterminism, ShardCountAboveFleetSizeClamps) {
   EXPECT_EQ(checksum(wide), checksum(one_per_server));
 }
 
-// Unsupported sequential-only features are rejected loudly, not silently
-// approximated.
-TEST(ShardedDeterminism, RejectsHeterogeneousGroups) {
-  const ShardedRun spec;
-  const Trace trace = Trace::from_profile(*spec.scenario.profile, 60.0, 1);
-  const Distribution job_size = Distribution::exponential(spec.config.mu_max);
-  const Provisioner solver(spec.config);
-  const auto controller =
-      make_policy(PolicyKind::kCombinedDcp, &solver, spec.popts);
-  ClusterOptions cluster;
-  cluster.num_servers = 8;
-  cluster.groups.push_back({.count = 8});
-  SimulationOptions sim;
-  EXPECT_DEATH((void)run_sharded_simulation(trace, job_size, 1, cluster,
-                                            *controller, sim, {}),
-               "sequential-only");
-}
-
 // The event accounting closes: every trace arrival is counted exactly once
 // (admitted + shed across the whole run equals the trace length, including
 // arrivals orphaned by an empty serving set).

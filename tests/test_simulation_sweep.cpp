@@ -3,6 +3,7 @@
 // test_simulation_validation.cpp's hand-picked cases.
 #include <gtest/gtest.h>
 
+#include "control/policies.h"
 #include "queueing/mm1.h"
 #include "sim/simulation.h"
 #include "workload/workload.h"
@@ -13,25 +14,6 @@ namespace {
 struct SweepCase {
   double rho;    // target utilization at the chosen speed
   double speed;  // normalized server speed
-};
-
-class PinController final : public Controller {
- public:
-  PinController(unsigned servers, double speed) : servers_(servers), speed_(speed) {}
-  [[nodiscard]] double short_period_s() const override { return 1e9; }
-  [[nodiscard]] double long_period_s() const override { return 1e9; }
-  [[nodiscard]] ControlAction on_short_tick(const ControlContext&) override { return {}; }
-  [[nodiscard]] ControlAction on_long_tick(const ControlContext&) override {
-    ControlAction action;
-    action.active_target = servers_;
-    action.speed = speed_;
-    return action;
-  }
-  [[nodiscard]] const char* name() const override { return "pin"; }
-
- private:
-  unsigned servers_;
-  double speed_;
 };
 
 class Mm1SweepTest : public ::testing::TestWithParam<SweepCase> {};
@@ -49,7 +31,7 @@ TEST_P(Mm1SweepTest, MeanResponseOnTheCurve) {
   ClusterOptions options;
   options.num_servers = 1;
   options.initial_active = 1;
-  PinController controller(1, speed);
+  PinnedController controller(1, speed);
   SimulationOptions sim;
   sim.t_ref_s = 1e6;  // not under test here
   sim.warmup_s = horizon * 0.05;

@@ -2,6 +2,7 @@
 // results — the foundation the whole evaluation rests on (DESIGN.md §2).
 #include <gtest/gtest.h>
 
+#include "control/policies.h"
 #include "queueing/mm1.h"
 #include "queueing/mmc.h"
 #include "sim/simulation.h"
@@ -10,26 +11,6 @@
 
 namespace gc {
 namespace {
-
-// Pins the cluster at a fixed operating point (no power management).
-class StaticController final : public Controller {
- public:
-  StaticController(unsigned servers, double speed) : servers_(servers), speed_(speed) {}
-  [[nodiscard]] double short_period_s() const override { return 1e7; }
-  [[nodiscard]] double long_period_s() const override { return 1e7; }
-  [[nodiscard]] ControlAction on_short_tick(const ControlContext&) override { return {}; }
-  [[nodiscard]] ControlAction on_long_tick(const ControlContext&) override {
-    ControlAction action;
-    action.active_target = servers_;
-    action.speed = speed_;
-    return action;
-  }
-  [[nodiscard]] const char* name() const override { return "static"; }
-
- private:
-  unsigned servers_;
-  double speed_;
-};
 
 ClusterOptions single_server_options() {
   ClusterOptions options;
@@ -48,7 +29,7 @@ SimulationOptions long_run(double warmup = 500.0) {
 TEST(SimValidation, Mm1MeanResponseTime) {
   // lambda=7, mu=10 -> T = 1/3.
   Workload workload = Workload::poisson_exponential(7.0, 10.0, 20000.0, 101);
-  StaticController controller(1, 1.0);
+  PinnedController controller(1, 1.0);
   const SimResult result =
       run_simulation(workload, single_server_options(), controller, long_run());
   EXPECT_GT(result.completed_jobs, 100000u);
@@ -57,7 +38,7 @@ TEST(SimValidation, Mm1MeanResponseTime) {
 
 TEST(SimValidation, Mm1ResponseQuantiles) {
   Workload workload = Workload::poisson_exponential(5.0, 10.0, 20000.0, 102);
-  StaticController controller(1, 1.0);
+  PinnedController controller(1, 1.0);
   const SimResult result =
       run_simulation(workload, single_server_options(), controller, long_run());
   EXPECT_NEAR(result.p95_response_s, mm1::response_time_quantile(5.0, 10.0, 0.95), 0.06);
@@ -67,7 +48,7 @@ TEST(SimValidation, Mm1ResponseQuantiles) {
 TEST(SimValidation, Mm1AtReducedSpeed) {
   // s=0.5 halves the service rate: lambda=3, mu_eff=5 -> T = 0.5.
   Workload workload = Workload::poisson_exponential(3.0, 10.0, 20000.0, 103);
-  StaticController controller(1, 0.5);
+  PinnedController controller(1, 0.5);
   const SimResult result =
       run_simulation(workload, single_server_options(), controller, long_run());
   EXPECT_NEAR(result.mean_response_s, mm1::mean_response_time(3.0, 5.0), 0.03);
@@ -80,7 +61,7 @@ TEST(SimValidation, Md1MatchesPollaczekKhinchine) {
   Workload workload(
       std::make_unique<PoissonProcess>(lambda, 20000.0, Rng(104, 1)),
       Distribution::deterministic(es), Rng(104, 2));
-  StaticController controller(1, 1.0);
+  PinnedController controller(1, 1.0);
   const SimResult result =
       run_simulation(workload, single_server_options(), controller, long_run());
   EXPECT_NEAR(result.mean_response_s, mg1::mean_response_time(lambda, es, 0.0), 0.015);
@@ -92,13 +73,13 @@ TEST(SimValidation, MG1BoundedParetoHeavierThanExp) {
   const Distribution sizes = Distribution::bounded_pareto(1.5, 0.02, 10.0);
   Workload workload(std::make_unique<PoissonProcess>(lambda, 30000.0, Rng(105, 1)),
                     sizes, Rng(105, 2));
-  StaticController controller(1, 1.0);
+  PinnedController controller(1, 1.0);
   SimulationOptions options = long_run();
   const SimResult heavy = run_simulation(workload, single_server_options(), controller,
                                          options);
   Workload exp_workload = Workload::poisson_exponential(lambda, 1.0 / sizes.mean(),
                                                         30000.0, 106);
-  StaticController controller2(1, 1.0);
+  PinnedController controller2(1, 1.0);
   const SimResult light = run_simulation(exp_workload, single_server_options(),
                                          controller2, options);
   EXPECT_GT(heavy.mean_response_s, light.mean_response_s);
@@ -114,7 +95,7 @@ TEST(SimValidation, JsqClusterBoundedByTheory) {
   options.initial_active = 4;
   options.dispatch = DispatchPolicy::kJoinShortestQueue;
   Workload workload = Workload::poisson_exponential(lambda, mu, 8000.0, 107);
-  StaticController controller(4, 1.0);
+  PinnedController controller(4, 1.0);
   const SimResult result = run_simulation(workload, options, controller, long_run());
   const double lower = mmc::mean_response_time(lambda, mu, 4);
   const double upper = mm1::mean_response_time(lambda / 4.0, mu);
@@ -131,7 +112,7 @@ TEST(SimValidation, RandomDispatchMatchesSplitMm1) {
   options.initial_active = 4;
   options.dispatch = DispatchPolicy::kRandom;
   Workload workload = Workload::poisson_exponential(lambda, mu, 20000.0, 108);
-  StaticController controller(4, 1.0);
+  PinnedController controller(4, 1.0);
   const SimResult result = run_simulation(workload, options, controller, long_run());
   EXPECT_NEAR(result.mean_response_s, mm1::mean_response_time(6.0, 10.0), 0.02);
 }
@@ -140,7 +121,7 @@ TEST(SimValidation, BusyEnergyMatchesUtilization) {
   // Busy fraction of an M/M/1 server is rho; busy energy = rho * T * P_busy.
   const double lambda = 6.0, mu = 10.0;
   Workload workload = Workload::poisson_exponential(lambda, mu, 20000.0, 109);
-  StaticController controller(1, 1.0);
+  PinnedController controller(1, 1.0);
   SimulationOptions options = long_run();
   const SimResult result =
       run_simulation(workload, single_server_options(), controller, options);
@@ -153,7 +134,7 @@ TEST(SimValidation, BusyEnergyMatchesUtilization) {
 
 TEST(SimValidation, MeanPowerEqualsEnergyOverTime) {
   Workload workload = Workload::poisson_exponential(5.0, 10.0, 5000.0, 110);
-  StaticController controller(1, 1.0);
+  PinnedController controller(1, 1.0);
   const SimResult result =
       run_simulation(workload, single_server_options(), controller, long_run());
   EXPECT_NEAR(result.mean_power_w, result.energy.total_j() / result.sim_time_s, 1e-9);
@@ -162,7 +143,7 @@ TEST(SimValidation, MeanPowerEqualsEnergyOverTime) {
 TEST(SimValidation, DeterministicSeedsReproduce) {
   auto run = [] {
     Workload workload = Workload::poisson_exponential(5.0, 10.0, 2000.0, 111);
-    StaticController controller(1, 1.0);
+    PinnedController controller(1, 1.0);
     return run_simulation(workload, single_server_options(), controller, long_run(100.0));
   };
   const SimResult a = run();
@@ -177,8 +158,8 @@ TEST(SimValidation, WarmupExcludesTransient) {
   // a warmup, reported energy excludes the initial all-on segment.
   Workload w1 = Workload::poisson_exponential(5.0, 10.0, 4000.0, 112);
   Workload w2 = Workload::poisson_exponential(5.0, 10.0, 4000.0, 112);
-  StaticController c1(1, 1.0);
-  StaticController c2(1, 1.0);
+  PinnedController c1(1, 1.0);
+  PinnedController c2(1, 1.0);
   ClusterOptions options;
   options.num_servers = 8;
   options.initial_active = 8;
@@ -192,7 +173,7 @@ TEST(SimValidation, WarmupExcludesTransient) {
 
 TEST(SimValidation, TimelineRecordsWhenEnabled) {
   Workload workload = Workload::poisson_exponential(5.0, 10.0, 1000.0, 113);
-  StaticController controller(1, 1.0);
+  PinnedController controller(1, 1.0);
   SimulationOptions options = long_run(0.0);
   options.record_interval_s = 50.0;
   const SimResult result =
@@ -211,7 +192,7 @@ TEST(SimValidation, TimelineRecordsWhenEnabled) {
 
 TEST(SimValidation, LittlesLawOnTimeline) {
   Workload workload = Workload::poisson_exponential(7.0, 10.0, 20000.0, 114);
-  StaticController controller(1, 1.0);
+  PinnedController controller(1, 1.0);
   SimulationOptions options = long_run(500.0);
   options.record_interval_s = 10.0;
   const SimResult result =
@@ -232,7 +213,7 @@ TEST(SimValidation, LittlesLawOnTimeWeightedMetric) {
   // L = lambda * T on the built-in time-weighted jobs-in-system metric.
   const double lambda = 7.0, mu = 10.0;
   Workload workload = Workload::poisson_exponential(lambda, mu, 20000.0, 211);
-  StaticController controller(1, 1.0);
+  PinnedController controller(1, 1.0);
   const SimResult result =
       run_simulation(workload, single_server_options(), controller, long_run());
   EXPECT_NEAR(result.mean_jobs_in_system, lambda * result.mean_response_s, 0.12);
@@ -249,11 +230,11 @@ TEST(SimValidation, MmppWorkloadRunsAndIsBurstier) {
   params.switch_rate1 = 1.0 / 50.0;  // mean rate 7.0
   Workload bursty(std::make_unique<MmppProcess>(params, 20000.0, Rng(212, 1)),
                   Distribution::exponential(10.0), Rng(212, 2));
-  StaticController c1(1, 1.0);
+  PinnedController c1(1, 1.0);
   const SimResult mmpp_result =
       run_simulation(bursty, single_server_options(), c1, long_run());
   Workload smooth = Workload::poisson_exponential(7.0, 10.0, 20000.0, 213);
-  StaticController c2(1, 1.0);
+  PinnedController c2(1, 1.0);
   const SimResult poisson_result =
       run_simulation(smooth, single_server_options(), c2, long_run());
   EXPECT_GT(mmpp_result.mean_response_s, poisson_result.mean_response_s * 1.2);
@@ -262,7 +243,7 @@ TEST(SimValidation, MmppWorkloadRunsAndIsBurstier) {
 TEST(SimValidation, HardStopTerminatesOverloadedRun) {
   // lambda > mu: unstable; hard stop must end the run.
   Workload workload = Workload::poisson_exponential(20.0, 10.0, 100000.0, 115);
-  StaticController controller(1, 1.0);
+  PinnedController controller(1, 1.0);
   SimulationOptions options;
   options.t_ref_s = 1.0;
   options.hard_stop_s = 500.0;
