@@ -31,6 +31,11 @@
 //                     WC98-like days on the sequential engine, sinks off)
 //                     end to end: simulated events, best-of-nine wall
 //                     seconds and events/sec.
+//   * trace_synth   — fig8's arrival synthesis (Trace::from_profile:
+//                     Lewis–Shedler thinning over the WC98-like profile):
+//                     arrivals, best-of-nine ns per arrival, and the
+//                     max_rate() calls one synthesis makes (one per 600 s
+//                     majorant window).
 //   * sinks_overhead — the same replay with the trace, audit and
 //                     time-series sinks attached and every artifact
 //                     rendered to memory, over the dcday replay: the
@@ -49,6 +54,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -164,13 +170,49 @@ double solve_reliable_ns_per_call(const gc::Provisioner& solver, long iters) {
   return ns;
 }
 
-// fig8's arrivals: three compressed WC98-like days at 70% of the feasible
-// peak, synthesized from fixed seeds.
+// fig8's load: three compressed WC98-like days at 70% of the feasible
+// peak, from fixed seeds.
+constexpr double kFig8DayS = 2400.0;
+constexpr double kFig8HorizonS = 3.0 * kFig8DayS;
+
+std::shared_ptr<const gc::RateProfile> fig8_profile(const gc::ClusterConfig& config) {
+  return gc::make_wc98_like_profile(0.7 * config.max_feasible_arrival_rate(),
+                                    /*days=*/3.0, /*seed=*/13, kFig8DayS);
+}
+
 gc::Trace fig8_trace(const gc::ClusterConfig& config) {
-  const double day_s = 2400.0;
-  const auto profile = gc::make_wc98_like_profile(
-      0.7 * config.max_feasible_arrival_rate(), /*days=*/3.0, /*seed=*/13, day_s);
-  return gc::Trace::from_profile(*profile, 3.0 * day_s, /*seed=*/13);
+  return gc::Trace::from_profile(*fig8_profile(config), kFig8HorizonS, /*seed=*/13);
+}
+
+struct TraceSynth {
+  std::size_t arrivals = 0;
+  double ns_per_arrival = 0.0;  // best of nine
+  std::uint64_t max_rate_calls = 0;  // per synthesis (deterministic)
+};
+
+// fig8_trace's synthesis, timed.  One untimed run through a CountingRate
+// counts the majorants and warms the caches; the timed runs use the bare
+// profile.
+TraceSynth trace_synth() {
+  constexpr int kReps = 9;
+  const auto profile = fig8_profile(gc::bench_cluster_config());
+  const gc::CountingRate counting(profile);
+  TraceSynth result;
+  result.arrivals = gc::Trace::from_profile(counting, kFig8HorizonS, 13).size();
+  result.max_rate_calls = counting.max_rate_calls();
+  double best_s = 0.0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto start = Clock::now();
+    const gc::Trace trace = gc::Trace::from_profile(*profile, kFig8HorizonS, 13);
+    const double s = seconds_since(start);
+    if (trace.size() != result.arrivals) {
+      std::fprintf(stderr, "perf_smoke: trace_synth is not deterministic\n");
+      std::exit(1);
+    }
+    if (rep == 0 || s < best_s) best_s = s;
+  }
+  result.ns_per_arrival = best_s * 1e9 / static_cast<double>(result.arrivals);
+  return result;
 }
 
 // fig8's fleet: every server of the config, all active at the start.
@@ -461,6 +503,7 @@ int main(int argc, char** argv) {
   const std::vector<ShardedCell> grid = sharded_grid();
   const ShardedCell consolidated = sharded_consolidated();
   const SinksOverhead sinks = sinks_overhead();
+  const TraceSynth synth = trace_synth();
   double speedup_k4_m16384 = 0.0;
   for (const ShardedCell& cell : grid) {
     if (cell.shards == 4 && cell.servers == 16384) speedup_k4_m16384 = cell.speedup;
@@ -505,6 +548,8 @@ int main(int argc, char** argv) {
                "  \"sharded_speedup_k4_m16384\": %.4f,\n"
                "  \"dcday\": {\"events\": %llu, \"run_s\": %.6f, "
                "\"events_per_sec\": %.6e},\n"
+               "  \"trace_synth\": {\"arrivals\": %zu, \"ns_per_arrival\": %.3f, "
+               "\"max_rate_calls\": %llu},\n"
                "  \"sinks_overhead\": {\"sinks_off_s\": %.6f, \"sinks_on_s\": %.6f, "
                "\"ratio\": %.4f}\n"
                "}\n",
@@ -512,7 +557,9 @@ int main(int argc, char** argv) {
                consolidated.events_per_sec, consolidated.busy_fraction,
                consolidated.imbalance, speedup_k4_m16384,
                static_cast<unsigned long long>(sinks.events), sinks.off_s,
-               sinks.events_per_sec(), sinks.off_s, sinks.on_s, sinks.ratio);
+               sinks.events_per_sec(), synth.arrivals, synth.ns_per_arrival,
+               static_cast<unsigned long long>(synth.max_rate_calls), sinks.off_s,
+               sinks.on_s, sinks.ratio);
   std::fclose(out);
 
   std::printf("event loop  : M=16 %.3e  M=256 %.3e  M=1024 %.3e ops/sec\n",
@@ -535,6 +582,9 @@ int main(int argc, char** argv) {
   std::printf("dcday       : fig8 replay %llu events in %.3f s (%.3e ev/s)\n",
               static_cast<unsigned long long>(sinks.events), sinks.off_s,
               sinks.events_per_sec());
+  std::printf("trace_synth : fig8 day %zu arrivals, %.1f ns/arrival, %llu max_rate calls\n",
+              synth.arrivals, synth.ns_per_arrival,
+              static_cast<unsigned long long>(synth.max_rate_calls));
   std::printf("sinks       : fig8 replay %.3f s off, %.3f s on + rendered (%.2fx)\n",
               sinks.off_s, sinks.on_s, sinks.ratio);
   std::printf("wrote %s\n", path.c_str());

@@ -118,6 +118,9 @@ perf_smoke() {
          and .dcday.events > 0
          and .dcday.run_s > 0
          and .dcday.events_per_sec > 0
+         and .trace_synth.arrivals > 0
+         and .trace_synth.ns_per_arrival > 0
+         and .trace_synth.max_rate_calls > 0
          and .sinks_overhead.sinks_off_s > 0
          and .sinks_overhead.sinks_on_s > 0
          and .sinks_overhead.ratio > 0' \
@@ -197,6 +200,20 @@ bench_compare() {
         ok: ($c.dcday.events_per_sec >= $b.dcday.events_per_sec * (1 - $tol)),
         cur: $c.dcday.events_per_sec,
         base: $b.dcday.events_per_sec },
+      # End to end: the fig8 arrival synthesis (Lewis–Shedler thinning over
+      # the WC98-like profile).  A latency, so it may not rise.
+      { what: "trace_synth.ns_per_arrival",
+        ok: ($c.trace_synth.ns_per_arrival
+               <= $b.trace_synth.ns_per_arrival * (1 + $tol)),
+        cur: $c.trace_synth.ns_per_arrival,
+        base: $b.trace_synth.ns_per_arrival },
+      # Machine-independent: thinning evaluates one majorant per window.
+      # A deterministic count, so an absolute bound: a rise means the
+      # majorant is being re-evaluated per candidate again.
+      { what: "trace_synth.max_rate_calls",
+        ok: ($c.trace_synth.max_rate_calls <= $b.trace_synth.max_rate_calls),
+        cur: $c.trace_synth.max_rate_calls,
+        base: $b.trace_synth.max_rate_calls },
       # Machine-independent: a fleet consolidated onto a 1/16 prefix must
       # still spread its work over every shard.  Strided ownership keeps
       # the imbalance near 0; contiguous ranges put the whole prefix on

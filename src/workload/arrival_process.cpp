@@ -41,10 +41,19 @@ NhppProcess::NhppProcess(std::shared_ptr<const RateProfile> profile, double hori
 std::optional<double> NhppProcess::next() {
   // Thinning: propose candidates at the windowed majorant rate, accept
   // with probability λ(t)/majorant.  Windows with zero majorant are skipped.
+  // The profile is immutable, so a window's majorant is evaluated once.
   while (t_ < horizon_) {
-    const double window_start = std::floor(t_ / window_) * window_;
+    double window_start = std::floor(t_ / window_) * window_;
+    // With a width that is no exact binary fraction (0.1 s, say), floor()
+    // can put a window's end back into that window; without this step the
+    // process would never leave it.
+    if (window_start + window_ <= t_) window_start += window_;
     const double window_end = std::min(window_start + window_, horizon_);
-    const double majorant = profile_->max_rate(window_start, window_end);
+    if (window_start != majorant_start_) {
+      majorant_start_ = window_start;
+      majorant_ = profile_->max_rate(window_start, window_end);
+    }
+    const double majorant = majorant_;
     if (!(majorant > 0.0)) {
       t_ = window_end;
       continue;
@@ -70,6 +79,7 @@ std::string NhppProcess::name() const { return gc::format("nhpp[{}]", profile_->
 void NhppProcess::reset() {
   rng_ = initial_rng_;
   t_ = 0.0;
+  majorant_start_ = std::numeric_limits<double>::quiet_NaN();
 }
 
 MmppProcess::MmppProcess(Params params, double horizon, Rng rng)

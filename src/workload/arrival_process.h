@@ -6,6 +6,7 @@
 // pending-arrival event at a time.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -45,12 +46,14 @@ class PoissonProcess final : public ArrivalProcess {
 };
 
 // Non-homogeneous Poisson process over a RateProfile, generated by Lewis &
-// Shedler thinning against a per-window majorant.
+// Shedler thinning against a per-window majorant.  Time is cut into
+// windows [k·w, (k+1)·w) clipped at the horizon; the majorant of a window
+// is one max_rate() call, made when the process first enters the window
+// and kept until it leaves it.  Each candidate then costs one rate() call.
 class NhppProcess final : public ArrivalProcess {
  public:
-  // `majorant_window_s` controls how often the majorant is re-evaluated;
-  // smaller windows mean tighter bounds (fewer rejections) at more
-  // max_rate() calls.
+  // `majorant_window_s` is the window width w: smaller windows mean
+  // tighter bounds (fewer rejected candidates) at more max_rate() calls.
   NhppProcess(std::shared_ptr<const RateProfile> profile, double horizon, Rng rng,
               double majorant_window_s = 600.0);
   [[nodiscard]] std::optional<double> next() override;
@@ -63,6 +66,10 @@ class NhppProcess final : public ArrivalProcess {
   Rng rng_, initial_rng_;
   double window_;
   double t_ = 0.0;
+  // Start of the window `majorant_` belongs to; NaN (matches no window)
+  // before the first window and after reset().
+  double majorant_start_ = std::numeric_limits<double>::quiet_NaN();
+  double majorant_ = 0.0;
 };
 
 // Markov-modulated Poisson process with two phases (the standard bursty

@@ -87,10 +87,15 @@ double PiecewiseLinearRate::rate(double t) const {
 }
 
 double PiecewiseLinearRate::max_rate(double t0, double t1) const {
+  // The interpolant peaks at an endpoint or at a knot inside [t0, t1]; the
+  // knots are sorted, so two binary searches bound the ones to visit.
   double best = std::max(rate(t0), rate(t1));
-  for (const Knot& k : knots_) {
-    if (k.time >= t0 && k.time <= t1) best = std::max(best, k.rate);
-  }
+  const auto first = std::lower_bound(
+      knots_.begin(), knots_.end(), t0,
+      [](const Knot& k, double time) { return k.time < time; });
+  const auto last = std::upper_bound(
+      first, knots_.end(), t1, [](double time, const Knot& k) { return time < k.time; });
+  for (auto it = first; it < last; ++it) best = std::max(best, it->rate);
   return best;
 }
 
@@ -149,6 +154,10 @@ double ScaledRate::max_rate(double t0, double t1) const {
 
 std::string ScaledRate::name() const {
   return gc::format("{:g}x {}", scale_, base_->name());
+}
+
+CountingRate::CountingRate(std::shared_ptr<const RateProfile> base) : base_(std::move(base)) {
+  GC_CHECK(base_ != nullptr, "CountingRate: null base profile");
 }
 
 std::shared_ptr<const RateProfile> make_wc98_like_profile(double peak_rate, double days,

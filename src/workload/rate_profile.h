@@ -7,6 +7,7 @@
 // DCP long-period planner uses as an oracle predictor in tests.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -107,6 +108,30 @@ class ScaledRate final : public RateProfile {
  private:
   std::shared_ptr<const RateProfile> base_;
   double scale_;
+};
+
+// Forwards to another profile and counts the calls made to it, so a test or
+// a bench can see what a sampler costs (e.g. how many majorants thinning
+// evaluates).  The counters are plain, not atomic: one thread at a time.
+class CountingRate final : public RateProfile {
+ public:
+  explicit CountingRate(std::shared_ptr<const RateProfile> base);
+  [[nodiscard]] double rate(double t) const override {
+    ++rate_calls_;
+    return base_->rate(t);
+  }
+  [[nodiscard]] double max_rate(double t0, double t1) const override {
+    ++max_rate_calls_;
+    return base_->max_rate(t0, t1);
+  }
+  [[nodiscard]] std::string name() const override { return base_->name(); }
+  [[nodiscard]] std::uint64_t rate_calls() const noexcept { return rate_calls_; }
+  [[nodiscard]] std::uint64_t max_rate_calls() const noexcept { return max_rate_calls_; }
+
+ private:
+  std::shared_ptr<const RateProfile> base_;
+  mutable std::uint64_t rate_calls_ = 0;
+  mutable std::uint64_t max_rate_calls_ = 0;
 };
 
 // Synthetic "WC98-like" web-workload profile: diurnal base with a multi-day

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
+
+#include "exp/scenario.h"
+#include "workload/trace.h"
 
 namespace gc {
 namespace {
@@ -98,12 +102,66 @@ TEST(Nhpp, ZeroRateRegionsProduceNoArrivals) {
   }
 }
 
+// A reset, also one mid-stream, must leave no state of the interrupted
+// window behind: after it the process draws the same stream, at the same
+// cost, as a fresh one.  The WC98 profile's majorant differs from window
+// to window, so a majorant carried over would change the stream.
 TEST(Nhpp, ResetReproduces) {
   auto profile = std::make_shared<SinusoidalRate>(10.0, 5.0, 100.0);
   NhppProcess process(profile, 500.0, Rng(9));
   const auto first = drain(process);
   process.reset();
   EXPECT_EQ(first, drain(process));
+
+  const auto counting = std::make_shared<CountingRate>(
+      make_wc98_like_profile(50.0, 1.0, 5, /*day_s=*/2400.0));
+  NhppProcess wc98(counting, 2400.0, Rng(9));
+  const auto day = drain(wc98);
+  const std::uint64_t fresh_calls = counting->max_rate_calls();
+  EXPECT_EQ(fresh_calls, 4u);  // 2400 s in 600 s windows
+  for (const std::size_t stop : {day.size() / 20, day.size() / 2}) {
+    wc98.reset();
+    for (std::size_t i = 0; i < stop; ++i) ASSERT_EQ(wc98.next(), day[i]);
+    wc98.reset();
+    const std::uint64_t before = counting->max_rate_calls();
+    EXPECT_EQ(day, drain(wc98)) << "reset after " << stop << " arrivals";
+    EXPECT_EQ(counting->max_rate_calls() - before, fresh_calls);
+  }
+}
+
+// 0.1 s is no exact binary fraction: (k·0.1 + 0.1) / 0.1 often floors back
+// to k, so the process must step past such a window edge by itself.
+TEST(Nhpp, FractionalWindowTerminates) {
+  auto profile = std::make_shared<ConstantRate>(5.0);
+  NhppProcess process(profile, 50.0, Rng(3), /*majorant_window_s=*/0.1);
+  const auto ts = drain(process);
+  // Poisson(250): sd ~ 16; allow 5 sigma.
+  EXPECT_NEAR(static_cast<double>(ts.size()), 250.0, 5.0 * 16.0);
+  for (std::size_t i = 1; i < ts.size(); ++i) EXPECT_GT(ts[i], ts[i - 1]);
+  EXPECT_LE(ts.back(), 50.0);
+}
+
+// Thinning evaluates the majorant once per window it enters and the rate
+// once per candidate.  fig8's day (Trace::from_profile with its 600 s
+// windows) spans 7200 s, so 12 windows; the rate() count is the number of
+// candidates, which the majorants fix.
+TEST(Nhpp, MajorantOncePerWindowOnFig8Day) {
+  const auto counting = std::make_shared<CountingRate>(make_wc98_like_profile(
+      0.7 * bench_cluster_config().max_feasible_arrival_rate(), 3.0, 13, 2400.0));
+  const Trace trace = Trace::from_profile(*counting, 7200.0, 13);
+  EXPECT_EQ(trace.size(), 287310u);
+  EXPECT_EQ(counting->max_rate_calls(), 12u);
+  EXPECT_EQ(counting->rate_calls(), 498712u);
+}
+
+TEST(Nhpp, MajorantOncePerWindowOnSinusoid) {
+  const auto counting =
+      std::make_shared<CountingRate>(std::make_shared<SinusoidalRate>(30.0, 20.0, 1000.0));
+  const double horizon = 2500.0, window = 300.0;
+  NhppProcess process(counting, horizon, Rng(6), window);
+  EXPECT_FALSE(drain(process).empty());
+  EXPECT_EQ(counting->max_rate_calls(), static_cast<std::uint64_t>(std::ceil(horizon / window)));
+  EXPECT_EQ(counting->rate_calls(), 105740u);
 }
 
 TEST(Mmpp, MeanRateFormula) {

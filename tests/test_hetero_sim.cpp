@@ -79,8 +79,12 @@ TEST(HeteroSim, SingleActiveClassStillValidates) {
   const HeteroOperatingPoint point = solver.solve(lambda);
   ASSERT_TRUE(point.feasible);
   ASSERT_EQ(point.allocations[1].servers, 0u);
+  // The 6% bound must not pass by its seed: over seeds 1-200 the class's
+  // mean-T error has sd 1.38% at this 35000 s horizon (3.84% at 5000 s,
+  // which failed 29 of them), so the bound is 4.4 sd — a false failure
+  // about once in 78000 seeds under a normal approximation.
   const HeteroSimResult result =
-      run_hetero_validation(config, point, lambda, 5000.0, 200.0, 11);
+      run_hetero_validation(config, point, lambda, 35000.0, 200.0, 11);
   EXPECT_EQ(result.dropped, 0u);
   EXPECT_EQ(result.classes[1].completed, 0u);
   EXPECT_NEAR(result.classes[0].mean_response_s,

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <vector>
+
+#include "stats/rng.h"
 
 namespace gc {
 namespace {
@@ -51,6 +57,41 @@ TEST(PiecewiseLinearRateProfile, RejectsBadKnots) {
   EXPECT_THROW(PiecewiseLinearRate({}), std::invalid_argument);
   EXPECT_THROW(PiecewiseLinearRate({{0.0, 1.0}, {0.0, 2.0}}), std::invalid_argument);
   EXPECT_THROW(PiecewiseLinearRate({{0.0, -1.0}}), std::invalid_argument);
+}
+
+// max_rate visits only the knots its binary searches bound; a scan of all
+// of them is the reference.  Endpoints fall on knots, between knots and
+// outside the knot range, so every boundary of the search is exercised.
+TEST(PiecewiseLinearRateProfile, MaxRateMatchesFullKnotScan) {
+  Rng rng(41);
+  for (int set = 0; set < 200; ++set) {
+    const auto n = 1 + static_cast<std::size_t>(rng.uniform01() * 30.0);
+    std::vector<PiecewiseLinearRate::Knot> knots;
+    double t = -5.0 + 10.0 * rng.uniform01();
+    for (std::size_t i = 0; i < n; ++i) {
+      t += rng.uniform01() < 0.5 ? 1.0 : 0.25 + 3.0 * rng.uniform01();
+      knots.push_back({t, rng.uniform01() < 0.2 ? 0.0 : 100.0 * rng.uniform01()});
+    }
+    const PiecewiseLinearRate profile(knots);
+    std::vector<double> points = {knots.front().time - 7.0, knots.back().time + 7.0};
+    for (const auto& k : knots) {
+      points.push_back(k.time);
+      points.push_back(k.time + 0.5);
+      points.push_back(std::nextafter(k.time, -1e9));
+    }
+    for (const double t0 : points) {
+      for (const double t1 : points) {
+        if (t1 < t0) continue;
+        double scan = std::max(profile.rate(t0), profile.rate(t1));
+        for (const auto& k : knots) {
+          if (k.time >= t0 && k.time <= t1) scan = std::max(scan, k.rate);
+        }
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(profile.max_rate(t0, t1)),
+                  std::bit_cast<std::uint64_t>(scan))
+            << "set " << set << " [" << t0 << ", " << t1 << "]";
+      }
+    }
+  }
 }
 
 TEST(FlashCrowdRateProfile, MultipliesDuringSpike) {

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
+
+#include "exp/scenario.h"
 
 namespace gc {
 namespace {
@@ -82,6 +86,27 @@ TEST(Trace, FromProfileDeterministicInSeed) {
   EXPECT_EQ(a.timestamps(), b.timestamps());
   const Trace c = Trace::from_profile(profile, 100.0, 2);
   EXPECT_NE(a.timestamps(), c.timestamps());
+}
+
+// fig8's day: three compressed WC98-like days (piecewise-linear knots plus
+// flash crowds) at 70% of the feasible peak, thinned with seed 13.  The
+// count and the FNV-1a hash of the timestamps' bytes pin the whole
+// synthesis path bit for bit.
+TEST(Trace, Fig8DayIsPinned) {
+  const double day_s = 2400.0;
+  const auto profile = make_wc98_like_profile(
+      0.7 * bench_cluster_config().max_feasible_arrival_rate(), 3.0, 13, day_s);
+  const Trace trace = Trace::from_profile(*profile, 3.0 * day_s, 13);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const double t : trace.timestamps()) {
+    const auto bits = std::bit_cast<std::uint64_t>(t);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(trace.size(), 287310u);
+  EXPECT_EQ(hash, 0xc9419bfc9661da80ULL);
 }
 
 TEST(Trace, CsvRoundTrip) {
