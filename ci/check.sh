@@ -378,6 +378,15 @@ lint() {
   [ -z "${loops}" ] \
     || { printf 'lint: EventQueue drained outside the two engines:\n%s\n' \
            "${loops}" >&2; exit 1; }
+  # One pending arrival, one slot: the sequential engine keeps its arrival
+  # in EventQueue's arrival slot (schedule_arrival), never in the heap.
+  echo "==> [lint] one arrival slot"
+  local heap_arrivals
+  heap_arrivals="$(git grep -lE 'schedule\([^;]*EventType::kArrival' -- 'src/*' 'tools/*' \
+                   || true)"
+  [ -z "${heap_arrivals}" ] \
+    || { printf 'lint: kArrival scheduled into the heap (use schedule_arrival):\n%s\n' \
+           "${heap_arrivals}" >&2; exit 1; }
   echo "==> [lint] clang-format"
   ci/format.sh --check
   # The zero-overhead claim only holds if the tracing-compiled-out build

@@ -182,12 +182,13 @@ class WearModel {
     return false;
   }
 
-  // Lifetime fraction one server of `server_class` has consumed after the
-  // given transition counts (0 when wear tracking is off).  Uncapped: a
-  // value above 1 means the budget is exhausted.
-  [[nodiscard]] double wear_fraction(std::uint64_t boots, std::uint64_t shutdowns,
-                                     std::size_t server_class = 0) const noexcept {
-    const double cycles = cycles_for(server_class);
+  // Lifetime fraction one server of a simulated (homogeneous, so class 0)
+  // fleet has consumed after the given transition counts (0 when wear
+  // tracking is off).  Uncapped: a value above 1 means the budget is
+  // exhausted.
+  [[nodiscard]] double wear_fraction(std::uint64_t boots,
+                                     std::uint64_t shutdowns) const noexcept {
+    const double cycles = cycles_for(0);
     if (!(cycles > 0.0)) return 0.0;
     // A boot or a shutdown is each half of one full on/off cycle.
     return 0.5 * static_cast<double>(boots + shutdowns) / cycles;

@@ -1,5 +1,8 @@
 #include "power/energy_meter.h"
 
+#include <bit>
+#include <cstdint>
+
 #include "util/assert.h"
 
 namespace gc {
@@ -36,12 +39,25 @@ void EnergyMeter::integrate(double now) {
 }
 
 void EnergyMeter::update(double now, PowerState state, double speed, bool busy) {
-  integrate(now);
   if (speed != speed_) {
-    speed_ = speed;
-    busy_watts_ = model_->power(speed_, 1.0);
-    idle_watts_ = model_->power(speed_, 0.0);
+    update(now, state, model_->draw(speed), busy);
+    return;
   }
+  integrate(now);
+  state_ = state;
+  busy_ = busy;
+}
+
+void EnergyMeter::update(double now, PowerState state, const SpeedDraw& draw, bool busy) {
+  GC_DCHECK(std::bit_cast<std::uint64_t>(draw.busy_w) ==
+                    std::bit_cast<std::uint64_t>(model_->power(draw.speed, 1.0)) &&
+                std::bit_cast<std::uint64_t>(draw.idle_w) ==
+                    std::bit_cast<std::uint64_t>(model_->power(draw.speed, 0.0)),
+            "EnergyMeter: precomputed draw is not this model's");
+  integrate(now);
+  speed_ = draw.speed;
+  busy_watts_ = draw.busy_w;
+  idle_watts_ = draw.idle_w;
   state_ = state;
   busy_ = busy;
 }

@@ -28,6 +28,9 @@ class EnergyMeter {
   // The power model is consulted only when `speed` differs from the last
   // update's; busy/idle and state changes read the cached draw.
   void update(double now, PowerState state, double speed, bool busy);
+  // The same with the new speed's draw precomputed (bit for bit what this
+  // meter's PowerModel::draw(draw.speed) returns): no power-model call.
+  void update(double now, PowerState state, const SpeedDraw& draw, bool busy);
 
   // Finalizes accounting up to `now` without changing the operating point.
   void flush(double now);

@@ -29,6 +29,15 @@ struct PowerModelParams {
   bool utilization_gated = true;
 };
 
+// An ON server's draw at one speed, busy and idle: what an EnergyMeter
+// caches per speed.  A fleet-wide speed command computes it once and hands
+// it to every server it reaches (sim/fleet_store.h).
+struct SpeedDraw {
+  double speed = 1.0;
+  double busy_w = 0.0;  // power(speed, 1.0)
+  double idle_w = 0.0;  // power(speed, 0.0)
+};
+
 class PowerModel {
  public:
   explicit PowerModel(PowerModelParams params = {});
@@ -45,6 +54,9 @@ class PowerModel {
   }
 
   [[nodiscard]] double busy_power(double speed) const noexcept { return power(speed, 1.0); }
+  [[nodiscard]] SpeedDraw draw(double speed) const noexcept {
+    return SpeedDraw{speed, power(speed, 1.0), power(speed, 0.0)};
+  }
   [[nodiscard]] double idle_power() const noexcept { return params_.p_idle_watts; }
   [[nodiscard]] double off_power() const noexcept { return params_.p_off_watts; }
   // Transitioning servers (booting or shutting down) burn full power.

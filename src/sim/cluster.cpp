@@ -34,11 +34,11 @@ EventQueue& checked(EventQueue* queue) {
 
 Cluster::Cluster(const ClusterOptions& options, EventQueue* queue)
     : power_(options.power),
-      store_(checked(queue), options.transition, checked_size(options),
+      store_(checked(queue), power_, options.transition, checked_size(options),
              options.initial_speed),
       dispatcher_(options.dispatch, Rng(options.dispatch_seed, /*stream=*/3)) {
   for (std::uint32_t i = 0; i < options.num_servers; ++i) {
-    store_.add(i, &power_, options.initial_speed, /*on=*/i < options.initial_active);
+    store_.add(i, options.initial_speed, /*on=*/i < options.initial_active);
   }
 }
 

@@ -80,7 +80,6 @@ void EventQueue::erase_at(std::size_t index) {
 
 void EventQueue::retire_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  s.seq = kNoTenant;
   ++s.gen;
   note_growth(free_slots_);
   free_slots_.push_back(slot);
@@ -104,17 +103,14 @@ EventId EventQueue::schedule(double time, EventType type, std::uint32_t subject)
     note_growth(slots_);
     slots_.emplace_back();
   }
-  const std::uint64_t seq = ++next_seq_;
-  GC_CHECK(seq <= (~0ULL >> kSlotBits), "EventQueue: sequence space exhausted");
+  const std::uint64_t key = next_key(slot);
   Slot& s = slots_[slot];
-  s.seq = seq;
   s.type = type;
   s.subject = subject;
   // `+ 0.0` canonicalizes -0.0, the one non-negative double whose bit
   // pattern would misorder under the integer compare.
   note_growth(heap_);
-  heap_.push_back(
-      Entry{std::bit_cast<std::uint64_t>(time + 0.0), (seq << kSlotBits) | slot});
+  heap_.push_back(Entry{std::bit_cast<std::uint64_t>(time + 0.0), key});
   s.pos = static_cast<std::uint32_t>(heap_.size() - 1);
   sift_up(heap_.size() - 1);
   return pack_id(slot, s.gen);
@@ -134,7 +130,7 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-std::optional<Event> EventQueue::pop() {
+std::optional<Event> EventQueue::pop_heap() {
   if (heap_.empty()) return std::nullopt;
   const Entry top = heap_.front();
   const auto slot = static_cast<std::uint32_t>(top.key & kSlotMask);

@@ -28,12 +28,23 @@
 //   * The heap is 4-ary: half the depth of a binary heap and four children
 //     per cache line of entries, which is where the per-event constant
 //     factor goes at cluster sizes in the hundreds.
+//   * The arrival stream bypasses the heap.  The sequential engine keeps
+//     exactly one arrival pending at a time, so schedule_arrival() parks it
+//     in a one-entry slot beside the heap instead of pushing it (half the
+//     day's heap traffic).  The slot takes its sequence number exactly as
+//     schedule() would, and the inline pop() returns it when its (time,
+//     seq) comes before the heap top: every event keeps its rank, so the
+//     pop order is the one an all-heap queue gives, ties included.  An
+//     empty slot costs pop() one predictable branch.  Slot arrivals carry
+//     kInvalidEventId and cannot be cancelled.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
+
+#include "util/assert.h"
 
 namespace gc {
 
@@ -84,20 +95,42 @@ class EventQueue {
   // with GC_CHECK — a violation aborts rather than corrupting causality.
   EventId schedule(double time, EventType type, std::uint32_t subject = 0);
 
+  // Schedules the one pending kArrival (subject 0) in the arrival slot; it
+  // takes the next sequence number and ranks exactly as a kArrival passed
+  // to schedule() would.  `time` must be >= now() and no slot arrival may
+  // be pending (both GC_CHECKed).
+  void schedule_arrival(double time) {
+    GC_CHECK(time >= now_, "EventQueue: scheduling into the past");
+    GC_CHECK(!has_arrival(), "EventQueue: a second pending arrival");
+    arrival_ = Entry{std::bit_cast<std::uint64_t>(time + 0.0), next_key(0)};
+  }
+
   // Cancels a pending event; cancelling an already-fired, already-cancelled
   // or recycled id is a no-op (returns false).
   bool cancel(EventId id);
 
-  // Next live event, or nullopt when drained.
-  [[nodiscard]] std::optional<Event> pop();
+  // Next live event, or nullopt when drained.  Inline: the slot check runs
+  // once per event of the sequential engine.
+  [[nodiscard]] std::optional<Event> pop() {
+    if (heap_.empty() ? has_arrival() : before(arrival_, heap_.front())) {
+      const double time = std::bit_cast<double>(arrival_.time_bits);
+      arrival_.time_bits = kNoArrival;
+      now_ = time;
+      return Event{time, EventType::kArrival, 0, kInvalidEventId};
+    }
+    return pop_heap();
+  }
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty() && !has_arrival(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return heap_.size() + (has_arrival() ? 1 : 0);
+  }
   // Time of the earliest pending event without popping it (the sharded
   // engine's window loop drains events up to a barrier).  empty() must be
   // false.
   [[nodiscard]] double next_time() const noexcept {
-    return std::bit_cast<double>(heap_.front().time_bits);
+    const bool slot_first = heap_.empty() || before(arrival_, heap_.front());
+    return std::bit_cast<double>((slot_first ? arrival_ : heap_.front()).time_bits);
   }
   // Time of the last popped event (0 before any pop).
   [[nodiscard]] double now() const noexcept { return now_; }
@@ -127,13 +160,26 @@ class EventQueue {
   // the slot's entry, kept current by the sift loops so cancel can splice
   // the entry out directly.
   struct Slot {
-    std::uint64_t seq = 0;  // seq of the current tenant (kNoTenant if none)
     std::uint32_t gen = 0;  // bumped on every fire/cancel
     std::uint32_t pos = 0;  // heap index of the current tenant's entry
     EventType type = EventType::kArrival;
     std::uint32_t subject = 0;
   };
-  static constexpr std::uint64_t kNoTenant = ~0ULL;
+  // The empty arrival slot's time bits: a NaN pattern above every
+  // non-negative double's, so the slot never comes before a heap entry.
+  static constexpr std::uint64_t kNoArrival = ~0ULL;
+
+  [[nodiscard]] bool has_arrival() const noexcept {
+    return arrival_.time_bits != kNoArrival;
+  }
+  // Takes the next sequence number and packs it over `slot`.
+  [[nodiscard]] std::uint64_t next_key(std::uint32_t slot) {
+    const std::uint64_t seq = ++next_seq_;
+    GC_CHECK(seq <= (~0ULL >> kSlotBits), "EventQueue: sequence space exhausted");
+    return (seq << kSlotBits) | slot;
+  }
+  // pop() for the heap top (the slot is empty or ranks after it).
+  [[nodiscard]] std::optional<Event> pop_heap();
 
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
     return a.time_bits < b.time_bits ||
@@ -158,6 +204,9 @@ class EventQueue {
   }
 
   std::vector<Entry> heap_;  // 4-ary min-heap on (time, key), live events only
+  // The pending slot arrival, keyed (seq, slot 0) like a heap entry so
+  // before() ranks it against the heap; time_bits == kNoArrival when none.
+  Entry arrival_{kNoArrival, 0};
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;

@@ -50,9 +50,9 @@ void report_fleet_totals(const FleetTotals& whole, const FleetTotals& warm,
   registry.counter("cluster.boot_timeouts").inc(whole.boot_timeouts);
 }
 
-FleetStore::FleetStore(EventQueue& queue, const TransitionModel& transition,
-                       std::uint32_t size, double speed)
-    : queue_(queue), transition_(transition), speed_(speed) {
+FleetStore::FleetStore(EventQueue& queue, const PowerModel& power,
+                       const TransitionModel& transition, std::uint32_t size, double speed)
+    : queue_(queue), power_(&power), transition_(transition), speed_(speed) {
   servers_.reserve(size);
   watts_.reserve(size);
   serving_.assign(size);
@@ -62,10 +62,10 @@ FleetStore::FleetStore(EventQueue& queue, const TransitionModel& transition,
   server_shutdowns_.assign(size, 0);
 }
 
-void FleetStore::add(std::uint32_t index, const PowerModel* power, double speed, bool on) {
+void FleetStore::add(std::uint32_t index, double speed, bool on) {
   GC_CHECK(servers_.size() < speed_seen_.size(), "FleetStore: more servers than sized");
   const auto li = size();
-  servers_.emplace_back(index, power, speed, on, /*start_time=*/0.0);
+  servers_.emplace_back(index, power_, speed, on, /*start_time=*/0.0);
   watts_.push_back(servers_.back().instantaneous_power());
   if (on) {
     serving_.insert(li);
@@ -115,7 +115,7 @@ void FleetStore::catch_up_speed(std::uint32_t li) {
   // A dark server has no job in service, so no departure moves.
   Server& s = servers_[li];
   for (std::size_t i = speed_seen_[li]; i < speed_log_.size(); ++i) {
-    [[maybe_unused]] const auto eta = s.set_speed(speed_log_[i].time, speed_log_[i].speed);
+    [[maybe_unused]] const auto eta = s.set_speed(speed_log_[i].time, speed_log_[i].draw);
     GC_DCHECK(!eta, "FleetStore: dark server had a job in service");
   }
   speed_seen_[li] = static_cast<std::uint32_t>(speed_log_.size());
@@ -210,10 +210,11 @@ void FleetStore::set_speed_all(double now, double speed) {
   // caught up), so repeating it is a no-op.
   if (speed == speed_) return;
   speed_ = speed;
-  speed_log_.push_back(SpeedCommand{now, speed});
+  const SpeedDraw draw = power_->draw(speed);
+  speed_log_.push_back(SpeedCommand{now, draw});
   live_.for_each([&](std::size_t i) {
     const auto li = static_cast<std::uint32_t>(i);
-    const auto eta = servers_[li].set_speed(now, speed);
+    const auto eta = servers_[li].set_speed(now, draw);
     watts_[li] = servers_[li].instantaneous_power();
     if (eta) reschedule_departure(li, *eta);
   });

@@ -18,7 +18,9 @@
 //     same Server::set_speed calls before their next transition and before
 //     every energy flush.  A dark server's meter therefore equals what the
 //     eager fan-out would have produced; only server(li).speed() and its
-//     meter lag until then;
+//     meter lag until then.  Each command's busy/idle draw is evaluated
+//     once, when it is issued, and both the fan-out and every replay reuse
+//     it, so a command costs the power model two calls, not two per server;
 //   * each server's pending departure and boot/shutdown event on the
 //     caller's EventQueue, subject = li.
 //
@@ -89,16 +91,16 @@ void report_fleet_totals(const FleetTotals& whole, const FleetTotals& warm,
 
 class FleetStore {
  public:
-  // `queue` must outlive the store.  `size` servers are then add()ed in
-  // position order.  `speed` is the commanded speed every server starts at.
-  FleetStore(EventQueue& queue, const TransitionModel& transition, std::uint32_t size,
-             double speed);
+  // `queue` and `power` (every server's model) must outlive the store.
+  // `size` servers are then add()ed in position order.  `speed` is the
+  // commanded speed every server starts at.
+  FleetStore(EventQueue& queue, const PowerModel& power, const TransitionModel& transition,
+             std::uint32_t size, double speed);
   FleetStore(const FleetStore&) = delete;
   FleetStore& operator=(const FleetStore&) = delete;
 
-  // Appends the server at position size(), ON (serving) or OFF.  `power`
-  // must outlive the store.
-  void add(std::uint32_t index, const PowerModel* power, double speed, bool on);
+  // Appends the server at position size(), ON (serving) or OFF.
+  void add(std::uint32_t index, double speed, bool on);
 
   // -- counts (O(1)) ---------------------------------------------------------
   [[nodiscard]] std::uint32_t size() const noexcept {
@@ -236,10 +238,11 @@ class FleetStore {
 
   struct SpeedCommand {
     double time = 0.0;
-    double speed = 1.0;
+    SpeedDraw draw;
   };
 
-  EventQueue& queue_;  // non-owning
+  EventQueue& queue_;       // non-owning
+  const PowerModel* power_;  // non-owning; every server's model
   TransitionModel transition_;
   std::vector<Server> servers_;
   std::vector<double> watts_;

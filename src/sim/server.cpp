@@ -166,12 +166,12 @@ Server::Completion Server::complete_current(double now) {
   return result;
 }
 
-std::optional<double> Server::set_speed(double now, double new_speed) {
-  GC_CHECK(new_speed > 0.0 && new_speed <= 1.0, "set_speed: speed out of (0,1]");
-  if (new_speed == speed_) return std::nullopt;
+std::optional<double> Server::set_speed(double now, const SpeedDraw& draw) {
+  GC_CHECK(draw.speed > 0.0 && draw.speed <= 1.0, "set_speed: speed out of (0,1]");
+  if (draw.speed == speed_) return std::nullopt;
   sync_progress(now);
-  speed_ = new_speed;
-  meter_update(now);
+  speed_ = draw.speed;
+  meter_.update(now, state_, draw, busy());
   if (current_) return completion_eta(now);
   return std::nullopt;
 }

@@ -84,9 +84,11 @@ class Server {
   };
   [[nodiscard]] Completion complete_current(double now);
 
-  // Changes speed; returns the new ETA of the in-flight job if any (the
-  // store must reschedule the departure event).
-  [[nodiscard]] std::optional<double> set_speed(double now, double new_speed);
+  // Changes speed to draw.speed; returns the new ETA of the in-flight job
+  // if any (the store must reschedule the departure event).  `draw` is
+  // this server's PowerModel::draw(speed): a fleet-wide command evaluates
+  // it once for every server it reaches.
+  [[nodiscard]] std::optional<double> set_speed(double now, const SpeedDraw& draw);
 
   // ETA of the in-flight job at the current speed.
   [[nodiscard]] double completion_eta(double now) const;

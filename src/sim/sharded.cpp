@@ -114,7 +114,7 @@ struct Shard {
         k(k_),
         count(layout_.owned(k_)),
         power_model(cluster.power),
-        store(queue, cluster.transition, count, cluster.initial_speed) {}
+        store(queue, power_model, cluster.transition, count, cluster.initial_speed) {}
 
   // -- static configuration ------------------------------------------------
   ShardLayout layout;
@@ -642,8 +642,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     s.warm_energy.resize(count);
     for (std::uint32_t li = 0; li < count; ++li) {
       const std::uint32_t gi = s.global(li);
-      s.store.add(gi, &s.power_model, cluster.initial_speed,
-                  /*on=*/li < s.target_split);
+      s.store.add(gi, cluster.initial_speed, /*on=*/li < s.target_split);
       s.size_rng.emplace_back(workload_seed, gi);
     }
     if (options.admission.enabled) {

@@ -132,10 +132,11 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   ControlLoop loop(controller, options, cluster_options.dispatch_seed, fleet,
                    admission, queue);
 
-  // Pending arrival: exactly one kArrival event is outstanding at a time.
+  // Pending arrival: exactly one kArrival event is outstanding at a time,
+  // so it waits in the queue's arrival slot instead of its heap.
   std::optional<JobArrival> pending = workload.next();
   std::uint64_t next_job_id = 1;
-  if (pending) queue.schedule(pending->time, EventType::kArrival);
+  if (pending) queue.schedule_arrival(pending->time);
 
   // Ticks: long scheduled before short at t = 0 so the provisioning
   // decision precedes the frequency decision on ties.
@@ -213,7 +214,7 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
         pending = workload.next();
         if (pending) {
           GC_CHECK(pending->time >= now, "workload produced non-monotone arrivals");
-          queue.schedule(pending->time, EventType::kArrival);
+          queue.schedule_arrival(pending->time);
         } else {
           workload_done = true;
         }

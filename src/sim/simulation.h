@@ -3,7 +3,8 @@
 //
 // Event choreography per step:
 //   * kArrival        — route the pending job, pull the next one from the
-//                       workload and schedule it;
+//                       workload and schedule it (in the queue's one-entry
+//                       arrival slot, sim/event_queue.h);
 //   * kDeparture      — complete the job on its server, record metrics;
 //   * kShortTick      — measure the arrival rate over the elapsed short
 //                       period, ask the controller, apply speed changes;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "sim/fleet_store.h"
+
 namespace gc {
 namespace {
 
@@ -203,6 +209,64 @@ TEST(Cluster, ServerAccessorBounds) {
   Cluster cluster(small_options(), &queue);
   EXPECT_EQ(cluster.server(0).index(), 0u);
   EXPECT_DEATH((void)cluster.server(99), "out of range");
+}
+
+// The store evaluates each speed command's draw once and replays it into
+// the dark servers at their next transition or flush.  Every meter must
+// still split at the same instants, with the same draws, as an eager sweep
+// that evaluates the draw per server and sets every server's speed at each
+// command: each energy class equal bit for bit.
+TEST(FleetStoreSpeedLog, ReplayedDrawsMatchAnEagerSweep) {
+  const PowerModel power;  // alpha = 3: each draw is a std::pow
+  TransitionModel transition;
+  transition.boot_delay_s = 0.5;  // boots and finishes between two commands
+  constexpr std::uint32_t kServers = 8;
+  constexpr std::uint32_t kOn = 4;
+  EventQueue queue;
+  FleetStore store(queue, power, transition, kServers, 1.0);
+  std::vector<Server> eager;
+  for (std::uint32_t i = 0; i < kServers; ++i) {
+    store.add(i, 1.0, /*on=*/i < kOn);
+    eager.emplace_back(i, &power, 1.0, /*initially_on=*/i < kOn, 0.0);
+  }
+  // One live server runs a long job, so its meter splits busy.
+  store.enqueue(0.5, 0, make_job(1, 0.5, 1000.0));
+  (void)eager[0].enqueue(0.5, make_job(1, 0.5, 1000.0));
+
+  constexpr std::uint32_t kBooted = 6;  // dark for the first 5 commands
+  const double speeds[] = {0.5, 0.7, 0.9, 0.6, 0.55, 0.8, 0.65, 1.0, 0.45, 0.75, 0.85, 0.6};
+  double now = 0.0;
+  for (std::size_t c = 0; c < std::size(speeds); ++c) {
+    now = 1.0 + 1.37 * static_cast<double>(c);
+    store.set_speed_all(now, speeds[c]);
+    for (Server& s : eager) (void)s.set_speed(now, power.draw(speeds[c]));
+    if (c == 4) {
+      const double boot_at = now + 0.3;
+      store.boot(boot_at, kBooted, std::nullopt);
+      eager[kBooted].start_boot(boot_at);
+      store.finish_boot(boot_at + transition.boot_delay_s, kBooted);
+      eager[kBooted].finish_boot(boot_at + transition.boot_delay_s);
+    }
+  }
+  const double end = now + 3.1;
+  store.flush_energy(end);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::uint32_t li = 0; li < kServers; ++li) {
+    eager[li].flush_energy(end);
+    const EnergyMeter& got = store.server(li).meter();
+    const EnergyMeter& want = eager[li].meter();
+    EXPECT_EQ(bits(got.joules_busy()), bits(want.joules_busy())) << "server " << li;
+    EXPECT_EQ(bits(got.joules_idle()), bits(want.joules_idle())) << "server " << li;
+    EXPECT_EQ(bits(got.joules_transition()), bits(want.joules_transition()))
+        << "server " << li;
+    EXPECT_EQ(bits(got.joules_off()), bits(want.joules_off())) << "server " << li;
+    EXPECT_EQ(bits(store.watts(li)), bits(eager[li].instantaneous_power())) << "server " << li;
+    EXPECT_EQ(store.server(li).speed(), eager[li].speed()) << "server " << li;
+  }
+  // The run reached every energy class the replay feeds.
+  EXPECT_GT(eager[kServers - 1].meter().joules_off(), 0.0);
+  EXPECT_GT(eager[0].meter().joules_busy(), 0.0);
+  EXPECT_GT(eager[kBooted].meter().joules_transition(), 0.0);
 }
 
 }  // namespace

@@ -100,6 +100,69 @@ TEST(EventQueue, SchedulingAtNowIsAllowed) {
   EXPECT_DOUBLE_EQ(e->time, 5.0);
 }
 
+// -- the arrival slot ---------------------------------------------------------
+
+TEST(EventQueueArrivalSlot, CountsAsAPendingEvent) {
+  EventQueue queue;
+  queue.schedule_arrival(2.0);
+  EXPECT_FALSE(queue.empty());
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_DOUBLE_EQ(queue.next_time(), 2.0);
+  EXPECT_EQ(queue.scheduled_total(), 1u);
+  queue.schedule(3.0, EventType::kRecord);
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_DOUBLE_EQ(queue.next_time(), 2.0);  // the slot is earlier
+  queue.schedule(1.0, EventType::kDeparture, 4);
+  EXPECT_DOUBLE_EQ(queue.next_time(), 1.0);  // the heap top is earlier
+  EXPECT_EQ(queue.scheduled_total(), 3u);
+
+  std::vector<EventType> types;
+  while (const auto e = queue.pop()) types.push_back(e->type);
+  EXPECT_EQ(types, (std::vector<EventType>{EventType::kDeparture, EventType::kArrival,
+                                           EventType::kRecord}));
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.size(), 0u);
+}
+
+TEST(EventQueueArrivalSlot, PopsAnArrivalWithNoId) {
+  EventQueue queue;
+  queue.schedule_arrival(1.5);
+  const auto e = queue.pop();
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->type, EventType::kArrival);
+  EXPECT_EQ(e->subject, 0u);
+  EXPECT_EQ(e->id, kInvalidEventId);
+  EXPECT_DOUBLE_EQ(queue.now(), 1.5);
+  EXPECT_TRUE(queue.empty());
+  // The slot is free again, also at now().
+  queue.schedule_arrival(1.5);
+  EXPECT_EQ(queue.size(), 1u);
+}
+
+TEST(EventQueueArrivalSlot, TiesBreakInScheduleOrderBothWays) {
+  EventQueue queue;
+  queue.schedule(1.0, EventType::kLongTick);
+  queue.schedule_arrival(1.0);
+  queue.schedule(1.0, EventType::kShortTick);
+  std::vector<EventType> types;
+  while (const auto e = queue.pop()) types.push_back(e->type);
+  EXPECT_EQ(types, (std::vector<EventType>{EventType::kLongTick, EventType::kArrival,
+                                           EventType::kShortTick}));
+}
+
+TEST(EventQueueArrivalSlot, ASecondPendingArrivalDies) {
+  EventQueue queue;
+  queue.schedule_arrival(1.0);
+  EXPECT_DEATH(queue.schedule_arrival(2.0), "second pending arrival");
+}
+
+TEST(EventQueueArrivalSlot, AnArrivalIntoThePastDies) {
+  EventQueue queue;
+  queue.schedule(5.0, EventType::kRecord);
+  (void)queue.pop();
+  EXPECT_DEATH(queue.schedule_arrival(4.0), "past");
+}
+
 TEST(EventQueue, SubjectAndIdRoundTrip) {
   EventQueue queue;
   const EventId id = queue.schedule(1.0, EventType::kDeparture, 42);

@@ -1,6 +1,7 @@
 // Model-based property test: the EventQueue against a reference
 // implementation (std::multimap ordered by (time, seq)) under a random
-// stream of schedule / cancel / pop operations.
+// stream of schedule / cancel / pop operations, and with the arrival slot
+// (schedule_arrival) against a plain schedule(t, kArrival) in the reference.
 //
 // The real queue hands out generation-stamped slot ids, the reference a
 // plain monotone counter; a real<->reference id map translates between the
@@ -45,6 +46,14 @@ class ReferenceQueue {
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] double next_time() const { return entries_.begin()->first.first; }
+  [[nodiscard]] std::uint64_t scheduled_total() const { return seq_; }
+  // Pending events at exactly `time`.
+  [[nodiscard]] std::size_t count_at(double time) const {
+    std::size_t n = 0;
+    for (const auto& entry : entries_) n += entry.first.first == time ? 1 : 0;
+    return n;
+  }
   [[nodiscard]] double now() const { return now_; }
 
  private:
@@ -112,6 +121,102 @@ TEST_P(EventQueueModelTest, RandomOperationStreamsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModelTest, ::testing::Range(0, 5));
+
+// The arrival slot against the reference's plain kArrival.  Times sit on a
+// 0.25 s grid a few steps past now, so the slot arrival ties exactly with
+// departures and ticks scheduled both before and after it.
+class ArrivalSlotModelTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ArrivalSlotModelTest, SlotArrivalsRankLikeScheduledOnes) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
+  EventQueue real;
+  ReferenceQueue reference;
+  std::vector<EventId> issued_real;
+  std::vector<EventId> issued_ref;
+  std::unordered_map<EventId, EventId> real_to_ref;
+  // The reference id of the pending slot arrival (slot arrivals have no
+  // real id and are never cancelled).
+  std::optional<EventId> slot_ref;
+  double slot_time = 0.0;
+  const auto grid_time = [&] {
+    return real.now() + 0.25 * static_cast<double>(rng.uniform_below(4));
+  };
+  // Ties the slot lost (a heap event scheduled before it at its time popped
+  // first) and won (it popped with later-scheduled events at its time).
+  std::uint64_t ties_heap_first = 0;
+  std::uint64_t ties_slot_first = 0;
+
+  for (int step = 0; step < 20000; ++step) {
+    const double dice = rng.uniform01();
+    if (dice < 0.25) {
+      const double time = grid_time();
+      static constexpr EventType kTypes[] = {EventType::kDeparture, EventType::kShortTick,
+                                             EventType::kLongTick, EventType::kArrival};
+      const EventType type = kTypes[rng.uniform_below(4)];
+      const auto subject = static_cast<std::uint32_t>(rng.uniform_below(16));
+      const EventId a = real.schedule(time, type, subject);
+      const EventId b = reference.schedule(time, type, subject);
+      ASSERT_TRUE(real_to_ref.emplace(a, b).second);
+      issued_real.push_back(a);
+      issued_ref.push_back(b);
+    } else if (dice < 0.45) {
+      if (!slot_ref) {
+        const double time = grid_time();
+        real.schedule_arrival(time);
+        slot_ref = reference.schedule(time, EventType::kArrival, 0);
+        slot_time = time;
+      }
+    } else if (dice < 0.55 && !issued_real.empty()) {
+      const std::size_t pick = rng.uniform_below(issued_real.size());
+      ASSERT_EQ(real.cancel(issued_real[pick]), reference.cancel(issued_ref[pick]));
+    } else {
+      const std::size_t tied = slot_ref ? reference.count_at(slot_time) : 0;
+      const auto a = real.pop();
+      const auto b = reference.pop();
+      ASSERT_EQ(a.has_value(), b.has_value());
+      if (a) {
+        ASSERT_EQ(a->time, b->time) << "step " << step;
+        ASSERT_EQ(a->type, b->type) << "step " << step;
+        ASSERT_EQ(a->subject, b->subject);
+        if (a->id == kInvalidEventId) {
+          ASSERT_TRUE(slot_ref.has_value());
+          ASSERT_EQ(*slot_ref, b->id) << "step " << step;
+          slot_ref.reset();
+          if (tied > 1) ++ties_slot_first;
+        } else {
+          ASSERT_EQ(real_to_ref.at(a->id), b->id) << "step " << step;
+          if (tied > 1 && a->time == slot_time) ++ties_heap_first;
+        }
+      }
+    }
+    ASSERT_EQ(real.size(), reference.size()) << "step " << step;
+    ASSERT_EQ(real.empty(), reference.size() == 0) << "step " << step;
+    if (!real.empty()) {
+      ASSERT_EQ(real.next_time(), reference.next_time()) << "step " << step;
+    }
+    ASSERT_EQ(real.scheduled_total(), reference.scheduled_total()) << "step " << step;
+    ASSERT_EQ(real.now(), reference.now()) << "step " << step;
+  }
+  // The stream tied the slot against the heap in both schedule orders.
+  EXPECT_GT(ties_heap_first, 100u);
+  EXPECT_GT(ties_slot_first, 100u);
+
+  for (;;) {
+    const auto a = real.pop();
+    const auto b = reference.pop();
+    ASSERT_EQ(a.has_value(), b.has_value());
+    if (!a) break;
+    if (a->id == kInvalidEventId) {
+      ASSERT_TRUE(slot_ref.has_value());
+      ASSERT_EQ(*slot_ref, b->id);
+      slot_ref.reset();
+    } else {
+      ASSERT_EQ(real_to_ref.at(a->id), b->id);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ArrivalSlotModelTest, ::testing::Range(0, 5));
 
 // -- generation-stamp specifics ---------------------------------------------
 

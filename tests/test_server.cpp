@@ -67,11 +67,11 @@ TEST_F(ServerTest, SpeedChangeMidServiceRetimesCompletion) {
   Server server(0, &pm_, 1.0, true, 0.0);
   (void)server.enqueue(0.0, make_job(1, 0.0, 4.0));  // ETA 4 at s=1
   // After 2s, half done (2.0 work left).  Slow to 0.5: 2.0/0.5 = 4 more s.
-  const auto eta = server.set_speed(2.0, 0.5);
+  const auto eta = server.set_speed(2.0, pm_.draw(0.5));
   ASSERT_TRUE(eta.has_value());
   EXPECT_DOUBLE_EQ(*eta, 6.0);
   // Speed back up at t=4 (1.0 work left): 1.0/1.0 = 1 more s.
-  const auto eta2 = server.set_speed(4.0, 1.0);
+  const auto eta2 = server.set_speed(4.0, pm_.draw(1.0));
   ASSERT_TRUE(eta2.has_value());
   EXPECT_DOUBLE_EQ(*eta2, 5.0);
   const auto completion = server.complete_current(5.0);
@@ -80,14 +80,14 @@ TEST_F(ServerTest, SpeedChangeMidServiceRetimesCompletion) {
 
 TEST_F(ServerTest, SetSpeedWhenIdleReturnsNothing) {
   Server server(0, &pm_, 1.0, true, 0.0);
-  EXPECT_FALSE(server.set_speed(1.0, 0.5).has_value());
+  EXPECT_FALSE(server.set_speed(1.0, pm_.draw(0.5)).has_value());
   EXPECT_DOUBLE_EQ(server.speed(), 0.5);
 }
 
 TEST_F(ServerTest, SetSameSpeedIsNoop) {
   Server server(0, &pm_, 0.5, true, 0.0);
   (void)server.enqueue(0.0, make_job(1, 0.0, 1.0));
-  EXPECT_FALSE(server.set_speed(0.5, 0.5).has_value());
+  EXPECT_FALSE(server.set_speed(0.5, pm_.draw(0.5)).has_value());
 }
 
 TEST_F(ServerTest, OutstandingWorkTracksProgress) {
@@ -209,7 +209,7 @@ TEST_F(ServerTest, EnergyAccountingScriptedScenario) {
   // (via speed change at 4 with 1.0 work left); completes at 6.
   Server server(0, &pm_, 1.0, true, 0.0);
   (void)server.enqueue(2.0, make_job(1, 2.0, 3.0));  // ETA 5 at s=1
-  const auto eta = server.set_speed(4.0, 0.5);       // 1.0 left -> 2 more s
+  const auto eta = server.set_speed(4.0, pm_.draw(0.5));  // 1.0 left -> 2 more s
   ASSERT_TRUE(eta.has_value());
   EXPECT_DOUBLE_EQ(*eta, 6.0);
   (void)server.complete_current(6.0);
