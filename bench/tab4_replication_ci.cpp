@@ -14,7 +14,7 @@
 
 #include "exp/comparison.h"
 #include "stats/accumulators.h"
-#include "stats/batch_means.h"
+#include "stats/student_t.h"
 #include "stats/log_histogram.h"
 #include "util/table.h"
 

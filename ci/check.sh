@@ -26,7 +26,9 @@
 # truncation, kill/restore) and gates the same drift oracle, plus a
 # forged-snapshot negative test that must fail to load; the coverage mode
 # builds with GC_COVERAGE=ON and fails if src/cp/ line coverage drops
-# below 90%.
+# below 90%; the deadcode mode builds every production binary at -O0 with
+# --gc-sections and fails on any src/ function none of them links that
+# ci/deadcode_allow.txt does not list.
 # Usage:
 #
 #   ci/check.sh            # every build configuration
@@ -37,6 +39,7 @@
 #   ci/check.sh soak       # gcreplay drift oracle, multi-day + kill/restore
 #   ci/check.sh chaos      # wire-fault schedules through the drift oracle
 #   ci/check.sh coverage   # gcov lane, gates src/cp/ line coverage >= 90%
+#   ci/check.sh deadcode   # no src/ function outside every production binary
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -402,6 +405,60 @@ lint() {
        -R "Obs|MetricRegistry|CountersSnapshot|TraceCollector|TraceHelpers|DecisionAuditLog")
 }
 
+# The deadcode lane: code with no production caller is deleted, not kept
+# alive by its tests.  Builds every production executable (the benches,
+# examples and tools/, plus perfbench's gcbench, which compiles src/ on its
+# own) with tests off at -O0 — so inlining cannot hide a call — with
+# -ffunction-sections and --gc-sections, so each binary keeps exactly the
+# functions it can reach.  Every strong text symbol a src/ object defines
+# must survive in at least one binary or be listed in ci/deadcode_allow.txt
+# ("<demangled symbol>  # <reason>"), which holds only small accessors and
+# operators that tests observe state through.  An entry whose symbol is
+# linked again or gone fails too, so the list cannot go stale.
+# Header-inline functions and templates are weak symbols and not covered:
+# the lint lane's "no test-only modules" step checks headers.
+deadcode_lane() {
+  local dir="build-ci-deadcode"
+  local allow="ci/deadcode_allow.txt"
+  local flags=(-DCMAKE_BUILD_TYPE=Release
+               "-DCMAKE_CXX_FLAGS_RELEASE=-O0 -DNDEBUG -ffunction-sections -fdata-sections"
+               "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+  echo "==> [deadcode] configure"
+  cmake -B "${dir}" -S . -DGC_WERROR=ON -DGC_BUILD_TESTS=OFF "${flags[@]}" >/dev/null
+  cmake -B "${dir}/perfbench" -S perfbench "${flags[@]}" >/dev/null
+  echo "==> [deadcode] build the production binaries"
+  cmake --build "${dir}" -j "${JOBS}"
+  cmake --build "${dir}/perfbench" -j "${JOBS}" --target gcbench
+  echo "==> [deadcode] src/ symbols no production binary links"
+  local bins
+  bins="$(find "${dir}/bench" "${dir}/examples" "${dir}/tools" -maxdepth 1 \
+            -type f -executable; echo "${dir}/perfbench/gcbench")"
+  # `nm -C` lines are "<address> <type> <demangled name>"; the name may
+  # hold spaces, so everything after the type is kept.
+  find "${dir}/src" -name '*.o' -print0 | xargs -0 nm -C --defined-only \
+    | sed -n 's/^[0-9a-f]* T //p' | LC_ALL=C sort -u > "${dir}/defined.txt"
+  echo "${bins}" | xargs nm -C --defined-only \
+    | sed -n 's/^[0-9a-f]* [TtWw] //p' | LC_ALL=C sort -u > "${dir}/linked.txt"
+  LC_ALL=C comm -23 "${dir}/defined.txt" "${dir}/linked.txt" > "${dir}/unlinked.txt"
+  local bad
+  bad="$(grep -vE '^[[:space:]]*(#|$)' "${allow}" | grep -vE '\S  # \S' || true)"
+  [ -z "${bad}" ] \
+    || { printf 'deadcode: %s entries without a "  # reason":\n%s\n' \
+           "${allow}" "${bad}" >&2; exit 1; }
+  { grep -vE '^[[:space:]]*(#|$)' "${allow}" || true; } | sed 's/  # .*//' \
+    | LC_ALL=C sort -u > "${dir}/allowed.txt"
+  local dead stale
+  dead="$(LC_ALL=C comm -23 "${dir}/unlinked.txt" "${dir}/allowed.txt")"
+  stale="$(LC_ALL=C comm -13 "${dir}/unlinked.txt" "${dir}/allowed.txt")"
+  echo "$(wc -l < "${dir}/unlinked.txt") unlinked, $(wc -l < "${dir}/allowed.txt") allowlisted"
+  [ -z "${stale}" ] \
+    || { printf 'deadcode: %s lists symbols that are linked or gone:\n%s\n' \
+           "${allow}" "${stale}" >&2; exit 1; }
+  [ -z "${dead}" ] \
+    || { printf 'deadcode: %s src/ functions no production binary links:\n%s\n' \
+           "$(echo "${dead}" | wc -l)" "${dead}" >&2; exit 1; }
+}
+
 # The soak lane (DESIGN.md §12.3 + §13): record a multi-day "datacenter"
 # trace (the fig8 WC98-like replay, fixed seeds) with the observability
 # sinks attached, then stream the recording through tools/gcreplay at
@@ -620,6 +677,9 @@ case "${MODE}" in
   coverage)
     coverage_lane
     ;;
+  deadcode)
+    deadcode_lane
+    ;;
   all)
     require_jq
     run_config plain -DGC_BUILD_BENCH=ON
@@ -632,9 +692,10 @@ case "${MODE}" in
     soak_lane
     chaos_lane
     coverage_lane
+    deadcode_lane
     ;;
   *)
-    echo "usage: $0 [plain|sanitize|tsan|lint|soak|chaos|coverage|all]" >&2
+    echo "usage: $0 [plain|sanitize|tsan|lint|soak|chaos|coverage|deadcode|all]" >&2
     exit 2
     ;;
 esac

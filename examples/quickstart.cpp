@@ -12,12 +12,9 @@
 #include "core/provisioner.h"
 #include "sim/simulation.h"
 #include "util/format.h"
-#include "util/log.h"
 #include "workload/workload.h"
 
 int main(int argc, char** argv) {
-  gc::set_log_level(gc::LogLevel::kInfo);
-
   // 1. Describe the cluster: 32 servers, 20 jobs/s each at full speed,
   //    and a 250 ms mean-response-time guarantee.
   gc::ClusterConfig config;

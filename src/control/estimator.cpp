@@ -1,6 +1,5 @@
 #include "control/estimator.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,11 +20,6 @@ void EwmaEstimator::observe(double value) noexcept {
     return;
   }
   value_ = alpha_ * value + (1.0 - alpha_) * value_;
-}
-
-void EwmaEstimator::reset() noexcept {
-  value_ = 0.0;
-  primed_ = false;
 }
 
 void EwmaEstimator::save(SnapshotWriter& w) const {
@@ -70,31 +64,6 @@ void StalenessGuard::load(SnapshotReader& r) {
   last_good_ = r.f64();
   stale_ = r.boolean();
   stale_ticks_ = r.u64();
-}
-
-SlidingWindowEstimator::SlidingWindowEstimator(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) throw std::invalid_argument("SlidingWindowEstimator: capacity 0");
-}
-
-void SlidingWindowEstimator::observe(double value) {
-  window_.push_back(value);
-  if (window_.size() > capacity_) window_.pop_front();
-}
-
-double SlidingWindowEstimator::mean() const noexcept {
-  if (window_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double v : window_) sum += v;
-  return sum / static_cast<double>(window_.size());
-}
-
-double SlidingWindowEstimator::max() const noexcept {
-  if (window_.empty()) return 0.0;
-  return *std::max_element(window_.begin(), window_.end());
-}
-
-double SlidingWindowEstimator::last() const noexcept {
-  return window_.empty() ? 0.0 : window_.back();
 }
 
 }  // namespace gc

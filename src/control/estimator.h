@@ -1,12 +1,10 @@
 // Arrival-rate estimation from per-tick measurements.
 //
 // The simulator hands controllers a raw rate (arrivals / short period);
-// these estimators smooth it.  All are causal and O(1) or O(window).
+// these estimators smooth it.  All are causal and O(1).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 
 namespace gc {
 
@@ -22,7 +20,6 @@ class EwmaEstimator {
   void observe(double value) noexcept;
   [[nodiscard]] double value() const noexcept { return value_; }
   [[nodiscard]] bool primed() const noexcept { return primed_; }
-  void reset() noexcept;
 
   // Checkpoint/restore of the mutable state (value, primed); alpha is
   // configuration and travels with the options, not the snapshot.
@@ -81,24 +78,6 @@ class StalenessGuard {
   double last_good_ = 0.0;
   bool stale_ = false;
   std::uint64_t stale_ticks_ = 0;
-};
-
-// Sliding window keeping the last `capacity` observations; exposes mean and
-// max (the max is what a conservative provisioner wants).
-class SlidingWindowEstimator {
- public:
-  explicit SlidingWindowEstimator(std::size_t capacity);
-
-  void observe(double value);
-  [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] double max() const noexcept;
-  [[nodiscard]] double last() const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept { return window_.size(); }
-  void reset() noexcept { window_.clear(); }
-
- private:
-  std::size_t capacity_;
-  std::deque<double> window_;
 };
 
 }  // namespace gc

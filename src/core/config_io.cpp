@@ -1,11 +1,12 @@
 #include "core/config_io.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 
-#include "core/hetero.h"
 #include "util/format.h"
 #include "util/string_util.h"
 
@@ -50,9 +51,74 @@ double get_positive(const IniFile& ini, const std::string& section,
   return value;
 }
 
+// `levels_ghz = 0.6 0.8 ...`: finite positive frequencies, space separated.
+FrequencyLadder parse_levels(const std::string& levels) {
+  std::vector<double> ghz;
+  for (const auto piece : split(levels, ' ')) {
+    const auto trimmed = trim(piece);
+    if (trimmed.empty()) continue;
+    const auto value = parse_double(trimmed);
+    if (!value || !std::isfinite(*value) || !(*value > 0.0)) {
+      throw std::runtime_error(
+          gc::format("config: bad ladder level '{}' (need a finite positive "
+                     "frequency)",
+                     std::string(trimmed)));
+    }
+    ghz.push_back(*value);
+  }
+  return FrequencyLadder(std::move(ghz));
+}
+
+// A section a reader understands and the keys it reads there.  A name
+// ending in a space is a prefix (`"class "` matches `[class web]`).
+struct SectionKeys {
+  std::string_view section;
+  std::span<const std::string_view> keys;
+};
+
+// Rejects every section and key outside `schema`: without this a typo
+// would read as "not set" and silently fall back to the default.
+void reject_unknown(const IniFile& ini, std::span<const SectionKeys> schema) {
+  for (const std::string& section : ini.section_names()) {
+    const auto known =
+        std::find_if(schema.begin(), schema.end(), [&](const SectionKeys& s) {
+          return s.section.ends_with(' ') ? starts_with(section, s.section)
+                                          : section == s.section;
+        });
+    if (known == schema.end()) {
+      throw std::runtime_error(gc::format("config line {}: unknown section [{}]",
+                                          ini.line_of(section), section));
+    }
+    for (const std::string& key : ini.keys(section)) {
+      if (std::find(known->keys.begin(), known->keys.end(), key) == known->keys.end()) {
+        throw std::runtime_error(gc::format("config line {}: unknown key '{}' in [{}]",
+                                            ini.line_of(section, key), key, section));
+      }
+    }
+  }
+}
+
+constexpr std::string_view kClusterKeys[] = {"max_servers", "mu_max", "t_ref_ms",
+                                             "min_servers", "perf_model"};
+constexpr std::string_view kPowerKeys[] = {"p_idle_w", "p_max_w", "p_off_w", "alpha",
+                                           "utilization_gated"};
+constexpr std::string_view kLadderKeys[] = {"levels_ghz", "continuous_min_speed"};
+constexpr std::string_view kTransitionKeys[] = {"boot_delay_s", "shutdown_delay_s"};
+constexpr SectionKeys kClusterSchema[] = {{"cluster", kClusterKeys},
+                                          {"power", kPowerKeys},
+                                          {"ladder", kLadderKeys},
+                                          {"transition", kTransitionKeys}};
+
+constexpr std::string_view kFleetKeys[] = {"t_ref_ms"};
+constexpr std::string_view kClassKeys[] = {"count", "mu_max", "p_idle_w", "p_max_w",
+                                           "p_off_w", "alpha", "utilization_gated",
+                                           "levels_ghz"};
+constexpr SectionKeys kHeteroSchema[] = {{"cluster", kFleetKeys}, {"class ", kClassKeys}};
+
 }  // namespace
 
 ClusterConfig cluster_config_from_ini(const IniFile& ini) {
+  reject_unknown(ini, kClusterSchema);
   ClusterConfig config;
   config.max_servers = get_unsigned(ini, "cluster", "max_servers", config.max_servers);
   config.mu_max = get_positive(ini, "cluster", "mu_max", config.mu_max);
@@ -78,20 +144,7 @@ ClusterConfig cluster_config_from_ini(const IniFile& ini) {
       ini.get_bool_or("power", "utilization_gated", config.power.utilization_gated);
 
   if (const auto levels = ini.get("ladder", "levels_ghz")) {
-    std::vector<double> ghz;
-    for (const auto piece : split(*levels, ' ')) {
-      const auto trimmed = trim(piece);
-      if (trimmed.empty()) continue;
-      const auto value = parse_double(trimmed);
-      if (!value || !std::isfinite(*value) || !(*value > 0.0)) {
-        throw std::runtime_error(
-            gc::format("config: bad ladder level '{}' (need a finite positive "
-                       "frequency)",
-                       std::string(trimmed)));
-      }
-      ghz.push_back(*value);
-    }
-    config.ladder = FrequencyLadder(std::move(ghz));
+    config.ladder = parse_levels(*levels);
   } else if (const auto min_speed = ini.get("ladder", "continuous_min_speed")) {
     const auto value = parse_double(*min_speed);
     if (!value || !std::isfinite(*value)) {
@@ -109,20 +162,8 @@ ClusterConfig cluster_config_from_ini(const IniFile& ini) {
   return config;
 }
 
-DcpParams dcp_params_from_ini(const IniFile& ini) {
-  DcpParams dcp;
-  dcp.long_period_s = get_positive(ini, "dcp", "long_period_s", dcp.long_period_s);
-  dcp.short_period_s = get_positive(ini, "dcp", "short_period_s", dcp.short_period_s);
-  dcp.safety_margin = get_finite(ini, "dcp", "safety_margin", dcp.safety_margin);
-  dcp.scale_down_patience =
-      get_unsigned(ini, "dcp", "scale_down_patience", dcp.scale_down_patience);
-  dcp.auto_patience_from_break_even = ini.get_bool_or(
-      "dcp", "auto_patience_from_break_even", dcp.auto_patience_from_break_even);
-  dcp.validate();
-  return dcp;
-}
-
 HeteroConfig hetero_config_from_ini(const IniFile& ini) {
+  reject_unknown(ini, kHeteroSchema);
   HeteroConfig config;
   config.t_ref_s = get_positive(ini, "cluster", "t_ref_ms", 100.0) / 1e3;
   for (const std::string& section : ini.section_names()) {
@@ -138,20 +179,7 @@ HeteroConfig hetero_config_from_ini(const IniFile& ini) {
     sc.power.utilization_gated =
         ini.get_bool_or(section, "utilization_gated", sc.power.utilization_gated);
     if (const auto levels = ini.get(section, "levels_ghz")) {
-      std::vector<double> ghz;
-      for (const auto piece : split(*levels, ' ')) {
-        const auto trimmed = trim(piece);
-        if (trimmed.empty()) continue;
-        const auto value = parse_double(trimmed);
-        if (!value || !std::isfinite(*value) || !(*value > 0.0)) {
-          throw std::runtime_error(
-              gc::format("config: bad ladder level '{}' (need a finite positive "
-                         "frequency)",
-                         std::string(trimmed)));
-        }
-        ghz.push_back(*value);
-      }
-      sc.ladder = FrequencyLadder(std::move(ghz));
+      sc.ladder = parse_levels(*levels);
     }
     config.classes.push_back(std::move(sc));
   }
@@ -160,48 +188,6 @@ HeteroConfig hetero_config_from_ini(const IniFile& ini) {
   }
   config.validate();
   return config;
-}
-
-IniFile to_ini(const ClusterConfig& config, const DcpParams& dcp) {
-  IniFile ini;
-  ini.set("cluster", "max_servers", gc::format("{}", config.max_servers));
-  ini.set("cluster", "mu_max", gc::format("{:.9g}", config.mu_max));
-  ini.set("cluster", "t_ref_ms", gc::format("{:.9g}", config.t_ref_s * 1e3));
-  ini.set("cluster", "min_servers", gc::format("{}", config.min_servers));
-  ini.set("cluster", "perf_model",
-          config.perf_model == PerfModel::kMm1PerServer ? "mm1" : "mmc");
-
-  ini.set("power", "p_idle_w", gc::format("{:.9g}", config.power.p_idle_watts));
-  ini.set("power", "p_max_w", gc::format("{:.9g}", config.power.p_max_watts));
-  ini.set("power", "p_off_w", gc::format("{:.9g}", config.power.p_off_watts));
-  ini.set("power", "alpha", gc::format("{:.9g}", config.power.alpha));
-  ini.set("power", "utilization_gated",
-          config.power.utilization_gated ? "true" : "false");
-
-  if (config.ladder.is_continuous()) {
-    ini.set("ladder", "continuous_min_speed",
-            gc::format("{:.9g}", config.ladder.min_speed()));
-  } else {
-    std::ostringstream levels;
-    for (std::size_t i = 0; i < config.ladder.num_levels(); ++i) {
-      if (i != 0) levels << ' ';
-      levels << gc::format("{:.9g}", config.ladder.levels_ghz()[i]);
-    }
-    ini.set("ladder", "levels_ghz", levels.str());
-  }
-
-  ini.set("transition", "boot_delay_s",
-          gc::format("{:.9g}", config.transition.boot_delay_s));
-  ini.set("transition", "shutdown_delay_s",
-          gc::format("{:.9g}", config.transition.shutdown_delay_s));
-
-  ini.set("dcp", "long_period_s", gc::format("{:.9g}", dcp.long_period_s));
-  ini.set("dcp", "short_period_s", gc::format("{:.9g}", dcp.short_period_s));
-  ini.set("dcp", "safety_margin", gc::format("{:.9g}", dcp.safety_margin));
-  ini.set("dcp", "scale_down_patience", gc::format("{}", dcp.scale_down_patience));
-  ini.set("dcp", "auto_patience_from_break_even",
-          dcp.auto_patience_from_break_even ? "true" : "false");
-  return ini;
 }
 
 }  // namespace gc

@@ -1,4 +1,4 @@
-// ClusterConfig / DcpParams <-> INI files.
+// INI files -> ClusterConfig / HeteroConfig.
 //
 // Lets operators keep cluster descriptions in version control and feed
 // them to the examples (`capacity_planner --config pod.ini`).  Format:
@@ -24,20 +24,14 @@
 //   boot_delay_s = 8
 //   shutdown_delay_s = 2
 //
-//   [dcp]
-//   long_period_s = 25
-//   short_period_s = 5
-//   safety_margin = 1.15
-//   scale_down_patience = 2
-//   auto_patience_from_break_even = false
-//
 // Missing keys fall back to the in-code defaults; the result is validated.
+// Keys are strict: a section or key the reader does not know (a typo such
+// as `max_server` or `[clas b]`) is an error naming the section, the key
+// and the line, never a silently ignored default.  The files are read,
+// never written.
 #pragma once
 
-#include <string>
-
 #include "core/cluster_config.h"
-#include "core/dcp.h"
 #include "core/hetero.h"
 #include "util/ini.h"
 
@@ -45,15 +39,12 @@ namespace gc {
 
 // Throws std::runtime_error / std::invalid_argument on malformed input.
 [[nodiscard]] ClusterConfig cluster_config_from_ini(const IniFile& ini);
-[[nodiscard]] DcpParams dcp_params_from_ini(const IniFile& ini);
-
-// Serialization (round-trips through the parser).
-[[nodiscard]] IniFile to_ini(const ClusterConfig& config, const DcpParams& dcp);
 
 // Heterogeneous fleets: one `[class NAME]` section per server class, with
 // count / mu_max / p_idle_w / p_max_w / p_off_w / alpha /
-// utilization_gated / levels_ghz; `[cluster] t_ref_ms` applies fleet-wide.
-// Throws if no class sections are present.
+// utilization_gated / levels_ghz; `[cluster] t_ref_ms` applies fleet-wide
+// and is the only key `[cluster]` may hold here.  Throws if no class
+// sections are present.
 [[nodiscard]] HeteroConfig hetero_config_from_ini(const IniFile& ini);
 
 }  // namespace gc

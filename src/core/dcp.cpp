@@ -40,10 +40,6 @@ OperatingPoint DcpPlanner::plan_point(double predicted_rate) const {
   return provisioner_->solve(padded);
 }
 
-unsigned DcpPlanner::plan_servers(double predicted_rate) const {
-  return plan_point(predicted_rate).servers;
-}
-
 OperatingPoint DcpPlanner::plan_speed(double current_rate, unsigned serving) const {
   GC_CHECK(current_rate >= 0.0 && std::isfinite(current_rate),
            "plan_speed: bad current rate");

@@ -54,14 +54,11 @@ class DcpPlanner {
   // itself plus the boot delay of the capacity it orders.
   [[nodiscard]] double prediction_horizon() const noexcept;
 
-  // Long-period decision: target active-server count for predicted rate
-  // `predicted_rate` (already a per-horizon aggregate, e.g. the predictor's
-  // max or mean — the caller chooses the predictor).
-  [[nodiscard]] unsigned plan_servers(double predicted_rate) const;
-
-  // Same decision with the full solver verdict: controllers that must
-  // report infeasibility (ControlAction::infeasible) read `feasible` off
-  // the returned point instead of discarding it.
+  // Long-period decision: the operating point (target active-server count
+  // and speed) for predicted rate `predicted_rate`, already a per-horizon
+  // aggregate (e.g. the predictor's max or mean — the caller chooses the
+  // predictor).  Controllers that must report infeasibility
+  // (ControlAction::infeasible) read `feasible` off the returned point.
   [[nodiscard]] OperatingPoint plan_point(double predicted_rate) const;
 
   // Short-period decision: cheapest feasible common speed for the servers

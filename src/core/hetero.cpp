@@ -43,21 +43,10 @@ double HeteroConfig::max_feasible_arrival_rate() const {
   return total;
 }
 
-unsigned HeteroOperatingPoint::total_active() const noexcept {
-  unsigned total = 0;
-  for (const ClassAllocation& a : allocations) total += a.servers;
-  return total;
-}
-
 HeteroProvisioner::HeteroProvisioner(HeteroConfig config) : config_(std::move(config)) {
   config_.validate();
   power_models_.reserve(config_.classes.size());
   for (const ServerClass& sc : config_.classes) power_models_.emplace_back(sc.power);
-}
-
-double HeteroProvisioner::class_capacity(std::size_t c, unsigned n) const {
-  const double per_server = config_.classes[c].mu_max - 1.0 / config_.t_ref_s;
-  return per_server > 0.0 ? static_cast<double>(n) * per_server : 0.0;
 }
 
 std::optional<ClassAllocation> HeteroProvisioner::class_allocation(std::size_t c,
@@ -288,98 +277,6 @@ HeteroOperatingPoint HeteroProvisioner::solve(double lambda) const {
         if (point && point->power_watts < next_power) {
           next = candidate;
           next_power = point->power_watts;
-          improved = true;
-        }
-      }
-      if (improved) {
-        counts = next;
-        consider(counts);
-      }
-    }
-  }
-  if (!best) return best_effort(lambda);
-  return *best;
-}
-
-HeteroOperatingPoint HeteroProvisioner::solve_wear(
-    double lambda, const std::vector<unsigned>& committed, double horizon_s,
-    const ReliabilityOptions& reliability) const {
-  GC_CHECK(lambda >= 0.0 && std::isfinite(lambda), "solve_wear: bad lambda");
-  GC_CHECK(committed.size() == config_.classes.size(),
-           "solve_wear: committed size mismatch");
-  GC_CHECK(horizon_s > 0.0 && std::isfinite(horizon_s),
-           "solve_wear: bad horizon");
-  const std::size_t k = config_.classes.size();
-  const WearModel wear(reliability);
-
-  if (lambda > config_.max_feasible_arrival_rate() * (1.0 + 1e-12)) {
-    return best_effort(lambda);
-  }
-
-  // Amortized wear rate of moving the committed fleet to `counts`: each
-  // class charges its budget-scaled per-transition cost, spread over the
-  // planning horizon so it is commensurable with watts.
-  const auto wear_rate_w = [&](const std::vector<unsigned>& counts) {
-    double joules = 0.0;
-    for (std::size_t c = 0; c < counts.size(); ++c) {
-      const unsigned delta = counts[c] > committed[c] ? counts[c] - committed[c]
-                                                      : committed[c] - counts[c];
-      joules += wear.class_transition_cost_j(c, delta);
-    }
-    return joules / horizon_s;
-  };
-
-  // Same enumeration as solve(), selecting on power + wear instead of
-  // power alone (the reported power_watts stays physical).
-  std::optional<HeteroOperatingPoint> best;
-  double best_objective = std::numeric_limits<double>::infinity();
-  auto consider = [&](const std::vector<unsigned>& counts) {
-    const auto point = evaluate_counts(lambda, counts);
-    if (!point) return;
-    const double objective = point->power_watts + wear_rate_w(counts);
-    if (!best || objective < best_objective) {
-      best = point;
-      best_objective = objective;
-    }
-  };
-
-  if (k <= 2) {
-    std::vector<unsigned> counts(k, 0);
-    if (k == 1) {
-      for (unsigned n = 0; n <= config_.classes[0].count; ++n) {
-        counts[0] = n;
-        consider(counts);
-      }
-    } else {
-      for (unsigned a = 0; a <= config_.classes[0].count; ++a) {
-        for (unsigned b = 0; b <= config_.classes[1].count; ++b) {
-          counts[0] = a;
-          counts[1] = b;
-          consider(counts);
-        }
-      }
-    }
-  } else {
-    // Greedy descent from everything-on on the combined objective.
-    std::vector<unsigned> counts;
-    counts.reserve(k);
-    for (const ServerClass& sc : config_.classes) counts.push_back(sc.count);
-    consider(counts);
-    bool improved = true;
-    while (improved && best) {
-      improved = false;
-      std::vector<unsigned> next = counts;
-      double next_objective = best_objective;
-      for (std::size_t c = 0; c < k; ++c) {
-        if (counts[c] == 0) continue;
-        std::vector<unsigned> candidate = counts;
-        --candidate[c];
-        const auto point = evaluate_counts(lambda, candidate);
-        if (!point) continue;
-        const double objective = point->power_watts + wear_rate_w(candidate);
-        if (objective < next_objective) {
-          next = candidate;
-          next_objective = objective;
           improved = true;
         }
       }

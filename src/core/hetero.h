@@ -28,7 +28,6 @@
 
 #include "core/cluster_config.h"
 #include "core/provisioner.h"
-#include "core/reliability.h"
 
 namespace gc {
 
@@ -63,8 +62,6 @@ struct HeteroOperatingPoint {
   std::vector<ClassAllocation> allocations;
   double power_watts = 0.0;  // cluster total
   bool feasible = false;
-
-  [[nodiscard]] unsigned total_active() const noexcept;
 };
 
 class HeteroProvisioner {
@@ -84,27 +81,12 @@ class HeteroProvisioner {
   [[nodiscard]] std::optional<HeteroOperatingPoint> evaluate_counts(
       double lambda, const std::vector<unsigned>& counts) const;
 
-  // Wear-aware solve: minimizes power *plus* the amortized per-class
-  // transition cost of moving from the `committed` count vector — classes
-  // with tighter cycles-to-failure budgets
-  // (ReliabilityOptions::class_cycles_to_failure) pay proportionally more
-  // per boot/shutdown (WearModel::class_transition_cost_j), so required
-  // growth and shrinkage land on the classes with lifetime to spare.  The
-  // returned power_watts stays physical (the wear term only steers the
-  // search).  With cycle_cost_j = 0 this is solve() exactly; infeasible
-  // load degrades to the same best-effort point.
-  [[nodiscard]] HeteroOperatingPoint solve_wear(
-      double lambda, const std::vector<unsigned>& committed, double horizon_s,
-      const ReliabilityOptions& reliability) const;
-
  private:
   // Cheapest power for class c carrying `load` on `n` servers (speed
   // rounded up on the class ladder); nullopt if infeasible.
   [[nodiscard]] std::optional<ClassAllocation> class_allocation(std::size_t c,
                                                                 unsigned n,
                                                                 double load) const;
-  // Max SLA-feasible load for n servers of class c.
-  [[nodiscard]] double class_capacity(std::size_t c, unsigned n) const;
 
   [[nodiscard]] HeteroOperatingPoint best_effort(double lambda) const;
 

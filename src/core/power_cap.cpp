@@ -11,12 +11,6 @@ PowerCapSolver::PowerCapSolver(const Provisioner* provisioner)
   GC_CHECK(provisioner != nullptr, "PowerCapSolver: null provisioner");
 }
 
-std::optional<double> PowerCapSolver::min_power_for_rate(double lambda) const {
-  const OperatingPoint pt = provisioner_->solve(lambda);
-  if (!pt.feasible) return std::nullopt;
-  return pt.power_watts;
-}
-
 double PowerCapSolver::max_supportable_rate(double cap_watts) const {
   GC_CHECK(cap_watts >= 0.0 && std::isfinite(cap_watts), "bad power cap");
   const double lambda_max = provisioner_->config().max_feasible_arrival_rate();

@@ -35,10 +35,6 @@ class PowerCapSolver {
   [[nodiscard]] std::optional<OperatingPoint> best_point_under_cap(
       double lambda, double cap_watts) const;
 
-  // Cheapest power at which `lambda` is servable at all (the y-value of
-  // the capacity curve): solve(λ).power for feasible λ, nullopt otherwise.
-  [[nodiscard]] std::optional<double> min_power_for_rate(double lambda) const;
-
  private:
   const Provisioner* provisioner_;  // non-owning
 };

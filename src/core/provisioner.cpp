@@ -29,20 +29,6 @@ Provisioner::Provisioner(ClusterConfig config)
   cache_.resize(kCacheSlots);
 }
 
-void Provisioner::set_config(ClusterConfig config) {
-  config_ = std::move(config);
-  config_.validate();
-  power_model_ = PowerModel(config_.power);
-  cache_quantum_ =
-      std::max(config_.max_feasible_arrival_rate(), 1.0) / 65536.0;
-  invalidate_cache();
-}
-
-void Provisioner::invalidate_cache() noexcept {
-  for (CacheEntry& entry : cache_) entry.op = CacheOp::kEmpty;
-  for (ReliableCacheEntry& entry : reliable_cache_) entry.valid = false;
-}
-
 std::size_t Provisioner::cache_slot(double lambda, unsigned m, CacheOp op) const {
   // λ enters the slot hash *quantized*: nearby rates that round to the
   // same bucket compete for one slot, exact equality is still required to

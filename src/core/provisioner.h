@@ -30,6 +30,8 @@
 // (zero approximation error — see DESIGN.md §"Performance engineering").
 // Controllers re-solve the same measured rates constantly (integer arrival
 // counts over fixed tick periods), which is what makes the cache pay.
+// The configuration is fixed at construction, so a cached point can never
+// outlive the config that produced it and the cache has no invalidation.
 //
 // Thread-safety: the cache mutates under const solver calls, so a
 // Provisioner must not be shared across threads without external
@@ -69,14 +71,6 @@ class Provisioner {
   explicit Provisioner(ClusterConfig config);
 
   [[nodiscard]] const ClusterConfig& config() const noexcept { return config_; }
-
-  // Replaces the configuration (validated) and invalidates the memo cache:
-  // cached operating points are only meaningful against the config that
-  // produced them.
-  void set_config(ClusterConfig config);
-
-  // Drops every memoized operating point (hit/miss stats survive).
-  void invalidate_cache() noexcept;
 
   [[nodiscard]] const SolverCacheStats& cache_stats() const noexcept {
     return cache_stats_;

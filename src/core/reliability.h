@@ -4,7 +4,7 @@
 // Two physical effects the energy-only solver ignores:
 //
 //   * Wear-out.  Every on/off transition consumes component lifetime
-//     (thermal cycling, spin-up stress).  A server class is given a
+//     (thermal cycling, spin-up stress).  A server is given a
 //     cycles-to-failure budget N_cyc; each boot or shutdown charges half
 //     a cycle, so the lifetime fraction consumed after B boots and S
 //     shutdowns is 0.5 (B + S) / N_cyc.  The solver translates that into
@@ -26,7 +26,7 @@
 //
 // Everything here is pure arithmetic over the options struct: no RNG, no
 // clock, no global state — determinism-golden safe by construction.
-// Deliberately header-only (to_string aside): the simulation layer reads
+// Deliberately header-only: the simulation layer reads
 // wear fractions for its observability scalars without taking a link
 // dependency on gc_core (sim/ sits below core/ in the module graph).
 #pragma once
@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
-#include <vector>
 
 #include "core/operating_point.h"
 #include "util/format.h"
@@ -61,9 +60,6 @@ struct ReliabilityOptions {
   // objective (amortized over the planning horizon).  0 = wear ignored by
   // the solver even when cycles_to_failure tracks it.
   double cycle_cost_j = 0.0;
-  // Heterogeneous fleets: per-class cycles-to-failure overrides, indexed
-  // by server class; empty = every class uses `cycles_to_failure`.
-  std::vector<double> class_cycles_to_failure;
 
   [[nodiscard]] bool operator==(const ReliabilityOptions&) const = default;
 
@@ -117,15 +113,6 @@ struct ReliabilityOptions {
           "reliability: cycle_cost_j must be finite and >= 0 (got {})",
           cycle_cost_j));
     }
-    for (std::size_t i = 0; i < class_cycles_to_failure.size(); ++i) {
-      const double cycles = class_cycles_to_failure[i];
-      if (!std::isfinite(cycles) || cycles < 0.0) {
-        throw std::invalid_argument(gc::format(
-            "reliability: class {} cycles_to_failure must be finite and >= 0 "
-            "(got {})",
-            i, cycles));
-      }
-    }
   }
 };
 
@@ -174,21 +161,14 @@ class WearModel {
     options_.validate();
   }
 
-  [[nodiscard]] bool enabled() const noexcept {
-    if (options_.cycles_to_failure > 0.0) return true;
-    for (const double cycles : options_.class_cycles_to_failure) {
-      if (cycles > 0.0) return true;
-    }
-    return false;
-  }
+  [[nodiscard]] bool enabled() const noexcept { return options_.cycles_to_failure > 0.0; }
 
-  // Lifetime fraction one server of a simulated (homogeneous, so class 0)
-  // fleet has consumed after the given transition counts (0 when wear
-  // tracking is off).  Uncapped: a value above 1 means the budget is
-  // exhausted.
+  // Lifetime fraction one server has consumed after the given transition
+  // counts (0 when wear tracking is off).  Uncapped: a value above 1 means
+  // the budget is exhausted.
   [[nodiscard]] double wear_fraction(std::uint64_t boots,
                                      std::uint64_t shutdowns) const noexcept {
-    const double cycles = cycles_for(0);
+    const double cycles = options_.cycles_to_failure;
     if (!(cycles > 0.0)) return 0.0;
     // A boot or a shutdown is each half of one full on/off cycle.
     return 0.5 * static_cast<double>(boots + shutdowns) / cycles;
@@ -200,42 +180,7 @@ class WearModel {
     return 0.5 * options_.cycle_cost_j * static_cast<double>(delta);
   }
 
-  // The budget `cycle_cost_j` is calibrated against: the global
-  // cycles_to_failure when set, otherwise the largest per-class budget.
-  // A class at the reference budget pays exactly cycle_cost_j per full
-  // cycle; tighter classes pay proportionally more (each of their cycles
-  // consumes proportionally more lifetime fraction).
-  [[nodiscard]] double reference_cycles() const noexcept {
-    double reference = options_.cycles_to_failure;
-    for (const double cycles : options_.class_cycles_to_failure) {
-      if (cycles > reference) reference = cycles;
-    }
-    return reference;
-  }
-
-  // Per-class transition cost: transition_cost_j scaled by how much of
-  // `server_class`'s lifetime each cycle consumes relative to the
-  // reference budget.  Classes without a budget (wear untracked) pay the
-  // unscaled cost, so enabling per-class budgets only ever differentiates
-  // classes, never silently exempts one.
-  [[nodiscard]] double class_transition_cost_j(std::size_t server_class,
-                                               unsigned delta) const noexcept {
-    const double cycles = cycles_for(server_class);
-    const double reference = reference_cycles();
-    const double scale =
-        (cycles > 0.0 && reference > 0.0) ? reference / cycles : 1.0;
-    return scale * transition_cost_j(delta);
-  }
-
  private:
-  [[nodiscard]] double cycles_for(std::size_t server_class) const noexcept {
-    if (server_class < options_.class_cycles_to_failure.size()) {
-      const double cycles = options_.class_cycles_to_failure[server_class];
-      if (cycles > 0.0) return cycles;
-    }
-    return options_.cycles_to_failure;
-  }
-
   ReliabilityOptions options_;
 };
 
@@ -246,7 +191,6 @@ enum class BindingConstraint : std::uint8_t {
   kAvailability = 2,  // spare pool forced by availability >= A_ref
   kCapacity = 3,      // fleet cap: latency or availability target unmet
 };
-[[nodiscard]] const char* to_string(BindingConstraint binding) noexcept;
 
 // Result of Provisioner::solve_reliable: the energy-optimal base point
 // plus the solved spare pool and the constraint that bound the search.

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "cp/snapshot.h"
-#include "obs/prometheus.h"
 
 namespace gc {
 
@@ -225,11 +224,6 @@ CountersSnapshot ControlPlane::counters_snapshot() const {
   snap.add_gauge("cp.telemetry.stale", staleness_.stale() ? 1.0 : 0.0);
   lifecycle_.counters_into(snap);
   return snap;
-}
-
-std::string ControlPlane::prometheus_text() const {
-  return to_prometheus_text(counters_snapshot(),
-                            lifecycle_.prometheus_histograms());
 }
 
 }  // namespace gc

@@ -188,11 +188,9 @@ class ControlPlane {
   // is where the Prometheus exposition of the control plane now lives —
   // obs/prometheus renders the same snapshot for every driver instead of
   // each one hand-picking registry entries.
+  // Render it with lifecycle().prometheus_histograms() through
+  // to_prometheus_text() for a scraper.
   [[nodiscard]] CountersSnapshot counters_snapshot() const;
-  // counters_snapshot() plus the lifecycle per-stage latency histograms
-  // rendered as proper Prometheus histogram types (cumulative
-  // `_bucket{le}`/`_sum`/`_count`), not quantile gauges only.
-  [[nodiscard]] std::string prometheus_text() const;
 
  private:
   std::unique_ptr<Controller> owned_;  // null when borrowing

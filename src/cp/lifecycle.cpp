@@ -72,12 +72,6 @@ void DropAttribution::counters_into(CountersSnapshot& snap) const {
   snap.add_counter("cp.drop.total", total());
 }
 
-void DropAttribution::clear() noexcept {
-  for (auto& row : cells_) {
-    for (std::uint64_t& cell : row) cell = 0;
-  }
-}
-
 void LifecycleTracker::end_span(double now, const CommandLifecycle& rec) {
   trace_async_end(trace_, now, "cp.lifecycle", span_name(rec.kind), span_id(rec));
 }
@@ -252,10 +246,6 @@ std::vector<CommandLifecycle> LifecycleTracker::records() const {
   return out;
 }
 
-void LifecycleTracker::export_jsonl(std::ostream& os) const {
-  write_lifecycle_jsonl(os, records());
-}
-
 void write_lifecycle_jsonl(std::ostream& os,
                            const std::vector<CommandLifecycle>& records) {
   // Rendered into one buffer and written once; append_g is %.17g, which
@@ -332,21 +322,6 @@ std::vector<PrometheusHistogram> LifecycleTracker::prometheus_histograms()
       {"cp.lifecycle.e2e_seconds", &e2e_},
       {"cp.lifecycle.obs_age_seconds", &obs_age_},
   };
-}
-
-void LifecycleTracker::clear() noexcept {
-  for (LaneMap& lane : open_) lane.clear();
-  done_.clear();
-  evicted_ = 0;
-  for (std::uint64_t& seq : frame_seq_) seq = 0;
-  attribution_.clear();
-  ack_latency_.clear();
-  apply_latency_.clear();
-  ack_to_apply_.clear();
-  e2e_.clear();
-  obs_age_.clear();
-  issued_ = retransmits_ = acked_ = applied_ = 0;
-  completed_ = superseded_ = reconciled_ = late_events_ = 0;
 }
 
 }  // namespace gc

@@ -88,7 +88,6 @@ class DropAttribution {
   // Emits `cp.drop.<frame>.<cause>` for every non-zero cell (deterministic
   // enum order) plus the always-present `cp.drop.total`.
   void counters_into(CountersSnapshot& snap) const;
-  void clear() noexcept;
 
  private:
   std::uint64_t cells_[kNumFrameClasses][kNumDropCauses] = {};
@@ -165,15 +164,12 @@ class LifecycleTracker {
 
   // Closes every still-open record (state preserved: a record that never
   // confirmed stays "in-flight" in the export).  Call once at end of run
-  // before records()/export_jsonl().
+  // before records().
   void finalize_all(double now);
 
-  // All records, closed and open, ordered by (issued_s, id).
+  // All records, closed and open, ordered by (issued_s, id); render them
+  // with write_lifecycle_jsonl below.
   [[nodiscard]] std::vector<CommandLifecycle> records() const;
-  // One JSON object per record, the `gcinspect --lifecycle` input.
-  // (write_lifecycle_jsonl below renders an already-extracted vector — the
-  // benches keep records in SimResult, not the tracker.)
-  void export_jsonl(std::ostream& os) const;
 
   // -- read-out --------------------------------------------------------------
   [[nodiscard]] const DropAttribution& attribution() const noexcept {
@@ -205,8 +201,6 @@ class LifecycleTracker {
   // The per-stage histograms named for Prometheus exposition, e.g.
   // cp.lifecycle.ack_latency_seconds — pass to to_prometheus_text().
   [[nodiscard]] std::vector<PrometheusHistogram> prometheus_histograms() const;
-
-  void clear() noexcept;
 
  private:
   // Open records per lane, keyed by generation.  Records stay here after a
@@ -242,8 +236,9 @@ class LifecycleTracker {
   std::uint64_t late_events_ = 0;
 };
 
-// Renders a record vector in the export_jsonl format — used by the benches
-// to write `<prefix>.lifecycle.jsonl` from SimResult::command_lifecycles.
+// Renders records one JSON object per line, the `gcinspect --lifecycle`
+// input — used by the benches to write `<prefix>.lifecycle.jsonl` from
+// SimResult::command_lifecycles.
 void write_lifecycle_jsonl(std::ostream& os,
                            const std::vector<CommandLifecycle>& records);
 

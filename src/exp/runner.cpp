@@ -1,9 +1,7 @@
 #include "exp/runner.h"
 
-#include "sim/sharded.h"
 #include "util/assert.h"
 #include "util/thread_pool.h"
-#include "workload/trace.h"
 
 namespace gc {
 
@@ -44,43 +42,6 @@ SimResult run_one(const Scenario& scenario, const RunSpec& spec) {
   result.solver_cache_hit_rate = cache.hit_rate();
   // Fold the solver-side counters into the run's snapshot so one JSON dump
   // carries the whole observability picture (DESIGN.md §7).
-  result.counters.add_counter("solver.cache.hits", cache.hits);
-  result.counters.add_counter("solver.cache.misses", cache.misses);
-  result.counters.add_gauge("solver.cache.hit_rate", cache.hit_rate());
-  return result;
-}
-
-SimResult run_one_sharded(const Scenario& scenario, const RunSpec& spec,
-                          unsigned num_shards) {
-  spec.config.validate();
-  Provisioner provisioner(spec.config);
-  const auto controller =
-      spec.policy == PolicyKind::kOracle
-          ? make_oracle_policy(&provisioner, spec.policy_options, scenario.profile)
-          : make_policy(spec.policy, &provisioner, spec.policy_options);
-
-  ClusterOptions cluster;
-  cluster.num_servers = spec.config.max_servers;
-  cluster.power = spec.config.power;
-  cluster.transition = spec.config.transition;
-  cluster.initial_active = spec.config.max_servers;
-  cluster.initial_speed = 1.0;
-  cluster.dispatch_seed = spec.seed ^ 0x9e3779b97f4a7c15ULL;
-
-  const Trace trace =
-      Trace::from_profile(*scenario.profile, scenario.horizon_s, spec.seed);
-  const Distribution job_size =
-      spec.job_size ? *spec.job_size
-                    : Distribution::exponential(spec.config.mu_max);
-  ShardedOptions sharded;
-  sharded.num_shards = num_shards;
-  SimResult result =
-      run_sharded_simulation(trace, job_size, spec.seed, cluster, *controller,
-                             spec.effective_sim_options(), sharded);
-  const SolverCacheStats& cache = provisioner.cache_stats();
-  result.solver_cache_hits = cache.hits;
-  result.solver_cache_misses = cache.misses;
-  result.solver_cache_hit_rate = cache.hit_rate();
   result.counters.add_counter("solver.cache.hits", cache.hits);
   result.counters.add_counter("solver.cache.misses", cache.misses);
   result.counters.add_gauge("solver.cache.hit_rate", cache.hit_rate());

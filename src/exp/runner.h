@@ -33,17 +33,6 @@ struct RunSpec {
 // Runs one simulation of `scenario` under `spec`.
 [[nodiscard]] SimResult run_one(const Scenario& scenario, const RunSpec& spec);
 
-// Runs one *sharded* simulation of `scenario` under `spec` with K shards
-// (sim/sharded.h): the scenario profile is sampled into a concrete arrival
-// trace with the cell seed and replayed through run_sharded_simulation.
-// Output is independent of `num_shards`; note the sharded engine is a
-// distinct model from run_one (round-robin trace dispatch — spec.dispatch
-// is ignored; DESIGN.md §11.1), so cells from the two runners are not
-// directly comparable.
-[[nodiscard]] SimResult run_one_sharded(const Scenario& scenario,
-                                        const RunSpec& spec,
-                                        unsigned num_shards);
-
 // Runs all specs (each against its paired scenario) in parallel; results
 // are positionally aligned with the inputs and independent of thread count.
 struct Cell {

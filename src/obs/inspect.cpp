@@ -316,7 +316,7 @@ void print_diff(std::ostream& os, const RunArtifacts& a,
 
 namespace {
 
-// Minimal per-line JSON object scanner for the tracker's export_jsonl
+// Minimal per-line JSON object scanner for write_lifecycle_jsonl's
 // format: flat objects whose values are numbers or plain strings.
 struct LifecycleLineParser {
   std::string_view text;

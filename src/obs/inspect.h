@@ -103,7 +103,7 @@ struct LifecycleRow {
   std::string state;            // "completed" | "superseded" | "reconciled" | ...
 };
 
-// Parses the tracker's export_jsonl output.  Throws std::runtime_error on
+// Parses write_lifecycle_jsonl's output.  Throws std::runtime_error on
 // unreadable files or malformed lines; unknown keys are ignored.
 [[nodiscard]] std::vector<LifecycleRow> parse_lifecycle_jsonl(
     std::string_view text);

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/format.h"
-
 namespace gc {
 
 namespace {
@@ -296,50 +294,6 @@ CsvTable TimeSeriesRecorder::to_csv_table() const {
 
 void TimeSeriesRecorder::write_csv(const std::filesystem::path& path) const {
   write_csv_file(path, to_csv_table());
-}
-
-std::string TimeSeriesRecorder::to_json() const {
-  // Straight from the column store (plus the pending partial row, as
-  // to_csv_table() emits it): no intermediate table.
-  const bool pending = pending_count_ > 0;
-  std::string out = "{\"stride\": ";
-  out.reserve(64 + kNumColumns * (32 + 24 * (num_rows_ + 1)));
-  append_u64(out, stride_);
-  out += ", \"periods\": ";
-  append_u64(out, periods_);
-  out += ", \"columns\": {";
-  const auto& names = column_names();
-  for (std::size_t col = 0; col < kNumColumns; ++col) {
-    if (col != 0) out += ", ";
-    out += '"';
-    out += names[col];
-    out += "\": [";
-    const std::vector<double>& column = columns_[col];
-    for (std::size_t row = 0; row < num_rows_; ++row) {
-      if (row != 0) out += ", ";
-      append_g(out, column[row]);
-    }
-    if (pending) {
-      if (num_rows_ != 0) out += ", ";
-      append_g(out, pending_[col]);
-    }
-    out += ']';
-  }
-  out += "}}";
-  return out;
-}
-
-void TimeSeriesRecorder::clear() noexcept {
-  for (auto& column : columns_) column.clear();
-  num_rows_ = 0;
-  periods_ = 0;
-  stride_ = 1;
-  pending_.assign(kNumColumns, 0.0);
-  pending_count_ = 0;
-  last_sample_time_ = 0.0;
-  have_sample_ = false;
-  rolling_.clear();
-  rolling_hits_ = 0;
 }
 
 }  // namespace gc

@@ -136,14 +136,10 @@ class TimeSeriesRecorder {
   // partial stride; this accessor does not).
   [[nodiscard]] double value(Col col, std::size_t row) const;
 
-  // Exports: CSV (util/csv, `t` first column) and columnar JSON
-  // {"stride": k, "columns": {name: [...]}}.  Both include the pending
+  // Export: CSV (util/csv, `t` first column), including the pending
   // partial stride as a final row.
   [[nodiscard]] CsvTable to_csv_table() const;
   void write_csv(const std::filesystem::path& path) const;
-  [[nodiscard]] std::string to_json() const;
-
-  void clear() noexcept;
 
  private:
   using Row = std::vector<double>;  // kNumColumns wide

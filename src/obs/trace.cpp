@@ -128,12 +128,6 @@ std::vector<TraceRecord> TraceCollector::records() const {
   return out;
 }
 
-void TraceCollector::clear() noexcept {
-  ring_.clear();  // keeps the reserved capacity
-  head_ = 0;
-  emitted_ = 0;
-}
-
 std::string TraceCollector::to_chrome_json() const {
   // Chrome's JSON object format: displayTimeUnit/metadata are optional but
   // make Perfetto label the axis in milliseconds of simulated time.

@@ -94,8 +94,6 @@ class TraceCollector {
   // Records in emission order, oldest first.
   [[nodiscard]] std::vector<TraceRecord> records() const;
 
-  void clear() noexcept;
-
   // Chrome trace_event JSON ({"traceEvents": [...], ...}); `write_*` throws
   // std::runtime_error on I/O failure.
   [[nodiscard]] std::string to_chrome_json() const;

@@ -2,35 +2,19 @@
 //
 // Each active cluster server behind an even load balancer is modeled as an
 // M/M/1 queue with service rate s·μ_max — the performance model underlying
-// the paper's optimization (DESIGN.md §1.1).  These formulas are also the
-// oracles the simulator-validation property tests compare against.
+// the paper's optimization (DESIGN.md §1.1).  The solver needs stability
+// and the mean response time; the further closed forms the simulator
+// validation compares against live in tests/support/queueing.h.
 #pragma once
 
 namespace gc {
 namespace mm1 {
 
-// ρ = λ/μ.  All functions require a stable queue (ρ < 1) unless noted.
-[[nodiscard]] double utilization(double lambda, double mu) noexcept;
+// ρ = λ/μ < 1.
 [[nodiscard]] bool stable(double lambda, double mu) noexcept;
 
-// Mean number in system L = ρ/(1-ρ).
-[[nodiscard]] double mean_number_in_system(double lambda, double mu);
-
-// Mean response (sojourn) time T = 1/(μ-λ).
+// Mean response (sojourn) time T = 1/(μ-λ); requires a stable queue.
 [[nodiscard]] double mean_response_time(double lambda, double mu);
-
-// Mean waiting time W = T - 1/μ.
-[[nodiscard]] double mean_waiting_time(double lambda, double mu);
-
-// P(T > t) = exp(-(μ-λ)t): response time is exponential in M/M/1-FCFS.
-[[nodiscard]] double response_time_tail(double lambda, double mu, double t);
-
-// p-quantile of the response time.
-[[nodiscard]] double response_time_quantile(double lambda, double mu, double p);
-
-// Minimal service rate μ such that mean response time <= t_ref.
-// This is the inversion at the heart of the solver: μ = λ + 1/t_ref.
-[[nodiscard]] double required_service_rate(double lambda, double t_ref);
 
 }  // namespace mm1
 }  // namespace gc

@@ -1,6 +1,5 @@
 #include "queueing/mmc.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace gc {
@@ -38,21 +37,6 @@ double mean_waiting_time(double lambda, double mu, unsigned c) {
 
 double mean_response_time(double lambda, double mu, unsigned c) {
   return mean_waiting_time(lambda, mu, c) + 1.0 / mu;
-}
-
-double mean_number_in_system(double lambda, double mu, unsigned c) {
-  return lambda * mean_response_time(lambda, mu, c);
-}
-
-unsigned min_servers_for_response_time(double lambda, double mu, double t_ref,
-                                       unsigned c_max) {
-  require(lambda >= 0.0 && mu > 0.0 && t_ref > 0.0 && c_max > 0, "mmc: invalid arguments");
-  if (1.0 / mu > t_ref) return 0;  // service time alone exceeds the target
-  for (unsigned c = 1; c <= c_max; ++c) {
-    if (!stable(lambda, mu, c)) continue;
-    if (mean_response_time(lambda, mu, c) <= t_ref) return c;
-  }
-  return 0;
 }
 
 }  // namespace mmc

@@ -3,7 +3,7 @@
 // Used (a) as an alternative, less conservative performance model for the
 // solver (a cluster with join-shortest-queue dispatch behaves between
 // M/M/1-per-server and M/M/c), and (b) as the oracle for validating the
-// simulator's central-queue mode.
+// simulator's central-queue mode (with tests/support/queueing.h).
 #pragma once
 
 namespace gc {
@@ -20,14 +20,6 @@ namespace mmc {
 
 // Mean response time T = Wq + 1/μ.
 [[nodiscard]] double mean_response_time(double lambda, double mu, unsigned c);
-
-// Mean number in system L = λ T.
-[[nodiscard]] double mean_number_in_system(double lambda, double mu, unsigned c);
-
-// Smallest c with mean response time <= t_ref (returns 0 if impossible
-// because even c -> inf cannot beat 1/μ > t_ref).
-[[nodiscard]] unsigned min_servers_for_response_time(double lambda, double mu,
-                                                     double t_ref, unsigned c_max);
 
 }  // namespace mmc
 }  // namespace gc

@@ -1,8 +1,7 @@
 // Streaming statistics.
 //
 // Welford's algorithm keeps mean/variance numerically stable over millions
-// of samples; accumulators are mergeable so parallel replications can be
-// combined without storing raw samples.
+// of samples without storing them.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +12,6 @@ namespace gc {
 class MeanVarAccumulator {
  public:
   void add(double x) noexcept;
-  void merge(const MeanVarAccumulator& other) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }

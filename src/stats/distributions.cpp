@@ -21,37 +21,6 @@ double Exponential::sample(Rng& rng) const noexcept {
   return -std::log(rng.uniform01_open_left()) / lambda_;
 }
 
-Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
-  require(lo < hi && std::isfinite(lo) && std::isfinite(hi), "Uniform: need lo < hi");
-}
-
-double Uniform::sample(Rng& rng) const noexcept {
-  return lo_ + (hi_ - lo_) * rng.uniform01();
-}
-
-Normal::Normal(double mu, double sigma) : mu_(mu), sigma_(sigma) {
-  require(sigma >= 0.0 && std::isfinite(mu) && std::isfinite(sigma),
-          "Normal: sigma must be >= 0");
-}
-
-double Normal::sample(Rng& rng) const noexcept {
-  // Polar method; expected ~1.27 iterations.
-  for (;;) {
-    const double u = 2.0 * rng.uniform01() - 1.0;
-    const double v = 2.0 * rng.uniform01() - 1.0;
-    const double s = u * u + v * v;
-    if (s > 0.0 && s < 1.0) {
-      return mu_ + sigma_ * u * std::sqrt(-2.0 * std::log(s) / s);
-    }
-  }
-}
-
-LogNormal::LogNormal(double mu, double sigma) : normal_(mu, sigma), mu_(mu), sigma_(sigma) {}
-
-double LogNormal::sample(Rng& rng) const noexcept { return std::exp(normal_.sample(rng)); }
-
-double LogNormal::mean() const noexcept { return std::exp(mu_ + 0.5 * sigma_ * sigma_); }
-
 BoundedPareto::BoundedPareto(double alpha, double lo, double hi)
     : alpha_(alpha), lo_(lo), hi_(hi) {
   require(alpha > 0.0 && lo > 0.0 && hi > lo, "BoundedPareto: need alpha>0, 0<lo<hi");
@@ -85,14 +54,6 @@ Distribution Distribution::exponential(double rate) {
 
 Distribution Distribution::deterministic(double value) {
   return Distribution(Deterministic(value), gc::format("det({:g})", value));
-}
-
-Distribution Distribution::uniform(double lo, double hi) {
-  return Distribution(Uniform(lo, hi), gc::format("uniform[{:g},{:g})", lo, hi));
-}
-
-Distribution Distribution::lognormal(double mu, double sigma) {
-  return Distribution(LogNormal(mu, sigma), gc::format("lognormal({:g},{:g})", mu, sigma));
 }
 
 Distribution Distribution::bounded_pareto(double alpha, double lo, double hi) {

@@ -24,41 +24,6 @@ class Exponential {
   double lambda_;
 };
 
-// Uniform on [lo, hi).
-class Uniform {
- public:
-  Uniform(double lo, double hi);
-  [[nodiscard]] double sample(Rng& rng) const noexcept;
-  [[nodiscard]] double mean() const noexcept { return 0.5 * (lo_ + hi_); }
-
- private:
-  double lo_, hi_;
-};
-
-// Normal(mu, sigma) via the polar (Marsaglia) method.
-class Normal {
- public:
-  Normal(double mu, double sigma);
-  [[nodiscard]] double sample(Rng& rng) const noexcept;
-  [[nodiscard]] double mean() const noexcept { return mu_; }
-  [[nodiscard]] double stddev() const noexcept { return sigma_; }
-
- private:
-  double mu_, sigma_;
-};
-
-// LogNormal: exp(Normal(mu, sigma)).
-class LogNormal {
- public:
-  LogNormal(double mu, double sigma);
-  [[nodiscard]] double sample(Rng& rng) const noexcept;
-  [[nodiscard]] double mean() const noexcept;  // exp(mu + sigma^2/2)
-
- private:
-  Normal normal_;
-  double mu_, sigma_;
-};
-
 // Bounded Pareto on [lo, hi] with tail index `alpha` — the classic model of
 // heavy-tailed web request sizes (Crovella & Bestavros).
 class BoundedPareto {
@@ -96,8 +61,6 @@ class Distribution {
   // Factory helpers with canonical names.
   [[nodiscard]] static Distribution exponential(double rate);
   [[nodiscard]] static Distribution deterministic(double value);
-  [[nodiscard]] static Distribution uniform(double lo, double hi);
-  [[nodiscard]] static Distribution lognormal(double mu, double sigma);
   [[nodiscard]] static Distribution bounded_pareto(double alpha, double lo, double hi);
 
   // This distribution with every sample multiplied by `factor` (> 0) —

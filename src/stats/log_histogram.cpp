@@ -1,13 +1,9 @@
 #include "stats/log_histogram.h"
 
 #include <bit>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
-
-#include "util/format.h"
 
 namespace gc {
 
@@ -158,166 +154,6 @@ std::vector<LogHistogram::Bucket> LogHistogram::nonzero_buckets() const {
     if (counts_[i] != 0) {
       out.push_back(Bucket{bucket_lower(i), bucket_upper(i), counts_[i]});
     }
-  }
-  return out;
-}
-
-namespace {
-
-// Same tiny-parser shape as CountersSnapshot::from_json (obs/counters.cpp):
-// exactly the grammar to_json emits, nothing more.
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(const char* what) const {
-    throw std::runtime_error("LogHistogram::from_json: " + std::string(what) +
-                             " at offset " + std::to_string(pos));
-  }
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-  [[nodiscard]] char peek() {
-    skip_ws();
-    if (pos >= text.size()) fail("unexpected end of input");
-    return text[pos];
-  }
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos;
-  }
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') out += text[pos++];
-    if (pos >= text.size()) fail("unterminated string");
-    ++pos;
-    return out;
-  }
-  [[nodiscard]] std::string parse_number_token() {
-    skip_ws();
-    const std::size_t start = pos;
-    while (pos < text.size()) {
-      const char c = text[pos];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' ||
-          c == 'E') {
-        ++pos;
-      } else {
-        break;
-      }
-    }
-    if (pos == start) fail("expected a number");
-    return std::string(text.substr(start, pos - start));
-  }
-  [[nodiscard]] double parse_double() {
-    return std::strtod(parse_number_token().c_str(), nullptr);
-  }
-  [[nodiscard]] std::uint64_t parse_u64() {
-    return std::strtoull(parse_number_token().c_str(), nullptr, 10);
-  }
-};
-
-}  // namespace
-
-std::string LogHistogram::to_json() const {
-  std::string out = "{\"sub_bucket_bits\": ";
-  append_u64(out, options_.sub_bucket_bits);
-  out += ", \"min_exponent\": ";
-  append_g(out, options_.min_exponent);
-  out += ", \"max_exponent\": ";
-  append_g(out, options_.max_exponent);
-  out += ", \"count\": ";
-  append_u64(out, count_);
-  out += ", \"underflow\": ";
-  append_u64(out, underflow_);
-  out += ", \"saturated\": ";
-  append_u64(out, saturated_);
-  out += ", \"sum\": ";
-  // %.17g survives a strtod round trip bit-exactly for any finite double.
-  append_g(out, sum_);
-  out += ", \"min\": ";
-  append_g(out, min());
-  out += ", \"max\": ";
-  append_g(out, max());
-  out += ", \"buckets\": {";
-  bool first = true;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    append_u64(out, i);
-    out += "\": ";
-    append_u64(out, counts_[i]);
-  }
-  out += "}}";
-  return out;
-}
-
-LogHistogram LogHistogram::from_json(std::string_view text) {
-  Parser p{text};
-  LogHistogramOptions options;
-  std::uint64_t count = 0, underflow = 0, saturated = 0;
-  double sum = 0.0, min_v = 0.0, max_v = 0.0;
-  std::vector<std::pair<std::size_t, std::uint64_t>> sparse;
-  p.expect('{');
-  bool first = true;
-  while (p.peek() != '}') {
-    if (!first) p.expect(',');
-    first = false;
-    const std::string key = p.parse_string();
-    p.expect(':');
-    if (key == "sub_bucket_bits") {
-      options.sub_bucket_bits = static_cast<unsigned>(p.parse_u64());
-    } else if (key == "min_exponent") {
-      options.min_exponent = static_cast<int>(p.parse_double());
-    } else if (key == "max_exponent") {
-      options.max_exponent = static_cast<int>(p.parse_double());
-    } else if (key == "count") {
-      count = p.parse_u64();
-    } else if (key == "underflow") {
-      underflow = p.parse_u64();
-    } else if (key == "saturated") {
-      saturated = p.parse_u64();
-    } else if (key == "sum") {
-      sum = p.parse_double();
-    } else if (key == "min") {
-      min_v = p.parse_double();
-    } else if (key == "max") {
-      max_v = p.parse_double();
-    } else if (key == "buckets") {
-      p.expect('{');
-      bool first_bucket = true;
-      while (p.peek() != '}') {
-        if (!first_bucket) p.expect(',');
-        first_bucket = false;
-        const std::string index = p.parse_string();
-        p.expect(':');
-        sparse.emplace_back(std::strtoull(index.c_str(), nullptr, 10), p.parse_u64());
-      }
-      p.expect('}');
-    } else {
-      p.fail("unknown key");
-    }
-  }
-  p.expect('}');
-  LogHistogram out(options);
-  for (const auto& [index, value] : sparse) {
-    if (index >= out.counts_.size()) {
-      throw std::runtime_error("LogHistogram::from_json: bucket index out of range");
-    }
-    out.counts_[index] = value;
-  }
-  out.count_ = count;
-  out.underflow_ = underflow;
-  out.saturated_ = saturated;
-  out.sum_ = sum;
-  if (count > 0) {
-    out.min_ = min_v;
-    out.max_ = max_v;
   }
   return out;
 }

@@ -15,8 +15,7 @@
 // of the true order statistic x in that bucket (0.78% at the default 6
 // bits).  Two histograms over disjoint samples merge *exactly*:
 // bucket counts add, so pooling replications (bench/tab4) or sharded runs
-// loses nothing.  Serialization (to_json/from_json) round-trips bit-exactly
-// and stores only the non-zero buckets.
+// loses nothing.
 //
 // Values below 2^min_exponent (including zero and negatives) land in an
 // underflow counter; values at or above 2^max_exponent (+inf included) are
@@ -27,8 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace gc {
@@ -77,9 +74,9 @@ class LogHistogram {
   // both sample streams.  Throws std::invalid_argument on geometry mismatch.
   void merge(const LogHistogram& other);
 
-  // Index of the bucket add(x) counts x in — the key of to_json's sparse
-  // map.  x must be >= 2^min_exponent (smaller values underflow instead);
-  // values >= 2^max_exponent, +inf included, clamp to the top bucket.
+  // Index of the bucket add(x) counts x in.  x must be >= 2^min_exponent
+  // (smaller values underflow instead); values >= 2^max_exponent, +inf
+  // included, clamp to the top bucket.
   [[nodiscard]] std::size_t bucket_index(double x) const noexcept;
 
   // Non-empty buckets in value order (for exposition/export).
@@ -89,11 +86,6 @@ class LogHistogram {
     std::uint64_t count = 0;
   };
   [[nodiscard]] std::vector<Bucket> nonzero_buckets() const;
-
-  // Compact JSON: geometry + exact scalars + sparse {"index": count} map.
-  // from_json(to_json(h)) == h bit-exactly.
-  [[nodiscard]] std::string to_json() const;
-  [[nodiscard]] static LogHistogram from_json(std::string_view text);
 
   // Equality over the order-independent state: geometry, bucket counts,
   // count/underflow/saturated, min, max.  `sum` is excluded — it is a

@@ -62,14 +62,6 @@ long long CliArgs::get_int_or(const std::string& key, long long fallback) const 
   return *parsed;
 }
 
-bool CliArgs::get_bool_or(const std::string& key, bool fallback) const {
-  const auto value = get(key);
-  if (!value) return fallback;
-  if (value->empty() || *value == "true" || *value == "1" || *value == "yes") return true;
-  if (*value == "false" || *value == "0" || *value == "no") return false;
-  throw std::invalid_argument("cli: --" + key + " expects a boolean");
-}
-
 std::vector<std::string> CliArgs::unknown_flags(
     const std::vector<std::string>& known) const {
   std::vector<std::string> unknown;

@@ -1,6 +1,6 @@
 // Minimal command-line flag parsing for the example programs.
 //
-// Supports `--key=value`, `--key value`, bare `--flag` (boolean true) and
+// Supports `--key=value`, `--key value`, bare `--flag` (present, empty value) and
 // positional arguments.  Unknown-flag detection is the caller's job via
 // `unknown_flags`, so examples can print their own usage text.
 #pragma once
@@ -24,7 +24,6 @@ class CliArgs {
                                    const std::string& fallback) const;
   [[nodiscard]] double get_double_or(const std::string& key, double fallback) const;
   [[nodiscard]] long long get_int_or(const std::string& key, long long fallback) const;
-  [[nodiscard]] bool get_bool_or(const std::string& key, bool fallback) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

@@ -27,7 +27,13 @@ IniFile IniFile::parse(const std::string& text) {
       if (section.empty()) {
         throw std::runtime_error(gc::format("ini line {}: empty section name", line_no));
       }
-      ini.sections_[section];  // section may be empty but present
+      const auto [it, fresh] = ini.sections_.try_emplace(section);
+      if (!fresh) {
+        throw std::runtime_error(
+            gc::format("ini line {}: repeated section [{}] (first at line {})", line_no,
+                       section, it->second.line));
+      }
+      it->second.line = line_no;  // a section may be empty but is present
       continue;
     }
     const auto eq = view.find('=');
@@ -43,7 +49,13 @@ IniFile IniFile::parse(const std::string& text) {
     if (key.empty()) {
       throw std::runtime_error(gc::format("ini line {}: empty key", line_no));
     }
-    ini.sections_[section][key] = value;
+    const auto [it, fresh] =
+        ini.sections_[section].keys.try_emplace(key, Value{value, line_no});
+    if (!fresh) {
+      throw std::runtime_error(
+          gc::format("ini line {}: repeated key '{}' in [{}] (first at line {})", line_no,
+                     key, section, it->second.line));
+    }
   }
   return ini;
 }
@@ -56,24 +68,37 @@ IniFile IniFile::load(const std::string& path) {
   return parse(buffer.str());
 }
 
-bool IniFile::has_section(const std::string& section) const noexcept {
-  return sections_.find(section) != sections_.end();
-}
-
 std::vector<std::string> IniFile::section_names() const {
   std::vector<std::string> names;
   names.reserve(sections_.size());
-  for (const auto& [name, keys] : sections_) names.push_back(name);
+  for (const auto& [name, body] : sections_) names.push_back(name);
   return names;
+}
+
+std::vector<std::string> IniFile::keys(const std::string& section) const {
+  std::vector<std::string> names;
+  const auto sit = sections_.find(section);
+  if (sit == sections_.end()) return names;
+  names.reserve(sit->second.keys.size());
+  for (const auto& [key, value] : sit->second.keys) names.push_back(key);
+  return names;
+}
+
+std::size_t IniFile::line_of(const std::string& section, const std::string& key) const {
+  const auto sit = sections_.find(section);
+  if (sit == sections_.end()) return 0;
+  if (key.empty()) return sit->second.line;
+  const auto kit = sit->second.keys.find(key);
+  return kit == sit->second.keys.end() ? 0 : kit->second.line;
 }
 
 std::optional<std::string> IniFile::get(const std::string& section,
                                         const std::string& key) const {
   const auto sit = sections_.find(section);
   if (sit == sections_.end()) return std::nullopt;
-  const auto kit = sit->second.find(key);
-  if (kit == sit->second.end()) return std::nullopt;
-  return kit->second;
+  const auto kit = sit->second.keys.find(key);
+  if (kit == sit->second.keys.end()) return std::nullopt;
+  return kit->second.text;
 }
 
 std::string IniFile::get_or(const std::string& section, const std::string& key,
@@ -115,26 +140,6 @@ bool IniFile::get_bool_or(const std::string& section, const std::string& key,
   if (lower == "false" || lower == "0" || lower == "no" || lower == "off") return false;
   throw std::runtime_error(
       gc::format("ini: [{}] {} = '{}' is not a boolean", section, key, *value));
-}
-
-void IniFile::set(const std::string& section, const std::string& key,
-                  const std::string& value) {
-  if (section.empty() || key.empty()) {
-    throw std::runtime_error("ini: section and key must be non-empty");
-  }
-  sections_[section][key] = value;
-}
-
-std::string IniFile::to_string() const {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& [section, keys] : sections_) {
-    if (!first) os << '\n';
-    first = false;
-    os << '[' << section << "]\n";
-    for (const auto& [key, value] : keys) os << key << " = " << value << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace gc

@@ -47,15 +47,6 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-std::string join(const std::vector<std::string>& pieces, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (i != 0) out.append(sep);
-    out.append(pieces[i]);
-  }
-  return out;
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));

@@ -21,9 +21,6 @@ namespace gc {
 // True if `s` starts with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 
-// Joins pieces with `sep`.
-[[nodiscard]] std::string join(const std::vector<std::string>& pieces, std::string_view sep);
-
 // Lower-cases ASCII.
 [[nodiscard]] std::string to_lower(std::string_view s);
 

@@ -46,13 +46,6 @@ TablePrinter& TablePrinter::cell(long long value) {
   return *this;
 }
 
-TablePrinter& TablePrinter::row_values(const std::vector<double>& values) {
-  GC_CHECK(values.size() == columns_.size(), "row_values size mismatch");
-  row();
-  for (const double v : values) cell(v);
-  return *this;
-}
-
 std::string TablePrinter::render_cell(std::size_t col, const Cell& cell) const {
   const ColumnFormat& fmt = columns_[col].fmt;
   if (const auto* d = std::get_if<double>(&cell)) {
@@ -107,23 +100,6 @@ std::string TablePrinter::to_string() const {
   }
   os << rule << '\n';
   for (const auto& cells : rendered) emit_row(cells);
-  return os.str();
-}
-
-std::string TablePrinter::to_csv() const {
-  std::ostringstream os;
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    if (c != 0) os << ',';
-    os << columns_[c].name;
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) os << ',';
-      os << render_cell(c, row[c]);
-    }
-    os << '\n';
-  }
   return os.str();
 }
 

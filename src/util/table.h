@@ -37,18 +37,12 @@ class TablePrinter {
   TablePrinter& cell(std::string_view text);
   TablePrinter& cell(long long value);
 
-  // Convenience: add a full row of doubles at once.
-  TablePrinter& row_values(const std::vector<double>& values);
-
   [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t num_columns() const noexcept { return columns_.size(); }
 
   // Renders the table.  Also usable via operator<<.
   void print(std::ostream& os) const;
   [[nodiscard]] std::string to_string() const;
-
-  // Renders the same data as CSV (header + rows), for plotting scripts.
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   using Cell = std::variant<double, long long, std::string>;

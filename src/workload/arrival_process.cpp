@@ -82,74 +82,6 @@ void NhppProcess::reset() {
   majorant_start_ = std::numeric_limits<double>::quiet_NaN();
 }
 
-MmppProcess::MmppProcess(Params params, double horizon, Rng rng)
-    : params_(params), horizon_(horizon), rng_(rng), initial_rng_(rng) {
-  const bool ok = params.rate0 > 0.0 && params.rate1 > 0.0 && params.switch_rate0 > 0.0 &&
-                  params.switch_rate1 > 0.0 && horizon > 0.0;
-  if (!ok) throw std::invalid_argument("MmppProcess: all rates and horizon must be > 0");
-  roll_phase_end();
-}
-
-void MmppProcess::roll_phase_end() {
-  const double leave = phase_ == 0 ? params_.switch_rate0 : params_.switch_rate1;
-  phase_end_ = t_ + -std::log(rng_.uniform01_open_left()) / leave;
-}
-
-std::optional<double> MmppProcess::next() {
-  for (;;) {
-    const double rate = phase_ == 0 ? params_.rate0 : params_.rate1;
-    const double candidate = t_ + -std::log(rng_.uniform01_open_left()) / rate;
-    if (candidate < phase_end_) {
-      t_ = candidate;
-      if (t_ > horizon_) return std::nullopt;
-      return t_;
-    }
-    // Phase switch happened first; jump to it (exponential memorylessness
-    // lets us discard the candidate) and flip phase.
-    t_ = phase_end_;
-    if (t_ > horizon_) return std::nullopt;
-    phase_ = 1 - phase_;
-    roll_phase_end();
-  }
-}
-
-std::string MmppProcess::name() const {
-  return gc::format("mmpp({:g}/{:g})", params_.rate0, params_.rate1);
-}
-
-void MmppProcess::reset() {
-  rng_ = initial_rng_;
-  t_ = 0.0;
-  phase_ = 0;
-  roll_phase_end();
-}
-
-double MmppProcess::mean_rate() const noexcept {
-  // Stationary distribution of the 2-state chain: π0 ∝ 1/leave0 … i.e.
-  // π0 = r1 / (r0 + r1) with r_i the switch rates.
-  const double pi0 = params_.switch_rate1 / (params_.switch_rate0 + params_.switch_rate1);
-  return pi0 * params_.rate0 + (1.0 - pi0) * params_.rate1;
-}
-
-DeterministicProcess::DeterministicProcess(double interval, double horizon, double first)
-    : interval_(interval), horizon_(horizon), first_(first), t_(first - interval) {
-  if (!(interval > 0.0 && horizon > 0.0 && first >= 0.0)) {
-    throw std::invalid_argument("DeterministicProcess: invalid parameters");
-  }
-}
-
-std::optional<double> DeterministicProcess::next() {
-  t_ += interval_;
-  if (t_ > horizon_) return std::nullopt;
-  return t_;
-}
-
-std::string DeterministicProcess::name() const {
-  return gc::format("det(every {:g}s)", interval_);
-}
-
-void DeterministicProcess::reset() { t_ = first_ - interval_; }
-
 TraceProcess::TraceProcess(std::vector<double> timestamps)
     : timestamps_(std::move(timestamps)) {
   for (std::size_t i = 0; i < timestamps_.size(); ++i) {

@@ -72,46 +72,6 @@ class NhppProcess final : public ArrivalProcess {
   double majorant_ = 0.0;
 };
 
-// Markov-modulated Poisson process with two phases (the standard bursty
-// traffic model): rate λ_i while in phase i, exponential sojourns.
-class MmppProcess final : public ArrivalProcess {
- public:
-  struct Params {
-    double rate0 = 10.0;
-    double rate1 = 50.0;
-    double switch_rate0 = 1.0 / 300.0;  // leave phase 0
-    double switch_rate1 = 1.0 / 60.0;   // leave phase 1
-  };
-  MmppProcess(Params params, double horizon, Rng rng);
-  [[nodiscard]] std::optional<double> next() override;
-  [[nodiscard]] std::string name() const override;
-  void reset() override;
-  // Long-run average rate (for sizing experiments).
-  [[nodiscard]] double mean_rate() const noexcept;
-
- private:
-  Params params_;
-  double horizon_;
-  Rng rng_, initial_rng_;
-  double t_ = 0.0;
-  int phase_ = 0;
-  double phase_end_ = 0.0;
-  void roll_phase_end();
-};
-
-// Deterministic arrivals with fixed spacing (worst-case regularity).
-class DeterministicProcess final : public ArrivalProcess {
- public:
-  DeterministicProcess(double interval, double horizon, double first = 0.0);
-  [[nodiscard]] std::optional<double> next() override;
-  [[nodiscard]] std::string name() const override;
-  void reset() override;
-
- private:
-  double interval_, horizon_, first_;
-  double t_;
-};
-
 // Replays an explicit list of timestamps (a recorded trace).
 class TraceProcess final : public ArrivalProcess {
  public:

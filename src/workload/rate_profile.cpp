@@ -138,24 +138,6 @@ std::string FlashCrowdRate::name() const {
   return gc::format("{}+{}spikes", base_->name(), spikes_.size());
 }
 
-ScaledRate::ScaledRate(std::shared_ptr<const RateProfile> base, double scale)
-    : base_(std::move(base)), scale_(scale) {
-  GC_CHECK(base_ != nullptr, "ScaledRate: null base profile");
-  if (!(scale >= 0.0) || !std::isfinite(scale)) {
-    throw std::invalid_argument("ScaledRate: scale must be >= 0");
-  }
-}
-
-double ScaledRate::rate(double t) const { return scale_ * base_->rate(t); }
-
-double ScaledRate::max_rate(double t0, double t1) const {
-  return scale_ * base_->max_rate(t0, t1);
-}
-
-std::string ScaledRate::name() const {
-  return gc::format("{:g}x {}", scale_, base_->name());
-}
-
 CountingRate::CountingRate(std::shared_ptr<const RateProfile> base) : base_(std::move(base)) {
   GC_CHECK(base_ != nullptr, "CountingRate: null base profile");
 }

@@ -97,19 +97,6 @@ class FlashCrowdRate final : public RateProfile {
   std::vector<Spike> spikes_;
 };
 
-// Scales another profile by a constant (used to hit a target utilization).
-class ScaledRate final : public RateProfile {
- public:
-  ScaledRate(std::shared_ptr<const RateProfile> base, double scale);
-  [[nodiscard]] double rate(double t) const override;
-  [[nodiscard]] double max_rate(double t0, double t1) const override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  std::shared_ptr<const RateProfile> base_;
-  double scale_;
-};
-
 // Forwards to another profile and counts the calls made to it, so a test or
 // a bench can see what a sampler costs (e.g. how many majorants thinning
 // evaluates).  The counters are plain, not atomic: one thread at a time.

@@ -8,8 +8,7 @@ namespace gc {
 
 Workload::Workload(std::unique_ptr<ArrivalProcess> arrivals, Distribution job_size,
                    Rng size_rng)
-    : arrivals_(std::move(arrivals)), job_size_(std::move(job_size)), size_rng_(size_rng),
-      initial_size_rng_(size_rng) {
+    : arrivals_(std::move(arrivals)), job_size_(std::move(job_size)), size_rng_(size_rng) {
   GC_CHECK(arrivals_ != nullptr, "Workload: null arrival process");
 }
 
@@ -17,11 +16,6 @@ std::optional<JobArrival> Workload::next() {
   const auto t = arrivals_->next();
   if (!t) return std::nullopt;
   return JobArrival{*t, job_size_.sample(size_rng_)};
-}
-
-void Workload::reset() {
-  arrivals_->reset();
-  size_rng_ = initial_size_rng_;
 }
 
 std::string Workload::name() const {

@@ -30,8 +30,6 @@ class Workload {
   // Pull the next job; nullopt when the arrival process is exhausted.
   [[nodiscard]] std::optional<JobArrival> next();
 
-  void reset();
-
   [[nodiscard]] std::string name() const;
   [[nodiscard]] const Distribution& job_size_dist() const noexcept { return job_size_; }
 
@@ -61,7 +59,7 @@ class Workload {
  private:
   std::unique_ptr<ArrivalProcess> arrivals_;
   Distribution job_size_;
-  Rng size_rng_, initial_size_rng_;
+  Rng size_rng_;
 };
 
 }  // namespace gc

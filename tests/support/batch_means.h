@@ -1,4 +1,6 @@
-// Batch-means confidence intervals for steady-state simulation output.
+// Batch-means confidence intervals for steady-state simulation output: the
+// interval estimator the tests check the simulator's run-length claims
+// with.  Nothing outside the tests builds one, so it lives here.
 //
 // Response times from one simulation run are autocorrelated, so the naive
 // SEM understates the error.  The classic remedy (Law & Kelton) is to chop
@@ -6,7 +8,7 @@
 // build a t-interval over them.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "stats/accumulators.h"
@@ -47,9 +49,5 @@ class BatchMeans {
   std::vector<double> batch_means_;
   MeanVarAccumulator all_;  // grand mean over every observation
 };
-
-// Student-t upper quantile for two-sided `confidence`, df degrees of
-// freedom; exposed for tests.
-[[nodiscard]] double t_quantile(double confidence, std::size_t df) noexcept;
 
 }  // namespace gc

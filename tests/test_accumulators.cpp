@@ -50,33 +50,6 @@ TEST(MeanVar, NumericallyStableForLargeOffset) {
   EXPECT_NEAR(acc.variance(), 1.0 + 1.0 / 999.0, 1e-6);
 }
 
-TEST(MeanVar, MergeEqualsSequential) {
-  MeanVarAccumulator a, b, all;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i * 0.7) * 10.0;
-    (i < 40 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(MeanVar, MergeWithEmpty) {
-  MeanVarAccumulator a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  MeanVarAccumulator b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean);
-}
-
 TEST(MeanVar, SemShrinksWithSamples) {
   MeanVarAccumulator small, large;
   for (int i = 0; i < 10; ++i) small.add(i % 3);

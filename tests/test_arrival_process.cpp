@@ -164,48 +164,6 @@ TEST(Nhpp, MajorantOncePerWindowOnSinusoid) {
   EXPECT_EQ(counting->rate_calls(), 105740u);
 }
 
-TEST(Mmpp, MeanRateFormula) {
-  MmppProcess::Params params;
-  params.rate0 = 10.0;
-  params.rate1 = 100.0;
-  params.switch_rate0 = 0.01;
-  params.switch_rate1 = 0.03;
-  MmppProcess process(params, 1.0, Rng(10));
-  // pi0 = 0.03/0.04 = 0.75 -> mean = 0.75*10 + 0.25*100 = 32.5
-  EXPECT_NEAR(process.mean_rate(), 32.5, 1e-12);
-}
-
-TEST(Mmpp, EmpiricalRateMatchesMeanRate) {
-  MmppProcess::Params params;
-  MmppProcess process(params, 100000.0, Rng(11));
-  const auto ts = drain(process);
-  const double empirical = static_cast<double>(ts.size()) / 100000.0;
-  EXPECT_NEAR(empirical, process.mean_rate(), process.mean_rate() * 0.05);
-}
-
-TEST(Mmpp, ResetReproduces) {
-  MmppProcess process({}, 1000.0, Rng(12));
-  const auto first = drain(process);
-  process.reset();
-  EXPECT_EQ(first, drain(process));
-}
-
-TEST(DeterministicArrivals, FixedSpacing) {
-  DeterministicProcess process(2.0, 10.0, 1.0);
-  const auto ts = drain(process);
-  ASSERT_EQ(ts.size(), 5u);  // 1,3,5,7,9
-  EXPECT_DOUBLE_EQ(ts[0], 1.0);
-  EXPECT_DOUBLE_EQ(ts[4], 9.0);
-}
-
-TEST(DeterministicArrivals, ResetWorks) {
-  DeterministicProcess process(1.0, 3.0);
-  const auto first = drain(process);
-  EXPECT_EQ(first.size(), 4u);  // 0, 1, 2, 3
-  process.reset();
-  EXPECT_EQ(drain(process), first);
-}
-
 TEST(TraceArrivals, ReplaysInOrder) {
   TraceProcess process({0.5, 1.0, 1.0, 2.5});
   const auto ts = drain(process);

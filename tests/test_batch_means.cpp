@@ -1,5 +1,3 @@
-#include "stats/batch_means.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +5,8 @@
 
 #include "stats/distributions.h"
 #include "stats/rng.h"
+#include "stats/student_t.h"
+#include "support/batch_means.h"
 
 namespace gc {
 namespace {

@@ -28,7 +28,7 @@ TEST(Cli, SpaceForm) {
 TEST(Cli, BareFlagIsBooleanTrue) {
   const CliArgs args = parse({"--verbose", "--level=1"});
   EXPECT_TRUE(args.has("verbose"));
-  EXPECT_TRUE(args.get_bool_or("verbose", false));
+  EXPECT_EQ(args.get("verbose").value(), "");  // present, no value
 }
 
 TEST(Cli, Positional) {
@@ -39,20 +39,17 @@ TEST(Cli, Positional) {
 }
 
 TEST(Cli, TypedGetters) {
-  const CliArgs args = parse({"--rate=2.5", "--count", "7", "--on=false"});
+  const CliArgs args = parse({"--rate=2.5", "--count", "7"});
   EXPECT_DOUBLE_EQ(args.get_double_or("rate", 0.0), 2.5);
   EXPECT_EQ(args.get_int_or("count", 0), 7);
-  EXPECT_FALSE(args.get_bool_or("on", true));
   EXPECT_DOUBLE_EQ(args.get_double_or("missing", 9.5), 9.5);
   EXPECT_EQ(args.get_int_or("missing", -1), -1);
-  EXPECT_TRUE(args.get_bool_or("missing", true));
 }
 
 TEST(Cli, TypedGettersRejectGarbage) {
-  const CliArgs args = parse({"--rate=abc", "--count=1.5", "--on=maybe"});
+  const CliArgs args = parse({"--rate=abc", "--count=1.5"});
   EXPECT_THROW((void)args.get_double_or("rate", 0.0), std::invalid_argument);
   EXPECT_THROW((void)args.get_int_or("count", 0), std::invalid_argument);
-  EXPECT_THROW((void)args.get_bool_or("on", false), std::invalid_argument);
 }
 
 TEST(Cli, UnknownFlags) {

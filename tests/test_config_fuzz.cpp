@@ -9,6 +9,7 @@
 // a tool loads and saves them.)  The malformed corpus checks that
 // truncated, non-numeric, NaN/Inf and duplicate-key inputs fail with a
 // catchable exception — never UB, aborts, or silently-poisoned values.
+// The writer half is tests/support/config_ini: nothing else writes configs.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,16 +24,13 @@
 
 #include "core/config_io.h"
 #include "stats/rng.h"
+#include "support/config_ini.h"
 #include "workload/trace.h"
 
 namespace gc {
 namespace {
 
 // -- config write -> parse -> write -----------------------------------------
-
-std::string serialize(const ClusterConfig& config, const DcpParams& dcp) {
-  return to_ini(config, dcp).to_string();
-}
 
 ClusterConfig random_config(Rng& rng) {
   ClusterConfig config;
@@ -66,21 +64,10 @@ ClusterConfig random_config(Rng& rng) {
   return config;
 }
 
-DcpParams random_dcp(Rng& rng) {
-  DcpParams dcp;
-  dcp.long_period_s = 60.0 + rng.uniform01() * 600.0;
-  dcp.short_period_s = 1.0 + rng.uniform01() * 59.0;
-  dcp.safety_margin = 1.0 + rng.uniform01();
-  dcp.scale_down_patience = 1 + static_cast<unsigned>(rng.uniform01() * 9.0);
-  dcp.auto_patience_from_break_even = rng.uniform01() < 0.5;
-  return dcp;
-}
-
 TEST(ConfigRoundTrip, DefaultsAreByteStable) {
-  const std::string first = serialize(ClusterConfig{}, DcpParams{});
-  const IniFile parsed = IniFile::parse(first);
+  const std::string first = cluster_config_ini(ClusterConfig{});
   const std::string second =
-      serialize(cluster_config_from_ini(parsed), dcp_params_from_ini(parsed));
+      cluster_config_ini(cluster_config_from_ini(IniFile::parse(first)));
   EXPECT_EQ(first, second);
 }
 
@@ -88,12 +75,9 @@ TEST(ConfigRoundTrip, RandomConfigsAreByteStable) {
   for (int i = 0; i < 200; ++i) {
     Rng draw(static_cast<std::uint64_t>(i) + 1, 2);
     const ClusterConfig config = random_config(draw);
-    const DcpParams dcp = random_dcp(draw);
-    const std::string first = serialize(config, dcp);
-    const IniFile parsed = IniFile::parse(first);
-    const ClusterConfig config2 = cluster_config_from_ini(parsed);
-    const DcpParams dcp2 = dcp_params_from_ini(parsed);
-    const std::string second = serialize(config2, dcp2);
+    const std::string first = cluster_config_ini(config);
+    const ClusterConfig config2 = cluster_config_from_ini(IniFile::parse(first));
+    const std::string second = cluster_config_ini(config2);
     ASSERT_EQ(first, second) << "round-trip drift at iteration " << i;
     // And the parse is loss-free at the {:.9g} precision the writer uses.
     ASSERT_EQ(config2.max_servers, config.max_servers);
@@ -107,11 +91,9 @@ TEST(ConfigRoundTrip, SecondGenerationIsAFixedPoint) {
   // one write and never moves again.
   const IniFile hand = IniFile::parse(
       "[cluster]\nmax_servers=12\nmu_max = 010.250\nt_ref_ms =\t500\n");
-  const std::string gen1 =
-      serialize(cluster_config_from_ini(hand), dcp_params_from_ini(hand));
-  const IniFile reparsed = IniFile::parse(gen1);
+  const std::string gen1 = cluster_config_ini(cluster_config_from_ini(hand));
   const std::string gen2 =
-      serialize(cluster_config_from_ini(reparsed), dcp_params_from_ini(reparsed));
+      cluster_config_ini(cluster_config_from_ini(IniFile::parse(gen1)));
   EXPECT_EQ(gen1, gen2);
 }
 
@@ -139,19 +121,15 @@ TEST(ConfigCorpus, NaNAndInfValuesAreRejected) {
     EXPECT_THROW((void)cluster_config_from_ini(ini), std::runtime_error)
         << "accepted mu_max = " << bad;
   }
-  const IniFile dcp_nan = IniFile::parse("[dcp]\nsafety_margin = nan\n");
-  EXPECT_THROW((void)dcp_params_from_ini(dcp_nan), std::runtime_error);
   const IniFile ladder_inf = IniFile::parse("[ladder]\nlevels_ghz = 1.0 inf\n");
   EXPECT_THROW((void)cluster_config_from_ini(ladder_inf), std::runtime_error);
 }
 
-TEST(ConfigCorpus, DuplicateKeysKeepTheLastValue) {
-  // Documented parser behavior (see test_ini): duplicates are not an
-  // error, the last assignment wins — deterministic, never UB.  The config
-  // layer inherits that contract.
-  const IniFile ini =
-      IniFile::parse("[cluster]\nmax_servers = 4\nmax_servers = 9\n");
-  EXPECT_EQ(cluster_config_from_ini(ini).max_servers, 9u);
+TEST(ConfigCorpus, DuplicateKeysAreRejected) {
+  // A repeated key is an error at parse time (see test_ini), not a silent
+  // pick of one of the two values.
+  EXPECT_THROW(IniFile::parse("[cluster]\nmax_servers = 4\nmax_servers = 9\n"),
+               std::runtime_error);
 }
 
 TEST(ConfigCorpus, OutOfRangeIntegersThrow) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+
+#include "support/config_ini.h"
 
 namespace gc {
 namespace {
@@ -14,8 +17,6 @@ TEST(ConfigIo, EmptyIniYieldsDefaults) {
   EXPECT_EQ(config.max_servers, defaults.max_servers);
   EXPECT_DOUBLE_EQ(config.mu_max, defaults.mu_max);
   EXPECT_DOUBLE_EQ(config.t_ref_s, defaults.t_ref_s);
-  const DcpParams dcp = dcp_params_from_ini(ini);
-  EXPECT_DOUBLE_EQ(dcp.long_period_s, DcpParams{}.long_period_s);
 }
 
 TEST(ConfigIo, ParsesFullConfig) {
@@ -62,23 +63,6 @@ TEST(ConfigIo, ContinuousLadder) {
   EXPECT_DOUBLE_EQ(config.ladder.min_speed(), 0.2);
 }
 
-TEST(ConfigIo, DcpSection) {
-  const IniFile ini = IniFile::parse(R"(
-[dcp]
-long_period_s = 120
-short_period_s = 15
-safety_margin = 1.3
-scale_down_patience = 4
-auto_patience_from_break_even = yes
-)");
-  const DcpParams dcp = dcp_params_from_ini(ini);
-  EXPECT_DOUBLE_EQ(dcp.long_period_s, 120.0);
-  EXPECT_DOUBLE_EQ(dcp.short_period_s, 15.0);
-  EXPECT_DOUBLE_EQ(dcp.safety_margin, 1.3);
-  EXPECT_EQ(dcp.scale_down_patience, 4u);
-  EXPECT_TRUE(dcp.auto_patience_from_break_even);
-}
-
 TEST(ConfigIo, RejectsInvalidConfigs) {
   EXPECT_THROW((void)cluster_config_from_ini(IniFile::parse("[cluster]\nmax_servers = 0\n")),
                std::invalid_argument);
@@ -90,8 +74,6 @@ TEST(ConfigIo, RejectsInvalidConfigs) {
   EXPECT_THROW((void)cluster_config_from_ini(
                    IniFile::parse("[cluster]\nmu_max = 10\nt_ref_ms = 50\n")),
                std::invalid_argument);
-  EXPECT_THROW((void)dcp_params_from_ini(IniFile::parse("[dcp]\nsafety_margin = 0.5\n")),
-               std::invalid_argument);
 }
 
 TEST(ConfigIo, RejectsNegativeCounts) {
@@ -100,10 +82,8 @@ TEST(ConfigIo, RejectsNegativeCounts) {
                std::runtime_error);
   EXPECT_THROW((void)cluster_config_from_ini(IniFile::parse("[cluster]\nmin_servers = -1\n")),
                std::runtime_error);
-  EXPECT_THROW((void)dcp_params_from_ini(IniFile::parse("[dcp]\nscale_down_patience = -2\n")),
-               std::runtime_error);
   EXPECT_THROW((void)hetero_config_from_ini(IniFile::parse(
-                   "[class a]\ncount = -4\nmu_max = 10\nt_ref_ms = 500\n")),
+                   "[cluster]\nt_ref_ms = 500\n[class a]\ncount = -4\nmu_max = 10\n")),
                std::runtime_error);
   try {
     (void)cluster_config_from_ini(IniFile::parse("[cluster]\nmax_servers = -3\n"));
@@ -132,10 +112,6 @@ TEST(ConfigIo, RejectsNonFiniteValues) {
   EXPECT_THROW((void)cluster_config_from_ini(
                    IniFile::parse("[transition]\nboot_delay_s = nan\n")),
                std::runtime_error);
-  EXPECT_THROW((void)dcp_params_from_ini(IniFile::parse("[dcp]\nlong_period_s = inf\n")),
-               std::runtime_error);
-  EXPECT_THROW((void)dcp_params_from_ini(IniFile::parse("[dcp]\nsafety_margin = nan\n")),
-               std::runtime_error);
 }
 
 TEST(ConfigIo, RoundTripPreservesEverything) {
@@ -149,14 +125,9 @@ TEST(ConfigIo, RoundTripPreservesEverything) {
   config.power.utilization_gated = false;
   config.ladder = FrequencyLadder({0.8, 1.6, 3.2});
   config.transition.boot_delay_s = 45.0;
-  DcpParams dcp;
-  dcp.long_period_s = 200.0;
-  dcp.safety_margin = 1.25;
-  dcp.auto_patience_from_break_even = true;
 
-  const IniFile ini = IniFile::parse(to_ini(config, dcp).to_string());
-  const ClusterConfig back = cluster_config_from_ini(ini);
-  const DcpParams dcp_back = dcp_params_from_ini(ini);
+  const ClusterConfig back =
+      cluster_config_from_ini(IniFile::parse(cluster_config_ini(config)));
   EXPECT_EQ(back.max_servers, 24u);
   EXPECT_DOUBLE_EQ(back.mu_max, 33.5);
   EXPECT_DOUBLE_EQ(back.t_ref_s, 0.125);
@@ -167,9 +138,6 @@ TEST(ConfigIo, RoundTripPreservesEverything) {
   ASSERT_EQ(back.ladder.num_levels(), 3u);
   EXPECT_DOUBLE_EQ(back.ladder.f_max_ghz(), 3.2);
   EXPECT_DOUBLE_EQ(back.transition.boot_delay_s, 45.0);
-  EXPECT_DOUBLE_EQ(dcp_back.long_period_s, 200.0);
-  EXPECT_DOUBLE_EQ(dcp_back.safety_margin, 1.25);
-  EXPECT_TRUE(dcp_back.auto_patience_from_break_even);
 }
 
 TEST(ConfigIo, HeteroFromIni) {
@@ -219,9 +187,54 @@ TEST(ConfigIo, RoundTripContinuousLadder) {
   ClusterConfig config;
   config.ladder = FrequencyLadder::continuous(0.15);
   const ClusterConfig back =
-      cluster_config_from_ini(IniFile::parse(to_ini(config, {}).to_string()));
+      cluster_config_from_ini(IniFile::parse(cluster_config_ini(config)));
   EXPECT_TRUE(back.ladder.is_continuous());
   EXPECT_DOUBLE_EQ(back.ladder.min_speed(), 0.15);
+}
+
+// Each of these once read silently wrong: a misspelled key fell back to its
+// default, a repeated key kept its last value, a repeated class header
+// merged two classes into one and a misspelled section was dropped.  Now
+// each is an error naming the section, the key and the line.
+TEST(ConfigIo, RejectsWhatItWouldOtherwiseMisread) {
+  enum class Reader { kCluster, kHetero };
+  struct Case {
+    Reader reader;
+    const char* text;
+    const char* error;
+  };
+  const Case cases[] = {
+      {Reader::kCluster, "[cluster]\nmu_max = 10\nmax_server = 7\n",
+       "config line 3: unknown key 'max_server' in [cluster]"},
+      {Reader::kCluster, "[cluster]\nmu_max = 10\nmu_max = 12\n",
+       "ini line 3: repeated key 'mu_max' in [cluster] (first at line 2)"},
+      {Reader::kCluster, "[cluster]\nmax_servers = 16\n[dcp]\nlong_period_s = 25\n",
+       "config line 3: unknown section [dcp]"},
+      {Reader::kHetero, "[class a]\ncount = 8\nmu_max = 12\n[class a]\ncount = 4\n",
+       "ini line 4: repeated section [class a] (first at line 1)"},
+      {Reader::kHetero, "[class a]\ncount = 8\nmu_max = 12\n[clas b]\ncount = 4\n",
+       "config line 4: unknown section [clas b]"},
+      {Reader::kHetero,
+       "[cluster]\nt_ref_ms = 500\nmax_servers = 16\n[class a]\ncount = 2\n",
+       "config line 3: unknown key 'max_servers' in [cluster]"},
+      {Reader::kHetero, "[class a]\ncount = 2\nmu_max = 12\nspeed = 1\n",
+       "config line 4: unknown key 'speed' in [class a]"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    std::string error = "read without an error";
+    try {
+      const IniFile ini = IniFile::parse(c.text);
+      if (c.reader == Reader::kCluster) {
+        (void)cluster_config_from_ini(ini);
+      } else {
+        (void)hetero_config_from_ini(ini);
+      }
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    EXPECT_EQ(error, c.error);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/prometheus.h"
+
 namespace gc {
 namespace {
 
@@ -185,7 +187,8 @@ TEST(ControlPlane, CountersSnapshotCarriesTheCpNamespace) {
   EXPECT_DOUBLE_EQ(snap.gauge_or("cp.rate.latest", -1.0), 8.0);
   EXPECT_DOUBLE_EQ(snap.gauge_or("cp.era", -1.0), 0.0);
   // The Prometheus exposition renders the same snapshot.
-  EXPECT_NE(cp.prometheus_text().find("cp"), std::string::npos);
+  EXPECT_NE(to_prometheus_text(snap, cp.lifecycle().prometheus_histograms()).find("cp"),
+            std::string::npos);
 }
 
 TEST(ControlPlane, SmoothedRateFollowsDeliveredSamples) {

@@ -47,7 +47,7 @@ TEST(DcpPlanner, PlanServersAppliesMargin) {
   params.safety_margin = 1.5;
   const DcpPlanner planner(&solver, params);
   // With margin 1.5, planning for 60/s solves for 90/s.
-  EXPECT_EQ(planner.plan_servers(60.0), solver.solve(90.0).servers);
+  EXPECT_EQ(planner.plan_point(60.0).servers, solver.solve(90.0).servers);
 }
 
 TEST(DcpPlanner, PlanServersTrendsUpWithLoad) {
@@ -57,11 +57,11 @@ TEST(DcpPlanner, PlanServersTrendsUpWithLoad) {
   const DcpPlanner planner(&solver, {});
   unsigned prev = 0;
   for (double rate = 0.0; rate <= 110.0; rate += 5.0) {
-    const unsigned m = planner.plan_servers(rate);
+    const unsigned m = planner.plan_point(rate).servers;
     EXPECT_GE(m + 1, prev) << rate;  // dips of at most one server
     prev = std::max(prev, m);
   }
-  EXPECT_GT(planner.plan_servers(110.0), planner.plan_servers(5.0));
+  EXPECT_GT(planner.plan_point(110.0).servers, planner.plan_point(5.0).servers);
 }
 
 TEST(DcpPlanner, PlanSpeedTracksLoadForFixedServers) {
@@ -85,7 +85,7 @@ TEST(DcpPlanner, PlanSpeedClampsServingCount) {
 TEST(DcpPlanner, RejectsBadInputs) {
   const Provisioner solver(small_config());
   const DcpPlanner planner(&solver, {});
-  EXPECT_DEATH((void)planner.plan_servers(-1.0), "bad predicted rate");
+  EXPECT_DEATH((void)planner.plan_point(-1.0), "bad predicted rate");
   EXPECT_DEATH((void)planner.plan_speed(-1.0, 1), "bad current rate");
 }
 

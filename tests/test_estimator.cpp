@@ -44,52 +44,6 @@ TEST(Ewma, ConvergesToConstant) {
   EXPECT_NEAR(est.value(), 42.0, 1e-9);
 }
 
-TEST(Ewma, ResetClears) {
-  EwmaEstimator est(0.5);
-  est.observe(5.0);
-  est.reset();
-  EXPECT_FALSE(est.primed());
-  EXPECT_DOUBLE_EQ(est.value(), 0.0);
-}
-
-TEST(SlidingWindow, RejectsZeroCapacity) {
-  EXPECT_THROW(SlidingWindowEstimator(0), std::invalid_argument);
-}
-
-TEST(SlidingWindow, EmptyReturnsZero) {
-  SlidingWindowEstimator est(4);
-  EXPECT_DOUBLE_EQ(est.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(est.max(), 0.0);
-  EXPECT_DOUBLE_EQ(est.last(), 0.0);
-}
-
-TEST(SlidingWindow, MeanMaxLast) {
-  SlidingWindowEstimator est(4);
-  est.observe(1.0);
-  est.observe(5.0);
-  est.observe(3.0);
-  EXPECT_DOUBLE_EQ(est.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(est.max(), 5.0);
-  EXPECT_DOUBLE_EQ(est.last(), 3.0);
-}
-
-TEST(SlidingWindow, EvictsOldest) {
-  SlidingWindowEstimator est(2);
-  est.observe(100.0);
-  est.observe(1.0);
-  est.observe(2.0);  // evicts 100
-  EXPECT_DOUBLE_EQ(est.max(), 2.0);
-  EXPECT_DOUBLE_EQ(est.mean(), 1.5);
-  EXPECT_EQ(est.size(), 2u);
-}
-
-TEST(SlidingWindow, ResetClears) {
-  SlidingWindowEstimator est(3);
-  est.observe(1.0);
-  est.reset();
-  EXPECT_EQ(est.size(), 0u);
-}
-
 TEST(StalenessGuard, RejectsBadParameters) {
   EXPECT_THROW(StalenessGuard(-1.0, 1.25), std::invalid_argument);
   EXPECT_THROW(StalenessGuard(std::numeric_limits<double>::quiet_NaN(), 1.25),

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "core/provisioner.h"
@@ -22,6 +21,13 @@ ServerClass make_class(const char* name, unsigned count, double mu,
   sc.power.p_max_watts = p_max;
   sc.power.utilization_gated = false;  // the paper's power law
   return sc;
+}
+
+// Servers powered across every class.
+unsigned total_active(const HeteroOperatingPoint& point) {
+  unsigned total = 0;
+  for (const ClassAllocation& alloc : point.allocations) total += alloc.servers;
+  return total;
 }
 
 HeteroConfig two_class_config() {
@@ -75,7 +81,7 @@ TEST(Hetero, SingleClassMatchesHomogeneousSolver) {
     const OperatingPoint op = homo.solve(lambda);
     ASSERT_TRUE(hp.feasible) << lambda;
     EXPECT_NEAR(hp.power_watts, op.power_watts, 1e-6) << lambda;
-    EXPECT_EQ(hp.total_active(), op.servers) << lambda;
+    EXPECT_EQ(total_active(hp), op.servers) << lambda;
   }
 }
 
@@ -149,7 +155,7 @@ TEST(Hetero, InfeasibleLoadReturnsBestEffort) {
   const HeteroProvisioner solver(two_class_config());
   const HeteroOperatingPoint point = solver.solve(1000.0);
   EXPECT_FALSE(point.feasible);
-  EXPECT_EQ(point.total_active(), 16u);
+  EXPECT_EQ(total_active(point), 16u);
 }
 
 TEST(Hetero, EvaluateCountsRejectsOverCommit) {
@@ -243,122 +249,9 @@ TEST(Hetero, ZeroLoadCanPowerEverythingDown) {
   const HeteroProvisioner solver(two_class_config());
   const HeteroOperatingPoint point = solver.solve(0.0);
   ASSERT_TRUE(point.feasible);
-  EXPECT_EQ(point.total_active(), 0u);
+  EXPECT_EQ(total_active(point), 0u);
   // Only the off draw remains: 16 * 5 W.
   EXPECT_NEAR(point.power_watts, 16.0 * 5.0, 1e-9);
-}
-
-// -- per-class wear budgets (solve_wear) -------------------------------------
-
-// Two classes identical in every energy-relevant way, so solve() is
-// indifferent between them; only the wear budgets differ — by 10x.  Class 0
-// is the short-lived generation (200 cycles), class 1 the durable one
-// (2000 cycles).
-HeteroConfig twin_class_config() {
-  HeteroConfig config;
-  config.t_ref_s = 0.5;
-  config.classes.push_back(make_class("fragile", 8, 10.0));
-  config.classes.push_back(make_class("durable", 8, 10.0));
-  return config;
-}
-
-ReliabilityOptions twin_budgets(double cycle_cost_j) {
-  ReliabilityOptions reliability;
-  reliability.class_cycles_to_failure = {200.0, 2000.0};
-  reliability.cycle_cost_j = cycle_cost_j;
-  return reliability;
-}
-
-TEST(HeteroWear, ClassTransitionCostScalesWithBudget) {
-  const WearModel wear(twin_budgets(1000.0));
-  // The durable class sits at the reference budget and pays the plain
-  // per-transition cost; the 10x-tighter class pays 10x.
-  EXPECT_DOUBLE_EQ(wear.reference_cycles(), 2000.0);
-  EXPECT_DOUBLE_EQ(wear.class_transition_cost_j(1, 2), wear.transition_cost_j(2));
-  EXPECT_DOUBLE_EQ(wear.class_transition_cost_j(0, 2),
-                   10.0 * wear.transition_cost_j(2));
-  // A class index past the table falls back to the (unset) global budget:
-  // unscaled cost, never a silent exemption.
-  EXPECT_DOUBLE_EQ(wear.class_transition_cost_j(5, 2), wear.transition_cost_j(2));
-}
-
-TEST(HeteroWear, ZeroCycleCostReducesToSolve) {
-  const HeteroProvisioner solver(twin_class_config());
-  const std::vector<unsigned> committed = {4, 4};
-  for (double lambda = 10.0; lambda <= 120.0; lambda += 22.0) {
-    const HeteroOperatingPoint plain = solver.solve(lambda);
-    const HeteroOperatingPoint wear =
-        solver.solve_wear(lambda, committed, 100.0, twin_budgets(0.0));
-    ASSERT_EQ(plain.feasible, wear.feasible) << lambda;
-    EXPECT_NEAR(plain.power_watts, wear.power_watts, 1e-9) << lambda;
-    EXPECT_EQ(plain.total_active(), wear.total_active()) << lambda;
-  }
-}
-
-TEST(HeteroWear, ProhibitiveCostFreezesTheCommittedCounts) {
-  const HeteroProvisioner solver(twin_class_config());
-  // lambda = 42 needs ceil(42 / 8) = 6 active servers; the committed
-  // {4, 4} = 8 can carry it, so with transitions priced at ~infinity the
-  // zero-transition point must win over the energy-optimal smaller fleet.
-  const HeteroOperatingPoint point =
-      solver.solve_wear(42.0, {4, 4}, 100.0, twin_budgets(1e12));
-  ASSERT_TRUE(point.feasible);
-  EXPECT_EQ(point.allocations[0].servers, 4u);
-  EXPECT_EQ(point.allocations[1].servers, 4u);
-}
-
-TEST(HeteroWear, GrowthLandsOnTheDurableClass) {
-  const HeteroProvisioner solver(twin_class_config());
-  // lambda = 90 needs ceil(90 / 8) = 12 active — at least 4 boots beyond
-  // the committed {4, 4}.  The classes are energy-identical, so only the
-  // budgets break the tie: the durable class must absorb more of the
-  // growth than the fragile one.
-  const HeteroOperatingPoint point =
-      solver.solve_wear(90.0, {4, 4}, 100.0, twin_budgets(2000.0));
-  ASSERT_TRUE(point.feasible);
-  EXPECT_GE(point.total_active(), 12u);
-  EXPECT_GT(point.allocations[1].servers, point.allocations[0].servers);
-  // Swapping the budgets mirrors the decision.
-  ReliabilityOptions swapped = twin_budgets(2000.0);
-  std::swap(swapped.class_cycles_to_failure[0],
-            swapped.class_cycles_to_failure[1]);
-  const HeteroOperatingPoint mirrored =
-      solver.solve_wear(90.0, {4, 4}, 100.0, swapped);
-  ASSERT_TRUE(mirrored.feasible);
-  EXPECT_GT(mirrored.allocations[0].servers, mirrored.allocations[1].servers);
-}
-
-TEST(HeteroWear, ShrinkageSparesTheFragileClass) {
-  const HeteroProvisioner solver(twin_class_config());
-  // From everything-on, light load wants a much smaller fleet; shutdowns
-  // are transitions too, so they should be taken from the durable class.
-  const HeteroOperatingPoint point =
-      solver.solve_wear(20.0, {8, 8}, 100.0, twin_budgets(2000.0));
-  ASSERT_TRUE(point.feasible);
-  EXPECT_LT(point.total_active(), 16u);
-  EXPECT_GT(point.allocations[0].servers, point.allocations[1].servers);
-}
-
-TEST(HeteroWear, StillMeetsTheSlaAndCarriesTheLoad) {
-  const HeteroProvisioner solver(twin_class_config());
-  const HeteroOperatingPoint point =
-      solver.solve_wear(90.0, {4, 4}, 100.0, twin_budgets(2000.0));
-  ASSERT_TRUE(point.feasible);
-  double carried = 0.0;
-  for (const ClassAllocation& alloc : point.allocations) {
-    carried += alloc.load;
-    if (alloc.load > 0.0) {
-      EXPECT_LE(alloc.response_time_s, 0.5 * (1.0 + 1e-9));
-    }
-  }
-  EXPECT_NEAR(carried, 90.0, 1e-6);
-}
-
-TEST(HeteroWear, InfeasibleLoadStillDegradesToBestEffort) {
-  const HeteroProvisioner solver(twin_class_config());
-  const HeteroOperatingPoint point =
-      solver.solve_wear(1000.0, {4, 4}, 100.0, twin_budgets(2000.0));
-  EXPECT_FALSE(point.feasible);
 }
 
 }  // namespace

@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace gc {
 namespace {
 
 TEST(Ini, ParsesSectionsAndKeys) {
   const IniFile ini = IniFile::parse("[a]\nx = 1\ny = hello\n[b]\nz=2\n");
-  EXPECT_TRUE(ini.has_section("a"));
-  EXPECT_TRUE(ini.has_section("b"));
-  EXPECT_FALSE(ini.has_section("c"));
+  EXPECT_EQ(ini.section_names(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(ini.keys("a"), (std::vector<std::string>{"x", "y"}));
+  EXPECT_TRUE(ini.keys("c").empty());
+  EXPECT_EQ(ini.line_of("b"), 4u);
+  EXPECT_EQ(ini.line_of("a", "y"), 3u);
+  EXPECT_EQ(ini.line_of("a", "missing"), 0u);
   EXPECT_EQ(ini.get("a", "x").value(), "1");
   EXPECT_EQ(ini.get("a", "y").value(), "hello");
   EXPECT_EQ(ini.get("b", "z").value(), "2");
@@ -50,28 +55,27 @@ TEST(Ini, TypedAccessors) {
   EXPECT_THROW((void)ini.get_bool_or("t", "bad", false), std::runtime_error);
 }
 
-TEST(Ini, SetAndRoundTrip) {
-  IniFile ini;
-  ini.set("z", "k2", "v2");
-  ini.set("a", "k1", "v1");
-  const IniFile again = IniFile::parse(ini.to_string());
-  EXPECT_EQ(again.get("a", "k1").value(), "v1");
-  EXPECT_EQ(again.get("z", "k2").value(), "v2");
-}
-
-TEST(Ini, SetRejectsEmptyNames) {
-  IniFile ini;
-  EXPECT_THROW(ini.set("", "k", "v"), std::runtime_error);
-  EXPECT_THROW(ini.set("s", "", "v"), std::runtime_error);
-}
-
 TEST(Ini, LoadMissingFileThrows) {
   EXPECT_THROW(IniFile::load("/nonexistent/gc.ini"), std::runtime_error);
 }
 
-TEST(Ini, LastValueWinsOnDuplicates) {
-  const IniFile ini = IniFile::parse("[s]\nk = 1\nk = 2\n");
-  EXPECT_EQ(ini.get("s", "k").value(), "2");
+// A repeated key would silently keep one of two values, a repeated header
+// would silently merge two sections: both are errors naming the lines.
+TEST(Ini, RejectsRepeatedKeysAndSections) {
+  const auto message = [](const std::string& text) -> std::string {
+    try {
+      (void)IniFile::parse(text);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  EXPECT_EQ(message("[s]\nk = 1\nk = 2\n"),
+            "ini line 3: repeated key 'k' in [s] (first at line 2)");
+  EXPECT_EQ(message("[s]\nk = 1\n[t]\n[s]\nj = 2\n"),
+            "ini line 4: repeated section [s] (first at line 1)");
+  // The same key in two different sections is fine.
+  EXPECT_EQ(message("[s]\nk = 1\n[t]\nk = 2\n"), "parsed");
 }
 
 }  // namespace

@@ -279,7 +279,7 @@ TEST(LifecycleJsonl, RoundTripsIntoTheInspectParser) {
   tracker.finalize_all(30.0);
 
   std::ostringstream os;
-  tracker.export_jsonl(os);
+  write_lifecycle_jsonl(os, tracker.records());
   const std::vector<LifecycleRow> rows = parse_lifecycle_jsonl(os.str());
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].kind, "target");
@@ -343,8 +343,8 @@ TEST(LifecycleControlPlane, TracksTheFacadeEndToEnd) {
   const CountersSnapshot snap = cp.counters_snapshot();
   EXPECT_EQ(counter_of(snap, "cp.lifecycle.issued"), 2.0);
   EXPECT_EQ(counter_of(snap, "cp.lifecycle.retransmits"), 1.0);
-  EXPECT_NE(cp.prometheus_text().find(
-                "gc_cp_lifecycle_ack_latency_seconds_bucket{le="),
+  EXPECT_NE(to_prometheus_text(snap, cp.lifecycle().prometheus_histograms())
+                .find("gc_cp_lifecycle_ack_latency_seconds_bucket{le="),
             std::string::npos);
 }
 

@@ -237,26 +237,6 @@ TEST(LogHistogram, BucketIndexMatchesTheFrexpFormula) {
   EXPECT_GE(checked, 3'000'000u);
 }
 
-TEST(LogHistogram, JsonRoundTripIsExact) {
-  LogHistogram h;
-  for (const double x : random_sample(42, 4000)) h.add(x);
-  h.add(0.0);    // underflow
-  h.add(1e300);  // saturated
-  const LogHistogram back = LogHistogram::from_json(h.to_json());
-  EXPECT_EQ(back, h);
-  EXPECT_EQ(back.underflow(), h.underflow());
-  EXPECT_EQ(back.saturated(), h.saturated());
-  EXPECT_DOUBLE_EQ(back.sum(), h.sum());
-  EXPECT_EQ(back.quantile(0.5), h.quantile(0.5));
-}
-
-TEST(LogHistogram, FromJsonRejectsGarbage) {
-  EXPECT_THROW(LogHistogram::from_json(""), std::runtime_error);
-  EXPECT_THROW(LogHistogram::from_json("not json"), std::runtime_error);
-  EXPECT_THROW(LogHistogram::from_json(R"({"buckets": {"999999": 1}})"),
-               std::runtime_error);
-}
-
 TEST(LogHistogram, ClearForgetsSamplesKeepsGeometry) {
   LogHistogramOptions opts;
   opts.sub_bucket_bits = 5;

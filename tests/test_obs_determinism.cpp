@@ -393,7 +393,6 @@ TEST(ObsDeterminism, RenderedArtifactBytesArePinned) {
        40993},
       {"timeseries csv", to_csv_text(timeseries.to_csv_table()),
        5827889155092280114ULL, 88595},
-      {"timeseries json", timeseries.to_json(), 5736761126467413099ULL, 127701},
       {"counters json", snap.to_json(), 8903481156749187791ULL, 2983},
       {"lifecycle jsonl", std::move(lifecycle).str(), 6951017864923093123ULL, 120019},
       {"prometheus",

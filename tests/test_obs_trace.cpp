@@ -43,15 +43,6 @@ TEST(TraceCollector, RingOverwritesOldestAndCountsDrops) {
   }
 }
 
-TEST(TraceCollector, ClearResetsEverything) {
-  TraceCollector trace;
-  trace.instant(1.0, "cat", "a");
-  trace.clear();
-  EXPECT_EQ(trace.size(), 0u);
-  EXPECT_EQ(trace.emitted(), 0u);
-  EXPECT_TRUE(trace.records().empty());
-}
-
 // The ring fills lazily, but its capacity is the configured one from the
 // start.
 TEST(TraceCollector, CapacityIsTheConfiguredValueBeforeAnyEmit) {
@@ -90,26 +81,6 @@ TEST(TraceCollector, WrapsAfterCapacityPlusKEmits) {
   ASSERT_EQ(records.size(), static_cast<std::size_t>(kCapacity));
   for (int i = 0; i < kCapacity; ++i) {
     EXPECT_DOUBLE_EQ(records[static_cast<std::size_t>(i)].ts_s, kExtra + i);
-  }
-}
-
-TEST(TraceCollector, ClearThenRefillBehavesLikeAFreshRing) {
-  TraceOptions opts;
-  opts.capacity = 6;
-  TraceCollector reused(opts);
-  emit_series(reused, 100, 9);  // wrapped before the clear
-  reused.clear();
-  EXPECT_EQ(reused.size(), 0u);
-  EXPECT_EQ(reused.capacity(), 6u);
-  TraceCollector fresh(opts);
-  for (const int n : {4, 6, 7}) {  // partly filled, exactly full, wrapped
-    reused.clear();
-    fresh.clear();
-    emit_series(reused, 0, n);
-    emit_series(fresh, 0, n);
-    EXPECT_EQ(reused.size(), fresh.size());
-    EXPECT_EQ(reused.dropped(), fresh.dropped());
-    EXPECT_EQ(reused.to_chrome_json(), fresh.to_chrome_json());
   }
 }
 

@@ -23,15 +23,6 @@ class PowerCapTest : public ::testing::Test {
   PowerCapSolver cap_solver_;
 };
 
-TEST_F(PowerCapTest, MinPowerForRateMatchesSolve) {
-  for (double lambda : {0.0, 20.0, 64.0, 120.0}) {
-    const auto power = cap_solver_.min_power_for_rate(lambda);
-    ASSERT_TRUE(power.has_value()) << lambda;
-    EXPECT_DOUBLE_EQ(*power, solver_.solve(lambda).power_watts);
-  }
-  EXPECT_FALSE(cap_solver_.min_power_for_rate(1000.0).has_value());
-}
-
 TEST_F(PowerCapTest, MaxSupportableRateIsMonotoneInCap) {
   double prev = -1.0;
   for (double cap = 200.0; cap <= 4200.0; cap += 200.0) {

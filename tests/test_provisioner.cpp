@@ -371,36 +371,6 @@ TEST(ProvisionerCache, OperationsAndCapsDoNotAliasEachOther) {
   EXPECT_EQ(solver.solve_capped(lambda, 99).servers, wide.servers);
 }
 
-TEST(ProvisionerCache, SetConfigInvalidatesStaleEntries) {
-  Provisioner solver(small_config());
-  const OperatingPoint before = solver.solve(40.0);
-  ClusterConfig tighter = small_config();
-  tighter.t_ref_s = 0.2;  // tighter SLA: same λ needs more capacity
-  solver.set_config(tighter);
-  const OperatingPoint after = solver.solve(40.0);
-  const Provisioner fresh(tighter);
-  const OperatingPoint expected = fresh.solve(40.0);
-  EXPECT_EQ(after.servers, expected.servers);
-  EXPECT_EQ(after.speed, expected.speed);
-  EXPECT_EQ(after.power_watts, expected.power_watts);
-  // The stale answer must not have survived the config change.
-  EXPECT_TRUE(after.servers != before.servers || after.speed != before.speed);
-}
-
-TEST(ProvisionerCache, InvalidateKeepsStatsButDropsEntries) {
-  Provisioner solver(small_config());
-  (void)solver.solve(10.0);
-  (void)solver.solve(10.0);
-  EXPECT_EQ(solver.cache_stats().hits, 1u);
-  solver.invalidate_cache();
-  EXPECT_EQ(solver.cache_stats().hits, 1u);  // stats survive
-  (void)solver.solve(10.0);                  // but the entry is gone
-  EXPECT_EQ(solver.cache_stats().misses, 2u);
-  solver.reset_cache_stats();
-  EXPECT_EQ(solver.cache_stats().hits, 0u);
-  EXPECT_EQ(solver.cache_stats().misses, 0u);
-}
-
 TEST(Provisioner, RejectsInvalidQueries) {
   const Provisioner solver(small_config());
   EXPECT_DEATH((void)solver.min_speed(1.0, 0), "out of range");

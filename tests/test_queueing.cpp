@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "support/mg1.h"
+#include "support/queueing.h"
 
 namespace gc {
 namespace {

@@ -115,13 +115,6 @@ TEST(FlashCrowdRateProfile, RejectsBadSpikes) {
   EXPECT_THROW(FlashCrowdRate(base, {{0.0, 1.0, 0.5}}), std::invalid_argument);
 }
 
-TEST(ScaledRateProfile, ScalesEverything) {
-  auto base = std::make_shared<ConstantRate>(10.0);
-  const ScaledRate profile(base, 2.5);
-  EXPECT_DOUBLE_EQ(profile.rate(0.0), 25.0);
-  EXPECT_DOUBLE_EQ(profile.max_rate(0.0, 10.0), 25.0);
-}
-
 // Majorant property: max_rate(t0,t1) must bound rate(t) for all t in
 // [t0,t1] — the NHPP thinning sampler is only correct if this holds.
 struct MajorantCase {

@@ -175,24 +175,6 @@ TEST(WearModel, HalfACyclePerTransition) {
   EXPECT_DOUBLE_EQ(wear.transition_cost_j(3), 300.0);
 }
 
-TEST(WearModel, PerClassBudgetsOverrideTheScalar) {
-  ReliabilityOptions options;
-  options.cycles_to_failure = 1000.0;
-  options.class_cycles_to_failure = {0.0, 100.0};
-  options.cycle_cost_j = 2.0;
-  const WearModel wear(options);
-  // Reference budget 1000 cycles: a 10-server change costs 0.5 * 2 * 10 J.
-  ASSERT_DOUBLE_EQ(wear.transition_cost_j(10), 10.0);
-  // Class 0 entry is 0 -> falls back to the fleet-wide budget, also in the
-  // simulator's (class 0) wear readout.
-  EXPECT_DOUBLE_EQ(wear.class_transition_cost_j(0, 10), 10.0);
-  EXPECT_DOUBLE_EQ(wear.wear_fraction(100, 100), 0.1);
-  // Class 1 wears 10x faster.
-  EXPECT_DOUBLE_EQ(wear.class_transition_cost_j(1, 10), 100.0);
-  // Out-of-range class index -> fleet-wide budget.
-  EXPECT_DOUBLE_EQ(wear.class_transition_cost_j(7, 10), 10.0);
-}
-
 TEST(ReliabilityOptionsValidate, RejectsBadKnobs) {
   const auto expect_throws = [](auto&& mutate) {
     ReliabilityOptions options;
@@ -210,7 +192,6 @@ TEST(ReliabilityOptionsValidate, RejectsBadKnobs) {
   expect_throws([](ReliabilityOptions& o) { o.availability_target = std::nan(""); });
   expect_throws([](ReliabilityOptions& o) { o.cycles_to_failure = -5.0; });
   expect_throws([](ReliabilityOptions& o) { o.cycle_cost_j = -5.0; });
-  expect_throws([](ReliabilityOptions& o) { o.class_cycles_to_failure = {10.0, -1.0}; });
   ReliabilityOptions ok;
   ok.mtbf_s = 1000.0;
   ok.mttr_s = 100.0;

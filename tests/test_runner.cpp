@@ -48,23 +48,6 @@ TEST(Runner, DeterministicForSameSeed) {
   EXPECT_DOUBLE_EQ(a.energy.total_j(), b.energy.total_j());
 }
 
-TEST(Runner, ShardedCellIsShardCountInvariant) {
-  // Same contract as run_one's determinism, plus K-independence; the deep
-  // byte-level equality lives in tests/test_sharded_determinism.cpp.
-  const SimResult a = run_one_sharded(fast_scenario(), fast_spec(), 1);
-  const SimResult b = run_one_sharded(fast_scenario(), fast_spec(), 3);
-  EXPECT_GT(a.completed_jobs, 10000u);
-  EXPECT_EQ(a.completed_jobs, b.completed_jobs);
-  EXPECT_DOUBLE_EQ(a.mean_response_s, b.mean_response_s);
-  EXPECT_DOUBLE_EQ(a.energy.total_j(), b.energy.total_j());
-  // Simulated-world counters agree; execution-descriptive ones
-  // (sharded.num_shards, queue growth) legitimately differ with K.
-  EXPECT_EQ(a.counters.counter_or("sim.jobs.admitted", 0),
-            b.counters.counter_or("sim.jobs.admitted", 0));
-  EXPECT_EQ(a.counters.counter_or("sim.events.departure", 0),
-            b.counters.counter_or("sim.events.departure", 0));
-}
-
 TEST(Runner, SeedChangesResult) {
   RunSpec other = fast_spec();
   other.seed = 8;

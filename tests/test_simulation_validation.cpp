@@ -7,6 +7,7 @@
 #include "queueing/mmc.h"
 #include "sim/simulation.h"
 #include "support/mg1.h"
+#include "support/queueing.h"
 #include "workload/workload.h"
 
 namespace gc {
@@ -218,26 +219,6 @@ TEST(SimValidation, LittlesLawOnTimeWeightedMetric) {
       run_simulation(workload, single_server_options(), controller, long_run());
   EXPECT_NEAR(result.mean_jobs_in_system, lambda * result.mean_response_s, 0.12);
   EXPECT_NEAR(result.mean_jobs_in_system, mm1::mean_number_in_system(lambda, mu), 0.25);
-}
-
-TEST(SimValidation, MmppWorkloadRunsAndIsBurstier) {
-  // MMPP arrivals with the same mean rate as Poisson produce longer
-  // queues (burstiness penalty) — a sanity check on the MMPP plumbing.
-  MmppProcess::Params params;
-  params.rate0 = 2.0;
-  params.rate1 = 12.0;
-  params.switch_rate0 = 1.0 / 50.0;
-  params.switch_rate1 = 1.0 / 50.0;  // mean rate 7.0
-  Workload bursty(std::make_unique<MmppProcess>(params, 20000.0, Rng(212, 1)),
-                  Distribution::exponential(10.0), Rng(212, 2));
-  PinnedController c1(1, 1.0);
-  const SimResult mmpp_result =
-      run_simulation(bursty, single_server_options(), c1, long_run());
-  Workload smooth = Workload::poisson_exponential(7.0, 10.0, 20000.0, 213);
-  PinnedController c2(1, 1.0);
-  const SimResult poisson_result =
-      run_simulation(smooth, single_server_options(), c2, long_run());
-  EXPECT_GT(mmpp_result.mean_response_s, poisson_result.mean_response_s * 1.2);
 }
 
 TEST(SimValidation, HardStopTerminatesOverloadedRun) {

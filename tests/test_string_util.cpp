@@ -70,12 +70,6 @@ TEST(StartsWith, Basics) {
   EXPECT_FALSE(starts_with("ab", "abc"));
 }
 
-TEST(Join, Basics) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
-}
-
 TEST(ToLower, Basics) {
   EXPECT_EQ(to_lower("AbC"), "abc");
   EXPECT_EQ(to_lower("123-X"), "123-x");

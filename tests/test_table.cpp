@@ -42,20 +42,6 @@ TEST(TablePrinter, IntegerCells) {
   EXPECT_NE(table.to_string().find("42"), std::string::npos);
 }
 
-TEST(TablePrinter, RowValuesConvenience) {
-  TablePrinter table;
-  table.column("a").column("b");
-  table.row_values({1.0, 2.0});
-  EXPECT_EQ(table.num_rows(), 1u);
-}
-
-TEST(TablePrinter, CsvOutput) {
-  TablePrinter table("t");
-  table.column("a").column("b", {.precision = 1});
-  table.row().cell("x").cell(2.0);
-  EXPECT_EQ(table.to_csv(), "a,b\nx,2.0\n");
-}
-
 TEST(TablePrinter, EmptyTableRendersHeaderOnly) {
   TablePrinter table;
   table.column("only");

@@ -34,18 +34,6 @@ TEST(Workload, ArrivalsAreMonotone) {
   }
 }
 
-TEST(Workload, ResetReproducesStream) {
-  Workload w = Workload::poisson_exponential(10.0, 5.0, 200.0, 9);
-  const auto first = drain(w);
-  w.reset();
-  const auto second = drain(w);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_DOUBLE_EQ(first[i].time, second[i].time);
-    EXPECT_DOUBLE_EQ(first[i].size, second[i].size);
-  }
-}
-
 TEST(Workload, ProfileExponentialUsesProfile) {
   auto profile = std::make_shared<ConstantRate>(15.0);
   Workload w = Workload::profile_exponential(profile, 10.0, 2000.0, 3);
