@@ -12,6 +12,7 @@
 # simulation core (see tsan_lane; `ci/check.sh tsan` runs just that lane).
 # The lint mode runs the cheap static checks (no build tree or
 # CMakeCache.txt tracked by git, no src/ header that only tests include,
+# no option field without a production setter outside ci/options_allow.txt,
 # clang-format via ci/format.sh --check,
 # clang-tidy when installed, plus a tracing-compiled-out configure)
 # without running the suite.
@@ -334,6 +335,64 @@ clang_tidy() {
     || { echo "clang-tidy: analysis failed (see above)" >&2; exit 1; }
 }
 
+# Every option has a production setter: a field of a `struct *Options` or
+# `struct *Params` in a src/ header that no production line ever sets is a
+# named constant instead (a setting nobody uses is kept alive only by its
+# validation and its tests).  A field passes when a line in src/, bench/,
+# examples/, tools/ or perfbench/ outside its own module (the header and
+# its .cpp) assigns it or one of its members (`.f =`, `->f.g =`,
+# designated `{.f = ...}`).  The match is by field name, so a same-named
+# field of another struct also counts.  Fields set only by aggregate
+# initialization, or kept for tests on purpose, are listed in
+# ci/options_allow.txt ("Struct::field  # reason"); an entry naming a field
+# that is gone fails too.
+option_setters() {
+  local allow="ci/options_allow.txt"
+  echo "==> [lint] every option has a production setter"
+  local bad
+  bad="$(grep -vE '^[[:space:]]*(#|$)' "${allow}" | grep -vE '^\S+  # \S' || true)"
+  [ -z "${bad}" ] \
+    || { printf 'lint: %s entries without a "  # reason":\n%s\n' \
+           "${allow}" "${bad}" >&2; exit 1; }
+  local fields
+  # One "Struct field header" line per field: a line indented by exactly two
+  # spaces inside the struct that declares a name (no parenthesis: methods
+  # are not fields), default initializer and comment stripped.
+  fields="$(git ls-files 'src/*.h' | xargs awk '
+      FNR == 1 { s = "" }
+      /^struct [A-Za-z0-9_]*(Options|Params) \{/ { s = $2; next }
+      s != "" && /^};/ { s = ""; next }
+      s != "" && /^  [A-Za-z_]/ && !/\(/ {
+        line = $0
+        sub(/[ \t]*\/\/.*$/, "", line)
+        if (line !~ /;$/) next
+        sub(/[ \t]*(=[^;]*|\{[^;]*\})?;$/, "", line)
+        n = split(line, w, /[ \t*&]+/)
+        print s " " w[n] " " FILENAME
+      }')"
+  local allowed
+  allowed="$({ grep -vE '^[[:space:]]*(#|$)' "${allow}" || true; } | sed 's/  # .*//')"
+  local unset="" stale="" st name header entry
+  while read -r st name header; do
+    grep -qxF "${st}::${name}" <<< "${allowed}" && continue
+    git grep -qE "(\.|->)${name}((\.|->)[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]*=([^=]|$)" \
+        -- 'src/*' 'bench/*' 'examples/*' 'tools/*' 'perfbench/*' \
+        ":!${header}" ":!${header%.h}.cpp" \
+      || unset="${unset}${st}::${name}"$'\n'
+  done <<< "${fields}"
+  while read -r entry; do
+    [ -n "${entry}" ] || continue
+    awk '{print $1 "::" $2}' <<< "${fields}" | grep -qxF "${entry}" \
+      || stale="${stale}${entry}"$'\n'
+  done <<< "${allowed}"
+  [ -z "${stale}" ] \
+    || { printf 'lint: %s lists fields that are gone:\n%s' \
+           "${allow}" "${stale}" >&2; exit 1; }
+  [ -z "${unset}" ] \
+    || { printf 'lint: option fields no production line sets (make them constants):\n%s' \
+           "${unset}" >&2; exit 1; }
+}
+
 lint() {
   # Probe every tool first: a box without clang-tidy learns that before the
   # multi-minute configure/build, not after.
@@ -390,6 +449,7 @@ lint() {
   [ -z "${heap_arrivals}" ] \
     || { printf 'lint: kArrival scheduled into the heap (use schedule_arrival):\n%s\n' \
            "${heap_arrivals}" >&2; exit 1; }
+  option_setters
   echo "==> [lint] clang-format"
   ci/format.sh --check
   # The zero-overhead claim only holds if the tracing-compiled-out build

@@ -21,20 +21,6 @@ void ActuatorOptions::validate() const {
     throw std::invalid_argument(
         "ActuatorOptions: ack_timeout_s must be finite and > 0");
   }
-  if (!(backoff_base_s >= 0.0) || !std::isfinite(backoff_base_s)) {
-    throw std::invalid_argument(
-        "ActuatorOptions: backoff_base_s must be finite and >= 0");
-  }
-  if (!(backoff_cap_s > 0.0) || !std::isfinite(backoff_cap_s)) {
-    throw std::invalid_argument(
-        "ActuatorOptions: backoff_cap_s must be finite and > 0");
-  }
-  if (!(jitter_frac >= 0.0 && jitter_frac <= 1.0)) {
-    throw std::invalid_argument("ActuatorOptions: jitter_frac must be in [0, 1]");
-  }
-  if (retry_budget == 0) {
-    throw std::invalid_argument("ActuatorOptions: retry_budget must be >= 1");
-  }
 }
 
 CommandActuator::CommandActuator(const ActuatorOptions& options, Rng rng)
@@ -55,8 +41,7 @@ Command CommandActuator::issue(double now, CommandKind kind, double value,
   if (options_.enabled) {
     l.outstanding = true;
     l.cmd = cmd;
-    l.backoff_s = options_.backoff_base_s > 0.0 ? options_.backoff_base_s
-                                                : options_.ack_timeout_s;
+    l.backoff_s = options_.ack_timeout_s;
     l.next_retry_s = now + options_.ack_timeout_s;
     l.retransmits = 0;
   }
@@ -67,7 +52,7 @@ void CommandActuator::poll(double now, std::vector<Command>& due) {
   if (!options_.enabled) return;
   for (Lane& l : lanes_) {
     if (!l.outstanding || now + 1e-9 < l.next_retry_s) continue;
-    if (l.retransmits >= options_.retry_budget) {
+    if (l.retransmits >= kRetryBudget) {
       // Budget spent: reconcile to acked state.  The command stops being
       // asserted; acked_value keeps the last confirmed value so the next
       // plan starts from fleet truth, not the unconfirmed wish.
@@ -77,14 +62,12 @@ void CommandActuator::poll(double now, std::vector<Command>& due) {
     }
     ++l.retransmits;
     ++retries_;
-    double wait = std::min(l.backoff_s, options_.backoff_cap_s);
-    if (options_.jitter_frac > 0.0) {
-      // Drawn only when a retransmission actually fires (determinism
-      // contract: loss-free runs consume no randomness).
-      wait *= 1.0 + options_.jitter_frac * rng_.uniform01();
-    }
+    // Drawn only when a retransmission actually fires (determinism
+    // contract: loss-free runs consume no randomness).
+    const double wait =
+        std::min(l.backoff_s, kBackoffCapS) * (1.0 + kJitterFrac * rng_.uniform01());
     l.next_retry_s = now + wait;
-    l.backoff_s = std::min(l.backoff_s * 2.0, options_.backoff_cap_s);
+    l.backoff_s = std::min(l.backoff_s * 2.0, kBackoffCapS);
     due.push_back(l.cmd);
   }
 }

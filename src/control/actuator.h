@@ -12,8 +12,10 @@
 //     idempotent — a duplicate is detected, re-acked (the original ack may
 //     have been the casualty) and not re-applied;
 //   * an unacked command is retransmitted after `ack_timeout_s`, then at
-//     bounded exponentially backed-off intervals with uniform jitter, up
-//     to `retry_budget` retransmissions.  Retries reuse the original
+//     intervals that start at `ack_timeout_s` and double up to
+//     kBackoffCapS, each stretched by a uniform jitter factor in
+//     [1, 1 + kJitterFrac), up to kRetryBudget retransmissions.  Retries
+//     reuse the original
 //     generation: the protocol re-asserts *that* command, it does not
 //     invent new ones;
 //   * issuing a new command of the same kind supersedes the outstanding
@@ -27,8 +29,8 @@
 //     the retransmit burst.)
 //
 // Determinism: the jitter RNG is drawn only when a retransmission
-// actually fires with jitter_frac > 0, so a loss-free run consumes no
-// randomness (same discipline as sim/control_channel).
+// actually fires, so a loss-free run consumes no randomness (same
+// discipline as sim/control_channel).
 #pragma once
 
 #include <cstdint>
@@ -52,16 +54,9 @@ struct ActuatorOptions {
   // (reorder protection) but never acked or retried — the "naive DCP"
   // contrast in bench/fig15_control_faults.
   bool enabled = false;
-  // Ack wait before the first retransmission.
+  // Ack wait before the first retransmission, and the first retry
+  // interval (it doubles per retry).
   double ack_timeout_s = 1.0;
-  // First retry interval; doubles per retry.  0 defaults to ack_timeout_s.
-  double backoff_base_s = 0.0;
-  // Upper bound on the backed-off interval.
-  double backoff_cap_s = 60.0;
-  // Uniform jitter applied to each backoff: wait *= 1 + jitter_frac * U[0,1).
-  double jitter_frac = 0.1;
-  // Retransmissions per command before reconciling to acked state.
-  unsigned retry_budget = 6;
 
   // Throws std::invalid_argument on inconsistent settings.
   void validate() const;
@@ -69,6 +64,13 @@ struct ActuatorOptions {
 
 class CommandActuator {
  public:
+  // Upper bound on the backed-off interval.
+  static constexpr double kBackoffCapS = 60.0;
+  // Uniform jitter applied to each backoff: wait *= 1 + kJitterFrac * U[0,1).
+  static constexpr double kJitterFrac = 0.1;
+  // Retransmissions per command before reconciling to acked state.
+  static constexpr unsigned kRetryBudget = 6;
+
   CommandActuator(const ActuatorOptions& options, Rng rng);
 
   // Stamps and (when enabled) tracks a new command, superseding any

@@ -32,14 +32,9 @@ void EwmaEstimator::load(SnapshotReader& r) {
   primed_ = r.boolean();
 }
 
-StalenessGuard::StalenessGuard(double horizon_s, double margin_widen)
-    : horizon_s_(horizon_s), widen_(margin_widen) {
+StalenessGuard::StalenessGuard(double horizon_s) : horizon_s_(horizon_s) {
   if (!(horizon_s >= 0.0) || !std::isfinite(horizon_s)) {
     throw std::invalid_argument("StalenessGuard: horizon_s must be finite and >= 0");
-  }
-  if (!(margin_widen >= 1.0) || !std::isfinite(margin_widen)) {
-    throw std::invalid_argument(
-        "StalenessGuard: margin_widen must be finite and >= 1");
   }
 }
 

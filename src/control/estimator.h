@@ -38,8 +38,8 @@ class EwmaEstimator {
 // the controller holds can be arbitrarily old.  The guard compares each
 // observation's age against a staleness horizon: while fresh it records
 // the rate as last-good and passes it through; past the horizon it holds
-// the last-good rate instead and reports a widened safety margin
-// (`margin_widen`), so the planner hedges against the drift it cannot
+// the last-good rate instead and reports a safety margin widened by
+// kMarginWiden, so the planner hedges against the drift it cannot
 // see.  A horizon of 0 disables the guard entirely — filter() is then the
 // identity and margin_multiplier() is exactly 1.0, preserving bit
 // identity with unguarded controllers.
@@ -47,34 +47,32 @@ struct StalenessOptions {
   // Observation age beyond which telemetry counts as stale; 0 disables
   // the guard (no behavior change vs an unguarded controller).
   double horizon_s = 0.0;
-  // Safety-margin multiplier applied while stale.
-  double margin_widen = 1.25;
 };
 
 class StalenessGuard {
  public:
-  explicit StalenessGuard(const StalenessOptions& options)
-      : StalenessGuard(options.horizon_s, options.margin_widen) {}
-  // Throws std::invalid_argument on inconsistent settings.
-  StalenessGuard(double horizon_s, double margin_widen);
+  // Safety-margin multiplier applied while stale.
+  static constexpr double kMarginWiden = 1.25;
+
+  // Throws std::invalid_argument unless horizon_s is finite and >= 0.
+  explicit StalenessGuard(double horizon_s);
 
   // Feeds one age-stamped observation; returns the rate to plan with.
   double filter(double age_s, double rate) noexcept;
 
   [[nodiscard]] bool stale() const noexcept { return stale_; }
   [[nodiscard]] double margin_multiplier() const noexcept {
-    return stale_ ? widen_ : 1.0;
+    return stale_ ? kMarginWiden : 1.0;
   }
   [[nodiscard]] std::uint64_t stale_ticks() const noexcept { return stale_ticks_; }
 
   // Checkpoint/restore of the mutable state (last-good rate, stale flag,
-  // stale-tick counter); the horizon/widen knobs are configuration.
+  // stale-tick counter); the horizon is configuration.
   void save(SnapshotWriter& w) const;
   void load(SnapshotReader& r);
 
  private:
   double horizon_s_;
-  double widen_;
   double last_good_ = 0.0;
   bool stale_ = false;
   std::uint64_t stale_ticks_ = 0;

@@ -1,33 +1,11 @@
 #include "control/failure_aware.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "cp/snapshot.h"
 #include "util/assert.h"
 
 namespace gc {
-
-void FailureAwareOptions::validate() const {
-  if (!(heartbeat_interval_s > 0.0) || !std::isfinite(heartbeat_interval_s)) {
-    throw std::invalid_argument(
-        "FailureAwareOptions: heartbeat_interval_s must be finite and > 0");
-  }
-  if (heartbeat_misses == 0) {
-    throw std::invalid_argument("FailureAwareOptions: heartbeat_misses must be >= 1");
-  }
-  if (!(spare_capacity_fraction >= 0.0 && spare_capacity_fraction <= 1.0)) {
-    throw std::invalid_argument(
-        "FailureAwareOptions: spare_capacity_fraction out of [0,1]");
-  }
-  if (boot_retry_budget == 0) {
-    throw std::invalid_argument("FailureAwareOptions: boot_retry_budget must be >= 1");
-  }
-  if (!(boot_retry_backoff_s >= 0.0) || !std::isfinite(boot_retry_backoff_s)) {
-    throw std::invalid_argument(
-        "FailureAwareOptions: boot_retry_backoff_s must be finite and >= 0");
-  }
-}
 
 // -- FailureDetector ---------------------------------------------------------
 
@@ -133,18 +111,13 @@ void BootRetryGate::load(SnapshotReader& r) {
 FailureAwareDcpController::FailureAwareDcpController(const Provisioner* provisioner,
                                                      const DcpParams& dcp,
                                                      PredictorKind predictor,
-                                                     const FailureAwareOptions& options,
                                                      const StalenessOptions& staleness)
     : provisioner_(provisioner), planner_(provisioner, dcp),
       predictor_(make_predictor(predictor, dcp.short_period_s)),
-      hysteresis_(effective_patience(dcp, provisioner->config().transition,
-                                     PowerModel(provisioner->config().power))),
-      options_(validated(options)),
-      detector_(options_.detection_delay_s(), provisioner->config().max_servers),
-      retry_(options_.boot_retry_budget,
-             options_.boot_retry_backoff_s > 0.0 ? options_.boot_retry_backoff_s
-                                                 : dcp.long_period_s),
-      guard_(staleness) {
+      hysteresis_(dcp.scale_down_patience),
+      detector_(kDetectionDelayS, provisioner->config().max_servers),
+      retry_(kBootRetryBudget, dcp.long_period_s),
+      guard_(staleness.horizon_s) {
   GC_CHECK(provisioner != nullptr, "FailureAwareDcpController: null provisioner");
 }
 
@@ -193,23 +166,22 @@ ControlAction FailureAwareDcpController::on_long_tick(const ControlContext& ctx)
   const unsigned detected = std::max(detector_.observe(ctx.now, ctx.available), 1u);
   const double predicted =
       std::max(predictor_->predict(planner_.prediction_horizon()), rate);
-  // The spare already over-provisions by ~spare_capacity_fraction, and
+  // The spare already over-provisions by ~kSpareCapacityFraction, and
   // absent a crash it absorbs prediction error exactly like the
   // multiplicative margin would — so the margin is relieved by the spare's
   // share instead of stacking on top of it (clamped at 1: never plan below
   // the prediction itself).
   const double relieved_margin =
-      std::max(1.0, planner_.params().safety_margin /
-                        (1.0 + options_.spare_capacity_fraction));
+      std::max(1.0, planner_.params().safety_margin / (1.0 + kSpareCapacityFraction));
   const double padded = predicted * relieved_margin * guard_.margin_multiplier();
 
   // Plan within the fleet the detector believes is alive.
   const OperatingPoint pt = provisioner_->solve_capped(padded, detected);
   planned_base_ = pt.servers;
   unsigned target = pt.servers;
-  if (pt.feasible && options_.spare_capacity_fraction > 0.0) {
-    const auto spare = static_cast<unsigned>(std::ceil(
-        options_.spare_capacity_fraction * static_cast<double>(pt.servers)));
+  if (pt.feasible) {
+    const auto spare = static_cast<unsigned>(
+        std::ceil(kSpareCapacityFraction * static_cast<double>(pt.servers)));
     target = std::min(target + spare, detected);
   }
   target = hysteresis_.propose(ctx.committed, target);

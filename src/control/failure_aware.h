@@ -4,8 +4,8 @@
 //
 //   * FailureDetector — a heartbeat-style detector over the fleet's
 //     available-server count.  A crashed server keeps being counted until
-//     `heartbeat_misses` consecutive heartbeats go unanswered
-//     (detection_delay_s = interval * misses); a repaired server is seen
+//     kHeartbeatMisses consecutive heartbeats go unanswered
+//     (kDetectionDelayS = interval * misses); a repaired server is seen
 //     immediately (it announces itself).  Modeled as the max of the true
 //     availability over the trailing detection window — failures surface
 //     late, repairs instantly.
@@ -13,7 +13,7 @@
 //     commanded server never reaches ON).  The gate watches the
 //     committed-vs-target deficit: the first shortfall asserts the target
 //     immediately, then re-asserts it only at exponentially backed-off
-//     deadlines (backoff, 2*backoff, ...) up to `boot_retry_budget`
+//     deadlines (one long period, then 2, 4, ...) up to kBootRetryBudget
 //     attempts per episode, returning the committed count in between so
 //     the reconciler is not spammed with boots that will hang again.
 //     Reaching the target (or a lowered one) resets the episode, and so
@@ -21,11 +21,11 @@
 //     land mean the deficit is an ordinary ramp, not hung commands.
 //   * Spare capacity — the planner solves within the *detected* available
 //     fleet (Provisioner::solve_capped) and then adds
-//     ceil(spare_capacity_fraction * m) standby servers, so attrition
+//     ceil(kSpareCapacityFraction * m) standby servers, so attrition
 //     during the long period lands on warm spares instead of the SLA.
 //     Because the spare itself over-provisions, the long-period safety
 //     margin is relieved by the spare's share
-//     (margin / (1 + spare_capacity_fraction), clamped at 1) rather than
+//     (margin / (1 + kSpareCapacityFraction), clamped at 1) rather than
 //     stacked on top of it — the spare absorbs prediction error exactly
 //     like the margin would whenever no crash claims it.
 //     The spares are pure headroom: the short tick fits the frequency for
@@ -51,29 +51,21 @@
 
 namespace gc {
 
-struct FailureAwareOptions {
-  double heartbeat_interval_s = 5.0;
-  // Missed heartbeats before a server is declared dead.
-  unsigned heartbeat_misses = 2;
-  // Extra standby servers on top of the planned m, as a fraction of m
-  // (rounded up).  0 disables spare capacity.  The default keeps one warm
-  // spare for fleets up to 16 planned servers — enough to absorb one
-  // crash per long period without breathing the SLA, at a single-digit
-  // energy premium.
-  double spare_capacity_fraction = 0.0625;
-  // Re-assert an unmet server-count target at most this many times per
-  // shortfall episode before settling for the committed fleet.
-  unsigned boot_retry_budget = 4;
-  // First retry delay; doubles per retry.  0 defaults to one long period
-  // (retry on the next provisioning decision).
-  double boot_retry_backoff_s = 0.0;
-
-  // Throws std::invalid_argument on inconsistent settings.
-  void validate() const;
-  [[nodiscard]] double detection_delay_s() const noexcept {
-    return heartbeat_interval_s * static_cast<double>(heartbeat_misses);
-  }
-};
+// The heartbeat detector: a crashed server is declared dead after
+// kHeartbeatMisses consecutive heartbeats, kHeartbeatIntervalS apart, go
+// unanswered.
+inline constexpr double kHeartbeatIntervalS = 5.0;
+inline constexpr unsigned kHeartbeatMisses = 2;
+inline constexpr double kDetectionDelayS = kHeartbeatIntervalS * kHeartbeatMisses;
+// Extra standby servers on top of the planned m, as a fraction of m
+// (rounded up).  It keeps one warm spare for fleets up to 16 planned
+// servers — enough to absorb one crash per long period without breathing
+// the SLA, at a single-digit energy premium.
+inline constexpr double kSpareCapacityFraction = 0.0625;
+// An unmet server-count target is re-asserted at most this many times per
+// shortfall episode before the controller settles for the committed fleet.
+// The first retry waits one long period (the next provisioning decision).
+inline constexpr unsigned kBootRetryBudget = 4;
 
 // Delayed-failure / instant-repair availability view.
 class FailureDetector {
@@ -137,7 +129,6 @@ class FailureAwareDcpController final : public Controller {
  public:
   FailureAwareDcpController(const Provisioner* provisioner, const DcpParams& dcp,
                             PredictorKind predictor,
-                            const FailureAwareOptions& options,
                             const StalenessOptions& staleness = {});
 
   [[nodiscard]] double short_period_s() const override;
@@ -149,22 +140,10 @@ class FailureAwareDcpController final : public Controller {
   void load_state(SnapshotReader& r) override;
 
  private:
-  // Pass-through that runs validate() first, so degenerate settings (a
-  // non-positive heartbeat interval, zero misses, a zero retry budget)
-  // throw std::invalid_argument at construction — *before* the member
-  // initializers below hand the derived values to FailureDetector /
-  // BootRetryGate, whose GC_CHECK preconditions would abort instead.
-  [[nodiscard]] static const FailureAwareOptions& validated(
-      const FailureAwareOptions& options) {
-    options.validate();
-    return options;
-  }
-
   const Provisioner* provisioner_;
   DcpPlanner planner_;
   std::unique_ptr<LoadPredictor> predictor_;
   HysteresisGate hysteresis_;
-  FailureAwareOptions options_;
   FailureDetector detector_;
   BootRetryGate retry_;
   StalenessGuard guard_;

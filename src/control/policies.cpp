@@ -57,12 +57,11 @@ std::unique_ptr<Controller> make_policy(PolicyKind kind, const Provisioner* prov
       return std::make_unique<ThresholdController>(provisioner, options);
     case PolicyKind::kDcpFailureAware:
       return std::make_unique<FailureAwareDcpController>(
-          provisioner, options.dcp, options.predictor, options.failure,
-          options.staleness);
+          provisioner, options.dcp, options.predictor, options.staleness);
     case PolicyKind::kDcpReliability:
       return std::make_unique<ReliabilityDcpController>(
-          provisioner, options.dcp, options.predictor, options.failure,
-          options.reliability, options.staleness);
+          provisioner, options.dcp, options.predictor, options.reliability,
+          options.staleness);
   }
   throw std::invalid_argument("make_policy: unknown policy kind");
 }
@@ -174,9 +173,8 @@ CombinedDcpController::CombinedDcpController(const Provisioner* provisioner,
                                              const PolicyOptions& options)
     : provisioner_(provisioner), planner_(provisioner, options.dcp),
       predictor_(make_predictor(options.predictor, options.dcp.short_period_s)),
-      hysteresis_(effective_patience(options.dcp, provisioner->config().transition,
-                                     PowerModel(provisioner->config().power))),
-      backlog_aware_(options.backlog_aware), guard_(options.staleness) {}
+      hysteresis_(options.dcp.scale_down_patience),
+      backlog_aware_(options.backlog_aware), guard_(options.staleness.horizon_s) {}
 
 double CombinedDcpController::short_period_s() const {
   return planner_.params().short_period_s;
@@ -259,8 +257,7 @@ OracleController::OracleController(const Provisioner* provisioner,
                                    std::shared_ptr<const RateProfile> profile)
     : provisioner_(provisioner), planner_(provisioner, options.dcp),
       profile_(std::move(profile)),
-      hysteresis_(effective_patience(options.dcp, provisioner->config().transition,
-                                     PowerModel(provisioner->config().power))) {
+      hysteresis_(options.dcp.scale_down_patience) {
   GC_CHECK(profile_ != nullptr, "OracleController: null profile");
 }
 

@@ -65,10 +65,6 @@ struct PolicyOptions {
   // queued backlog (DcpPlanner::plan_speed_with_backlog).  Off by default
   // to match the paper's controller; quantified in bench/fig6.
   bool backlog_aware = false;
-  // kDcpFailureAware / kDcpReliability: detector / spare capacity / boot
-  // retry knobs (kDcpReliability ignores spare_capacity_fraction — spares
-  // are solved, not guessed).
-  FailureAwareOptions failure = {};
   // kDcpReliability only: MTBF/MTTR model, availability target and wear
   // budget for Provisioner::solve_reliable.  Defaults disable everything,
   // degenerating the policy to capped DCP with zero spares.

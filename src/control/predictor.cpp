@@ -81,11 +81,6 @@ double EwmaPredictor::predict(double /*horizon_s*/) const { return value_; }
 
 std::string EwmaPredictor::name() const { return gc::format("ewma({:g})", alpha_); }
 
-void EwmaPredictor::reset() {
-  value_ = 0.0;
-  primed_ = false;
-}
-
 void EwmaPredictor::save(SnapshotWriter& w) const {
   w.f64(value_);
   w.boolean(primed_);
@@ -113,8 +108,6 @@ double SlidingMaxPredictor::predict(double /*horizon_s*/) const {
 std::string SlidingMaxPredictor::name() const {
   return gc::format("sliding-max({})", window_);
 }
-
-void SlidingMaxPredictor::reset() { history_.clear(); }
 
 void SlidingMaxPredictor::save(SnapshotWriter& w) const {
   save_history(w, history_);
@@ -165,8 +158,6 @@ double LinearTrendPredictor::predict(double horizon_s) const {
 std::string LinearTrendPredictor::name() const {
   return gc::format("linear-trend({})", window_);
 }
-
-void LinearTrendPredictor::reset() { history_.clear(); }
 
 void LinearTrendPredictor::save(SnapshotWriter& w) const {
   save_history(w, history_);

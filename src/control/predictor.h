@@ -27,7 +27,6 @@ class LoadPredictor {
   [[nodiscard]] virtual double predict(double horizon_s) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
-  virtual void reset() = 0;
 
   // Checkpoint/restore of the observation history (cp/snapshot.h): a
   // restored predictor must predict exactly what the saved one would.
@@ -57,7 +56,6 @@ class LastValuePredictor final : public LoadPredictor {
   void observe(double rate) override { last_ = rate; }
   [[nodiscard]] double predict(double /*horizon_s*/) const override { return last_; }
   [[nodiscard]] std::string name() const override { return "last-value"; }
-  void reset() override { last_ = 0.0; }
   void save(SnapshotWriter& w) const override;
   void load(SnapshotReader& r) override;
 
@@ -71,7 +69,6 @@ class EwmaPredictor final : public LoadPredictor {
   void observe(double rate) override;
   [[nodiscard]] double predict(double horizon_s) const override;
   [[nodiscard]] std::string name() const override;
-  void reset() override;
   void save(SnapshotWriter& w) const override;
   void load(SnapshotReader& r) override;
 
@@ -89,7 +86,6 @@ class SlidingMaxPredictor final : public LoadPredictor {
   void observe(double rate) override;
   [[nodiscard]] double predict(double horizon_s) const override;
   [[nodiscard]] std::string name() const override;
-  void reset() override;
   void save(SnapshotWriter& w) const override;
   void load(SnapshotReader& r) override;
 
@@ -106,7 +102,6 @@ class LinearTrendPredictor final : public LoadPredictor {
   void observe(double rate) override;
   [[nodiscard]] double predict(double horizon_s) const override;
   [[nodiscard]] std::string name() const override;
-  void reset() override;
   void save(SnapshotWriter& w) const override;
   void load(SnapshotReader& r) override;
 

@@ -10,19 +10,14 @@ namespace gc {
 ReliabilityDcpController::ReliabilityDcpController(const Provisioner* provisioner,
                                                    const DcpParams& dcp,
                                                    PredictorKind predictor,
-                                                   const FailureAwareOptions& failure,
                                                    const ReliabilityOptions& reliability,
                                                    const StalenessOptions& staleness)
     : provisioner_(provisioner), planner_(provisioner, dcp),
       predictor_(make_predictor(predictor, dcp.short_period_s)),
-      hysteresis_(effective_patience(dcp, provisioner->config().transition,
-                                     PowerModel(provisioner->config().power))),
-      failure_(validated(failure)), reliability_(validated(reliability)),
-      detector_(failure_.detection_delay_s(), provisioner->config().max_servers),
-      retry_(failure_.boot_retry_budget,
-             failure_.boot_retry_backoff_s > 0.0 ? failure_.boot_retry_backoff_s
-                                                 : dcp.long_period_s),
-      guard_(staleness) {
+      hysteresis_(dcp.scale_down_patience), reliability_(validated(reliability)),
+      detector_(kDetectionDelayS, provisioner->config().max_servers),
+      retry_(kBootRetryBudget, dcp.long_period_s),
+      guard_(staleness.horizon_s) {
   GC_CHECK(provisioner != nullptr, "ReliabilityDcpController: null provisioner");
 }
 

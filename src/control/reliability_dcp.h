@@ -2,9 +2,9 @@
 // heuristic replaced by a solved spare pool and a wear-costed objective
 // (DESIGN.md §10).
 //
-// FailureAwareDcpController adds ceil(spare_capacity_fraction * m) standby
-// servers no matter what the failure regime looks like — one knob, fixed by
-// the operator, with availability only an emergent side effect.  This
+// FailureAwareDcpController adds ceil(kSpareCapacityFraction * m) standby
+// servers no matter what the failure regime looks like — one fixed
+// fraction, with availability only an emergent side effect.  This
 // controller instead hands Provisioner::solve_reliable the MTBF/MTTR model
 // and an availability target A_ref, and the solver returns the jointly
 // optimal (m, s, spares):
@@ -21,8 +21,8 @@
 // with every load wiggle (bench/fig16_reliability quantifies the cut).
 //
 // Detector and boot-retry machinery are reused verbatim from
-// control/failure_aware.h; `options.spare_capacity_fraction` is ignored —
-// spares are solved, not guessed.  Policies.cpp wires this up as
+// control/failure_aware.h; kSpareCapacityFraction does not apply — spares
+// are solved, not guessed.  Policies.cpp wires this up as
 // PolicyKind::kDcpReliability.
 #pragma once
 
@@ -40,10 +40,9 @@ namespace gc {
 
 class ReliabilityDcpController final : public Controller {
  public:
-  // Validates both option structs (throws std::invalid_argument).
+  // Validates `reliability` (throws std::invalid_argument).
   ReliabilityDcpController(const Provisioner* provisioner, const DcpParams& dcp,
                            PredictorKind predictor,
-                           const FailureAwareOptions& failure,
                            const ReliabilityOptions& reliability,
                            const StalenessOptions& staleness = {});
 
@@ -56,11 +55,6 @@ class ReliabilityDcpController final : public Controller {
   void load_state(SnapshotReader& r) override;
 
  private:
-  [[nodiscard]] static const FailureAwareOptions& validated(
-      const FailureAwareOptions& options) {
-    options.validate();
-    return options;
-  }
   [[nodiscard]] static const ReliabilityOptions& validated(
       const ReliabilityOptions& options) {
     options.validate();
@@ -71,7 +65,6 @@ class ReliabilityDcpController final : public Controller {
   DcpPlanner planner_;
   std::unique_ptr<LoadPredictor> predictor_;
   HysteresisGate hysteresis_;
-  FailureAwareOptions failure_;
   ReliabilityOptions reliability_;
   FailureDetector detector_;
   BootRetryGate retry_;

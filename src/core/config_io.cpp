@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <string_view>
@@ -166,10 +167,21 @@ HeteroConfig hetero_config_from_ini(const IniFile& ini) {
   reject_unknown(ini, kHeteroSchema);
   HeteroConfig config;
   config.t_ref_s = get_positive(ini, "cluster", "t_ref_ms", 100.0) / 1e3;
+  // Class name -> line of its section header.  `[class a]` and `[class  a]`
+  // are two sections but one trimmed name, which the INI reader's
+  // repeated-section check cannot see.
+  std::map<std::string, std::size_t> header_line;
   for (const std::string& section : ini.section_names()) {
     if (!starts_with(section, "class ")) continue;
     ServerClass sc;
     sc.name = std::string(trim(std::string_view(section).substr(6)));
+    const std::size_t line = ini.line_of(section);
+    const auto [first, fresh] = header_line.emplace(sc.name, line);
+    if (!fresh) {
+      throw std::runtime_error(gc::format(
+          "config line {}: repeated class name '{}' (first at line {})",
+          std::max(line, first->second), sc.name, std::min(line, first->second)));
+    }
     sc.count = get_unsigned(ini, section, "count", 0);
     sc.mu_max = get_positive(ini, section, "mu_max", sc.mu_max);
     sc.power.p_idle_watts = get_finite(ini, section, "p_idle_w", sc.power.p_idle_watts);

@@ -57,17 +57,6 @@ OperatingPoint DcpPlanner::plan_speed_with_backlog(double current_rate, unsigned
   return plan_speed(current_rate + excess / drain_horizon_s, serving);
 }
 
-unsigned effective_patience(const DcpParams& params, const TransitionModel& transition,
-                            const PowerModel& power_model) {
-  params.validate();
-  if (!params.auto_patience_from_break_even) return params.scale_down_patience;
-  const double t_be = transition.break_even_time_s(power_model);
-  if (!std::isfinite(t_be)) return params.scale_down_patience;
-  const double periods = std::ceil(t_be / params.long_period_s);
-  return std::max(params.scale_down_patience,
-                  static_cast<unsigned>(std::max(periods, 1.0)));
-}
-
 HysteresisGate::HysteresisGate(unsigned patience) : patience_(patience) {
   if (patience == 0) throw std::invalid_argument("HysteresisGate: patience must be >= 1");
 }

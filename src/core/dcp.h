@@ -30,19 +30,9 @@ struct DcpParams {
   // Number of consecutive long periods that must request a smaller m
   // before any server is switched off (1 = shrink immediately).
   unsigned scale_down_patience = 2;
-  // When true, the patience is raised (never lowered) to cover the VOVF
-  // break-even time ceil(t_be / T_L): a downturn must persist long enough
-  // that shutting down actually saves energy (power/power_model.h).
-  bool auto_patience_from_break_even = false;
 
   void validate() const;
 };
-
-// The patience a controller should actually use: the configured value,
-// optionally raised to the break-even horizon.
-[[nodiscard]] unsigned effective_patience(const DcpParams& params,
-                                          const TransitionModel& transition,
-                                          const PowerModel& power_model);
 
 class DcpPlanner {
  public:

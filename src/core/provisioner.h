@@ -75,7 +75,6 @@ class Provisioner {
   [[nodiscard]] const SolverCacheStats& cache_stats() const noexcept {
     return cache_stats_;
   }
-  void reset_cache_stats() noexcept { cache_stats_ = {}; }
 
   // Minimal continuous speed for m active servers to meet t_ref under the
   // configured performance model; nullopt if infeasible even at s = 1.

@@ -8,14 +8,15 @@
 
 namespace gc {
 
+namespace {
+// Smoothing factor for the delivered-rate gauge (`cp.rate.smoothed`).
+constexpr double kRateEwmaAlpha = 0.2;
+}  // namespace
+
 void ControlPlaneOptions::validate() const {
   actuator.validate();
   if (staleness.horizon_s < 0.0) {
     throw std::invalid_argument("ControlPlaneOptions: staleness horizon must be >= 0");
-  }
-  if (!(rate_ewma_alpha > 0.0) || rate_ewma_alpha > 1.0) {
-    throw std::invalid_argument(
-        "ControlPlaneOptions: rate_ewma_alpha must be in (0, 1]");
   }
 }
 
@@ -25,8 +26,8 @@ ControlPlane::ControlPlane(Controller& controller,
       controller_(&controller),
       options_(options),
       actuator_((options.validate(), options.actuator), std::move(rng)),
-      rate_ewma_(options.rate_ewma_alpha),
-      staleness_(options.staleness) {
+      rate_ewma_(kRateEwmaAlpha),
+      staleness_(options.staleness.horizon_s) {
   lifecycle_.set_expect_acks(options.actuator.enabled);
 }
 
@@ -36,8 +37,8 @@ ControlPlane::ControlPlane(std::unique_ptr<Controller> controller,
       controller_(owned_.get()),
       options_(options),
       actuator_((options.validate(), options.actuator), std::move(rng)),
-      rate_ewma_(options.rate_ewma_alpha),
-      staleness_(options.staleness) {
+      rate_ewma_(kRateEwmaAlpha),
+      staleness_(options.staleness.horizon_s) {
   if (controller_ == nullptr) {
     throw std::invalid_argument("ControlPlane: null controller");
   }

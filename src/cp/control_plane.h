@@ -50,8 +50,6 @@ struct ControlPlaneOptions {
   // just surfaces `cp.telemetry.stale_ticks` for operators.  horizon 0
   // disables it.
   StalenessOptions staleness;
-  // Smoothing factor for the delivered-rate gauge (`cp.rate.smoothed`).
-  double rate_ewma_alpha = 0.2;
 
   // Throws std::invalid_argument on inconsistent settings.
   void validate() const;

@@ -51,19 +51,7 @@ MergeKind merge_kind(std::size_t col) {
 
 }  // namespace
 
-void TimeSeriesOptions::validate() const {
-  if (max_points < 16 || (max_points % 2) != 0) {
-    throw std::invalid_argument(
-        "TimeSeriesOptions: max_points must be even and >= 16");
-  }
-  if (sla_window == 0) {
-    throw std::invalid_argument("TimeSeriesOptions: sla_window must be > 0");
-  }
-}
-
-TimeSeriesRecorder::TimeSeriesRecorder(TimeSeriesOptions options)
-    : options_(options) {
-  options_.validate();
+TimeSeriesRecorder::TimeSeriesRecorder() {
   columns_.assign(kNumColumns, {});
   pending_.assign(kNumColumns, 0.0);
 }
@@ -219,7 +207,7 @@ void TimeSeriesRecorder::append(const TimeSeriesSample& sample) {
   last_sample_time_ = sample.time;
   rolling_.push_back(sample.window_violated);
   if (sample.window_violated) ++rolling_hits_;
-  if (rolling_.size() > options_.sla_window) {
+  if (rolling_.size() > kSlaWindow) {
     if (rolling_.front()) --rolling_hits_;
     rolling_.pop_front();
   }
@@ -242,7 +230,7 @@ void TimeSeriesRecorder::push_row(const Row& row) {
     columns_[col].push_back(row[col]);
   }
   ++num_rows_;
-  if (num_rows_ >= options_.max_points) halve();
+  if (num_rows_ >= kMaxPoints) halve();
 }
 
 void TimeSeriesRecorder::halve() {

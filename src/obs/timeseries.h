@@ -12,9 +12,9 @@
 // missed ticks localized in time instead of summed over the run).
 //
 // Storage is columnar: one std::vector<double> per column in a fixed
-// schema, appended in lockstep.  Memory is bounded by `max_points` —
+// schema, appended in lockstep.  Memory is bounded by kMaxPoints —
 // reaching it pairwise-merges adjacent rows and doubles the decimation
-// stride, so a run of any length keeps at most max_points rows, each
+// stride, so a run of any length keeps at most kMaxPoints rows, each
 // covering `stride()` consecutive control periods.  Merging is
 // deterministic and type-aware: instantaneous columns keep the latest
 // value, per-period deltas add, window aggregates combine count-weighted
@@ -87,16 +87,6 @@ struct TimeSeriesSample {
   double wear_fraction = 0.0;     // fleet-mean lifetime fraction consumed
 };
 
-struct TimeSeriesOptions {
-  // Stored-row budget; reaching it halves the series in place and doubles
-  // the per-row stride.  Must be >= 16.
-  std::size_t max_points = 1u << 14;
-  // Control periods in the rolling SLA-violation window.
-  std::size_t sla_window = 60;
-
-  void validate() const;  // throws std::invalid_argument
-};
-
 class TimeSeriesRecorder {
  public:
   // Column ids double as indices into the columnar store; kNumColumns rows
@@ -115,7 +105,13 @@ class TimeSeriesRecorder {
     kNumColumns
   };
 
-  explicit TimeSeriesRecorder(TimeSeriesOptions options = {});
+  // Stored-row budget; reaching it halves the series in place and doubles
+  // the per-row stride.
+  static constexpr std::size_t kMaxPoints = std::size_t{1} << 14;
+  // Control periods in the rolling SLA-violation window.
+  static constexpr std::size_t kSlaWindow = 60;
+
+  TimeSeriesRecorder();
 
   void append(const TimeSeriesSample& sample);
 
@@ -126,9 +122,8 @@ class TimeSeriesRecorder {
   [[nodiscard]] std::uint64_t periods() const noexcept { return periods_; }
   // Control instants folded into one stored row (1 until the first halving).
   [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
-  // Current rolling SLA-violation fraction over the last sla_window periods.
+  // Current rolling SLA-violation fraction over the last kSlaWindow periods.
   [[nodiscard]] double rolling_violation() const noexcept;
-  [[nodiscard]] const TimeSeriesOptions& options() const noexcept { return options_; }
 
   [[nodiscard]] static const std::vector<std::string>& column_names();
 
@@ -150,7 +145,6 @@ class TimeSeriesRecorder {
   void push_row(const Row& row);
   void halve();
 
-  TimeSeriesOptions options_;
   std::vector<std::vector<double>> columns_;  // [kNumColumns][num_rows_]
   std::size_t num_rows_ = 0;
   std::uint64_t periods_ = 0;
@@ -160,7 +154,7 @@ class TimeSeriesRecorder {
   std::size_t pending_count_ = 0;
   double last_sample_time_ = 0.0;
   bool have_sample_ = false;
-  // Rolling SLA window: violation flags of the newest sla_window periods.
+  // Rolling SLA window: violation flags of the newest kSlaWindow periods.
   std::deque<bool> rolling_;
   std::size_t rolling_hits_ = 0;
 };

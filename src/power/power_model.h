@@ -17,8 +17,6 @@
 // VOVF transition cost.
 #pragma once
 
-#include <limits>
-
 namespace gc {
 
 struct PowerModelParams {
@@ -76,23 +74,6 @@ class PowerModel {
 struct TransitionModel {
   double boot_delay_s = 90.0;       // OFF -> ON
   double shutdown_delay_s = 10.0;   // ON -> OFF (after draining)
-
-  [[nodiscard]] double boot_energy_joules(const PowerModel& pm) const noexcept {
-    return boot_delay_s * pm.transition_power();
-  }
-  [[nodiscard]] double shutdown_energy_joules(const PowerModel& pm) const noexcept {
-    return shutdown_delay_s * pm.transition_power();
-  }
-
-  // Classic VOVF break-even: how long a server must stay OFF before the
-  // shutdown+boot energy pays for itself against the idle draw it avoids.
-  // Shutting down for shorter dips than this *wastes* energy.  Returns
-  // +inf when idle power does not exceed the off draw.
-  [[nodiscard]] double break_even_time_s(const PowerModel& pm) const noexcept {
-    const double saved_per_second = pm.idle_power() - pm.off_power();
-    if (!(saved_per_second > 0.0)) return std::numeric_limits<double>::infinity();
-    return (boot_energy_joules(pm) + shutdown_energy_joules(pm)) / saved_per_second;
-  }
 };
 
 }  // namespace gc

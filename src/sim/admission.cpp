@@ -13,9 +13,6 @@ void AdmissionOptions::validate() const {
   if (!(mu_max > 0.0) || !std::isfinite(mu_max)) {
     throw std::invalid_argument("AdmissionOptions: mu_max must be finite and > 0");
   }
-  if (!(target_fraction > 0.0 && target_fraction <= 1.0)) {
-    throw std::invalid_argument("AdmissionOptions: target_fraction out of (0,1]");
-  }
 }
 
 AdmissionController::AdmissionController(const AdmissionOptions& options,
@@ -30,8 +27,7 @@ void AdmissionController::update(double measured_rate, unsigned serving,
   if (!options_.enabled) return;
   const double per_server =
       std::max(speed * options_.mu_max - 1.0 / t_ref_s_, 0.0);
-  const double admittable =
-      static_cast<double>(serving) * per_server * options_.target_fraction;
+  const double admittable = static_cast<double>(serving) * per_server;
   if (measured_rate <= admittable || measured_rate <= 0.0) {
     p_admit_ = 1.0;
   } else {

@@ -11,7 +11,7 @@
 // arrival rate meeting E[T] = 1/(s*mu - lambda) <= T_ref is
 // s*mu - 1/T_ref, so the cluster-wide admittable rate is
 //
-//   lambda_adm = serving * max(s * mu_max - 1/T_ref, 0) * target_fraction
+//   lambda_adm = serving * max(s * mu_max - 1/T_ref, 0)
 //
 // and each arrival is admitted with probability
 // p = min(1, lambda_adm / measured_rate).  Poisson thinning keeps the
@@ -33,9 +33,6 @@ struct AdmissionOptions {
   // Full-speed service rate of one server (jobs/s); must be set when
   // enabled (the sim layer cannot see the solver's ClusterConfig).
   double mu_max = 0.0;
-  // Scales the admittable rate: < 1 adds headroom, 1 = shed exactly to the
-  // T_ref boundary.
-  double target_fraction = 1.0;
 
   // Throws std::invalid_argument on inconsistent settings.
   void validate() const;

@@ -77,10 +77,6 @@ void ControllerFaultOptions::validate() const {
     throw std::invalid_argument(
         "ControllerFaultOptions: mttr_s must be finite and > 0 when mtbf_s > 0");
   }
-  if (watchdog_ticks == 0) {
-    throw std::invalid_argument(
-        "ControllerFaultOptions: watchdog_ticks must be >= 1");
-  }
 }
 
 }  // namespace gc

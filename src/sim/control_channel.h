@@ -142,9 +142,13 @@ class SlotStore {
 // process, and the watchdog that guards the fleet while the controller is
 // dark (DESIGN.md §8.3).  While down, control ticks still fire (time
 // keeps passing at the fleet) but the controller is not consulted; after
-// `watchdog_ticks` consecutive missed short ticks the fleet falls back to
+// kWatchdogTicks consecutive missed short ticks the fleet falls back to
 // a safe static policy — every server on at nominal frequency — and hands
 // control back to the policy once a post-recovery command arrives.
+// Consecutive missed *short* ticks before the fleet declares the
+// controller dead and enters safe mode.
+inline constexpr unsigned kWatchdogTicks = 3;
+
 struct ControllerOutage {
   double start_s = 0.0;
   double duration_s = 0.0;
@@ -175,9 +179,6 @@ struct ControllerFaultOptions {
   // to failure (mean mtbf_s) and repair (mean mttr_s).  0 disables.
   double mtbf_s = 0.0;
   double mttr_s = 60.0;
-  // Consecutive missed *short* ticks before the fleet declares the
-  // controller dead and enters safe mode.
-  unsigned watchdog_ticks = 3;
   // When false the watchdog only counts (no safe-mode fallback); lost
   // ticks then leave the fleet frozen in its last commanded state.
   bool safe_mode = true;

@@ -218,7 +218,7 @@ void ControlLoop::miss_tick(double now, double local_rate, bool short_tick) {
   const ControllerFaultOptions& cf = options_.controller_faults;
   if (short_tick) {
     ++missed_short_ticks_;
-    if (cf.safe_mode && !in_safe_mode_ && missed_short_ticks_ >= cf.watchdog_ticks) {
+    if (cf.safe_mode && !in_safe_mode_ && missed_short_ticks_ >= kWatchdogTicks) {
       // Watchdog trip: safe static fallback — everything on at nominal
       // frequency — until a post-recovery command arrives.
       in_safe_mode_ = true;

@@ -19,9 +19,6 @@ void FaultOptions::validate(unsigned num_servers) const {
   if (!(boot_hang_prob >= 0.0 && boot_hang_prob <= 1.0)) {
     throw std::invalid_argument("FaultOptions: boot_hang_prob out of [0,1]");
   }
-  if (!(boot_timeout_s >= 0.0) || !std::isfinite(boot_timeout_s)) {
-    throw std::invalid_argument("FaultOptions: boot_timeout_s must be finite and >= 0");
-  }
   for (const ScriptedFault& f : script) {
     if (!(f.time >= 0.0) || !std::isfinite(f.time)) {
       throw std::invalid_argument("FaultOptions: scripted fault time must be >= 0");
@@ -39,7 +36,7 @@ void FaultOptions::validate(unsigned num_servers) const {
 
 std::optional<double> FaultOptions::sample_boot_hang(Rng& rng, double boot_delay_s) const {
   if (boot_hang_prob <= 0.0 || rng.uniform01() >= boot_hang_prob) return std::nullopt;
-  return boot_timeout_s > 0.0 ? boot_timeout_s : 3.0 * boot_delay_s;
+  return kBootTimeoutBootDelays * boot_delay_s;
 }
 
 FaultInjector::FaultInjector(const FaultOptions& options, std::vector<Rng> clocks,

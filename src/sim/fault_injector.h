@@ -10,8 +10,8 @@
 //     crash) and the failure clock simply restarts;
 //   * boot hangs: each boot command independently hangs with probability
 //     `boot_hang_prob`; a hung boot never completes and is declared failed
-//     after `boot_timeout_s` (the firmware/watchdog timeout), then repaired
-//     like any other crash.
+//     after kBootTimeoutBootDelays boot delays (the firmware/watchdog
+//     timeout), then repaired like any other crash.
 //
 // Scripted faults make tests reproducible: each entry crashes a specific
 // server at a specific time, with an optional fixed repair delay
@@ -42,6 +42,10 @@
 
 namespace gc {
 
+// A hung boot stays BOOTING this many boot delays before it is declared
+// failed (a watchdog would not fire earlier than the expected boot time).
+inline constexpr double kBootTimeoutBootDelays = 3.0;
+
 struct ScriptedFault {
   double time = 0.0;          // crash instant (simulation seconds)
   std::uint32_t server = 0;   // victim
@@ -59,10 +63,6 @@ struct FaultOptions {
   // Probability that any individual boot command hangs instead of
   // completing.
   double boot_hang_prob = 0.0;
-  // How long a hung boot stays BOOTING before it is declared failed;
-  // 0 means three boot delays (a watchdog would not fire earlier than the
-  // expected boot time).
-  double boot_timeout_s = 0.0;
   // Reproducible crash schedule, in addition to the processes above.
   std::vector<ScriptedFault> script;
   // RNG seed; 0 derives one from the cluster's dispatch seed so that

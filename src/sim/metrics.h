@@ -74,7 +74,7 @@ class MetricsCollector {
 
   [[nodiscard]] const MeanVarAccumulator& response() const noexcept { return response_; }
   // Tails read from response_histogram(): bucket midpoints within
-  // relative_error_bound() (1/128) of the true order statistic; 0 when empty.
+  // LogHistogram::kRelativeErrorBound (1/128) of the true order statistic; 0 when empty.
   [[nodiscard]] double p95() const noexcept { return response_hist_.quantile(0.95); }
   [[nodiscard]] double p99() const noexcept { return response_hist_.quantile(0.99); }
   // Fraction of jobs whose individual response time exceeded t_ref.  (The

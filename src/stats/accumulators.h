@@ -64,10 +64,6 @@ class RatioAccumulator {
     ++total_;
     if (hit) ++hits_;
   }
-  void merge(const RatioAccumulator& other) noexcept {
-    total_ += other.total_;
-    hits_ += other.hits_;
-  }
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] double ratio() const noexcept {

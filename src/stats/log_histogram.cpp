@@ -3,45 +3,19 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace gc {
 
-void LogHistogramOptions::validate() const {
-  if (sub_bucket_bits < 1 || sub_bucket_bits > 12) {
-    throw std::invalid_argument(
-        "LogHistogramOptions: sub_bucket_bits must be in [1, 12]");
-  }
-  if (min_exponent >= max_exponent) {
-    throw std::invalid_argument(
-        "LogHistogramOptions: min_exponent must be < max_exponent");
-  }
-  if (min_exponent < -64 || max_exponent > 64) {
-    throw std::invalid_argument(
-        "LogHistogramOptions: exponent range must stay within [-64, 64]");
-  }
-}
+LogHistogram::LogHistogram()
+    : counts_(kNumBuckets, 0),
+      min_(std::numeric_limits<double>::infinity()),
+      max_(-std::numeric_limits<double>::infinity()) {}
 
-LogHistogram::LogHistogram(LogHistogramOptions options) : options_(options) {
-  options_.validate();
-  lowest_ = std::ldexp(1.0, options_.min_exponent);
-  saturation_ = std::ldexp(1.0, options_.max_exponent);
-  counts_.assign(num_buckets(), 0);
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
-}
-
-std::size_t LogHistogram::num_buckets() const noexcept {
-  const auto octaves =
-      static_cast<std::size_t>(options_.max_exponent - options_.min_exponent);
-  return octaves << options_.sub_bucket_bits;
-}
-
-std::size_t LogHistogram::bucket_index(double x) const noexcept {
-  if (x >= saturation_) return num_buckets() - 1;  // clamped, +inf included
-  // x >= 2^min_exponent >= 2^-64 is a normal double: x = (1 + f) * 2^e with
-  // the biased e in bits 52..62 and f's 52 bits below it.  The top
-  // sub_bucket_bits of f are floor(f * S), the sub-bucket.  Writing x as
+std::size_t LogHistogram::bucket_index(double x) noexcept {
+  if (x >= kSaturation) return kNumBuckets - 1;  // clamped, +inf included
+  // x >= 2^kMinExponent is a normal double: x = (1 + f) * 2^e with the
+  // biased e in bits 52..62 and f's 52 bits below it.  The top
+  // kSubBucketBits of f are floor(f * S), the sub-bucket.  Writing x as
   // m * 2^(e+1) with m in [0.5, 1), that is floor((2m - 1) * S) exactly:
   // the product is exact, so no rounding can move a value across a bucket
   // edge.
@@ -49,28 +23,26 @@ std::size_t LogHistogram::bucket_index(double x) const noexcept {
   constexpr int kExponentBias = 1023;
   const auto bits = std::bit_cast<std::uint64_t>(x);
   const int octave = static_cast<int>(bits >> kMantissaBits) - kExponentBias;
-  const std::uint64_t sub_mask = (std::uint64_t{1} << options_.sub_bucket_bits) - 1;
-  const std::uint64_t sub = (bits >> (kMantissaBits - options_.sub_bucket_bits)) & sub_mask;
-  const auto row = static_cast<std::size_t>(octave - options_.min_exponent);
-  return (row << options_.sub_bucket_bits) + static_cast<std::size_t>(sub);
+  constexpr std::uint64_t kSubMask = (std::uint64_t{1} << kSubBucketBits) - 1;
+  const std::uint64_t sub = (bits >> (kMantissaBits - kSubBucketBits)) & kSubMask;
+  const auto row = static_cast<std::size_t>(octave - kMinExponent);
+  return (row << kSubBucketBits) + static_cast<std::size_t>(sub);
 }
 
-double LogHistogram::bucket_lower(std::size_t index) const noexcept {
-  const auto sub_buckets = std::size_t{1} << options_.sub_bucket_bits;
-  const int octave =
-      options_.min_exponent + static_cast<int>(index >> options_.sub_bucket_bits);
-  const auto sub = index & (sub_buckets - 1);
-  return std::ldexp(1.0 + static_cast<double>(sub) / static_cast<double>(sub_buckets),
+double LogHistogram::bucket_lower(std::size_t index) noexcept {
+  constexpr auto kSubBuckets = std::size_t{1} << kSubBucketBits;
+  const int octave = kMinExponent + static_cast<int>(index >> kSubBucketBits);
+  const auto sub = index & (kSubBuckets - 1);
+  return std::ldexp(1.0 + static_cast<double>(sub) / static_cast<double>(kSubBuckets),
                     octave);
 }
 
-double LogHistogram::bucket_upper(std::size_t index) const noexcept {
-  const auto sub_buckets = std::size_t{1} << options_.sub_bucket_bits;
-  const int octave =
-      options_.min_exponent + static_cast<int>(index >> options_.sub_bucket_bits);
-  const auto sub = index & (sub_buckets - 1);
+double LogHistogram::bucket_upper(std::size_t index) noexcept {
+  constexpr auto kSubBuckets = std::size_t{1} << kSubBucketBits;
+  const int octave = kMinExponent + static_cast<int>(index >> kSubBucketBits);
+  const auto sub = index & (kSubBuckets - 1);
   return std::ldexp(
-      1.0 + static_cast<double>(sub + 1) / static_cast<double>(sub_buckets), octave);
+      1.0 + static_cast<double>(sub + 1) / static_cast<double>(kSubBuckets), octave);
 }
 
 void LogHistogram::clear() noexcept {
@@ -89,21 +61,17 @@ void LogHistogram::add(double x, std::uint64_t n) noexcept {
   sum_ += x * static_cast<double>(n);
   if (x < min_) min_ = x;
   if (x > max_) max_ = x;
-  if (x < lowest_) {
+  if (x < kLowest) {
     underflow_ += n;
     return;
   }
-  if (x >= saturation_) saturated_ += n;
+  if (x >= kSaturation) saturated_ += n;
   counts_[bucket_index(x)] += n;
 }
 
 double LogHistogram::min() const noexcept { return count_ == 0 ? 0.0 : min_; }
 
 double LogHistogram::max() const noexcept { return count_ == 0 ? 0.0 : max_; }
-
-double LogHistogram::relative_error_bound() const noexcept {
-  return 1.0 / static_cast<double>(std::size_t{2} << options_.sub_bucket_bits);
-}
 
 double LogHistogram::quantile(double p) const noexcept {
   if (count_ == 0) return 0.0;
@@ -127,16 +95,7 @@ double LogHistogram::quantile(double p) const noexcept {
   return max_;  // unreachable unless counts drifted; max is always safe
 }
 
-bool LogHistogram::same_geometry(const LogHistogram& other) const noexcept {
-  return options_.sub_bucket_bits == other.options_.sub_bucket_bits &&
-         options_.min_exponent == other.options_.min_exponent &&
-         options_.max_exponent == other.options_.max_exponent;
-}
-
 void LogHistogram::merge(const LogHistogram& other) {
-  if (!same_geometry(other)) {
-    throw std::invalid_argument("LogHistogram::merge: geometry mismatch");
-  }
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   count_ += other.count_;
   underflow_ += other.underflow_;
@@ -159,7 +118,6 @@ std::vector<LogHistogram::Bucket> LogHistogram::nonzero_buckets() const {
 }
 
 bool operator==(const LogHistogram& a, const LogHistogram& b) {
-  if (!a.same_geometry(b)) return false;
   if (a.count_ != b.count_ || a.underflow_ != b.underflow_ ||
       a.saturated_ != b.saturated_) {
     return false;

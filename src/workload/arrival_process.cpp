@@ -9,7 +9,7 @@
 namespace gc {
 
 PoissonProcess::PoissonProcess(double rate, double horizon, Rng rng)
-    : rate_(rate), horizon_(horizon), rng_(rng), initial_rng_(rng) {
+    : rate_(rate), horizon_(horizon), rng_(rng) {
   if (!(rate > 0.0 && horizon > 0.0)) {
     throw std::invalid_argument("PoissonProcess: need rate>0, horizon>0");
   }
@@ -23,14 +23,9 @@ std::optional<double> PoissonProcess::next() {
 
 std::string PoissonProcess::name() const { return gc::format("poisson({:g}/s)", rate_); }
 
-void PoissonProcess::reset() {
-  rng_ = initial_rng_;
-  t_ = 0.0;
-}
-
 NhppProcess::NhppProcess(std::shared_ptr<const RateProfile> profile, double horizon,
                          Rng rng, double majorant_window_s)
-    : profile_(std::move(profile)), horizon_(horizon), rng_(rng), initial_rng_(rng),
+    : profile_(std::move(profile)), horizon_(horizon), rng_(rng),
       window_(majorant_window_s) {
   GC_CHECK(profile_ != nullptr, "NhppProcess: null profile");
   if (!(horizon > 0.0 && majorant_window_s > 0.0)) {
@@ -76,12 +71,6 @@ std::optional<double> NhppProcess::next() {
 
 std::string NhppProcess::name() const { return gc::format("nhpp[{}]", profile_->name()); }
 
-void NhppProcess::reset() {
-  rng_ = initial_rng_;
-  t_ = 0.0;
-  majorant_start_ = std::numeric_limits<double>::quiet_NaN();
-}
-
 TraceProcess::TraceProcess(std::vector<double> timestamps)
     : timestamps_(std::move(timestamps)) {
   for (std::size_t i = 0; i < timestamps_.size(); ++i) {
@@ -99,7 +88,5 @@ std::optional<double> TraceProcess::next() {
 std::string TraceProcess::name() const {
   return gc::format("trace({} arrivals)", timestamps_.size());
 }
-
-void TraceProcess::reset() { pos_ = 0; }
 
 }  // namespace gc

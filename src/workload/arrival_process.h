@@ -26,9 +26,6 @@ class ArrivalProcess {
   [[nodiscard]] virtual std::optional<double> next() = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
-
-  // Restarts the process from t = 0 with its original seed.
-  virtual void reset() = 0;
 };
 
 // Homogeneous Poisson process with rate λ, truncated at `horizon`.
@@ -37,11 +34,10 @@ class PoissonProcess final : public ArrivalProcess {
   PoissonProcess(double rate, double horizon, Rng rng);
   [[nodiscard]] std::optional<double> next() override;
   [[nodiscard]] std::string name() const override;
-  void reset() override;
 
  private:
   double rate_, horizon_;
-  Rng rng_, initial_rng_;
+  Rng rng_;
   double t_ = 0.0;
 };
 
@@ -58,16 +54,15 @@ class NhppProcess final : public ArrivalProcess {
               double majorant_window_s = 600.0);
   [[nodiscard]] std::optional<double> next() override;
   [[nodiscard]] std::string name() const override;
-  void reset() override;
 
  private:
   std::shared_ptr<const RateProfile> profile_;
   double horizon_;
-  Rng rng_, initial_rng_;
+  Rng rng_;
   double window_;
   double t_ = 0.0;
   // Start of the window `majorant_` belongs to; NaN (matches no window)
-  // before the first window and after reset().
+  // before the first window.
   double majorant_start_ = std::numeric_limits<double>::quiet_NaN();
   double majorant_ = 0.0;
 };
@@ -79,7 +74,6 @@ class TraceProcess final : public ArrivalProcess {
   explicit TraceProcess(std::vector<double> timestamps);
   [[nodiscard]] std::optional<double> next() override;
   [[nodiscard]] std::string name() const override;
-  void reset() override;
   [[nodiscard]] std::size_t size() const noexcept { return timestamps_.size(); }
 
  private:

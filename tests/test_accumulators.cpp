@@ -92,15 +92,5 @@ TEST(Ratio, Basics) {
   EXPECT_EQ(acc.hits(), 2u);
 }
 
-TEST(Ratio, Merge) {
-  RatioAccumulator a, b;
-  a.add(true);
-  b.add(false);
-  b.add(false);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_NEAR(a.ratio(), 1.0 / 3.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace gc

@@ -4,6 +4,8 @@
 // state, stale-ack accounting, and lane supersession.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -21,9 +23,6 @@ ActuatorOptions on_options() {
   ActuatorOptions opts;
   opts.enabled = true;
   opts.ack_timeout_s = 1.0;
-  opts.backoff_cap_s = 8.0;
-  opts.jitter_frac = 0.0;  // deterministic retry times unless a test opts in
-  opts.retry_budget = 3;
   return opts;
 }
 
@@ -38,25 +37,11 @@ TEST(ActuatorOptions, ValidatesRanges) {
   EXPECT_THROW(opts.validate(), std::invalid_argument);
   opts.ack_timeout_s = kInf;
   EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts = ActuatorOptions{};
-  opts.backoff_base_s = -1.0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts = ActuatorOptions{};
-  opts.backoff_cap_s = 0.0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts = ActuatorOptions{};
-  opts.jitter_frac = 1.5;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts.jitter_frac = -0.1;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts = ActuatorOptions{};
-  opts.retry_budget = 0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
 }
 
 TEST(ActuatorOptions, ConstructorValidates) {
   ActuatorOptions opts;
-  opts.retry_budget = 0;
+  opts.ack_timeout_s = 0.0;
   EXPECT_THROW(make_actuator(opts), std::invalid_argument);
 }
 
@@ -122,64 +107,74 @@ TEST(Actuator, RetransmitsAfterTimeoutWithSameGeneration) {
 
 TEST(Actuator, BackoffDoublesAndIsCapped) {
   ActuatorOptions opts = on_options();
-  opts.ack_timeout_s = 1.0;
-  opts.backoff_base_s = 2.0;
-  opts.backoff_cap_s = 5.0;
-  opts.retry_budget = 10;
+  opts.ack_timeout_s = 10.0;
   CommandActuator act = make_actuator(opts);
   (void)act.issue(0.0, CommandKind::kTarget, 4.0, 0);
-  // With jitter off the retry times are exact: first at the ack timeout,
-  // then base, 2*base, capped: 1, +2, +4, +5, +5, ...
-  const double expected[] = {1.0, 3.0, 7.0, 12.0, 17.0};
-  double probe = 0.0;
-  for (double t : expected) {
-    std::vector<Command> due;
-    // Just before the deadline nothing fires...
-    probe = t - 0.01;
-    act.poll(probe, due);
-    EXPECT_TRUE(due.empty()) << "premature retry before t=" << t;
-    // ...and at the deadline exactly one retransmission fires.
+  // The first retransmission fires at exactly the ack timeout...
+  std::vector<Command> due;
+  act.poll(9.99, due);
+  EXPECT_TRUE(due.empty());
+  act.poll(10.0, due);
+  ASSERT_EQ(due.size(), 1u);
+  // ...then each wait is ack_timeout_s * 2^k capped at 60 s, stretched by a
+  // jitter factor in [1, 1.1): an uncapped fourth wait (80 s) would not fit
+  // under 1.1 * 60 s.
+  const double waits[] = {10.0, 20.0, 40.0, 60.0, 60.0};
+  double t = 10.0;
+  for (const double w : waits) {
+    due.clear();
+    act.poll(t + w - 0.01, due);
+    EXPECT_TRUE(due.empty()) << "premature retry before t=" << t + w;
+    t += w * (1.0 + CommandActuator::kJitterFrac);
     act.poll(t, due);
-    ASSERT_EQ(due.size(), 1u) << "missing retry at t=" << t;
+    ASSERT_EQ(due.size(), 1u) << "missing retry by t=" << t;
   }
-  EXPECT_EQ(act.retries(), 5u);
+  EXPECT_EQ(act.retries(), CommandActuator::kRetryBudget);  // 6
+  // The budget is spent: the next deadline reconciles instead of retrying.
+  due.clear();
+  act.poll(t + 60.0 * (1.0 + CommandActuator::kJitterFrac), due);
+  EXPECT_TRUE(due.empty());
+  EXPECT_EQ(act.exhausted(), 1u);
+  EXPECT_FALSE(act.outstanding(CommandKind::kTarget));
 }
 
 TEST(Actuator, JitterStretchesBackoffWithinBound) {
-  ActuatorOptions opts = on_options();
-  opts.ack_timeout_s = 1.0;
-  opts.backoff_base_s = 2.0;
-  opts.backoff_cap_s = 100.0;
-  opts.jitter_frac = 0.5;
-  opts.retry_budget = 100;
-  CommandActuator act = make_actuator(opts);
-  (void)act.issue(0.0, CommandKind::kTarget, 4.0, 0);
-  // First retransmission fires at exactly t=1 (the un-jittered timeout);
-  // the *next* deadline is 2.0 * (1 + 0.5*U[0,1)) after it.
-  std::vector<Command> due;
-  act.poll(1.0, due);
-  ASSERT_EQ(due.size(), 1u);
-  // Nothing can fire before the minimum jittered wait...
-  due.clear();
-  act.poll(1.0 + 2.0 - 0.01, due);
-  EXPECT_TRUE(due.empty());
-  // ...and the maximum wait bounds the deadline from above.
-  act.poll(1.0 + 2.0 * 1.5, due);
-  EXPECT_EQ(due.size(), 1u);
+  // The second retransmission's wait is ack_timeout_s * (1 + 0.1 U[0,1)):
+  // find when it fires on a fine grid, for a few seeds.
+  std::vector<double> fired_at;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    CommandActuator act(on_options(), Rng(seed, 14));
+    (void)act.issue(0.0, CommandKind::kTarget, 4.0, 0);
+    std::vector<Command> due;
+    act.poll(1.0, due);  // the un-jittered timeout
+    ASSERT_EQ(due.size(), 1u);
+    due.clear();
+    double t = 1.0 + 1.0 - 1e-4;
+    while (due.empty() && t < 3.0) {
+      t += 1e-4;
+      act.poll(t, due);
+    }
+    ASSERT_EQ(due.size(), 1u);
+    EXPECT_GE(t, 2.0 - 1e-9) << "seed " << seed;
+    EXPECT_LT(t, 2.0 + CommandActuator::kJitterFrac + 1e-4) << "seed " << seed;
+    fired_at.push_back(t);
+  }
+  // The jitter is drawn: different seeds retry at different instants.
+  EXPECT_NE(*std::min_element(fired_at.begin(), fired_at.end()),
+            *std::max_element(fired_at.begin(), fired_at.end()));
 }
 
 TEST(Actuator, BudgetExhaustionReconcilesToAckedState) {
-  ActuatorOptions opts = on_options();
-  opts.retry_budget = 2;
-  CommandActuator act = make_actuator(opts);
+  CommandActuator act = make_actuator(on_options());
   // First command acked: establishes fleet truth.
   const Command c1 = act.issue(0.0, CommandKind::kTarget, 10.0, 0);
   act.on_ack(0.1, CommandKind::kTarget, c1.gen);
-  // Second command never acked: retries then exhausts.
+  // Second command never acked: retries then exhausts (waits 1, 2, ..., 32
+  // s, each at most 10% longer, put the last deadline before t = 80).
   (void)act.issue(1.0, CommandKind::kTarget, 16.0, 0);
   std::vector<Command> due;
-  for (double t = 2.0; t < 40.0; t += 1.0) act.poll(t, due);
-  EXPECT_EQ(act.retries(), 2u);
+  for (double t = 2.0; t < 120.0; t += 1.0) act.poll(t, due);
+  EXPECT_EQ(act.retries(), CommandActuator::kRetryBudget);
   EXPECT_EQ(act.exhausted(), 1u);
   EXPECT_FALSE(act.outstanding(CommandKind::kTarget));
   // Reconciliation: the reported state is what the fleet confirmed.
@@ -223,23 +218,32 @@ TEST(Actuator, BothLanesRetryIndependently) {
   EXPECT_NE(static_cast<int>(due[0].kind), static_cast<int>(due[1].kind));
 }
 
-TEST(Actuator, NoJitterConfigurationNeverDrawsRandomness) {
-  // Two actuators sharing options but seeded differently must behave
-  // identically when jitter_frac == 0 — the determinism contract.
-  ActuatorOptions opts = on_options();
-  opts.retry_budget = 4;
-  CommandActuator a(opts, Rng(1, 14));
-  CommandActuator b(opts, Rng(2, 14));
-  (void)a.issue(0.0, CommandKind::kTarget, 10.0, 0);
-  (void)b.issue(0.0, CommandKind::kTarget, 10.0, 0);
-  for (double t = 0.5; t < 30.0; t += 0.5) {
+TEST(Actuator, AckedCommandsNeverDrawRandomness) {
+  // The determinism contract: only a retransmission draws jitter.  `a`
+  // runs commands that are acked before their timeout, `b` does not; with
+  // the same seed both must then draw the same first jitter, so their
+  // jittered second retries fire on the same grid step.
+  CommandActuator a(on_options(), Rng(1, 14));
+  CommandActuator b(on_options(), Rng(1, 14));
+  std::vector<Command> due;
+  for (int i = 0; i < 5; ++i) {
+    const double now = static_cast<double>(i);
+    const Command c = a.issue(now, CommandKind::kTarget, 10.0 + i, 0);
+    a.poll(now + 0.5, due);
+    a.on_ack(now + 0.5, CommandKind::kTarget, c.gen);
+  }
+  EXPECT_TRUE(due.empty());
+  (void)a.issue(10.0, CommandKind::kSpeed, 0.5, 0);
+  (void)b.issue(10.0, CommandKind::kSpeed, 0.5, 0);
+  for (double t = 10.5; t < 13.0; t += 1e-4) {
     std::vector<Command> da;
     std::vector<Command> db;
     a.poll(t, da);
     b.poll(t, db);
-    EXPECT_EQ(da.size(), db.size()) << "diverged at t=" << t;
+    ASSERT_EQ(da.size(), db.size()) << "diverged at t=" << t;
   }
-  EXPECT_EQ(a.retries(), b.retries());
+  EXPECT_EQ(a.retries(), 2u);
+  EXPECT_EQ(b.retries(), 2u);
 }
 
 TEST(Actuator, ToStringNamesKinds) {

@@ -50,14 +50,6 @@ TEST(Poisson, InterarrivalsAreExponential) {
   EXPECT_NEAR(var, 0.0625, 0.005);  // exp: var = mean^2
 }
 
-TEST(Poisson, ResetReproducesSequence) {
-  PoissonProcess process(10.0, 100.0, Rng(4));
-  const auto first = drain(process);
-  process.reset();
-  const auto second = drain(process);
-  EXPECT_EQ(first, second);
-}
-
 TEST(Poisson, RejectsBadParams) {
   EXPECT_THROW(PoissonProcess(0.0, 10.0, Rng(1)), std::invalid_argument);
   EXPECT_THROW(PoissonProcess(1.0, 0.0, Rng(1)), std::invalid_argument);
@@ -99,33 +91,6 @@ TEST(Nhpp, ZeroRateRegionsProduceNoArrivals) {
   NhppProcess process(profile, 200.0, Rng(8), 10.0);
   while (const auto t = process.next()) {
     EXPECT_GT(*t, 99.9);
-  }
-}
-
-// A reset, also one mid-stream, must leave no state of the interrupted
-// window behind: after it the process draws the same stream, at the same
-// cost, as a fresh one.  The WC98 profile's majorant differs from window
-// to window, so a majorant carried over would change the stream.
-TEST(Nhpp, ResetReproduces) {
-  auto profile = std::make_shared<SinusoidalRate>(10.0, 5.0, 100.0);
-  NhppProcess process(profile, 500.0, Rng(9));
-  const auto first = drain(process);
-  process.reset();
-  EXPECT_EQ(first, drain(process));
-
-  const auto counting = std::make_shared<CountingRate>(
-      make_wc98_like_profile(50.0, 1.0, 5, /*day_s=*/2400.0));
-  NhppProcess wc98(counting, 2400.0, Rng(9));
-  const auto day = drain(wc98);
-  const std::uint64_t fresh_calls = counting->max_rate_calls();
-  EXPECT_EQ(fresh_calls, 4u);  // 2400 s in 600 s windows
-  for (const std::size_t stop : {day.size() / 20, day.size() / 2}) {
-    wc98.reset();
-    for (std::size_t i = 0; i < stop; ++i) ASSERT_EQ(wc98.next(), day[i]);
-    wc98.reset();
-    const std::uint64_t before = counting->max_rate_calls();
-    EXPECT_EQ(day, drain(wc98)) << "reset after " << stop << " arrivals";
-    EXPECT_EQ(counting->max_rate_calls() - before, fresh_calls);
   }
 }
 

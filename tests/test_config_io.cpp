@@ -212,6 +212,8 @@ TEST(ConfigIo, RejectsWhatItWouldOtherwiseMisread) {
        "config line 3: unknown section [dcp]"},
       {Reader::kHetero, "[class a]\ncount = 8\nmu_max = 12\n[class a]\ncount = 4\n",
        "ini line 4: repeated section [class a] (first at line 1)"},
+      {Reader::kHetero, "[class a]\ncount = 8\nmu_max = 12\n[class  a]\ncount = 4\n",
+       "config line 4: repeated class name 'a' (first at line 1)"},
       {Reader::kHetero, "[class a]\ncount = 8\nmu_max = 12\n[clas b]\ncount = 4\n",
        "config line 4: unknown section [clas b]"},
       {Reader::kHetero,

@@ -259,13 +259,5 @@ TEST(ControllerFaultOptions, RejectsBadRandomProcess) {
   EXPECT_NO_THROW(cf.validate());
 }
 
-TEST(ControllerFaultOptions, RejectsZeroWatchdogTicks) {
-  ControllerFaultOptions cf;
-  cf.watchdog_ticks = 0;
-  EXPECT_THROW(cf.validate(), std::invalid_argument);
-  cf.watchdog_ticks = 1;
-  EXPECT_NO_THROW(cf.validate());
-}
-
 }  // namespace
 }  // namespace gc

@@ -119,62 +119,6 @@ TEST(HysteresisGate, RejectsZeroPatience) {
   EXPECT_THROW(HysteresisGate(0), std::invalid_argument);
 }
 
-TEST(BreakEven, FormulaAndEdgeCases) {
-  const PowerModel pm;  // idle 150, off 5, transition 250
-  TransitionModel tm;
-  tm.boot_delay_s = 60.0;
-  tm.shutdown_delay_s = 12.0;
-  // (60+12)*250 / (150-5) = 18000/145.
-  EXPECT_NEAR(tm.break_even_time_s(pm), 18000.0 / 145.0, 1e-9);
-
-  PowerModelParams equal;
-  equal.p_idle_watts = 5.0;
-  equal.p_max_watts = 10.0;
-  equal.p_off_watts = 5.0;  // off saves nothing
-  const PowerModel pm_equal(equal);
-  EXPECT_TRUE(std::isinf(tm.break_even_time_s(pm_equal)));
-}
-
-TEST(EffectivePatience, DisabledReturnsConfigured) {
-  DcpParams params;
-  params.scale_down_patience = 3;
-  EXPECT_EQ(effective_patience(params, TransitionModel{}, PowerModel{}), 3u);
-}
-
-TEST(EffectivePatience, RaisedToBreakEvenHorizon) {
-  DcpParams params;
-  params.long_period_s = 60.0;
-  params.short_period_s = 10.0;
-  params.scale_down_patience = 1;
-  params.auto_patience_from_break_even = true;
-  TransitionModel tm;
-  tm.boot_delay_s = 120.0;
-  tm.shutdown_delay_s = 0.0;
-  const PowerModel pm;  // t_be = 120*250/145 = 206.9 s -> ceil(/60) = 4
-  EXPECT_EQ(effective_patience(params, tm, pm), 4u);
-}
-
-TEST(EffectivePatience, NeverLowersConfiguredPatience) {
-  DcpParams params;
-  params.long_period_s = 1000.0;
-  params.short_period_s = 10.0;
-  params.scale_down_patience = 5;
-  params.auto_patience_from_break_even = true;
-  TransitionModel tm;  // t_be small vs 1000 s period -> horizon 1
-  EXPECT_EQ(effective_patience(params, tm, PowerModel{}), 5u);
-}
-
-TEST(EffectivePatience, InfiniteBreakEvenFallsBack) {
-  DcpParams params;
-  params.auto_patience_from_break_even = true;
-  PowerModelParams p;
-  p.p_idle_watts = 5.0;
-  p.p_max_watts = 10.0;
-  p.p_off_watts = 5.0;
-  EXPECT_EQ(effective_patience(params, TransitionModel{}, PowerModel(p)),
-            params.scale_down_patience);
-}
-
 TEST(DcpPlanner, BacklogAwareSpeedAtOrAboveBaseline) {
   const Provisioner solver(small_config());
   const DcpPlanner planner(&solver, {});

@@ -45,18 +45,17 @@ TEST(Ewma, ConvergesToConstant) {
 }
 
 TEST(StalenessGuard, RejectsBadParameters) {
-  EXPECT_THROW(StalenessGuard(-1.0, 1.25), std::invalid_argument);
-  EXPECT_THROW(StalenessGuard(std::numeric_limits<double>::quiet_NaN(), 1.25),
+  EXPECT_THROW(StalenessGuard(-1.0), std::invalid_argument);
+  EXPECT_THROW(StalenessGuard(std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
-  EXPECT_THROW(StalenessGuard(60.0, 0.9), std::invalid_argument);
-  EXPECT_THROW(StalenessGuard(60.0, std::numeric_limits<double>::infinity()),
+  EXPECT_THROW(StalenessGuard(std::numeric_limits<double>::infinity()),
                std::invalid_argument);
-  EXPECT_NO_THROW(StalenessGuard(0.0, 1.25));
-  EXPECT_NO_THROW(StalenessGuard(60.0, 1.0));  // widen = 1 is a valid no-op
+  EXPECT_NO_THROW(StalenessGuard(0.0));
+  EXPECT_NO_THROW(StalenessGuard(60.0));
 }
 
 TEST(StalenessGuard, DisabledGuardIsTheIdentity) {
-  StalenessGuard guard(0.0, 2.0);
+  StalenessGuard guard(0.0);
   EXPECT_DOUBLE_EQ(guard.filter(1e9, 42.0), 42.0);
   EXPECT_FALSE(guard.stale());
   EXPECT_DOUBLE_EQ(guard.margin_multiplier(), 1.0);
@@ -64,7 +63,7 @@ TEST(StalenessGuard, DisabledGuardIsTheIdentity) {
 }
 
 TEST(StalenessGuard, FreshObservationsPassThroughAndRecord) {
-  StalenessGuard guard(60.0, 1.5);
+  StalenessGuard guard(60.0);
   EXPECT_DOUBLE_EQ(guard.filter(0.0, 10.0), 10.0);
   EXPECT_DOUBLE_EQ(guard.filter(59.9, 20.0), 20.0);
   EXPECT_DOUBLE_EQ(guard.filter(60.0, 30.0), 30.0);  // boundary: age == horizon
@@ -73,19 +72,19 @@ TEST(StalenessGuard, FreshObservationsPassThroughAndRecord) {
 }
 
 TEST(StalenessGuard, StaleObservationHoldsLastGoodAndWidens) {
-  StalenessGuard guard(60.0, 1.5);
+  StalenessGuard guard(60.0);
   EXPECT_DOUBLE_EQ(guard.filter(10.0, 25.0), 25.0);
   // Past the horizon: the delivered rate is ignored, last-good holds.
   EXPECT_DOUBLE_EQ(guard.filter(61.0, 999.0), 25.0);
   EXPECT_TRUE(guard.stale());
-  EXPECT_DOUBLE_EQ(guard.margin_multiplier(), 1.5);
+  EXPECT_DOUBLE_EQ(guard.margin_multiplier(), 1.25);  // StalenessGuard::kMarginWiden
   EXPECT_EQ(guard.stale_ticks(), 1u);
   EXPECT_DOUBLE_EQ(guard.filter(120.0, 999.0), 25.0);
   EXPECT_EQ(guard.stale_ticks(), 2u);
 }
 
 TEST(StalenessGuard, RecoversWhenTelemetryFreshens) {
-  StalenessGuard guard(30.0, 2.0);
+  StalenessGuard guard(30.0);
   EXPECT_DOUBLE_EQ(guard.filter(0.0, 10.0), 10.0);
   EXPECT_DOUBLE_EQ(guard.filter(100.0, 50.0), 10.0);
   EXPECT_TRUE(guard.stale());
@@ -101,7 +100,7 @@ TEST(StalenessGuard, StaleBeforeAnyFreshObservationHoldsZero) {
   // If the very first delivery is already stale there is no last-good yet;
   // holding 0 (rather than trusting the dead sample) is the conservative
   // documented behavior — the margin widening carries the hedge.
-  StalenessGuard guard(30.0, 1.5);
+  StalenessGuard guard(30.0);
   EXPECT_DOUBLE_EQ(guard.filter(100.0, 40.0), 0.0);
   EXPECT_TRUE(guard.stale());
 }

@@ -5,9 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
-#include <stdexcept>
 
 #include "control/policies.h"
 
@@ -34,32 +33,20 @@ ControlContext context(double now, double rate, unsigned serving,
   return ctx;
 }
 
-TEST(FailureAwareOptions, ValidateRejectsBadParameters) {
-  FailureAwareOptions ok;
-  EXPECT_NO_THROW(ok.validate());
-
-  FailureAwareOptions bad = ok;
-  bad.heartbeat_interval_s = 0.0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
-  bad.heartbeat_misses = 0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
-  bad.spare_capacity_fraction = 1.5;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
-  bad.boot_retry_budget = 0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
-  bad.boot_retry_backoff_s = -1.0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-}
-
 TEST(FailureAwareOptions, DetectionDelayIsIntervalTimesMisses) {
-  FailureAwareOptions options;
-  options.heartbeat_interval_s = 5.0;
-  options.heartbeat_misses = 3;
-  EXPECT_DOUBLE_EQ(options.detection_delay_s(), 15.0);
+  EXPECT_DOUBLE_EQ(kDetectionDelayS, 10.0);  // 2 missed heartbeats, 5 s apart
+  // The controller's detector hides a crash for exactly that long.
+  const Provisioner provisioner(small_config());
+  FailureAwareDcpController controller(&provisioner, DcpParams{},
+                                       PredictorKind::kLastValue);
+  const auto detected = [&](double now, unsigned available) {
+    return controller.on_short_tick(context(now, 10.0, available, available))
+        .explain.detected_available;
+  };
+  EXPECT_EQ(detected(100.0, 16), 16u);
+  EXPECT_EQ(detected(101.0, 6), 16u);  // ten servers crash at t = 101
+  EXPECT_EQ(detected(109.9, 6), 16u);  // the t = 100 heartbeat still counts
+  EXPECT_EQ(detected(110.5, 6), 6u);   // 10 s later the loss is seen
 }
 
 TEST(FailureDetector, FailuresSurfaceOnlyAfterTheWindow) {
@@ -140,9 +127,7 @@ TEST(FailureAwareController, CapsTargetAtDetectedFleet) {
   const Provisioner provisioner(small_config());
   DcpParams dcp;
   dcp.scale_down_patience = 1;
-  FailureAwareOptions options;  // detection delay 10 s
-  FailureAwareDcpController controller(&provisioner, dcp,
-                                       PredictorKind::kLastValue, options);
+  FailureAwareDcpController controller(&provisioner, dcp, PredictorKind::kLastValue);
   // 10 of 16 servers are gone and the observation is past the detection
   // window: the plan must fit inside the surviving 6 even though the load
   // wants far more.
@@ -157,90 +142,47 @@ TEST(FailureAwareController, AddsSpareCapacityOnTopOfThePlan) {
   const Provisioner provisioner(small_config());
   DcpParams dcp;
   dcp.scale_down_patience = 1;
-  FailureAwareOptions none;
-  none.spare_capacity_fraction = 0.0;
-  FailureAwareOptions spared;
-  spared.spare_capacity_fraction = 0.25;
-  FailureAwareDcpController plain(&provisioner, dcp, PredictorKind::kLastValue,
-                                  none);
-  FailureAwareDcpController with_spares(&provisioner, dcp,
-                                        PredictorKind::kLastValue, spared);
-  // committed = 1 so both proposals are pure growth (no hysteresis hold).
-  const ControlAction base = plain.on_long_tick(context(100.0, 46.0, 1, 16));
-  const ControlAction padded =
-      with_spares.on_long_tick(context(100.0, 46.0, 1, 16));
-  ASSERT_TRUE(base.active_target.has_value());
-  ASSERT_TRUE(padded.active_target.has_value());
-  // The spared controller plans its base at the *relieved* margin
-  // (margin / (1 + fraction), clamped at 1), then adds ceil(fraction * m).
-  const double relieved = std::max(1.0, dcp.safety_margin / 1.25);
-  const unsigned spared_base = provisioner.solve(46.0 * relieved).servers;
+  FailureAwareDcpController controller(&provisioner, dcp, PredictorKind::kLastValue);
+  // committed = 1 so the proposal is pure growth (no hysteresis hold).
+  const ControlAction action = controller.on_long_tick(context(100.0, 46.0, 1, 16));
+  ASSERT_TRUE(action.active_target.has_value());
+  // The base is planned at the *relieved* margin (margin / (1 + 0.0625),
+  // clamped at 1), then ceil(0.0625 * m) spares go on top.
+  const double relieved = std::max(1.0, dcp.safety_margin / 1.0625);
+  const unsigned base = provisioner.solve(46.0 * relieved).servers;
+  EXPECT_EQ(action.explain.planned_servers, base);
   const unsigned expected = std::min(
-      spared_base +
-          static_cast<unsigned>(std::ceil(0.25 * static_cast<double>(spared_base))),
-      16u);
-  EXPECT_EQ(*padded.active_target, expected);
-  EXPECT_GT(*padded.active_target, *base.active_target);
+      base + static_cast<unsigned>(std::ceil(0.0625 * static_cast<double>(base))), 16u);
+  EXPECT_EQ(*action.active_target, expected);
+  EXPECT_GT(*action.active_target, base);
 }
 
-// Degenerate options must be rejected at construction with a catchable
-// std::invalid_argument — not by tripping GC_CHECK aborts deeper in the
-// FailureDetector / BootRetryGate constructors.  A config file with
-// heartbeat_interval_s = 0 is an input error, not a programming error.
-TEST(FailureAwareController, ConstructionValidatesOptions) {
+TEST(FailureAwareController, BootRetriesBackOffByOneLongPeriodPerDoubling) {
   const Provisioner provisioner(small_config());
-  DcpParams dcp;
-  const auto construct = [&](const FailureAwareOptions& options) {
-    FailureAwareDcpController controller(&provisioner, dcp,
-                                         PredictorKind::kLastValue, options);
+  DcpParams dcp;  // T_L = 300 s
+  FailureAwareDcpController controller(&provisioner, dcp, PredictorKind::kLastValue);
+  // Two servers are committed and stay there (every boot hangs) while the
+  // plan wants more: the target is re-asserted one long period after the
+  // first shortfall, then 2 and 4 long periods later, 4 attempts in all.
+  const auto target_at = [&](double now) {
+    return *controller.on_long_tick(context(now, 46.0, 2, 16)).active_target;
   };
-  FailureAwareOptions bad;
-  bad.heartbeat_interval_s = 0.0;
-  EXPECT_THROW(construct(bad), std::invalid_argument);
-  bad.heartbeat_interval_s = -5.0;
-  EXPECT_THROW(construct(bad), std::invalid_argument);
-  bad.heartbeat_interval_s = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(construct(bad), std::invalid_argument);
-  bad.heartbeat_interval_s = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(construct(bad), std::invalid_argument);
-  bad = FailureAwareOptions{};
-  bad.heartbeat_misses = 0;
-  EXPECT_THROW(construct(bad), std::invalid_argument);
-  bad = FailureAwareOptions{};
-  bad.boot_retry_budget = 0;
-  EXPECT_THROW(construct(bad), std::invalid_argument);
-  bad = FailureAwareOptions{};
-  bad.boot_retry_backoff_s = -1.0;
-  EXPECT_THROW(construct(bad), std::invalid_argument);
-  // Boundary: the smallest valid settings construct fine.
-  FailureAwareOptions minimal;
-  minimal.heartbeat_interval_s = 1e-9;
-  minimal.heartbeat_misses = 1;
-  minimal.boot_retry_budget = 1;
-  EXPECT_NO_THROW(construct(minimal));
-}
-
-// Same contract through the factory, where config-file settings arrive.
-TEST(FailureAwareController, MakePolicyValidatesOptions) {
-  const Provisioner provisioner(small_config());
-  PolicyOptions popts;
-  popts.failure.heartbeat_interval_s = 0.0;
-  EXPECT_THROW(make_policy(PolicyKind::kDcpFailureAware, &provisioner, popts),
-               std::invalid_argument);
-  popts.failure = FailureAwareOptions{};
-  popts.failure.heartbeat_misses = 0;
-  EXPECT_THROW(make_policy(PolicyKind::kDcpFailureAware, &provisioner, popts),
-               std::invalid_argument);
-  popts.failure = FailureAwareOptions{};
-  EXPECT_NO_THROW(make_policy(PolicyKind::kDcpFailureAware, &provisioner, popts));
+  const unsigned wanted = target_at(0.0);  // a new shortfall: asserted at once
+  ASSERT_GT(wanted, 2u);
+  EXPECT_EQ(target_at(299.0), 2u);
+  EXPECT_EQ(target_at(300.0), wanted);  // retry 1, next after 2 T_L
+  EXPECT_EQ(target_at(899.0), 2u);
+  EXPECT_EQ(target_at(900.0), wanted);  // retry 2, next after 4 T_L
+  EXPECT_EQ(target_at(2099.0), 2u);
+  EXPECT_EQ(target_at(2100.0), wanted);  // the 4th attempt spends the budget
+  EXPECT_EQ(target_at(4500.0), 2u);      // settles for the committed fleet
+  EXPECT_EQ(target_at(9000.0), 2u);
 }
 
 TEST(FailureAwareController, ShortTickFlagsInfeasibleLoad) {
   const Provisioner provisioner(small_config());
   DcpParams dcp;
-  FailureAwareOptions options;
-  FailureAwareDcpController controller(&provisioner, dcp,
-                                       PredictorKind::kLastValue, options);
+  FailureAwareDcpController controller(&provisioner, dcp, PredictorKind::kLastValue);
   const ControlAction calm = controller.on_short_tick(context(1.0, 10.0, 16, 16));
   ASSERT_TRUE(calm.speed.has_value());
   EXPECT_FALSE(calm.infeasible);

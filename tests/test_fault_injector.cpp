@@ -109,9 +109,6 @@ TEST(FaultOptions, ValidateRejectsBadParameters) {
   bad.boot_hang_prob = 1.5;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = ok;
-  bad.boot_timeout_s = -2.0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
   bad.script.push_back({-1.0, 0});
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = ok;
@@ -226,15 +223,14 @@ TEST(FaultInjector, AllServersDownLosesJobs) {
 TEST(FaultInjector, BootHangTimesOutAndRepairs) {
   FaultOptions faults;
   faults.boot_hang_prob = 1.0;
-  faults.boot_timeout_s = 5.0;
   faults.mttr_s = 50.0;
   FaultHarness h(cluster_options(2, 1), faults, 3);
   h.cluster.set_active_target(0.0, 2);
   EXPECT_EQ(h.cluster.server(1).state(), PowerState::kBooting);
-  h.run_until(4.9);
+  h.run_until(5.9);  // the timeout is 3 boot delays of 2.0 s
   EXPECT_EQ(h.cluster.totals().boot_timeouts, 0u);
   EXPECT_EQ(h.cluster.server(1).state(), PowerState::kBooting);
-  h.run_until(5.5);
+  h.run_until(6.1);
   EXPECT_EQ(h.cluster.totals().boot_timeouts, 1u);
   EXPECT_EQ(h.cluster.totals().failures, 1u);
   EXPECT_EQ(h.cluster.server(1).state(), PowerState::kFailed);
@@ -245,12 +241,13 @@ TEST(FaultInjector, BootHangTimesOutAndRepairs) {
 
 TEST(FaultInjector, DefaultBootTimeoutIsThreeBootDelays) {
   FaultOptions faults;
-  faults.boot_hang_prob = 1.0;  // boot_timeout_s = 0 -> 3 * boot_delay
+  faults.boot_hang_prob = 1.0;
   FaultHarness h(cluster_options(2, 1), faults, 3);
   h.cluster.set_active_target(0.0, 2);
-  h.run_until(5.9);  // 3 * 2.0 = 6.0
+  const double timeout_s = kBootTimeoutBootDelays * 2.0;  // 3 * boot delay = 6.0
+  h.run_until(timeout_s - 0.1);
   EXPECT_EQ(h.cluster.totals().boot_timeouts, 0u);
-  h.run_until(6.1);
+  h.run_until(timeout_s + 0.1);
   EXPECT_EQ(h.cluster.totals().boot_timeouts, 1u);
 }
 

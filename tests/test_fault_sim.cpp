@@ -102,7 +102,6 @@ TEST(FaultSim, CapacityShortfallShedsAndKeepsAdmittedJobsFast) {
   }
   sim.admission.enabled = true;
   sim.admission.mu_max = 10.0;
-  sim.admission.target_fraction = 0.9;
   const SimResult result = run(PolicyKind::kNpm, sim, 30.0, 1500.0);
   EXPECT_EQ(result.failures, 5u);
   EXPECT_EQ(result.repairs, 0u);

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "stats/rng.h"
@@ -26,7 +25,7 @@ std::vector<double> random_sample(std::uint64_t seed, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     // Mix three shapes so samples span several octaves: exponential
     // response times, a heavy lognormal-ish tail, and small uniforms.
-    // Floored at 2e-6 (above the default 2^-20 lower range bound) so no
+    // Floored at 2e-6 (above the 2^-20 lower range bound) so no
     // sample underflows and the relative-error contract applies to all.
     const double u = rng.uniform01();
     double x = 0.0;
@@ -77,7 +76,7 @@ TEST(LogHistogram, QuantilesWithinAdvertisedRelativeError) {
     ASSERT_EQ(h.count(), xs.size());
     ASSERT_EQ(h.underflow(), 0u);
     ASSERT_EQ(h.saturated(), 0u);
-    const double bound = h.relative_error_bound();
+    const double bound = LogHistogram::kRelativeErrorBound;
     EXPECT_DOUBLE_EQ(bound, 1.0 / 128.0);  // 6 sub-bucket bits
     for (const double p : {0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999}) {
       const double exact = order_statistic(xs, p);
@@ -85,19 +84,6 @@ TEST(LogHistogram, QuantilesWithinAdvertisedRelativeError) {
       EXPECT_NEAR(est, exact, bound * exact)
           << "seed " << seed << " p " << p;
     }
-  }
-}
-
-TEST(LogHistogram, CoarserGeometryHasLooserBoundButStillHolds) {
-  LogHistogramOptions coarse;
-  coarse.sub_bucket_bits = 3;  // 8 sub-buckets, 6.25% relative error
-  const auto xs = random_sample(99, 10000);
-  LogHistogram h(coarse);
-  for (const double x : xs) h.add(x);
-  EXPECT_DOUBLE_EQ(h.relative_error_bound(), 1.0 / 16.0);
-  for (const double p : {0.5, 0.95, 0.99}) {
-    const double exact = order_statistic(xs, p);
-    EXPECT_NEAR(h.quantile(p), exact, h.relative_error_bound() * exact);
   }
 }
 
@@ -143,19 +129,8 @@ TEST(LogHistogram, MergeWithEmptyIsIdentity) {
   EXPECT_EQ(empty, before);
 }
 
-TEST(LogHistogram, MergeRejectsGeometryMismatch) {
-  LogHistogramOptions other;
-  other.sub_bucket_bits = 4;
-  LogHistogram a, b(other);
-  EXPECT_FALSE(a.same_geometry(b));
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
 TEST(LogHistogram, UnderflowAndSaturationAreCounted) {
-  LogHistogramOptions narrow;
-  narrow.min_exponent = -4;  // lowest trackable 1/16
-  narrow.max_exponent = 4;   // >= 16 saturates
-  LogHistogram h(narrow);
+  LogHistogram h;  // lowest trackable 2^-20, >= 2^12 saturates
   h.add(0.0);
   h.add(-1.0);
   h.add(1e-9);
@@ -171,7 +146,7 @@ TEST(LogHistogram, UnderflowAndSaturationAreCounted) {
   EXPECT_GT(h.quantile(0.99), 1.0);
 }
 
-// +inf saturates into the top bucket like any other value >= 2^max_exponent:
+// +inf saturates into the top bucket like any other value >= 2^kMaxExponent:
 // the same quantile as 1e300, not a bucket near 0.5.
 TEST(LogHistogram, PositiveInfinitySaturatesLikeAHugeValue) {
   LogHistogram inf, huge;
@@ -186,26 +161,29 @@ TEST(LogHistogram, PositiveInfinitySaturatesLikeAHugeValue) {
 
 // The frexp formula bucket_index replaced, kept as the reference:
 // x = m * 2^exp with m in [0.5, 1), octave exp - 1, sub-bucket
-// floor((2m - 1) * S), octaves at or above max_exponent clamped to the top.
-std::size_t frexp_bucket_index(const LogHistogramOptions& o, double x) {
+// floor((2m - 1) * S), octaves at or above kMaxExponent clamped to the top.
+std::size_t frexp_bucket_index(double x) {
+  constexpr unsigned kBits = LogHistogram::kSubBucketBits;
   int exp = 0;
   const double mantissa = std::frexp(x, &exp);
   const int octave = exp - 1;
-  const auto octaves = static_cast<std::size_t>(o.max_exponent - o.min_exponent);
-  if (octave >= o.max_exponent) return (octaves << o.sub_bucket_bits) - 1;
-  const auto sub_buckets = std::size_t{1} << o.sub_bucket_bits;
+  const auto octaves =
+      static_cast<std::size_t>(LogHistogram::kMaxExponent - LogHistogram::kMinExponent);
+  if (octave >= LogHistogram::kMaxExponent) return (octaves << kBits) - 1;
+  const auto sub_buckets = std::size_t{1} << kBits;
   auto sub = static_cast<std::size_t>((2.0 * mantissa - 1.0) *
                                       static_cast<double>(sub_buckets));
   if (sub >= sub_buckets) sub = sub_buckets - 1;
-  const auto row = static_cast<std::size_t>(octave - o.min_exponent);
-  return (row << o.sub_bucket_bits) + sub;
+  const auto row = static_cast<std::size_t>(octave - LogHistogram::kMinExponent);
+  return (row << kBits) + sub;
 }
 
 // The bit-field index equals the frexp formula on every finite value in
-// [2^-20, 2^13) — the default range plus one saturating octave — for random
-// exponent/mantissa patterns, exact powers of two and their neighbours, at
-// the coarsest, default and finest sub-bucket resolutions.
+// [2^-20, 2^13) — the histogram's range plus one saturating octave — for
+// random exponent/mantissa patterns, exact powers of two and their
+// neighbours.
 TEST(LogHistogram, BucketIndexMatchesTheFrexpFormula) {
+  static_assert(LogHistogram::kMinExponent == -20 && LogHistogram::kMaxExponent == 12);
   std::vector<double> xs;
   Rng rng(2024);
   for (int i = 0; i < 1'200'000; ++i) {
@@ -221,29 +199,19 @@ TEST(LogHistogram, BucketIndexMatchesTheFrexpFormula) {
       xs.push_back(std::nextafter(p, 1e9));
     }
   }
-  std::size_t checked = 0;
-  for (const unsigned bits : {1u, 6u, 12u}) {
-    LogHistogramOptions options;
-    options.sub_bucket_bits = bits;
-    const LogHistogram h(options);
-    for (const double x : xs) {
-      ASSERT_GE(x, 0x1p-20);
-      ASSERT_LT(x, 0x1p13);
-      ASSERT_EQ(h.bucket_index(x), frexp_bucket_index(options, x))
-          << "x = " << x << ", sub_bucket_bits = " << bits;
-      ++checked;
-    }
+  for (const double x : xs) {
+    ASSERT_GE(x, 0x1p-20);
+    ASSERT_LT(x, 0x1p13);
+    ASSERT_EQ(LogHistogram::bucket_index(x), frexp_bucket_index(x)) << "x = " << x;
   }
-  EXPECT_GE(checked, 3'000'000u);
+  EXPECT_GE(xs.size(), 1'200'000u);
 }
 
 TEST(LogHistogram, ClearForgetsSamplesKeepsGeometry) {
-  LogHistogramOptions opts;
-  opts.sub_bucket_bits = 5;
-  LogHistogram h(opts);
+  LogHistogram h;
   for (const double x : random_sample(8, 500)) h.add(x);
   h.clear();
-  EXPECT_EQ(h, LogHistogram(opts));
+  EXPECT_EQ(h, LogHistogram());
   EXPECT_EQ(h.count(), 0u);
   h.add(0.125);
   EXPECT_EQ(h.count(), 1u);
@@ -266,16 +234,6 @@ TEST(LogHistogram, NonzeroBucketsAreOrderedAndCoverTheCounts) {
     total += buckets[i].count;
   }
   EXPECT_EQ(total, h.count());
-}
-
-TEST(LogHistogram, OptionsValidateRejectsBadGeometry) {
-  LogHistogramOptions bad;
-  bad.min_exponent = 5;
-  bad.max_exponent = 5;  // empty octave range
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = {};
-  bad.sub_bucket_bits = 40;  // outside the supported [1, 12]
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
 }  // namespace

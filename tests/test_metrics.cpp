@@ -85,7 +85,7 @@ TEST(MetricsCollector, TailsCarryTheHistogramBound) {
     responses.push_back(x);
     metrics.on_job_completed(x, make_job(0.0));
   }
-  const double bound = metrics.response_histogram().relative_error_bound();
+  const double bound = LogHistogram::kRelativeErrorBound;
   EXPECT_DOUBLE_EQ(bound, 1.0 / 128.0);
   const double p95 = order_statistic(responses, 0.95);
   const double p99 = order_statistic(responses, 0.99);

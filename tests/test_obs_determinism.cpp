@@ -202,7 +202,6 @@ TEST(ObsDeterminism, PerfectChannelWithActuatorMatchesPinnedGolden) {
   GoldenRun golden;
   golden.extra.channel.enabled = true;  // all links at zero loss / latency
   golden.extra.actuator.enabled = true;
-  golden.extra.controller_faults.watchdog_ticks = 3;  // armed, never trips
   golden.popts.staleness.horizon_s = 60.0;
   const SimResult result = golden.run(nullptr, nullptr);
   EXPECT_EQ(checksum(result), 7698358306312404789ULL);

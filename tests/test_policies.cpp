@@ -173,24 +173,6 @@ TEST_F(PoliciesTest, BacklogAwareRaisesSpeedUnderQueueBuildup) {
   EXPECT_DOUBLE_EQ(*plain2.on_short_tick(calm).speed, *aware2.on_short_tick(calm).speed);
 }
 
-TEST_F(PoliciesTest, AutoPatienceFromBreakEvenSlowsScaleDown) {
-  ClusterConfig config = small_config();
-  config.transition.boot_delay_s = 200.0;  // t_be >> one long period
-  const Provisioner solver(config);
-  PolicyOptions options;
-  options.dcp.scale_down_patience = 1;
-  options.dcp.auto_patience_from_break_even = true;
-  options.predictor = PredictorKind::kLastValue;
-  CombinedDcpController combined(&solver, options);
-  // Saturating prime keeps the gate streak reset.
-  (void)combined.on_short_tick(context(130.0, 16));
-  (void)combined.on_long_tick(context(130.0, 16));
-  (void)combined.on_short_tick(context(5.0, 16));
-  // One low period is not enough despite patience=1 in the params.
-  const ControlAction first = combined.on_long_tick(context(5.0, 16));
-  EXPECT_EQ(*first.active_target, 16u);
-}
-
 TEST_F(PoliciesTest, InfeasibleLoadIsFlagged) {
   // 16 servers serve at most 16 * (mu - 1/t_ref) = 128/s; 2000/s cannot be
   // planned for, and every solver-driven policy must say so.

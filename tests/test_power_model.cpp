@@ -78,14 +78,5 @@ TEST(PowerModel, AlphaOneIsLinear) {
   EXPECT_NEAR(half * 2.0, full, 1e-12);
 }
 
-TEST(TransitionModel, EnergyFormulas) {
-  const PowerModel pm;
-  TransitionModel tm;
-  tm.boot_delay_s = 60.0;
-  tm.shutdown_delay_s = 5.0;
-  EXPECT_DOUBLE_EQ(tm.boot_energy_joules(pm), 60.0 * 250.0);
-  EXPECT_DOUBLE_EQ(tm.shutdown_energy_joules(pm), 5.0 * 250.0);
-}
-
 }  // namespace
 }  // namespace gc

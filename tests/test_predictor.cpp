@@ -33,8 +33,6 @@ TEST(LastValue, ReturnsLatest) {
   p.observe(3.0);
   p.observe(7.0);
   EXPECT_DOUBLE_EQ(p.predict(100.0), 7.0);
-  p.reset();
-  EXPECT_DOUBLE_EQ(p.predict(100.0), 0.0);
 }
 
 TEST(EwmaPred, SmoothsHistory) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -34,18 +35,7 @@ double export_sum(const TimeSeriesRecorder& recorder, Col col) {
   return total;
 }
 
-TEST(TimeSeriesOptions, ValidateRejectsBadBudgets) {
-  TimeSeriesOptions opts;
-  opts.max_points = 15;  // odd and < 16
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts.max_points = 18;  // even but... 18 is fine
-  EXPECT_NO_THROW(opts.validate());
-  opts.max_points = 17;  // odd
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts = {};
-  opts.sla_window = 0;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-}
+constexpr std::size_t kMaxPoints = TimeSeriesRecorder::kMaxPoints;  // 16384
 
 TEST(TimeSeries, AppendStoresOneRowPerPeriod) {
   TimeSeriesRecorder recorder;
@@ -65,11 +55,9 @@ TEST(TimeSeries, AppendStoresOneRowPerPeriod) {
 }
 
 TEST(TimeSeries, DecimationBoundsMemoryAndPreservesDeltaSums) {
-  TimeSeriesOptions opts;
-  opts.max_points = 16;
-  TimeSeriesRecorder recorder(opts);
+  TimeSeriesRecorder recorder;
   std::uint64_t shed_total = 0, admitted_total = 0, completed_total = 0;
-  const int periods = 1000;
+  const int periods = 3 * static_cast<int>(kMaxPoints) + 1000;
   for (int i = 0; i < periods; ++i) {
     TimeSeriesSample s = sample_at(5.0 * i);
     s.d_admitted = static_cast<std::uint64_t>(3 + (i % 5));
@@ -83,7 +71,7 @@ TEST(TimeSeries, DecimationBoundsMemoryAndPreservesDeltaSums) {
     recorder.append(s);
   }
   EXPECT_EQ(recorder.periods(), static_cast<std::uint64_t>(periods));
-  EXPECT_LT(recorder.size(), opts.max_points);
+  EXPECT_LT(recorder.size(), kMaxPoints);
   EXPECT_GT(recorder.stride(), 1u);  // halved at least once
   // Type-aware merging: per-period deltas and window counts survive
   // decimation exactly; nothing was silently dropped.
@@ -107,18 +95,25 @@ TEST(TimeSeries, DecimationBoundsMemoryAndPreservesDeltaSums) {
 }
 
 TEST(TimeSeries, StrideDoublesOnEachHalving) {
-  TimeSeriesOptions opts;
-  opts.max_points = 16;
-  TimeSeriesRecorder recorder(opts);
+  TimeSeriesRecorder recorder;
   std::size_t last_stride = recorder.stride();
   EXPECT_EQ(last_stride, 1u);
-  for (int i = 0; i < 64; ++i) {
-    recorder.append(sample_at(1.0 * i));
+  for (std::size_t i = 0; i < 4 * kMaxPoints; ++i) {
+    recorder.append(sample_at(1.0 * static_cast<double>(i)));
     const std::size_t stride = recorder.stride();
-    EXPECT_TRUE(stride == last_stride || stride == 2 * last_stride);
+    EXPECT_TRUE(stride == last_stride || stride == 2 * last_stride) << "period " << i;
+    // The first halving happens when the 16384th row is stored.
+    if (i + 1 == kMaxPoints - 1) {
+      EXPECT_EQ(stride, 1u);
+      EXPECT_EQ(recorder.size(), kMaxPoints - 1);
+    }
+    if (i + 1 == kMaxPoints) {
+      EXPECT_EQ(stride, 2u);
+      EXPECT_EQ(recorder.size(), kMaxPoints / 2);
+    }
     last_stride = stride;
   }
-  EXPECT_EQ(last_stride, 8u);  // 64 periods / 16 budget, halved at 16/32/64
+  EXPECT_EQ(last_stride, 8u);  // 4 budgets of periods, halved at 1x, 2x, 4x
 }
 
 TEST(TimeSeries, SameInstantTicksFoldIntoOnePeriod) {
@@ -157,37 +152,38 @@ TEST(TimeSeries, SameInstantTicksFoldIntoOnePeriod) {
 }
 
 TEST(TimeSeries, RollingViolationWindowSlides) {
-  TimeSeriesOptions opts;
-  opts.sla_window = 4;
-  TimeSeriesRecorder recorder(opts);
-  const bool violated[6] = {true, true, false, false, false, false};
-  const double expected[6] = {1.0, 1.0, 2.0 / 3.0, 0.5, 0.25, 0.0};
-  for (int i = 0; i < 6; ++i) {
-    TimeSeriesSample s = sample_at(5.0 * i);
-    s.window_violated = violated[i];
+  TimeSeriesRecorder recorder;
+  // 60 violated periods fill the 60-period window; each clean period after
+  // them pushes one violation out.
+  const std::size_t window = TimeSeriesRecorder::kSlaWindow;
+  ASSERT_EQ(window, 60u);
+  for (std::size_t i = 0; i < 2 * window + 2; ++i) {
+    TimeSeriesSample s = sample_at(5.0 * static_cast<double>(i));
+    s.window_violated = i < window;
     recorder.append(s);
-    EXPECT_DOUBLE_EQ(recorder.rolling_violation(), expected[i]) << "period " << i;
-    EXPECT_DOUBLE_EQ(recorder.value(Col::kRollingViolFrac,
-                                    static_cast<std::size_t>(i)),
-                     expected[i]);
+    const std::size_t held = std::min(i + 1, window);
+    const std::size_t hits = i < 2 * window ? std::min(i + 1, 2 * window - 1 - i) : 0;
+    const double expected = static_cast<double>(hits) / static_cast<double>(held);
+    EXPECT_DOUBLE_EQ(recorder.rolling_violation(), expected) << "period " << i;
+    EXPECT_DOUBLE_EQ(recorder.value(Col::kRollingViolFrac, i), expected);
   }
 }
 
 TEST(TimeSeries, ExportsIncludeThePendingPartialStride) {
-  TimeSeriesOptions opts;
-  opts.max_points = 16;
-  TimeSeriesRecorder recorder(opts);
-  for (int i = 0; i < 17; ++i) {  // 16 stored -> halve to 8, stride 2; one extra
-    TimeSeriesSample s = sample_at(1.0 * i);
+  TimeSeriesRecorder recorder;
+  // kMaxPoints stored -> halved to kMaxPoints / 2 rows of stride 2; one extra.
+  for (std::size_t i = 0; i <= kMaxPoints; ++i) {
+    TimeSeriesSample s = sample_at(1.0 * static_cast<double>(i));
     s.d_admitted = 1;
     recorder.append(s);
   }
   EXPECT_EQ(recorder.stride(), 2u);
-  EXPECT_EQ(recorder.size(), 8u);  // the 17th period is pending, not stored
+  EXPECT_EQ(recorder.size(), kMaxPoints / 2);  // the last period is pending
   const CsvTable table = recorder.to_csv_table();
-  EXPECT_EQ(table.rows.size(), 9u);  // exports flush it
-  EXPECT_DOUBLE_EQ(table.rows.back()[Col::kTime], 16.0);
-  EXPECT_DOUBLE_EQ(export_sum(recorder, Col::kDAdmitted), 17.0);
+  EXPECT_EQ(table.rows.size(), kMaxPoints / 2 + 1);  // exports flush it
+  EXPECT_DOUBLE_EQ(table.rows.back()[Col::kTime], static_cast<double>(kMaxPoints));
+  EXPECT_DOUBLE_EQ(export_sum(recorder, Col::kDAdmitted),
+                   static_cast<double>(kMaxPoints + 1));
 }
 
 TEST(TimeSeries, CsvHasTheSchemaHeaderAndEveryColumn) {
