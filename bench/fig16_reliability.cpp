@@ -14,8 +14,7 @@
 // non-decreasing in A_ref until the 16-server cap binds (the estimate then
 // saturates below the target and the binding column says "capacity").  In
 // (b) the wear-aware run boots strictly fewer servers than the naive run,
-// meets the same A_ref, and stays within a single-digit-percent energy
-// premium.
+// meets the same A_ref, for an energy premium below 20%.
 #include <cstdint>
 #include <iostream>
 #include <vector>

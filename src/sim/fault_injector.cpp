@@ -34,18 +34,16 @@ void FaultOptions::validate(unsigned num_servers) const {
   }
 }
 
-std::optional<double> FaultOptions::sample_boot_hang(Rng& rng, double boot_delay_s) const {
-  if (boot_hang_prob <= 0.0 || rng.uniform01() >= boot_hang_prob) return std::nullopt;
-  return kBootTimeoutBootDelays * boot_delay_s;
-}
-
-FaultInjector::FaultInjector(const FaultOptions& options, std::vector<Rng> clocks,
-                             std::optional<Rng> boot_stream, std::uint32_t stride,
+FaultInjector::FaultInjector(const FaultOptions& options, std::uint64_t seed,
+                             unsigned num_servers, std::uint32_t stride,
                              std::uint32_t offset)
-    : options_(options), boot_stream_(boot_stream) {
-  GC_CHECK(!clocks.empty(), "FaultInjector: empty fleet slice");
-  positions_.reserve(clocks.size());
-  for (const Rng& clock : clocks) positions_.push_back(Position{clock});
+    : options_(options) {
+  options.validate(num_servers);
+  GC_CHECK(stride > 0 && offset < num_servers, "FaultInjector: empty fleet slice");
+  positions_.reserve((num_servers - offset + stride - 1) / stride);
+  for (std::uint64_t gi = offset; gi < num_servers; gi += stride) {
+    positions_.push_back(Position{Rng(seed, gi)});
+  }
   // The owned scripted entries, position-addressed, in firing order (ties
   // keep their script order).
   std::vector<ScriptedFault> owned;
@@ -122,8 +120,11 @@ void FaultInjector::restart_clock(double now, std::uint32_t li, EventQueue& queu
 
 std::optional<double> FaultInjector::sample_boot_hang(std::uint32_t li,
                                                       double boot_delay_s) {
-  return options_.sample_boot_hang(boot_stream_ ? *boot_stream_ : positions_[li].clock,
-                                   boot_delay_s);
+  if (options_.boot_hang_prob <= 0.0 ||
+      positions_[li].clock.uniform01() >= options_.boot_hang_prob) {
+    return std::nullopt;
+  }
+  return kBootTimeoutBootDelays * boot_delay_s;
 }
 
 }  // namespace gc

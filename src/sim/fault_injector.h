@@ -26,10 +26,11 @@
 // engine decides what a crash means: the handlers below call the engine's
 // fail_server / timeout_boot / repair_server (a Cluster, or a Shard).
 //
-// Determinism: every position's failure clock draws from its own RNG
-// stream, passed in by the engine (each engine derives its own; DESIGN.md
-// §11.4), so fault sequences are independent of event interleaving and
-// bitwise reproducible across thread counts.
+// Determinism: global server gi's faults — failure and repair times, boot
+// hangs — all draw from its own clock Rng(seed, gi) (DESIGN.md §11.4), so
+// a server's fault history depends neither on event interleaving nor on
+// how the fleet is partitioned: one whole-fleet injector and K strided
+// slices draw the same times for the same seed.
 #pragma once
 
 #include <cstdint>
@@ -77,25 +78,17 @@ struct FaultOptions {
   // scripted fault whose server is not below `num_servers` (the default
   // leaves the fleet size unchecked).
   void validate(unsigned num_servers = std::numeric_limits<unsigned>::max()) const;
-
-  // One boot command's hang draw from `rng`: nullopt = the boot proceeds
-  // normally; a value = the boot hangs and is declared failed after that
-  // many seconds.  Draws only when boot_hang_prob > 0.
-  [[nodiscard]] std::optional<double> sample_boot_hang(Rng& rng,
-                                                       double boot_delay_s) const;
 };
 
 class FaultInjector {
  public:
-  // The fault process of positions li < clocks.size(), position li being
-  // global server li * stride + offset (the whole fleet: stride 1, offset
-  // 0; shard k of K: stride K, offset k).  clocks[li] is position li's
-  // failure-clock stream.  Boot hangs draw from `boot_stream` when given,
-  // else from the booting position's own clock.  `options` must already be
-  // validated against the fleet size.
-  FaultInjector(const FaultOptions& options, std::vector<Rng> clocks,
-                std::optional<Rng> boot_stream, std::uint32_t stride = 1,
-                std::uint32_t offset = 0);
+  // The fault process of the positions li whose global server
+  // gi = li * stride + offset is below `num_servers` (the whole fleet:
+  // stride 1, offset 0; shard k of K: stride K, offset k).  Position li's
+  // clock is Rng(seed, gi).  Throws std::invalid_argument if `options` is
+  // inconsistent for a fleet of `num_servers`.
+  FaultInjector(const FaultOptions& options, std::uint64_t seed, unsigned num_servers,
+                std::uint32_t stride = 1, std::uint32_t offset = 0);
 
   // Schedules every background failure clock, then the owned scripted
   // faults in time order.  Call once, before the first event is popped.
@@ -128,8 +121,10 @@ class FaultInjector {
     restart_clock(now, li, queue);
   }
 
-  // Called by the engine for every boot command of position li (see
-  // FaultOptions::sample_boot_hang).
+  // Called by the engine for every boot command of position li: nullopt =
+  // the boot proceeds normally; a value = the boot hangs and is declared
+  // failed after that many seconds.  Draws from the position's clock only
+  // when boot_hang_prob > 0.
   [[nodiscard]] std::optional<double> sample_boot_hang(std::uint32_t li,
                                                        double boot_delay_s);
 
@@ -154,7 +149,6 @@ class FaultInjector {
   void restart_clock(double now, std::uint32_t li, EventQueue& queue);
 
   FaultOptions options_;  // its script: the owned entries by time, li-addressed
-  std::optional<Rng> boot_stream_;
   std::vector<Position> positions_;
 };
 

@@ -594,7 +594,6 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   GC_CHECK(cluster.num_servers > 0, "sharded: cluster must have servers");
   GC_CHECK(sharded.num_shards >= 1, "sharded: num_shards must be >= 1");
   const unsigned num_servers = cluster.num_servers;
-  if (options.faults.enabled()) options.faults.validate(num_servers);
   options.admission.validate();
 
   const unsigned num_shards = std::min(sharded.num_shards, num_servers);
@@ -652,13 +651,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       }
     }
     if (options.faults.enabled()) {
-      // The shard's fault plane; a server's boot hangs share its clock.
-      std::vector<Rng> clocks;
-      clocks.reserve(count);
-      for (std::uint32_t li = 0; li < count; ++li) {
-        clocks.emplace_back(faults_seed, s.global(li));
-      }
-      s.faults.emplace(options.faults, std::move(clocks), std::nullopt, num_shards, k);
+      s.faults.emplace(options.faults, faults_seed, num_servers, num_shards, k);
       s.faults->arm(s.queue);
     }
     shards.push_back(std::move(shard));

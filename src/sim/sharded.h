@@ -26,12 +26,12 @@
 //
 // This is a distinct simulation model from run_simulation(), not a parallel
 // re-implementation of it: the sequential loop's global JSQ dispatcher (one
-// shared decision per arrival) and shared boot-hang stream are inherently
-// order-dependent across the whole fleet and cannot be sharded bit-exactly
-// (see DESIGN.md §11.1 for the argument).  The sharded engine therefore
-// uses trace-based round-robin dispatch over the frozen serving set, boot
-// hangs drawn from each server's own fault stream, lost (not failed-over)
-// jobs on a crash, and histogram-derived tail quantiles.
+// shared decision per arrival) is inherently order-dependent across the
+// whole fleet and cannot be sharded bit-exactly (see DESIGN.md §11.1 for
+// the argument).  The sharded engine therefore uses trace-based round-robin
+// dispatch over the frozen serving set, lost (not failed-over) jobs on a
+// crash, and histogram-derived tail quantiles.  The fault process is the
+// one both engines share: each server draws from its own stream.
 #pragma once
 
 #include <cstdint>

@@ -65,16 +65,6 @@ class ClusterFleet final : public FleetView {
 
 }  // namespace
 
-FaultInjector sequential_fault_injector(const FaultOptions& faults, unsigned num_servers,
-                                        std::uint64_t seed) {
-  faults.validate(num_servers);
-  Rng root(seed, /*stream=*/0);
-  std::vector<Rng> clocks;
-  clocks.reserve(num_servers);
-  for (unsigned i = 0; i < num_servers; ++i) clocks.push_back(root.split(i + 1));
-  return FaultInjector(faults, std::move(clocks), root.split(0xb007));
-}
-
 SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_options,
                          Controller& controller, const SimulationOptions& options) {
   GC_CHECK(options.t_ref_s > 0.0, "SimulationOptions: t_ref must be positive");
@@ -105,9 +95,9 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   // clocks start at t = 0.
   std::optional<FaultInjector> injector;
   if (options.faults.enabled()) {
-    injector.emplace(sequential_fault_injector(
-        options.faults, cluster.num_servers(),
-        fault_seed(options.faults, cluster_options.dispatch_seed)));
+    injector.emplace(options.faults,
+                     fault_seed(options.faults, cluster_options.dispatch_seed),
+                     cluster.num_servers());
     cluster.set_fault_injector(&*injector);
     injector->arm(queue);
   }

@@ -1,4 +1,4 @@
-// Deterministic, splittable random number generation.
+// Deterministic, multi-stream random number generation.
 //
 // Everything stochastic in GreenCluster is seeded explicitly.  SplitMix64
 // turns a (seed, stream) pair into independent xoshiro256** states, so a
@@ -73,14 +73,6 @@ class Rng {
   using State = std::array<std::uint64_t, 4>;
   [[nodiscard]] const State& state() const noexcept { return state_; }
   void set_state(const State& s) noexcept { state_ = s; }
-
-  // A child generator with an independent stream; `label` distinguishes
-  // multiple children of the same parent.
-  [[nodiscard]] Rng split(std::uint64_t label) noexcept {
-    std::uint64_t sm = state_[0] ^ (0xd1342543de82ef95ULL * (label + 1));
-    const std::uint64_t seed = splitmix64(sm);
-    return Rng(seed, label);
-  }
 
  private:
   [[nodiscard]] static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

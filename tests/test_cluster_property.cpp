@@ -34,8 +34,7 @@ TEST_P(ClusterPropertyTest, RandomWalkKeepsInvariants) {
   // Only the boot-hang draw: crashes and repairs are steps of the walk.
   FaultOptions faults;
   faults.boot_hang_prob = 0.3;
-  FaultInjector injector =
-      sequential_fault_injector(faults, options.num_servers, 99 + GetParam());
+  FaultInjector injector(faults, 99 + GetParam(), options.num_servers);
   cluster.set_fault_injector(&injector);
 
   double now = 0.0;

@@ -128,7 +128,7 @@ TEST(DeterminismGolden, FailureAwareDcpUnderBackgroundFaults) {
   sim.faults.boot_hang_prob = 0.1;
   sim.faults.seed = 77;
   const SimResult result = golden.run(PolicyKind::kDcpFailureAware, sim);
-  EXPECT_EQ(checksum(result), 8985163258281787258ULL);
+  EXPECT_EQ(checksum(result), 4786940030221795142ULL);
 }
 
 TEST(DeterminismGolden, ScriptedFaultScenarioWithAdmission) {

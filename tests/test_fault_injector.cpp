@@ -5,13 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <compare>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "sim/cluster.h"
-#include "sim/simulation.h"
 
 namespace gc {
 namespace {
@@ -52,7 +54,7 @@ struct FaultHarness {
   FaultHarness(const ClusterOptions& options, const FaultOptions& faults,
                std::uint64_t seed)
       : cluster(options, &queue),
-        injector(sequential_fault_injector(faults, options.num_servers, seed)) {
+        injector(faults, seed, options.num_servers) {
     cluster.set_fault_injector(&injector);
     injector.arm(queue);
   }
@@ -132,7 +134,7 @@ TEST(FaultOptions, EnabledOnlyWithAFaultSource) {
 TEST(FaultInjector, RejectsScriptBeyondFleet) {
   FaultOptions faults;
   faults.script.push_back({1.0, 7});
-  EXPECT_THROW((void)sequential_fault_injector(faults, 4, 1), std::invalid_argument);
+  EXPECT_THROW(FaultInjector(faults, 1, 4), std::invalid_argument);
 }
 
 TEST(FaultInjector, ScriptedCrashThenFixedRepair) {
@@ -314,6 +316,141 @@ TEST(FaultInjector, DeterministicInSeed) {
   ASSERT_FALSE(a.crash_log.empty());
   EXPECT_NE(a.crash_log, c.crash_log);  // continuous crash times: collisions
                                         // across seeds are measure-zero
+}
+
+// -- partition invariance ----------------------------------------------------
+//
+// A stub engine over one fleet slice whose servers never power down: a
+// background or scripted fault crashes an up server, a repair reboots it at
+// once, and each boot either completes after kStubBootDelayS or hangs.
+// Every draw a server makes then depends on its own fault history only, so
+// the whole fleet and any strided slicing of it must schedule the same
+// events and draw the same boot hangs, server by server.
+constexpr double kStubBootDelayS = 2.0;
+
+struct FaultRecord {
+  double time = 0.0;
+  std::uint32_t server = 0;  // global index
+  EventType type{};
+  auto operator<=>(const FaultRecord&) const = default;
+};
+
+class StubSlice {
+ public:
+  StubSlice(const FaultOptions& faults, std::uint64_t seed, unsigned num_servers,
+            std::uint32_t stride, std::uint32_t offset)
+      : injector_(faults, seed, num_servers, stride, offset),
+        stride_(stride),
+        offset_(offset),
+        state_((num_servers - offset + stride - 1) / stride, State::kUp) {
+    injector_.arm(queue_);
+  }
+
+  // Pops every event up to `horizon`, appending what fired to `log` and
+  // each boot's hang draw (0 = none) to `hangs[gi]`.
+  void run_until(double horizon, std::vector<FaultRecord>& log,
+                 std::vector<std::vector<double>>& hangs) {
+    hangs_ = &hangs;
+    while (auto event = queue_.pop()) {
+      if (event->time > horizon) break;
+      const double now = event->time;
+      const std::uint32_t li = event->subject;
+      log.push_back({now, global(li), event->type});
+      switch (event->type) {
+        case EventType::kServerFail:
+          (void)injector_.on_fail_event(now, li, *this, queue_);
+          break;
+        case EventType::kServerRepair:
+          injector_.on_repair_event(now, li, *this, queue_);
+          break;
+        case EventType::kBootTimeout:
+          injector_.on_boot_timeout(now, li, *this, queue_);
+          break;
+        case EventType::kBootComplete: state_[li] = State::kUp; break;
+        default: FAIL() << "unexpected event type";
+      }
+    }
+  }
+
+  // The engine interface FaultInjector drives.
+  bool fail_server(double /*now*/, std::uint32_t li) {
+    if (state_[li] != State::kUp) return false;  // booting or failed: no crash
+    state_[li] = State::kFailed;
+    return true;
+  }
+  void timeout_boot(double /*now*/, std::uint32_t li) { state_[li] = State::kFailed; }
+  void repair_server(double now, std::uint32_t li) {
+    state_[li] = State::kBooting;
+    const std::optional<double> hang = injector_.sample_boot_hang(li, kStubBootDelayS);
+    (*hangs_)[global(li)].push_back(hang.value_or(0.0));
+    if (hang) {
+      queue_.schedule(now + *hang, EventType::kBootTimeout, li);
+    } else {
+      queue_.schedule(now + kStubBootDelayS, EventType::kBootComplete, li);
+    }
+  }
+
+ private:
+  enum class State { kUp, kBooting, kFailed };
+
+  [[nodiscard]] std::uint32_t global(std::uint32_t li) const {
+    return li * stride_ + offset_;
+  }
+
+  EventQueue queue_;
+  FaultInjector injector_;
+  std::uint32_t stride_;
+  std::uint32_t offset_;
+  std::vector<State> state_;
+  std::vector<std::vector<double>>* hangs_ = nullptr;
+};
+
+struct FaultHistory {
+  std::vector<FaultRecord> log;  // sorted by (time, server, type)
+  std::vector<std::vector<double>> hangs;
+};
+
+FaultHistory partitioned_history(const FaultOptions& faults, unsigned num_servers,
+                                 std::uint32_t num_slices, double horizon) {
+  FaultHistory history;
+  history.hangs.resize(num_servers);
+  for (std::uint32_t k = 0; k < num_slices; ++k) {
+    StubSlice slice(faults, /*seed=*/77, num_servers, num_slices, k);
+    slice.run_until(horizon, history.log, history.hangs);
+  }
+  std::sort(history.log.begin(), history.log.end());
+  return history;
+}
+
+TEST(FaultInjector, FaultProcessDoesNotDependOnThePartition) {
+  FaultOptions faults;
+  faults.mtbf_s = 40.0;
+  faults.mttr_s = 8.0;
+  faults.boot_hang_prob = 0.3;
+  faults.script = {{50.0, 5, 20.0}, {80.0, 17, kInf}, {80.0, 6, 5.0}};
+  constexpr unsigned kServers = 24;
+  constexpr double kHorizon = 2000.0;
+  const FaultHistory whole = partitioned_history(faults, kServers, 1, kHorizon);
+  // The run exercised every path: crashes, repairs, reboots and hung boots.
+  unsigned fails = 0, repairs = 0, boots = 0, hangs = 0;
+  for (const FaultRecord& r : whole.log) {
+    switch (r.type) {
+      case EventType::kServerFail: ++fails; break;
+      case EventType::kServerRepair: ++repairs; break;
+      case EventType::kBootComplete: ++boots; break;
+      case EventType::kBootTimeout: ++hangs; break;
+      default: break;
+    }
+  }
+  EXPECT_GT(fails, 500u);
+  EXPECT_GT(repairs, 300u);
+  EXPECT_GT(boots, 200u);
+  EXPECT_GT(hangs, 50u);
+  for (const std::uint32_t k : {3u, 8u}) {
+    const FaultHistory sliced = partitioned_history(faults, kServers, k, kHorizon);
+    EXPECT_EQ(sliced.log, whole.log) << "K=" << k;
+    EXPECT_EQ(sliced.hangs, whole.hangs) << "K=" << k;
+  }
 }
 
 }  // namespace

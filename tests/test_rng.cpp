@@ -84,15 +84,6 @@ TEST(Rng, UniformBelowCoversAllValues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(Rng, SplitStreamsAreIndependentish) {
-  Rng parent(42);
-  Rng a = parent.split(1);
-  Rng b = parent.split(2);
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += (a() == b()) ? 1 : 0;
-  EXPECT_EQ(same, 0);
-}
-
 TEST(Rng, ChiSquareUniformityOf16Bins) {
   Rng rng(31337);
   constexpr int kBins = 16;

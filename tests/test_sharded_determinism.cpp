@@ -395,7 +395,7 @@ std::uint64_t conservation_gap(const CountersSnapshot& c) {
 
 // The sequential engine on the same cluster, controller and options as a
 // ShardedRun (its own workload stream, so the numbers differ).
-SimResult run_sequential_twin(const ShardedRun& spec) {
+SimResult run_sequential_twin(const ShardedRun& spec, DecisionAuditLog* audit = nullptr) {
   Workload workload = spec.scenario.make_workload(spec.config, spec.workload_seed);
   const Provisioner solver(spec.config);
   const auto controller = make_policy(spec.policy, &solver, spec.popts);
@@ -408,6 +408,7 @@ SimResult run_sequential_twin(const ShardedRun& spec) {
   SimulationOptions sim = spec.extra;
   sim.t_ref_s = spec.config.t_ref_s;
   sim.warmup_s = spec.popts.dcp.long_period_s;
+  sim.audit = audit;
   return run_simulation(workload, cluster, *controller, sim);
 }
 
@@ -432,7 +433,8 @@ TEST(ShardedDeterminism, JobsAreConservedWithWarmupInBothEngines) {
 }
 
 // Both engines run one fault plane (sim/fault_injector.h), so a scripted
-// schedule crashes and repairs the same servers in both.  NPM keeps the
+// schedule, and a background process on the same seed, crash and repair
+// the same servers in both.  NPM keeps the
 // whole fleet committed, so a repaired server boots again in both engines
 // (at once in a shard, at the next long tick in the sequential engine).
 TEST(ShardedDeterminism, BothEnginesAgreeOnAScriptedFaultSchedule) {
@@ -454,6 +456,42 @@ TEST(ShardedDeterminism, BothEnginesAgreeOnAScriptedFaultSchedule) {
   EXPECT_EQ(sequential, (std::vector<std::uint64_t>{3, 2, 0}));
   for (const unsigned k : {1u, 3u}) {
     EXPECT_EQ(faults_of(spec.run(k, nullptr, nullptr)), sequential) << "K=" << k;
+  }
+
+  // Background faults: both engines draw server gi's failure clock from
+  // Rng(seed, gi).  NPM keeps every server powered and no repair lands
+  // inside the run, so each server fails at most once, at the same instant
+  // in both engines: the failure count and the available count seen at
+  // every control tick agree.  (Repairs are left out: a repaired server
+  // reboots at once in a shard but at the next long tick in the sequential
+  // engine.)
+  ShardedRun background;
+  background.policy = PolicyKind::kNpm;
+  background.extra.faults.mtbf_s = 6000.0;
+  background.extra.faults.mttr_s = 1e9;
+  background.extra.faults.seed = 31;
+  const auto available_per_tick = [](const DecisionAuditLog& audit) {
+    std::vector<unsigned> available;
+    for (const AuditRecord& rec : audit.records()) available.push_back(rec.available);
+    return available;
+  };
+  DecisionAuditLog seq_audit;
+  const std::vector<std::uint64_t> seq_background =
+      faults_of(run_sequential_twin(background, &seq_audit));
+  const std::vector<unsigned> seq_available = available_per_tick(seq_audit);
+  EXPECT_GT(seq_background[0], 2u);
+  EXPECT_LT(seq_background[0], background.config.max_servers);
+  EXPECT_EQ(seq_background[1], 0u);
+  for (const unsigned k : {1u, 3u}) {
+    DecisionAuditLog audit;
+    EXPECT_EQ(faults_of(background.run(k, &audit, nullptr)), seq_background)
+        << "K=" << k;
+    // The sequential run ends at its last departure, just before the
+    // sharded run's horizon: compare the ticks both engines ran.
+    std::vector<unsigned> available = available_per_tick(audit);
+    ASSERT_GE(available.size(), seq_available.size()) << "K=" << k;
+    available.resize(seq_available.size());
+    EXPECT_EQ(available, seq_available) << "K=" << k;
   }
 }
 
