@@ -34,8 +34,9 @@ ControlChannel::ControlChannel(const ControlChannelOptions& options,
   links_[kCommand].options = options.command;
   links_[kAck].options = options.ack;
   const std::uint64_t seed = options.seed != 0 ? options.seed : derived_seed;
-  // Streams 11..13: disjoint from the dispatcher (3), cluster group RNG
-  // (5) and admission control (7) streams drawn from the same seed.
+  // Streams 11..13: disjoint from the dispatcher (3) and admission
+  // control (7) streams drawn from the dispatch seed, and from the
+  // actuator's stream (14) drawn from this same control seed.
   for (int i = 0; i < kNumLinks; ++i) {
     links_[i].rng = Rng(seed, /*stream=*/11 + static_cast<std::uint64_t>(i));
   }
@@ -68,14 +69,6 @@ void ControllerFaultOptions::validate() const {
       throw std::invalid_argument(
           "ControllerFaultOptions: outage duration_s must be finite and > 0");
     }
-  }
-  if (!(mtbf_s >= 0.0) || !std::isfinite(mtbf_s)) {
-    throw std::invalid_argument(
-        "ControllerFaultOptions: mtbf_s must be finite and >= 0");
-  }
-  if (mtbf_s > 0.0 && (!(mttr_s > 0.0) || !std::isfinite(mttr_s))) {
-    throw std::invalid_argument(
-        "ControllerFaultOptions: mttr_s must be finite and > 0 when mtbf_s > 0");
   }
 }
 

@@ -174,22 +174,16 @@ enum class ControllerRecoveryMode {
 };
 
 struct ControllerFaultOptions {
+  // Outage windows; they may overlap (the controller is down while any
+  // window is open).
   std::vector<ControllerOutage> script;
-  // Random fail-stop process for the controller itself: exponential time
-  // to failure (mean mtbf_s) and repair (mean mttr_s).  0 disables.
-  double mtbf_s = 0.0;
-  double mttr_s = 60.0;
   // When false the watchdog only counts (no safe-mode fallback); lost
   // ticks then leave the fleet frozen in its last commanded state.
   bool safe_mode = true;
   // What the controller remembers once the outage ends (see enum above).
   ControllerRecoveryMode recovery = ControllerRecoveryMode::kPreserve;
-  // 0 derives from the dispatch seed (random outage process only).
-  std::uint64_t seed = 0;
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return !script.empty() || mtbf_s > 0.0;
-  }
+  [[nodiscard]] bool enabled() const noexcept { return !script.empty(); }
   // Throws std::invalid_argument on inconsistent settings.
   void validate() const;
 };

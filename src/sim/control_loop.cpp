@@ -1,18 +1,11 @@
 #include "sim/control_loop.h"
 
-#include <cmath>
 #include <cstddef>
 
 #include "stats/accumulators.h"
 #include "util/assert.h"
 
 namespace gc {
-namespace {
-
-// kControllerFail subject for the random (non-scripted) outage process.
-constexpr std::uint32_t kRandomOutage = ~0u;
-
-}  // namespace
 
 ControlLoop::ControlLoop(Controller& controller, const SimulationOptions& options,
                          std::uint64_t dispatch_seed, FleetView& fleet,
@@ -27,9 +20,6 @@ ControlLoop::ControlLoop(Controller& controller, const SimulationOptions& option
       channel_(options.channel, control_seed_),
       chan_on_(options.channel.enabled),
       cmd_path_(options.channel.enabled || options.actuator.enabled),
-      outage_rng_(options.controller_faults.seed != 0 ? options.controller_faults.seed
-                                                      : control_seed_,
-                  kOutageRngStream),
       in_warmup_(options.warmup_s > 0.0),
       ts_(options.timeseries),
       ts_target_m_(static_cast<double>(fleet.committed_count())) {
@@ -45,10 +35,6 @@ ControlLoop::ControlLoop(Controller& controller, const SimulationOptions& option
     for (std::size_t i = 0; i < cf.script.size(); ++i) {
       queue_.schedule(cf.script[i].start_s, EventType::kControllerFail,
                       static_cast<std::uint32_t>(i));
-    }
-    if (cf.mtbf_s > 0.0) {
-      const double ttf = -cf.mtbf_s * std::log(outage_rng_.uniform01_open_left());
-      queue_.schedule(ttf, EventType::kControllerFail, kRandomOutage);
     }
     // Captured only when cold restarts are in play, so the default path
     // serializes nothing.
@@ -287,9 +273,7 @@ void ControlLoop::on_event(const Event& event) {
       break;
     }
     case EventType::kControllerFail: on_controller_fail(event.time, event.subject); break;
-    case EventType::kControllerRecover:
-      on_controller_recover(event.time, event.subject);
-      break;
+    case EventType::kControllerRecover: on_controller_recover(event.time); break;
     default: GC_CHECK(false, "control loop: not a control-plane event");
   }
 }
@@ -297,14 +281,12 @@ void ControlLoop::on_event(const Event& event) {
 void ControlLoop::on_controller_fail(double now, std::uint32_t subject) {
   const ControllerFaultOptions& cf = options_.controller_faults;
   ++controller_down_depth_;
-  const double duration = subject == kRandomOutage
-                              ? -cf.mttr_s * std::log(outage_rng_.uniform01_open_left())
-                              : cf.script[subject].duration_s;
-  queue_.schedule(now + duration, EventType::kControllerRecover, subject);
+  queue_.schedule(now + cf.script[subject].duration_s, EventType::kControllerRecover,
+                  subject);
   trace_instant(trace_, now, "control", "controller-fail");
 }
 
-void ControlLoop::on_controller_recover(double now, std::uint32_t subject) {
+void ControlLoop::on_controller_recover(double now) {
   const ControllerFaultOptions& cf = options_.controller_faults;
   GC_CHECK(controller_down_depth_ > 0, "recover without an outage");
   --controller_down_depth_;
@@ -337,10 +319,6 @@ void ControlLoop::on_controller_recover(double now, std::uint32_t subject) {
     // flight, and the watchdog starts from a clean slate.
     cp().bump_era();
     missed_short_ticks_ = 0;
-  }
-  if (subject == kRandomOutage && cf.mtbf_s > 0.0) {
-    const double ttf = -cf.mtbf_s * std::log(outage_rng_.uniform01_open_left());
-    queue_.schedule(now + ttf, EventType::kControllerFail, kRandomOutage);
   }
   trace_instant(trace_, now, "control", "controller-recover");
 }

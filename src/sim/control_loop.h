@@ -8,8 +8,8 @@
 //   * the cp::ControlPlane facade, the lossy ControlChannel and the
 //     in-flight payload stores of delayed telemetry / commands / acks;
 //   * the fleet side of the command protocol: generation dedup, the era
-//     gate, the watchdog's safe-mode fallback and the controller-outage
-//     process with its preserve / warm / cold recovery modes (§13.4);
+//     gate, the watchdog's safe-mode fallback and the scripted controller
+//     outages with their preserve / warm / cold recovery modes (§13.4);
 //   * the per-tick observability: admission update, audit record, trace
 //     spans, time-series sample, and the timeline point;
 //   * the control/channel/actuator/lifecycle/cp.* part of the SimResult
@@ -21,10 +21,11 @@
 // timeline record instant and the warmup boundary.  The loop runs only
 // at those instants: it never sees arrivals, departures or servers.
 //
-// Determinism: the channel, the actuator and the outage process draw only
-// when an outcome can differ, so leaving them at defaults (or enabling
-// them with zero loss/latency and no outages) is bit-identical to the
-// synchronous path, and nothing observational feeds back into a decision.
+// Determinism: the channel and the actuator draw only when an outcome can
+// differ and outages are scripted, so leaving them at defaults (or
+// enabling them with zero loss/latency and no outages) is bit-identical to
+// the synchronous path, and nothing observational feeds back into a
+// decision.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +50,6 @@ inline constexpr std::uint64_t kControlSeedSalt = 0x5ca1ab1ec0ffeeULL;
 inline constexpr std::uint64_t kFaultSeedSalt = 0xfa7a17f00dULL;
 inline constexpr std::uint64_t kAdmissionRngStream = 7;  // from dispatch_seed
 inline constexpr std::uint64_t kActuatorRngStream = 14;  // from the control seed
-inline constexpr std::uint64_t kOutageRngStream = 15;    // from the control seed
 
 // Fault-injection seed: FaultOptions::seed, or 0 derives it from the
 // dispatch seed so replications stay on independent fault histories.
@@ -146,7 +146,7 @@ class ControlLoop {
   void exit_safe_mode(double now);
   void miss_tick(double now, double local_rate, bool short_tick);
   void on_controller_fail(double now, std::uint32_t subject);
-  void on_controller_recover(double now, std::uint32_t subject);
+  void on_controller_recover(double now);
   void observe_control(bool long_tick, const ControlContext& ctx,
                        const ControlAction& action, double period_start);
   void record_ts(double now, bool long_tick, double local_rate,
@@ -182,7 +182,6 @@ class ControlLoop {
   std::uint64_t cmd_rejected_era_ = 0;
 
   // Controller outages and the watchdog.
-  Rng outage_rng_;
   unsigned controller_down_depth_ = 0;  // outages may overlap
   unsigned missed_short_ticks_ = 0;     // consecutive
   std::uint64_t ticks_missed_ = 0;

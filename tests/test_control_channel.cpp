@@ -221,12 +221,9 @@ TEST(ControllerFaultOptions, DefaultIsDisabledAndValid) {
   EXPECT_NO_THROW(cf.validate());
 }
 
-TEST(ControllerFaultOptions, ScriptOrMtbfEnables) {
+TEST(ControllerFaultOptions, ScriptEnables) {
   ControllerFaultOptions cf;
   cf.script.push_back({100.0, 50.0});
-  EXPECT_TRUE(cf.enabled());
-  cf.script.clear();
-  cf.mtbf_s = 3600.0;
   EXPECT_TRUE(cf.enabled());
 }
 
@@ -240,23 +237,6 @@ TEST(ControllerFaultOptions, RejectsBadOutages) {
   EXPECT_THROW(cf.validate(), std::invalid_argument);
   cf.script = {{kNaN, 10.0}};
   EXPECT_THROW(cf.validate(), std::invalid_argument);
-}
-
-TEST(ControllerFaultOptions, RejectsBadRandomProcess) {
-  ControllerFaultOptions cf;
-  cf.mtbf_s = -1.0;
-  EXPECT_THROW(cf.validate(), std::invalid_argument);
-  cf.mtbf_s = 3600.0;
-  cf.mttr_s = 0.0;
-  EXPECT_THROW(cf.validate(), std::invalid_argument);
-  cf.mttr_s = kInf;
-  EXPECT_THROW(cf.validate(), std::invalid_argument);
-  cf.mttr_s = 60.0;
-  EXPECT_NO_THROW(cf.validate());
-  // mttr is irrelevant (and unchecked) when the random process is off.
-  cf.mtbf_s = 0.0;
-  cf.mttr_s = 0.0;
-  EXPECT_NO_THROW(cf.validate());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "control/policies.h"
 #include "obs/audit.h"
 #include "sim/simulation.h"
+#include "support/outage_script.h"
 #include "workload/workload.h"
 
 namespace gc {
@@ -95,8 +96,8 @@ TEST(ControlSim, LossyRunsAreBitwiseReproducible) {
   sim.channel.command = {0.1, 0.2, 0.3};
   sim.channel.ack = {0.1, 0.2, 0.3};
   sim.actuator.enabled = true;
-  sim.controller_faults.mtbf_s = 600.0;
-  sim.controller_faults.mttr_s = 90.0;
+  sim.controller_faults.script =
+      random_outages(/*seed=*/11, /*mtbf_s=*/600.0, /*mttr_s=*/90.0, 1500.0);
   const SimResult a = run(PolicyKind::kCombinedDcp, sim, 20.0, 1500.0);
   const SimResult b = run(PolicyKind::kCombinedDcp, sim, 20.0, 1500.0);
   EXPECT_EQ(a.completed_jobs, b.completed_jobs);
@@ -217,10 +218,11 @@ TEST(ControlSim, StaleEraCommandsAreRejectedDuringSafeMode) {
 }
 
 TEST(ControlSim, RandomControllerOutagesRecoverRepeatedly) {
+  // Outages at arbitrary phases of the control cycle, drawn from a
+  // fail-stop chain.
   SimulationOptions sim;
-  sim.controller_faults.mtbf_s = 300.0;
-  sim.controller_faults.mttr_s = 120.0;
-  sim.controller_faults.seed = 21;
+  sim.controller_faults.script =
+      random_outages(/*seed=*/21, /*mtbf_s=*/300.0, /*mttr_s=*/120.0, 3000.0);
   const SimResult result = run(PolicyKind::kCombinedDcp, sim, 20.0, 3000.0);
   EXPECT_GT(result.ticks_missed, 0u);
   EXPECT_GE(result.safe_mode_entries, 2u);

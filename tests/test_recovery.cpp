@@ -11,6 +11,7 @@
 
 #include "control/policies.h"
 #include "sim/simulation.h"
+#include "support/outage_script.h"
 #include "workload/workload.h"
 
 namespace gc {
@@ -41,11 +42,14 @@ SimResult run(ControllerRecoveryMode mode, bool random_outages = false) {
   sim.actuator.enabled = true;
   sim.actuator.ack_timeout_s = 5.0;
   // Two scripted outages (the second overlapping nothing) plus, when
-  // asked, a random fail-stop process layered on top.
+  // asked, a drawn fail-stop chain (MTBF 700 s, MTTR 90 s) layered on top:
+  // three more outages, the one at ~604 s inside the first scripted one.
   sim.controller_faults.script = {{600.0, 120.0}, {1800.0, 200.0}};
   if (random_outages) {
-    sim.controller_faults.mtbf_s = 700.0;
-    sim.controller_faults.mttr_s = 90.0;
+    for (const ControllerOutage& outage :
+         gc::random_outages(/*seed=*/11, /*mtbf_s=*/700.0, /*mttr_s=*/90.0, 3000.0)) {
+      sim.controller_faults.script.push_back(outage);
+    }
   }
   sim.controller_faults.recovery = mode;
   return run_simulation(workload, cluster, *controller, sim);

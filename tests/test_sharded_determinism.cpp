@@ -30,6 +30,7 @@
 #include "obs/timeseries.h"
 #include "sim/sharded.h"
 #include "sim/simulation.h"
+#include "support/outage_script.h"
 #include "workload/rate_profile.h"
 #include "workload/trace.h"
 #include "workload/workload.h"
@@ -498,15 +499,18 @@ TEST(ShardedDeterminism, BothEnginesAgreeOnAScriptedFaultSchedule) {
 // -- controller outages ------------------------------------------------------
 //
 // The degraded run plus a failing controller: a scripted outage long enough
-// to trip the watchdog into safe mode, and a random fail-stop process on
-// top.  Outages, safe mode and every recovery mode run in the shared control
-// loop on the orchestrator thread, so the run stays K-invariant.
+// to trip the watchdog into safe mode, and a drawn fail-stop chain on top
+// (five outages at arbitrary phases of the control cycle, the first,
+// at ~500 s, overlapping the 600 s window).  Outages, safe mode
+// and every recovery mode run in the shared control loop on the
+// orchestrator thread, so the run stays K-invariant.
 ShardedRun make_outage_run(ControllerRecoveryMode mode) {
   ShardedRun r = make_degraded_run();
   r.extra.controller_faults.script = {{600.0, 120.0}, {1500.0, 60.0}};
-  r.extra.controller_faults.mtbf_s = 700.0;
-  r.extra.controller_faults.mttr_s = 90.0;
-  r.extra.controller_faults.seed = 21;
+  for (const ControllerOutage& outage : random_outages(
+           /*seed=*/21, /*mtbf_s=*/700.0, /*mttr_s=*/90.0, r.scenario.horizon_s)) {
+    r.extra.controller_faults.script.push_back(outage);
+  }
   r.extra.controller_faults.safe_mode = true;
   r.extra.controller_faults.recovery = mode;
   return r;
