@@ -13,19 +13,12 @@ namespace {
 constexpr double kRateEwmaAlpha = 0.2;
 }  // namespace
 
-void ControlPlaneOptions::validate() const {
-  actuator.validate();
-  if (staleness.horizon_s < 0.0) {
-    throw std::invalid_argument("ControlPlaneOptions: staleness horizon must be >= 0");
-  }
-}
-
 ControlPlane::ControlPlane(Controller& controller,
                            const ControlPlaneOptions& options, Rng rng)
     : owned_(nullptr),
       controller_(&controller),
       options_(options),
-      actuator_((options.validate(), options.actuator), std::move(rng)),
+      actuator_(options.actuator, std::move(rng)),
       rate_ewma_(kRateEwmaAlpha),
       staleness_(options.staleness.horizon_s) {
   lifecycle_.set_expect_acks(options.actuator.enabled);
@@ -36,7 +29,7 @@ ControlPlane::ControlPlane(std::unique_ptr<Controller> controller,
     : owned_(std::move(controller)),
       controller_(owned_.get()),
       options_(options),
-      actuator_((options.validate(), options.actuator), std::move(rng)),
+      actuator_(options.actuator, std::move(rng)),
       rate_ewma_(kRateEwmaAlpha),
       staleness_(options.staleness.horizon_s) {
   if (controller_ == nullptr) {

@@ -50,9 +50,6 @@ struct ControlPlaneOptions {
   // just surfaces `cp.telemetry.stale_ticks` for operators.  horizon 0
   // disables it.
   StalenessOptions staleness;
-
-  // Throws std::invalid_argument on inconsistent settings.
-  void validate() const;
 };
 
 class ControlPlane {

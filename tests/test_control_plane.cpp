@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -216,10 +217,19 @@ TEST(ControlPlane, StalenessInstrumentIsObservational) {
 }
 
 TEST(ControlPlane, OptionsValidateRejectsBadSettings) {
+  // The facade's members check their own settings: the staleness guard its
+  // horizon (NaN included), the actuator its options.
   ScriptedController controller;
   ControlPlaneOptions bad_staleness;
   bad_staleness.staleness.horizon_s = -1.0;
   EXPECT_THROW(ControlPlane(controller, bad_staleness, Rng(7, 14)),
+               std::invalid_argument);
+  bad_staleness.staleness.horizon_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ControlPlane(controller, bad_staleness, Rng(7, 14)),
+               std::invalid_argument);
+  ControlPlaneOptions bad_actuator;
+  bad_actuator.actuator.ack_timeout_s = 0.0;
+  EXPECT_THROW(ControlPlane(controller, bad_actuator, Rng(7, 14)),
                std::invalid_argument);
   EXPECT_THROW(ControlPlane(std::unique_ptr<Controller>(), ControlPlaneOptions{},
                             Rng(7, 14)),
