@@ -11,10 +11,10 @@
 //       premium at the same availability target.
 //
 // Expected shape: in (a) energy and the solved spare count are
-// non-decreasing in A_ref until the 16-server cap binds (the estimate then
-// saturates below the target and the binding column says "capacity").  In
-// (b) the wear-aware run boots strictly fewer servers than the naive run,
-// meets the same A_ref, for an energy premium below 20%.
+// non-decreasing in A_ref until the 16-server cap binds (then "avail est"
+// saturates below the target and "spares" stops growing).  In (b) the
+// wear-aware run boots strictly fewer servers than the naive run, meets
+// the same A_ref, for an energy premium below 20%.
 #include <cstdint>
 #include <iostream>
 #include <vector>

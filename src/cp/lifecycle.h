@@ -179,9 +179,6 @@ class LifecycleTracker {
   [[nodiscard]] const LogHistogram& apply_latency() const noexcept {
     return apply_latency_;
   }
-  [[nodiscard]] const LogHistogram& ack_to_apply() const noexcept {
-    return ack_to_apply_;
-  }
   [[nodiscard]] const LogHistogram& e2e_latency() const noexcept { return e2e_; }
   [[nodiscard]] const LogHistogram& obs_age() const noexcept { return obs_age_; }
   [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }

@@ -41,7 +41,6 @@ class EnergyMeter {
   [[nodiscard]] double joules_transition() const noexcept { return by_class_[2]; }
   [[nodiscard]] double joules_off() const noexcept { return by_class_[3]; }
 
-  [[nodiscard]] double last_update_time() const noexcept { return last_time_; }
   // Inline: the fleet store re-reads it into its watts column whenever a
   // server's meter moves (sim/fleet_store.h).
   [[nodiscard]] double instantaneous_power() const noexcept {

@@ -27,7 +27,11 @@
 //     change cancels and reschedules the server's pending departure.
 //   * The heap is 4-ary: half the depth of a binary heap and four children
 //     per cache line of entries, which is where the per-event constant
-//     factor goes at cluster sizes in the hundreds.
+//     factor goes at cluster sizes in the hundreds.  sift_down() picks the
+//     smallest of a full family of four as a branch-free tournament on the
+//     128-bit (time_bits, key) order: random departure times made the old
+//     compare-and-branch scan mispredict about half its picks, at every
+//     level of a sharded fleet's thousands-deep heap.
 //   * The arrival stream bypasses the heap.  The sequential engine keeps
 //     exactly one arrival pending at a time, so schedule_arrival() parks it
 //     in a one-entry slot beside the heap instead of pushing it (half the
@@ -144,8 +148,8 @@ class EventQueue {
   // Heap entry: 16 bytes.  `time_bits` is the event time bit-cast to an
   // integer — valid because times are non-negative (enforced by the
   // schedule precondition from now() = 0), where IEEE-754 doubles order
-  // identically to their bit patterns — so the heap predicate is pure
-  // integer arithmetic the compiler lowers branch-free.  `key` packs the
+  // identically to their bit patterns — so the heap predicate is one
+  // 128-bit unsigned compare (order_key) with no jump.  `key` packs the
   // schedule sequence number (high bits) over the slot index (low
   // kSlotBits); comparing keys compares sequence numbers (unique), so the
   // heap order is (time, seq) and the slot rides along for free.
@@ -181,9 +185,17 @@ class EventQueue {
   // pop() for the heap top (the slot is empty or ranks after it).
   [[nodiscard]] std::optional<Event> pop_heap();
 
+  // (time_bits, key) as one 128-bit unsigned integer: the lexicographic
+  // pair order is its numeric order, and the compiler lowers `<` on it to a
+  // cmp/sbb borrow chain with no jump — what the four-child tournament in
+  // sift_down() needs.  __int128 is a GNU extension; `__extension__` keeps
+  // -Wpedantic quiet about it.
+  __extension__ typedef unsigned __int128 OrderKey;
+  [[nodiscard]] static OrderKey order_key(const Entry& e) noexcept {
+    return (static_cast<OrderKey>(e.time_bits) << 64) | e.key;
+  }
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
-    return a.time_bits < b.time_bits ||
-           (a.time_bits == b.time_bits && a.key < b.key);
+    return order_key(a) < order_key(b);
   }
   void place(std::size_t index, const Entry& entry) noexcept {
     heap_[index] = entry;

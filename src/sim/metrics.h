@@ -58,9 +58,6 @@ class MetricsCollector {
   // every take_period_window() call).  Off by default — the extra
   // bookkeeping is only paid when a TimeSeriesRecorder is attached.
   void enable_period_window() noexcept { period_window_on_ = true; }
-  [[nodiscard]] bool period_window_enabled() const noexcept {
-    return period_window_on_;
-  }
   // Returns the stats of the window elapsed since the previous call and
   // starts a new window.  All-zero when disabled or the window was empty.
   [[nodiscard]] PeriodWindowStats take_period_window() noexcept;

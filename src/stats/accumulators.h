@@ -49,7 +49,6 @@ class TimeWeightedAccumulator {
     const double e = elapsed();
     return e > 0.0 ? integral_ / e : 0.0;
   }
-  [[nodiscard]] double last_time() const noexcept { return last_time_; }
 
  private:
   double last_time_;

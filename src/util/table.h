@@ -38,7 +38,6 @@ class TablePrinter {
   TablePrinter& cell(long long value);
 
   [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t num_columns() const noexcept { return columns_.size(); }
 
   // Renders the table.  Also usable via operator<<.
   void print(std::ostream& os) const;

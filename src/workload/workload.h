@@ -31,7 +31,6 @@ class Workload {
   [[nodiscard]] std::optional<JobArrival> next();
 
   [[nodiscard]] std::string name() const;
-  [[nodiscard]] const Distribution& job_size_dist() const noexcept { return job_size_; }
 
   // -- Factories -----------------------------------------------------------
 

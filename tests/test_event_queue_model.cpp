@@ -8,6 +8,7 @@
 // two so cancel hits/misses and pop order can still be compared exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -217,6 +218,80 @@ TEST_P(ArrivalSlotModelTest, SlotArrivalsRankLikeScheduledOnes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArrivalSlotModelTest, ::testing::Range(0, 5));
+
+// A deep heap with mass ties.  The heap grows past 4096 live entries (seven
+// 4-ary levels) with times on a coarse 0.5 s grid, so hundreds of entries
+// share each time and the sequence-number key alone decides their order,
+// including between the two pairs of sift_down's four-child tournament.
+// Mid-heap cancels then punch holes, and the drain pops one event at a
+// time through every heap size, so each full and partial last family is
+// crossed on the way down.
+class DeepTieModelTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DeepTieModelTest, DeepHeapWithMassTiesDrainsInScheduleOrder) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 3);
+  EventQueue real;
+  ReferenceQueue reference;
+  std::vector<EventId> issued_real;
+  std::vector<EventId> issued_ref;
+  std::unordered_map<EventId, EventId> real_to_ref;
+  const auto check_pop = [&](int step) {
+    const auto a = real.pop();
+    const auto b = reference.pop();
+    ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
+    if (!a) return;
+    ASSERT_EQ(a->time, b->time) << "step " << step;
+    ASSERT_EQ(real_to_ref.at(a->id), b->id) << "step " << step;
+    ASSERT_EQ(a->type, b->type) << "step " << step;
+    ASSERT_EQ(a->subject, b->subject) << "step " << step;
+  };
+  const auto check_state = [&](int step) {
+    ASSERT_EQ(real.size(), reference.size()) << "step " << step;
+    if (!real.empty()) {
+      ASSERT_EQ(real.next_time(), reference.next_time()) << "step " << step;
+    }
+    ASSERT_EQ(real.now(), reference.now()) << "step " << step;
+  };
+
+  // Grow: mostly schedules, a few pops so `now` (and the grid) moves.
+  std::size_t peak = 0;
+  for (int step = 0; step < 7000; ++step) {
+    if (rng.uniform01() < 0.1) {
+      ASSERT_NO_FATAL_FAILURE(check_pop(step));
+    } else {
+      const double time = real.now() + 0.5 * static_cast<double>(rng.uniform_below(8));
+      const auto subject = static_cast<std::uint32_t>(rng.uniform_below(1024));
+      const EventId a = real.schedule(time, EventType::kDeparture, subject);
+      const EventId b = reference.schedule(time, EventType::kDeparture, subject);
+      ASSERT_TRUE(real_to_ref.emplace(a, b).second);
+      issued_real.push_back(a);
+      issued_ref.push_back(b);
+    }
+    ASSERT_NO_FATAL_FAILURE(check_state(step));
+    peak = std::max(peak, real.size());
+  }
+  ASSERT_GT(peak, 4096u);
+
+  // Cancel a fifth of the history; most picks are still pending, so the
+  // splices land all through the heap.
+  std::size_t hits = 0;
+  for (int step = 0; step < 1400; ++step) {
+    const std::size_t pick = rng.uniform_below(issued_real.size());
+    const bool hit = real.cancel(issued_real[pick]);
+    ASSERT_EQ(hit, reference.cancel(issued_ref[pick])) << "cancel " << step;
+    hits += hit ? 1 : 0;
+    ASSERT_NO_FATAL_FAILURE(check_state(step));
+  }
+  EXPECT_GT(hits, 800u);
+
+  for (int step = 0; !real.empty(); ++step) {
+    ASSERT_NO_FATAL_FAILURE(check_pop(step));
+    ASSERT_NO_FATAL_FAILURE(check_state(step));
+  }
+  EXPECT_EQ(reference.size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeepTieModelTest, ::testing::Range(0, 3));
 
 // -- generation-stamp specifics ---------------------------------------------
 
