@@ -57,7 +57,7 @@ void EventQueue::sift_down(std::size_t index) {
     if (first + 4 <= n) {
       // All four children: a two-round tournament.  The pops' departure
       // times are random, so a compare-and-branch scan mispredicts about
-      // half its picks; this lowers to setb/cmov with no jump.
+      // half its picks; this lowers to sbb/adc and cmov with no jump.
       const std::size_t b01 = first + before(heap_[first + 1], heap_[first]);
       const std::size_t b23 = first + 2 + before(heap_[first + 3], heap_[first + 2]);
       best = before(heap_[b23], heap_[b01]) ? b23 : b01;
